@@ -10,12 +10,9 @@ from fractions import Fraction
 import numpy as np
 
 from .exceptions import SimulationError
+from .simulator import _X, _Y, _Z
 
 _EIG_CLAMP = 1e-9
-
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -99,8 +96,8 @@ def bloch_vector(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise SimulationError("Bloch vector needs a 2x2 density matrix")
-    r = np.array([np.trace(rho @ _SX).real, np.trace(rho @ _SY).real,
-                  np.trace(rho @ _SZ).real])
+    r = np.array([np.trace(rho @ _X).real, np.trace(rho @ _Y).real,
+                  np.trace(rho @ _Z).real])
     if np.linalg.norm(r) > 1 + 1e-9:
         raise SimulationError("Bloch vector longer than 1")
     return r
@@ -112,7 +109,7 @@ def concurrence(rho: np.ndarray) -> float:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise SimulationError("concurrence is defined for two qubits only")
-    yy = np.kron(_SY, _SY)
+    yy = np.kron(_Y, _Y)
     rho_tilde = yy @ rho.conj() @ yy
     # eigenvalues of rho rho~ via the Hermitian form sqrt(rho) rho~ sqrt(rho)
     s = _psd_sqrt(rho)

@@ -13,6 +13,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -204,6 +205,14 @@ def _aggregate(config: ExperimentConfig, results: list) -> dict:
     }
 
 
+def _point_or_marker(config: ExperimentConfig, index: int, msg: MessageState) -> dict:
+    """One grid point's outcome, or its failure marker on a TelecloneError."""
+    try:
+        return _run_point(config, index, msg)
+    except TelecloneError as exc:
+        return {"clones": [], "error": str(exc)}
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     """Sweep the message grid, collect per-clone metrics and aggregates.
 
@@ -213,35 +222,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     """
     states = angle_grid(config.n_psi, config.n_phi)
     workers = int(os.environ.get("TELECLONE_WORKERS", "1"))
-    results: list[dict | None] = [None] * len(states)
-
-    def finish(index, msg, outcome, error):
-        base = {"index": index,
-                "psi_index": index // config.n_phi,
-                "phi_index": index % config.n_phi,
-                "psi": msg.psi, "phi": msg.phi,
-                "message_bloch": list(msg.bloch())}
-        if error is None:
-            base.update(outcome)
-        else:
-            base.update({"clones": [], "error": error})
-        results[index] = base
-
+    jobs = (repeat(config), range(len(states)), states)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {i: pool.submit(_run_point, config, i, msg)
-                       for i, msg in enumerate(states)}
-            for i, msg in enumerate(states):
-                try:
-                    finish(i, msg, futures[i].result(), None)
-                except TelecloneError as exc:
-                    finish(i, msg, None, str(exc))
+            outcomes = list(pool.map(_point_or_marker, *jobs))
     else:
-        for i, msg in enumerate(states):
-            try:
-                finish(i, msg, _run_point(config, i, msg), None)
-            except TelecloneError as exc:
-                finish(i, msg, None, str(exc))
+        outcomes = list(map(_point_or_marker, *jobs))
+    results = [{"index": i,
+                "psi_index": i // config.n_phi,
+                "phi_index": i % config.n_phi,
+                "psi": msg.psi, "phi": msg.phi,
+                "message_bloch": list(msg.bloch()),
+                **outcome}
+               for i, (msg, outcome) in enumerate(zip(states, outcomes))]
     return ExperimentRecord(config=config, results=results,
                             aggregate=_aggregate(config, results))
 

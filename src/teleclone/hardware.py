@@ -283,8 +283,7 @@ def _alap_schedule(circuit: Circuit, durations: DurationTable):
     return [(total - e, total - s, qs) for s, e, qs in spans], total
 
 
-def insert_dd(circuit: Circuit, durations: DurationTable | None = None,
-              repetitions: int = 1) -> Circuit:
+def insert_dd(circuit: Circuit, durations: DurationTable | None = None) -> Circuit:
     """Pad idle windows with adjacent X-X pairs, placed late in each window.
 
     Only native-gateset circuits are schedulable. Windows overlapping the
@@ -322,13 +321,13 @@ def insert_dd(circuit: Circuit, durations: DurationTable | None = None,
             lo, hi = e0, s1
             if epoch is not None and lo < epoch[1] and hi > epoch[0]:
                 hi = min(hi, epoch[0])  # keep out of the feed-forward region
-            if hi - lo >= 2 * xdur * repetitions:
-                insertions.setdefault(idx1, []).append((q, repetitions))
+            if hi - lo >= 2 * xdur:
+                insertions.setdefault(idx1, []).append(q)
 
     out: list[Instruction] = []
     for idx, ins in enumerate(circuit.instructions):
-        for q, reps in insertions.get(idx, ()):
-            out.extend([x(q)] * (2 * reps))
+        for q in insertions.get(idx, ()):
+            out.extend([x(q)] * 2)
         out.append(ins)
     return Circuit(circuit.num_qubits, circuit.num_clbits, tuple(out),
                    roles=dict(circuit.roles))

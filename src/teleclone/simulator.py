@@ -4,13 +4,23 @@ measurement, feed-forward, seeded shot sampling and configurable noise.
 Conventions: qubit 0 is the most significant bit of the state index; counts
 keys list classical bits ascending left-to-right. Statevector mode is
 strictly noiseless; noise runs either as stochastic Kraus unravelling
-(per-shot) or as exact density-matrix evolution. Mid-circuit measurements
-are branch-enumerated exactly wherever no sampling is requested.
+(per-shot) or as exact density-matrix evolution.
+
+One interpreter, :func:`_walk`, runs every mode. It carries a list of
+(classical bits, state) branches through the instructions and runs each
+cond body only on the branches whose bit matches. Each mode supplies how a
+gate acts on its state and how a measurement changes the branch list: exact
+enumeration splits every branch into both outcomes, shot sampling also
+defers terminal measurements to the final distribution, the density-matrix
+oracle splits and merges readout-flip branches, and a noisy trajectory keeps
+one branch and samples its outcome. :func:`_noise_after` is the one rule
+for which noise follows a gate, read by both noisy modes.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +36,7 @@ _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex)
+_SQRT_X = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex)
 _PAULIS_1Q = (np.eye(2, dtype=complex), _X, _Y, _Z)
 
 
@@ -61,7 +71,7 @@ def gate_matrix(ins: Instruction) -> np.ndarray:
     if ins.gate == "rz":
         return np.array([[np.exp(-0.5j * ins.angle), 0],
                          [0, np.exp(0.5j * ins.angle)]])
-    return {"h": _H, "x": _X, "z": _Z, "sx": _SX}[ins.gate]
+    return {"h": _H, "x": _X, "z": _Z, "sx": _SQRT_X}[ins.gate]
 
 
 def _apply_1q(psi: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
@@ -93,13 +103,15 @@ def _apply_unitary(psi: np.ndarray, ins: Instruction, n: int) -> np.ndarray:
     return _apply_1q(psi, gate_matrix(ins), ins.qubits[0], n)
 
 
-def _project(psi: np.ndarray, q: int, outcome: int) -> tuple[np.ndarray, float]:
-    """Zero out the non-matching slice; returns (unnormalized state, weight)."""
-    out = psi.copy()
-    view = out.reshape(1 << q, 2, -1)
-    view[:, 1 - outcome, :] = 0.0
-    w = float(np.vdot(out, out).real)
-    return out, w
+def _project(state: np.ndarray, axes, outcome: int) -> np.ndarray:
+    """Copy of ``state`` with the non-matching slice of each listed qubit
+    axis zeroed. A pure state projects on (q,); a density matrix, read as a
+    vector over 2n qubits, on (q, q + n)."""
+    out = state.copy()
+    flat = out.reshape(-1)
+    for q in axes:
+        flat.reshape(1 << q, 2, -1)[:, 1 - outcome, :] = 0.0
+    return out
 
 
 def used_qubits(circuit: Circuit) -> set[int]:
@@ -116,24 +128,24 @@ def used_qubits(circuit: Circuit) -> set[int]:
     return used
 
 
+def _remap(ins: Instruction, remap) -> Instruction:
+    return Instruction(ins.gate, tuple(remap[q] for q in ins.qubits),
+                       angle=ins.angle, clbit=ins.clbit,
+                       cond_clbit=ins.cond_clbit, cond_value=ins.cond_value,
+                       body=tuple(_remap(s, remap) for s in ins.body))
+
+
 def compact(circuit: Circuit) -> Circuit:
     """Drop idle qubits (always |0>) and reindex; roles are remapped."""
     used = sorted(used_qubits(circuit))
     if not used:
         used = [0]
     remap = {old: new for new, old in enumerate(used)}
-
-    def conv(ins: Instruction) -> Instruction:
-        return Instruction(ins.gate, tuple(remap[q] for q in ins.qubits),
-                           angle=ins.angle, clbit=ins.clbit,
-                           cond_clbit=ins.cond_clbit, cond_value=ins.cond_value,
-                           body=tuple(conv(s) for s in ins.body))
-
     roles = {}
     for k, v in circuit.roles.items():
         roles[k] = remap[v] if isinstance(v, int) else tuple(remap[q] for q in v)
     return Circuit(len(used), circuit.num_clbits,
-                   tuple(conv(i) for i in circuit.instructions), roles=roles)
+                   tuple(_remap(i, remap) for i in circuit.instructions), roles=roles)
 
 
 def _checked(circuit: Circuit, cap: int) -> Circuit:
@@ -148,41 +160,63 @@ def _checked(circuit: Circuit, cap: int) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# exact branch enumeration (noiseless)
+# the measurement / feed-forward interpreter
 # ---------------------------------------------------------------------------
+
+def _ground(n: int) -> np.ndarray:
+    psi = np.zeros(1 << n, dtype=complex)
+    psi[0] = 1.0
+    return psi
+
+
+def _set_bit(bits: tuple, clbit: int, value: int) -> tuple:
+    return bits[:clbit] + (value,) + bits[clbit + 1:]
+
+
+def _walk(instructions, branches, apply, measure):
+    """Run (clbits tuple, state) ``branches`` through ``instructions``.
+
+    ``apply(state, ins)`` returns the state after one gate and
+    ``measure(branches, ins)`` the branch list after one measurement. A cond
+    body runs only on the branches whose bit holds the cond value.
+    """
+    for ins in instructions:
+        if ins.gate == "barrier":
+            continue
+        if ins.gate == "measure":
+            branches = measure(branches, ins)
+            if len(branches) > _BRANCH_CAP:
+                raise SimulationError("too many measurement branches")
+            continue
+        body = ins.body if ins.gate == "cond" else (ins,)
+        out = []
+        for bits, state in branches:
+            if ins.gate != "cond" or bits[ins.cond_clbit] == ins.cond_value:
+                for sub in body:
+                    state = apply(state, sub)
+            out.append((bits, state))
+        branches = out
+    return branches
+
+
+def _split(branches, ins):
+    """Both outcomes of a measurement on every pure branch; outcomes of
+    zero weight are dropped."""
+    out = []
+    for bits, psi in branches:
+        for outcome in (0, 1):
+            proj = _project(psi, (ins.qubits[0],), outcome)
+            if np.vdot(proj, proj).real > 1e-24:
+                out.append((_set_bit(bits, ins.clbit, outcome), proj))
+    return out
+
 
 def _enumerate_branches(circuit: Circuit):
     """Run all measurement branches exactly. Returns a list of
     (clbits tuple, unnormalized statevector); weights are the norms squared."""
     n = circuit.num_qubits
-    psi0 = np.zeros(1 << n, dtype=complex)
-    psi0[0] = 1.0
-    branches = [([0] * circuit.num_clbits, psi0)]
-    for ins in circuit.instructions:
-        if ins.gate == "barrier":
-            continue
-        if ins.gate == "measure":
-            nxt = []
-            for bits, psi in branches:
-                for outcome in (0, 1):
-                    proj, w = _project(psi, ins.qubits[0], outcome)
-                    if w > 1e-24:
-                        nb = list(bits)
-                        nb[ins.clbit] = outcome
-                        nxt.append((nb, proj))
-            branches = nxt
-            if len(branches) > _BRANCH_CAP:
-                raise SimulationError("too many measurement branches")
-            continue
-        if ins.gate == "cond":
-            for bits, psi in branches:
-                if bits[ins.cond_clbit] == ins.cond_value:
-                    for sub in ins.body:
-                        _apply_unitary(psi, sub, n)
-            continue
-        for _, psi in branches:
-            _apply_unitary(psi, ins, n)
-    return [(tuple(bits), psi) for bits, psi in branches]
+    return _walk(circuit.instructions, [((0,) * circuit.num_clbits, _ground(n))],
+                 lambda psi, ins: _apply_unitary(psi, ins, n), _split)
 
 
 def _ptrace_pure(psi: np.ndarray, keep, n: int) -> np.ndarray:
@@ -264,12 +298,9 @@ def _prep_slices(circuit: Circuit, prefix, mq: int, pq: int):
     cached = _PREP_CACHE.get(key)
     if cached is None:
         m = n - 1
-        psi = np.zeros(1 << m, dtype=complex)
-        psi[0] = 1.0
+        psi = _ground(m)
         for ins in prep:
-            mapped = Instruction(ins.gate, tuple(remap[q] for q in ins.qubits),
-                                 angle=ins.angle)
-            _apply_unitary(psi, mapped, m)
+            _apply_unitary(psi, _remap(ins, remap), m)
         paxis = remap[pq]
         view = psi.reshape(1 << paxis, 2, -1)
         t0 = view[:, 0, :].reshape(-1).copy()
@@ -290,42 +321,49 @@ def _protocol_branches(circuit: Circuit):
     """Weighted post-correction branch vectors over the non-measured qubits.
 
     Returns (branch list, qubit index map). Uses the port-slice fast path
-    when the prefix has the standard shape, otherwise falls back to generic
-    branch enumeration (with the measured qubits kept, in state |c>).
+    when the prefix has the standard shape: the four Bell branches are
+    seeded from the port slices and walked through the feed-forward suffix.
+    Otherwise falls back to generic branch enumeration (with the measured
+    qubits kept, in state |c>).
     """
     prefix, meas_bits, suffix = _protocol_parts(circuit)
     mq, pq = circuit.roles["message"], circuit.roles["port"]
     c_m, c_p = meas_bits[mq], meas_bits[pq]
     fast = _prep_slices(circuit, prefix, mq, pq)
     n = circuit.num_qubits
-    if fast is not None:
-        pre, post, t0, t1, rest_map = fast
-        a, b = pre[0, 0], pre[1, 0]
-        m = n - 2
-        out = []
-        for c0 in (0, 1):
-            for c1 in (0, 1):
-                alpha, beta = post[c1, 0], post[c1, 1]
-                vec = (alpha * a) * (t0 if c0 == 0 else t1) \
-                    + (beta * b) * (t1 if c0 == 0 else t0)
-                bits = [0] * circuit.num_clbits
-                bits[c_p], bits[c_m] = c0, c1
-                for ins in suffix:
-                    if ins.gate == "cond":
-                        if bits[ins.cond_clbit] != ins.cond_value:
-                            continue
-                        body = ins.body
-                    else:
-                        body = (ins,)
-                    for sub in body:
-                        mapped = Instruction(
-                            sub.gate, tuple(rest_map[q] for q in sub.qubits),
-                            angle=sub.angle)
-                        _apply_unitary(vec, mapped, m)
-                out.append((tuple(bits), vec))
-        return out, rest_map
-    branches = _enumerate_branches(circuit)
-    return branches, {q: q for q in range(n)}
+    if fast is None:
+        return _enumerate_branches(circuit), {q: q for q in range(n)}
+    pre, post, t0, t1, rest_map = fast
+    a, b = pre[0, 0], pre[1, 0]
+    seeds = []
+    for c0 in (0, 1):
+        for c1 in (0, 1):
+            alpha, beta = post[c1, 0], post[c1, 1]
+            vec = (alpha * a) * (t0 if c0 == 0 else t1) \
+                + (beta * b) * (t1 if c0 == 0 else t0)
+            bits = [0] * circuit.num_clbits
+            bits[c_p], bits[c_m] = c0, c1
+            seeds.append((tuple(bits), vec))
+    m = n - 2
+    branches = _walk([_remap(ins, rest_map) for ins in suffix], seeds,
+                     lambda psi, ins: _apply_unitary(psi, ins, m), _split)
+    return branches, rest_map
+
+
+def _branch_sum(circuit: Circuit, groups) -> list[np.ndarray]:
+    """Branch-summed reduced density matrix of a checked protocol circuit on
+    each ordered qubit tuple in ``groups``."""
+    branches, qmap = _protocol_branches(circuit)
+    nq = max(qmap.values()) + 1
+    out = []
+    for group in groups:
+        keep = [qmap[q] for q in group]
+        dim = 1 << len(keep)
+        rho = np.zeros((dim, dim), dtype=complex)
+        for _, vec in branches:
+            rho += _ptrace_pure(vec, keep, nq)
+        out.append(rho)
+    return out
 
 
 def exact_clone_states(circuit: Circuit, cap: int = DEFAULT_QUBIT_CAP):
@@ -336,30 +374,13 @@ def exact_clone_states(circuit: Circuit, cap: int = DEFAULT_QUBIT_CAP):
     sums; noiseless semantics only. Requires tomo_basis="none".
     """
     circuit = _checked(circuit, cap)
-    branches, qmap = _protocol_branches(circuit)
-    nq = max(qmap.values()) + 1
-    clones = [qmap[q] for q in circuit.roles["clones"]]
-    out = []
-    for q in clones:
-        rho = np.zeros((2, 2), dtype=complex)
-        for _, vec in branches:
-            rho += _ptrace_pure(vec, [q], nq)
-        out.append(rho)
-    return out
+    return _branch_sum(circuit, [(q,) for q in circuit.roles["clones"]])
 
 
 def exact_subsystem_state(circuit: Circuit, qubits,
                           cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
     """Branch-averaged reduced density matrix on the given original qubits."""
-    circuit = _checked(circuit, cap)
-    branches, qmap = _protocol_branches(circuit)
-    nq = max(qmap.values()) + 1
-    keep = [qmap[q] for q in qubits]
-    dim = 1 << len(keep)
-    rho = np.zeros((dim, dim), dtype=complex)
-    for _, vec in branches:
-        rho += _ptrace_pure(vec, keep, nq)
-    return rho
+    return _branch_sum(_checked(circuit, cap), [qubits])[0]
 
 
 def statevector(circuit: Circuit, cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
@@ -368,11 +389,8 @@ def statevector(circuit: Circuit, cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
     if any(i.gate in ("measure", "cond") for i in circuit.instructions):
         raise SimulationError("statevector requires a measurement-free circuit")
     n = circuit.num_qubits
-    psi = np.zeros(1 << n, dtype=complex)
-    psi[0] = 1.0
-    for ins in circuit.instructions:
-        if ins.gate != "barrier":
-            _apply_unitary(psi, ins, n)
+    ((_, psi),) = _walk(circuit.instructions, [((), _ground(n))],
+                        lambda psi, ins: _apply_unitary(psi, ins, n), None)
     return psi
 
 
@@ -388,8 +406,9 @@ def _shot_rng(seed: int, shot: int) -> np.random.Generator:
 
 
 def _terminal_measures(circuit: Circuit):
-    """Indices of measures that can be deferred to final-state sampling:
-    nothing later touches their qubit and no cond reads their bit."""
+    """Identities (``id``) of the measures that can be deferred to
+    final-state sampling: nothing later touches their qubit and no cond reads
+    their bit."""
     instrs = circuit.instructions
     terminal = set()
     for k, ins in enumerate(instrs):
@@ -406,7 +425,7 @@ def _terminal_measures(circuit: Circuit):
                 ok = False
                 break
         if ok:
-            terminal.add(k)
+            terminal.add(id(ins))
     return terminal
 
 
@@ -415,38 +434,16 @@ def _fast_shot_distributions(circuit: Circuit):
     measurement bits. Returns (branch bits, weights, clbit order, prob rows)."""
     n = circuit.num_qubits
     terminal = _terminal_measures(circuit)
-    psi0 = np.zeros(1 << n, dtype=complex)
-    psi0[0] = 1.0
-    branches = [([0] * circuit.num_clbits, psi0)]
     deferred: list[tuple[int, int]] = []
-    for k, ins in enumerate(circuit.instructions):
-        if ins.gate == "barrier":
-            continue
-        if ins.gate == "measure":
-            if k in terminal:
-                deferred.append((ins.qubits[0], ins.clbit))
-                continue
-            nxt = []
-            for bits, psi in branches:
-                for outcome in (0, 1):
-                    proj, w = _project(psi, ins.qubits[0], outcome)
-                    if w > 1e-24:
-                        nb = list(bits)
-                        nb[ins.clbit] = outcome
-                        nxt.append((nb, proj))
-            branches = nxt
-            if len(branches) > _BRANCH_CAP:
-                raise SimulationError("too many measurement branches")
-            continue
-        if ins.gate == "cond":
-            for bits, psi in branches:
-                if bits[ins.cond_clbit] == ins.cond_value:
-                    for sub in ins.body:
-                        _apply_unitary(psi, sub, n)
-            continue
-        for _, psi in branches:
-            _apply_unitary(psi, ins, n)
 
+    def measure(branches, ins):
+        if id(ins) in terminal:
+            deferred.append((ins.qubits[0], ins.clbit))
+            return branches
+        return _split(branches, ins)
+
+    branches = _walk(circuit.instructions, [((0,) * circuit.num_clbits, _ground(n))],
+                     lambda psi, ins: _apply_unitary(psi, ins, n), measure)
     qubits = [q for q, _ in deferred]
     clbits = [c for _, c in deferred]
     weights, rows, bit_rows = [], [], []
@@ -473,7 +470,9 @@ def run_shots(circuit: Circuit, shots: int, seed: int,
         raise SimulationError(f"shots must be >= 1, got {shots}")
     circuit = _checked(circuit, cap)
     if noise is not None and noise.any_noise():
-        return _run_shots_noisy(circuit, shots, seed, noise)
+        counts = Counter("".join(map(str, _trajectory(circuit, noise, _shot_rng(seed, s))))
+                         for s in range(shots))
+        return dict(sorted(counts.items()))
 
     bit_rows, weights, clbits, rows = _fast_shot_distributions(circuit)
     total = weights.sum()
@@ -502,11 +501,24 @@ def run_shots(circuit: Circuit, shots: int, seed: int,
     return dict(sorted(counts.items()))
 
 
-def _sample_kraus_1q(psi, q, n, rng, p):
-    r = rng.random()
-    if r < p:
-        k = rng.integers(1, 4)
-        _apply_1q(psi, _PAULIS_1Q[k], q, n)
+# ---------------------------------------------------------------------------
+# noise: one placement rule, sampled per shot or evolved exactly
+# ---------------------------------------------------------------------------
+
+def _noise_after(ins: Instruction, noise: NoiseModel) -> tuple[float, float]:
+    """(depolarizing probability, amplitude-damping gamma) that follow one
+    gate. ``rz`` is virtual and noise-free; ``cx`` depolarizes its two
+    qubits jointly and every other gate its one qubit; idle amplitude
+    damping then acts on each qubit of the gate."""
+    if ins.gate == "rz":
+        return 0.0, 0.0
+    p = noise.depolarizing_2q if ins.gate == "cx" else noise.depolarizing_1q
+    return p, noise.amplitude_damping_idle or 0.0
+
+
+def _damping_kraus(gamma: float):
+    return [np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex),
+            np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex)]
 
 
 def _sample_amplitude_damping(psi, q, n, rng, gamma):
@@ -521,63 +533,46 @@ def _sample_amplitude_damping(psi, q, n, rng, gamma):
         psi /= norm
 
 
-def _run_shots_noisy(circuit: Circuit, shots, seed, noise):
+def _trajectory(circuit: Circuit, noise: NoiseModel, rng) -> tuple:
+    """One Monte Carlo wavefunction trajectory; returns the recorded bits.
+
+    Depolarizing with probability p replaces the state by I/2 (I/4 for cx),
+    so it is sampled as X, Y or Z with probability 3p/4 after a 1q gate and
+    as one of the 16 two-qubit Paulis with probability p after a cx.
+    """
     n = circuit.num_qubits
-    counts: dict[str, int] = {}
-    # depolarizing convention: I/2 replacement == each Pauli with prob p/ d^2
-    p1 = 0.75 * noise.depolarizing_1q
-    p2 = noise.depolarizing_2q
-    for shot in range(shots):
-        rng = _shot_rng(seed, shot)
-        psi = np.zeros(1 << n, dtype=complex)
-        psi[0] = 1.0
-        bits = [0] * circuit.num_clbits
-        for ins in circuit.instructions:
-            if ins.gate == "barrier":
-                continue
-            if ins.gate == "measure":
-                q = ins.qubits[0]
-                view = psi.reshape(1 << q, 2, -1)
-                prob1 = float(np.sum(np.abs(view[:, 1, :]) ** 2))
-                outcome = int(rng.random() < prob1)
-                view[:, 1 - outcome, :] = 0.0
-                psi /= math.sqrt(max(np.vdot(psi, psi).real, 1e-300))
-                if noise.readout_flip > 0 and rng.random() < noise.readout_flip:
-                    outcome = 1 - outcome
-                bits[ins.clbit] = outcome
-                continue
-            body = ins.body if ins.gate == "cond" else (ins,)
-            if ins.gate == "cond" and bits[ins.cond_clbit] != ins.cond_value:
-                continue
-            for sub in body:
-                _apply_unitary(psi, sub, n)
-                if sub.gate == "cx":
-                    if p2 > 0 and rng.random() < p2:
-                        ka = rng.integers(0, 4)
-                        kb = rng.integers(0, 4)
-                        if ka:
-                            _apply_1q(psi, _PAULIS_1Q[ka], sub.qubits[0], n)
-                        if kb:
-                            _apply_1q(psi, _PAULIS_1Q[kb], sub.qubits[1], n)
-                    qs = sub.qubits
-                elif sub.gate in ("rz", "barrier"):
-                    qs = ()
-                else:
-                    if p1 > 0:
-                        _sample_kraus_1q(psi, sub.qubits[0], n, rng, p1)
-                    qs = sub.qubits
-                if noise.amplitude_damping_idle:
-                    for q in qs:
-                        _sample_amplitude_damping(
-                            psi, q, n, rng, noise.amplitude_damping_idle)
-        key = "".join(str(b) for b in bits)
-        counts[key] = counts.get(key, 0) + 1
-    return dict(sorted(counts.items()))
 
+    def apply(psi, ins):
+        _apply_unitary(psi, ins, n)
+        p, gamma = _noise_after(ins, noise)
+        if ins.gate == "cx":
+            if p > 0 and rng.random() < p:
+                ks = rng.integers(0, 4), rng.integers(0, 4)
+                for q, k in zip(ins.qubits, ks):
+                    if k:
+                        _apply_1q(psi, _PAULIS_1Q[k], q, n)
+        elif p > 0 and rng.random() < 0.75 * p:
+            _apply_1q(psi, _PAULIS_1Q[rng.integers(1, 4)], ins.qubits[0], n)
+        if gamma:
+            for q in ins.qubits:
+                _sample_amplitude_damping(psi, q, n, rng, gamma)
+        return psi
 
-# ---------------------------------------------------------------------------
-# density-matrix evolution with noise
-# ---------------------------------------------------------------------------
+    def measure(branches, ins):
+        ((bits, psi),) = branches
+        q = ins.qubits[0]
+        prob1 = float(np.sum(np.abs(psi.reshape(1 << q, 2, -1)[:, 1, :]) ** 2))
+        outcome = int(rng.random() < prob1)
+        psi = _project(psi, (q,), outcome)
+        psi /= math.sqrt(max(np.vdot(psi, psi).real, 1e-300))
+        if noise.readout_flip > 0 and rng.random() < noise.readout_flip:
+            outcome = 1 - outcome
+        return [(_set_bit(bits, ins.clbit, outcome), psi)]
+
+    ((bits, _),) = _walk(circuit.instructions,
+                         [((0,) * circuit.num_clbits, _ground(n))], apply, measure)
+    return bits
+
 
 def _dm_apply_unitary(rho, ins: Instruction, n: int):
     flat = rho.reshape(-1)
@@ -592,16 +587,13 @@ def _dm_apply_unitary(rho, ins: Instruction, n: int):
     return rho
 
 
-def _dm_apply_kraus(rho, kraus, qubits, n):
+def _dm_apply_kraus(rho, kraus, q, n):
     dim = 1 << n
     out = np.zeros_like(rho)
     for K in kraus:
         tmp = rho.copy().reshape(-1)
-        if len(qubits) == 1:
-            _apply_1q(tmp, K, qubits[0], 2 * n)
-            _apply_1q(tmp, K.conj(), qubits[0] + n, 2 * n)
-        else:
-            raise SimulationError("only single-qubit Kraus sets supported here")
+        _apply_1q(tmp, K, q, 2 * n)
+        _apply_1q(tmp, K.conj(), q + n, 2 * n)
         out += tmp.reshape(dim, dim)
     return out
 
@@ -609,25 +601,15 @@ def _dm_apply_kraus(rho, kraus, qubits, n):
 def _depolarize_dm(rho, qubits, p, n):
     if p <= 0:
         return rho
-    paulis = _PAULIS_1Q
     if len(qubits) == 1:
-        kraus = [math.sqrt(1 - 0.75 * p) * paulis[0]]
-        kraus += [math.sqrt(p / 4) * P for P in paulis[1:]]
-        return _dm_apply_kraus(rho, kraus, qubits, n)
+        kraus = [math.sqrt(1 - 0.75 * p) * _PAULIS_1Q[0]]
+        kraus += [math.sqrt(p / 4) * P for P in _PAULIS_1Q[1:]]
+        return _dm_apply_kraus(rho, kraus, qubits[0], n)
     # two-qubit joint depolarizing: I/4 replacement
-    out = (1 - p) * rho
-    mixed = rho.copy()
+    mixed = rho
     for q in qubits:
-        flat_n = 2 * n
-        dim = 1 << n
-        acc = np.zeros_like(mixed)
-        for P in paulis:
-            tmp = mixed.copy().reshape(-1)
-            _apply_1q(tmp, P, q, flat_n)
-            _apply_1q(tmp, P.conj(), q + n, flat_n)
-            acc += tmp.reshape(dim, dim)
-        mixed = acc / 4.0
-    return out + p * mixed
+        mixed = _dm_apply_kraus(mixed, [0.5 * P for P in _PAULIS_1Q], q, n)
+    return (1 - p) * rho + p * mixed
 
 
 def noisy_clone_states(circuit: Circuit, noise: NoiseModel,
@@ -636,80 +618,44 @@ def noisy_clone_states(circuit: Circuit, noise: NoiseModel,
     static noise model; the oracle for stochastic shot-mode noise."""
     circuit = _checked(circuit, cap)
     n = circuit.num_qubits
-    if any(i.gate == "measure" and _is_clone_measure(circuit, i)
+    if any(i.gate == "measure" and i.qubits[0] in circuit.roles.get("clones", ())
            for i in circuit.instructions):
         raise SimulationError("noisy_clone_states requires tomo_basis='none'")
-    dim = 1 << n
-    rho0 = np.zeros((dim, dim), dtype=complex)
-    rho0[0, 0] = 1.0
-    branches = [([0] * circuit.num_clbits, rho0)]
-    for ins in circuit.instructions:
-        if ins.gate == "barrier":
-            continue
-        if ins.gate == "measure":
-            q = ins.qubits[0]
-            nxt = []
-            for bits, rho in branches:
-                for outcome in (0, 1):
-                    proj = _dm_project(rho, q, outcome, n)
-                    w = float(np.trace(proj).real)
-                    if w <= 1e-24:
-                        continue
-                    flip = noise.readout_flip
-                    for recorded, scale in ((outcome, 1 - flip), (1 - outcome, flip)):
-                        if scale <= 0:
-                            continue
-                        nb = list(bits)
-                        nb[ins.clbit] = recorded
-                        nxt.append((nb, proj * scale))
-            branches = _dm_merge(nxt)
-            continue
-        body = ins.body if ins.gate == "cond" else (ins,)
+    flip = noise.readout_flip
+
+    def apply(rho, ins):
+        _dm_apply_unitary(rho, ins, n)
+        p, gamma = _noise_after(ins, noise)
+        rho = _depolarize_dm(rho, ins.qubits, p, n)
+        if gamma:
+            for q in ins.qubits:
+                rho = _dm_apply_kraus(rho, _damping_kraus(gamma), q, n)
+        return rho
+
+    def measure(branches, ins):
+        """Split on the outcome, record it flipped with probability ``flip``
+        and merge branches with identical classical bits."""
+        q = ins.qubits[0]
+        merged: dict[tuple, np.ndarray] = {}
         for bits, rho in branches:
-            if ins.gate == "cond" and bits[ins.cond_clbit] != ins.cond_value:
-                continue
-            for sub in body:
-                _dm_apply_unitary(rho, sub, n)
-                if sub.gate == "cx":
-                    rho[:] = _depolarize_dm(rho, sub.qubits, noise.depolarizing_2q, n)
-                elif sub.gate not in ("rz", "barrier"):
-                    rho[:] = _depolarize_dm(rho, sub.qubits, noise.depolarizing_1q, n)
-                if noise.amplitude_damping_idle and sub.gate != "rz":
-                    g = noise.amplitude_damping_idle
-                    kraus = [np.array([[1, 0], [0, math.sqrt(1 - g)]], dtype=complex),
-                             np.array([[0, math.sqrt(g)], [0, 0]], dtype=complex)]
-                    for q in sub.qubits:
-                        rho[:] = _dm_apply_kraus(rho, kraus, [q], n)
+            for outcome in (0, 1):
+                proj = _project(rho, (q, q + n), outcome)
+                if np.trace(proj).real <= 1e-24:
+                    continue
+                for recorded, scale in ((outcome, 1 - flip), (1 - outcome, flip)):
+                    if scale <= 0:
+                        continue
+                    key = _set_bit(bits, ins.clbit, recorded)
+                    merged[key] = merged[key] + proj * scale if key in merged \
+                        else proj * scale
+        return list(merged.items())
+
+    dim = 1 << n
+    rho0 = _ground(2 * n).reshape(dim, dim)
+    branches = _walk(circuit.instructions, [((0,) * circuit.num_clbits, rho0)],
+                     apply, measure)
     total = sum(rho for _, rho in branches)
-    clones = circuit.roles["clones"]
-    return [partial_trace(total, [q], n) for q in clones]
-
-
-def _is_clone_measure(circuit, ins):
-    return ins.qubits[0] in circuit.roles.get("clones", ())
-
-
-def _dm_project(rho, q, outcome, n):
-    out = rho.copy()
-    flat = out.reshape(-1)
-    view = flat.reshape(1 << q, 2, -1)
-    view[:, 1 - outcome, :] = 0.0
-    flat2 = out.reshape(-1)
-    view2 = flat2.reshape(1 << (q + n), 2, -1)
-    view2[:, 1 - outcome, :] = 0.0
-    return out
-
-
-def _dm_merge(branches):
-    """Merge branches with identical classical bits (keeps counts small)."""
-    merged: dict[tuple, np.ndarray] = {}
-    for bits, rho in branches:
-        key = tuple(bits)
-        if key in merged:
-            merged[key] = merged[key] + rho
-        else:
-            merged[key] = rho
-    return [(list(k), v) for k, v in merged.items()]
+    return [partial_trace(total, [q], n) for q in circuit.roles["clones"]]
 
 
 # ---------------------------------------------------------------------------
@@ -752,10 +698,9 @@ def apply_noise_channel(rho: np.ndarray, channel: tuple, qubits) -> np.ndarray:
     if name == "bit_flip":
         kraus = [math.sqrt(1 - param) * _PAULIS_1Q[0], math.sqrt(param) * _X]
     elif name == "amplitude_damping":
-        kraus = [np.array([[1, 0], [0, math.sqrt(1 - param)]], dtype=complex),
-                 np.array([[0, math.sqrt(param)], [0, 0]], dtype=complex)]
+        kraus = _damping_kraus(param)
     else:
         raise SimulationError(f"unknown channel '{name}'")
     for q in qubits:
-        out = _dm_apply_kraus(out, kraus, [q], n)
+        out = _dm_apply_kraus(out, kraus, q, n)
     return out

@@ -207,16 +207,10 @@ def build_protocol_circuit(m: int, variant: TelecloningVariant,
     num_clbits = 2 + (m if with_tomo else 0)
 
     ops: list[Instruction] = [ry(message.psi, 0), rz(message.phi, 0)]
-    prep_roles, _ = _roles(m, variant, with_message=False)
-    if variant is TelecloningVariant.NO_ANCILLA:
-        prep = _no_ancilla_prep(m, prep_roles["port"], prep_roles["clones"])
-    else:
-        prep = _with_ancilla_prep(
-            m, variant is TelecloningVariant.WITH_ANCILLA_OPTIMIZED,
-            prep_roles["ancillas"], prep_roles["port"], prep_roles["clones"])
     shift = 1  # message qubit occupies index 0
     ops += [Instruction(i.gate, tuple(q + shift for q in i.qubits),
-                        angle=i.angle, clbit=i.clbit) for i in prep]
+                        angle=i.angle, clbit=i.clbit)
+            for i in build_telecloning_state(m, variant).instructions]
     ops.append(barrier())
 
     ops += [cx(0, port), h(0)]

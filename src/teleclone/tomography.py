@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import SimulationError, TomographyError
-from .simulator import NoiseModel, run_shots
+from .simulator import _X, _Y, _Z, NoiseModel, run_shots
 from .telecloning import MessageState, TelecloningVariant, build_protocol_circuit
 
 BASES = ("x", "y", "z")
@@ -17,10 +17,6 @@ BASES = ("x", "y", "z")
 _MAX_ITER = 10_000
 _GRAD_TOL = 1e-10
 _BALL_EDGE = 1.0 - 1e-12
-
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 @dataclass
@@ -50,7 +46,7 @@ class TomographyRecord:
 
 def rho_from_bloch(r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
-    return 0.5 * (np.eye(2, dtype=complex) + r[0] * _SX + r[1] * _SY + r[2] * _SZ)
+    return 0.5 * (np.eye(2, dtype=complex) + r[0] * _X + r[1] * _Y + r[2] * _Z)
 
 
 def linear_inversion(counts: dict, shots_per_basis: int):

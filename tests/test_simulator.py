@@ -30,12 +30,17 @@ def test_h_is_binomial_within_4_sigma():
     assert sum(counts.values()) == 10_000
 
 
-def test_identical_inputs_identical_counts():
+@pytest.mark.parametrize("noise,shots", [
+    (None, 2000),
+    (NoiseModel(depolarizing_1q=0.02, depolarizing_2q=0.05, readout_flip=0.05,
+                amplitude_damping_idle=0.02), 300),
+], ids=["noiseless", "noisy"])
+def test_identical_inputs_identical_counts(noise, shots):
     c = build_protocol_circuit(2, NOA, MessageState(0.7, 0.3), tomo_basis="z")
-    a = run_shots(c, 2000, seed=42)
-    b = run_shots(c, 2000, seed=42)
+    a = run_shots(c, shots, seed=42, noise=noise)
+    b = run_shots(c, shots, seed=42, noise=noise)
     assert a == b
-    assert a != run_shots(c, 2000, seed=43)
+    assert a != run_shots(c, shots, seed=43, noise=noise)
 
 
 def test_shots_must_be_positive():
@@ -224,17 +229,28 @@ def test_noisy_p0_matches_exact():
         np.testing.assert_allclose(x_, y_, atol=1e-10)
 
 
-def test_shot_noise_matches_density_oracle():
+@pytest.mark.parametrize("noise,layout_dd", [
+    (NoiseModel(depolarizing_1q=0.02, depolarizing_2q=0.05), False),
+    (NoiseModel(depolarizing_1q=0.01, depolarizing_2q=0.02, readout_flip=0.1,
+                amplitude_damping_idle=0.05), True),
+], ids=["depolarizing", "all-channels-layout0-dd"])
+def test_shot_noise_matches_density_oracle(noise, layout_dd):
     """Stochastic Kraus unravelling agrees with the density-matrix path."""
+    from teleclone.hardware import enumerate_layouts, insert_dd, transpile_to_native
     msg = MessageState(0.6, 0.9)
-    noise = NoiseModel(depolarizing_1q=0.02, depolarizing_2q=0.05)
     shots = 4000
     c = build_protocol_circuit(2, NOA, msg, tomo_basis="z")
+    if layout_dd:
+        c = insert_dd(transpile_to_native(c, enumerate_layouts(2, NOA)[0]))
     counts = run_shots(c, shots, seed=5, noise=noise)
-    # z-basis marginal of clone 0 from the density oracle
-    c0 = build_protocol_circuit(2, NOA, msg, tomo_basis="none")
+    # z-basis marginal of clone 0 from the density oracle: the same circuit
+    # without its clone measurements, with the readout flip applied to P(1)
+    c0 = Circuit(c.num_qubits, c.num_clbits,
+                 tuple(i for i in c.instructions
+                       if not (i.gate == "measure" and i.clbit >= 2)), roles=c.roles)
     rho = noisy_clone_states(c0, noise)[0]
-    p1 = rho[1, 1].real
+    f = noise.readout_flip
+    p1 = (1 - f) * rho[1, 1].real + f * rho[0, 0].real
     n1 = sum(v for k, v in counts.items() if k[2] == "1")
     sigma = math.sqrt(shots * p1 * (1 - p1))
     assert abs(n1 - shots * p1) <= 5 * sigma

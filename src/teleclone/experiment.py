@@ -4,6 +4,10 @@ Defaults reproduce the sampling protocol: a 20x20 grid of rotation angles
 (400 message states), 10,000 shots per tomography basis. Exact mode skips
 sampling entirely and is the acceptance path; shots mode reproduces the
 statistical procedure.
+
+The grid runs in chunks, one per worker process (a serial run is one
+chunk). Each chunk of noiseless points compiles the message-independent
+resource state once and passes it to every point and tomography basis.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from .analysis import CloneMetrics, clone_metrics
 from .circuit import Circuit
 from .exceptions import ConfigError, TelecloneError
 from .hardware import DurationTable, enumerate_layouts, insert_dd, transpile_to_native
-from .simulator import NoiseModel, exact_clone_states, noisy_clone_states
+from .simulator import (CompiledResource, NoiseModel, compile_resource,
+                        exact_clone_states, noisy_clone_states)
 from .telecloning import MessageState, TelecloningVariant, build_protocol_circuit
 from .tomography import tomography_run
 
@@ -129,7 +134,24 @@ def _point_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
 
 
-def _run_point(config: ExperimentConfig, index: int, msg: MessageState) -> dict:
+def _compile_for(config: ExperimentConfig, msg: MessageState) -> CompiledResource | None:
+    """The resource that noiseless points share, compiled from the circuit
+    of ``msg``. None when the points simulate noise, or when that circuit
+    cannot be built or simulated: each point then reports its own error."""
+    if config.noise is not None and (config.mode == "exact"
+                                     or config.noise.any_noise()):
+        return None
+    try:
+        circuit = build_protocol_circuit(config.m, config.variant, msg,
+                                         tomo_basis="none")
+        transform = _transform_for(config)
+        return compile_resource(circuit if transform is None else transform(circuit))
+    except TelecloneError:
+        return None
+
+
+def _run_point(config: ExperimentConfig, resource: CompiledResource | None,
+               index: int, msg: MessageState) -> dict:
     transform = _transform_for(config)
     if config.mode == "exact":
         circuit = build_protocol_circuit(config.m, config.variant, msg,
@@ -137,7 +159,7 @@ def _run_point(config: ExperimentConfig, index: int, msg: MessageState) -> dict:
         if transform is not None:
             circuit = transform(circuit)
         if config.noise is None:
-            rhos = exact_clone_states(circuit)
+            rhos = exact_clone_states(circuit, resource=resource)
         else:
             rhos = noisy_clone_states(circuit, config.noise)
         tomo = [None] * config.m
@@ -145,7 +167,8 @@ def _run_point(config: ExperimentConfig, index: int, msg: MessageState) -> dict:
         records = tomography_run(config.m, config.variant, msg,
                                  config.shots_per_basis,
                                  seed=_point_seed(config.seed, index),
-                                 noise=config.noise, transform=transform)
+                                 noise=config.noise, transform=transform,
+                                 resource=resource)
         rhos = [rec.reconstructed for rec in records]
         tomo = [rec.to_json_dict() for rec in records]
     clones = []
@@ -205,12 +228,28 @@ def _aggregate(config: ExperimentConfig, results: list) -> dict:
     }
 
 
-def _point_or_marker(config: ExperimentConfig, index: int, msg: MessageState) -> dict:
-    """One grid point's outcome, or its failure marker on a TelecloneError."""
+def _run_chunk(config: ExperimentConfig, points) -> list[dict]:
+    """Outcomes of a run of (index, message) grid points, each one's failure
+    marker on a TelecloneError; the points share one compiled resource."""
+    resource = _compile_for(config, points[0][1])
+    outcomes = []
+    for index, msg in points:
+        try:
+            outcomes.append(_run_point(config, resource, index, msg))
+        except TelecloneError as exc:
+            outcomes.append({"clones": [], "error": str(exc)})
+    return outcomes
+
+
+def _workers() -> int:
+    raw = os.environ.get("TELECLONE_WORKERS", "1")
     try:
-        return _run_point(config, index, msg)
-    except TelecloneError as exc:
-        return {"clones": [], "error": str(exc)}
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"TELECLONE_WORKERS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
@@ -218,16 +257,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
 
     Deterministic for a fixed config (per-point seeds derive from the config
     seed and grid index). A failing grid point is recorded with an error
-    marker instead of aborting the sweep.
+    marker instead of aborting the sweep. ``TELECLONE_WORKERS`` (default 1)
+    splits the grid into that many contiguous chunks, one per process, and
+    never into more chunks than grid points.
     """
+    workers = _workers()
     states = angle_grid(config.n_psi, config.n_phi)
-    workers = int(os.environ.get("TELECLONE_WORKERS", "1"))
-    jobs = (repeat(config), range(len(states)), states)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_point_or_marker, *jobs))
+    points = list(enumerate(states))
+    size = -(-len(points) // workers)
+    chunks = [points[k:k + size] for k in range(0, len(points), size)]
+    jobs = (repeat(config), chunks)
+    if len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            done = list(pool.map(_run_chunk, *jobs))
     else:
-        outcomes = list(map(_point_or_marker, *jobs))
+        done = list(map(_run_chunk, *jobs))
+    outcomes = [outcome for chunk in done for outcome in chunk]
     results = [{"index": i,
                 "psi_index": i // config.n_phi,
                 "phi_index": i % config.n_phi,

@@ -15,6 +15,19 @@ defers terminal measurements to the final distribution, the density-matrix
 oracle splits and merges readout-flip branches, and a noisy trajectory keeps
 one branch and samples its outcome. :func:`_noise_after` is the one rule
 for which noise follows a gate, read by both noisy modes.
+
+The resource state does not depend on the message, so noiseless protocol
+circuits never simulate it per point. :func:`compile_resource` simulates it
+once into a :class:`CompiledResource` (the port's |0> and |1> slices), which
+``experiment.run_experiment`` builds once per sweep, or once per worker
+chunk, and hands to :func:`exact_clone_states` and, through
+``tomography.tomography_run``, to :func:`run_shots`. Both seed the four Bell
+branches from it with :func:`_bell_seeds` and walk only what follows the
+Bell measurement, over the other n-2 qubits; a circuit's prep gates are
+compared with the resource's, never compacted or simulated again. A circuit
+whose prep differs from the resource passed in, or that is called without
+one, compiles its own; one whose prefix cannot be seeded is compacted and
+walked in full from |0...0>.
 """
 
 from __future__ import annotations
@@ -114,6 +127,11 @@ def _project(state: np.ndarray, axes, outcome: int) -> np.ndarray:
     return out
 
 
+def _touched(ins: Instruction) -> set[int]:
+    """Qubits an instruction acts on, a cond body's included."""
+    return set(ins.qubits).union(*(sub.qubits for sub in ins.body))
+
+
 def used_qubits(circuit: Circuit) -> set[int]:
     used = set()
     for ins in circuit.instructions:
@@ -135,28 +153,37 @@ def _remap(ins: Instruction, remap) -> Instruction:
                        body=tuple(_remap(s, remap) for s in ins.body))
 
 
+def _compaction(circuit: Circuit) -> dict[int, int]:
+    """Map from each qubit :func:`compact` keeps to its new index."""
+    used = sorted(used_qubits(circuit)) or [0]
+    return {old: new for new, old in enumerate(used)}
+
+
 def compact(circuit: Circuit) -> Circuit:
     """Drop idle qubits (always |0>) and reindex; roles are remapped."""
-    used = sorted(used_qubits(circuit))
-    if not used:
-        used = [0]
-    remap = {old: new for new, old in enumerate(used)}
+    remap = _compaction(circuit)
     roles = {}
     for k, v in circuit.roles.items():
         roles[k] = remap[v] if isinstance(v, int) else tuple(remap[q] for q in v)
-    return Circuit(len(used), circuit.num_clbits,
+    return Circuit(len(remap), circuit.num_clbits,
                    tuple(_remap(i, remap) for i in circuit.instructions), roles=roles)
 
 
-def _checked(circuit: Circuit, cap: int) -> Circuit:
+def _validated(circuit: Circuit, cap: int) -> dict[int, int]:
+    """The :func:`_compaction` of a valid circuit that fits the qubit cap."""
     errors = validate(circuit)
     if errors:
         raise CircuitError("; ".join(errors))
-    circuit = compact(circuit)
-    if circuit.num_qubits > cap:
+    position = _compaction(circuit)
+    if len(position) > cap:
         raise SimulationError(
-            f"2^{circuit.num_qubits} amplitudes exceed the {cap}-qubit cap")
-    return circuit
+            f"2^{len(position)} amplitudes exceed the {cap}-qubit cap")
+    return position
+
+
+def _checked(circuit: Circuit, cap: int) -> Circuit:
+    _validated(circuit, cap)
+    return compact(circuit)
 
 
 # ---------------------------------------------------------------------------
@@ -229,158 +256,209 @@ def _ptrace_pure(psi: np.ndarray, keep, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# protocol structure handling
+# the compiled resource: message-independent work, simulated once per sweep
 # ---------------------------------------------------------------------------
 
-def _protocol_parts(circuit: Circuit):
-    """Split a protocol circuit into (prefix unitaries, bell measures, conds).
+@dataclass(frozen=True, eq=False)
+class CompiledResource:
+    """The resource state of a protocol circuit, simulated once.
 
-    The circuit must measure exactly the port and the message qubit (in any
-    order) and afterwards contain only feed-forward blocks; anything else is
-    reported as a missing Bell-measurement structure.
+    ``prep`` (the used qubits, the message and port qubits and the prep
+    gates, in the circuit's own numbering) is its identity: every message
+    and tomography basis of one (m, variant, layout, dd) shares it.
+    ``t0``/``t1`` are the port's |0> and |1> slices over the other used
+    qubits, and ``index`` maps each of those qubits to its axis in them.
+    """
+
+    prep: tuple
+    t0: np.ndarray
+    t1: np.ndarray
+    index: dict
+
+
+def _bell_parts(circuit: Circuit):
+    """Split a valid circuit at its Bell measurement, or return None.
+
+    The first two measures must be on the port and the message, in either
+    order, and nothing after the first may touch those two qubits again.
+    Returns (unitary prefix, the two Bell measures, later instructions),
+    barriers dropped.
     """
     roles = circuit.roles
-    if "port" not in roles or "message" not in roles or "clones" not in roles:
-        raise SimulationError("circuit lacks role metadata for the protocol")
-    measures = [i for i in circuit.instructions if i.gate == "measure"]
-    if len(measures) != 2 or {m.qubits[0] for m in measures} != \
-            {roles["port"], roles["message"]}:
-        raise SimulationError("circuit lacks the Bell-measurement structure")
-    first_meas = next(k for k, i in enumerate(circuit.instructions)
-                      if i.gate == "measure")
-    prefix = [i for i in circuit.instructions[:first_meas] if i.gate != "barrier"]
-    measured = {m.qubits[0] for m in measures}
-    suffix = []
-    for ins in circuit.instructions[first_meas:]:
-        if ins.gate in ("barrier", "measure"):
-            continue
-        if ins.gate != "cond" and measured & set(ins.qubits):
-            raise SimulationError("circuit lacks the Bell-measurement structure")
-        suffix.append(ins)
-    meas_bits = {m.qubits[0]: m.clbit for m in measures}
-    return prefix, meas_bits, suffix
+    if "port" not in roles or "message" not in roles:
+        return None
+    pair = {roles["port"], roles["message"]}
+    instrs = [i for i in circuit.instructions if i.gate != "barrier"]
+    at = [k for k, i in enumerate(instrs) if i.gate == "measure"][:2]
+    if len(at) < 2 or {instrs[k].qubits[0] for k in at} != pair:
+        return None
+    suffix = [i for k, i in enumerate(instrs) if k > at[0] and k != at[1]]
+    if any(pair & _touched(i) for i in suffix):
+        return None
+    return instrs[:at[0]], [instrs[k] for k in at], suffix
 
 
-_PREP_CACHE: dict = {}
-
-
-def _prep_slices(circuit: Circuit, prefix, mq: int, pq: int):
-    """Simulate the message-independent resource prep once and slice along
-    the port axis. Returns (pre 2x2, post 2x2, T0, T1, index map) where the
-    T vectors live on the remaining qubits in ascending original order."""
-    n = circuit.num_qubits
-    pre = np.eye(2, dtype=complex)
-    post = np.eye(2, dtype=complex)
+def _split_prefix(circuit: Circuit, parts, position: dict[int, int]):
+    """(pre, post, prep) of a circuit's Bell prefix, or None when the prefix
+    cannot be seeded. ``pre`` and ``post`` multiply the message's own 1q
+    gates before and after its one cx(message, port); every other gate is
+    resource prep and may not touch the port after that cx, which the
+    seeding would move ahead of it."""
+    if parts is None:
+        return None
+    mq, pq = circuit.roles["message"], circuit.roles["port"]
+    pre = post = np.eye(2, dtype=complex)
     prep = []
     bell_seen = False
-    for ins in prefix:
+    for ins in parts[0]:
         if mq in ins.qubits:
             if ins.gate == "cx":
                 if bell_seen or ins.qubits != (mq, pq):
                     return None
                 bell_seen = True
             elif len(ins.qubits) == 1:
-                mat = gate_matrix(ins)
                 if bell_seen:
-                    post = mat @ post
+                    post = gate_matrix(ins) @ post
                 else:
-                    pre = mat @ pre
+                    pre = gate_matrix(ins) @ pre
             else:
                 return None
+        elif bell_seen and pq in ins.qubits:
+            return None
         else:
             prep.append(ins)
     if not bell_seen:
         return None
+    return pre, post, (tuple(position), mq, pq, tuple(prep))
 
-    others = [q for q in range(n) if q != mq]
+
+def _compile(prep: tuple) -> CompiledResource:
+    """Run the prep gates on every qubit but the message and slice the
+    state along the port axis."""
+    used, mq, pq, gates = prep
+    others = [q for q in used if q != mq]
     remap = {q: k for k, q in enumerate(others)}
-    key = (n, pq, tuple((i.gate, i.qubits, i.angle) for i in prep))
-    cached = _PREP_CACHE.get(key)
-    if cached is None:
-        m = n - 1
-        psi = _ground(m)
-        for ins in prep:
-            _apply_unitary(psi, _remap(ins, remap), m)
-        paxis = remap[pq]
-        view = psi.reshape(1 << paxis, 2, -1)
-        t0 = view[:, 0, :].reshape(-1).copy()
-        t1 = view[:, 1, :].reshape(-1).copy()
-        if len(_PREP_CACHE) > 8:
-            _PREP_CACHE.clear()
-        _PREP_CACHE[key] = (t0, t1)
-        cached = (t0, t1)
+    psi = _ground(len(others))
+    for ins in gates:
+        _apply_unitary(psi, _remap(ins, remap), len(others))
+    view = psi.reshape(1 << remap[pq], 2, -1)
     rest = [q for q in others if q != pq]
-    rest_map = {}
-    for q in rest:
-        k = remap[q]
-        rest_map[q] = k if k < remap[pq] else k - 1
-    return pre, post, cached[0], cached[1], rest_map
+    return CompiledResource(prep, view[:, 0, :].reshape(-1).copy(),
+                            view[:, 1, :].reshape(-1).copy(),
+                            {q: k for k, q in enumerate(rest)})
 
 
-def _protocol_branches(circuit: Circuit):
-    """Weighted post-correction branch vectors over the non-measured qubits.
+def compile_resource(circuit: Circuit,
+                     cap: int = DEFAULT_QUBIT_CAP) -> CompiledResource | None:
+    """Simulate the message-independent resource of a protocol circuit once.
 
-    Returns (branch list, qubit index map). Uses the port-slice fast path
-    when the prefix has the standard shape: the four Bell branches are
-    seeded from the port slices and walked through the feed-forward suffix.
-    Otherwise falls back to generic branch enumeration (with the measured
-    qubits kept, in state |c>).
+    Pass the result to :func:`exact_clone_states` or :func:`run_shots` for
+    every circuit of the same (m, variant, layout, dd), whatever its message
+    or tomography basis; a circuit whose prep differs compiles its own.
+    Returns None when the circuit has no seedable Bell-measurement shape.
     """
-    prefix, meas_bits, suffix = _protocol_parts(circuit)
-    mq, pq = circuit.roles["message"], circuit.roles["port"]
-    c_m, c_p = meas_bits[mq], meas_bits[pq]
-    fast = _prep_slices(circuit, prefix, mq, pq)
-    n = circuit.num_qubits
-    if fast is None:
-        return _enumerate_branches(circuit), {q: q for q in range(n)}
-    pre, post, t0, t1, rest_map = fast
+    split = _split_prefix(circuit, _bell_parts(circuit), _validated(circuit, cap))
+    return None if split is None else _compile(split[2])
+
+
+def _bell_seeds(resource: CompiledResource, pre, post, bell, num_clbits: int):
+    """The four Bell branches (clbits, vector over the remaining qubits) of
+    a message whose gates before and after the Bell cx multiply to ``pre``
+    and ``post``, in the order the two ``bell`` measures split them;
+    outcomes of zero weight are dropped."""
+    pq = resource.prep[2]
     a, b = pre[0, 0], pre[1, 0]
+    slices = (resource.t0, resource.t1)
+    (q0, c0), (_, c1) = [(m.qubits[0], m.clbit) for m in bell]
     seeds = []
-    for c0 in (0, 1):
-        for c1 in (0, 1):
-            alpha, beta = post[c1, 0], post[c1, 1]
-            vec = (alpha * a) * (t0 if c0 == 0 else t1) \
-                + (beta * b) * (t1 if c0 == 0 else t0)
-            bits = [0] * circuit.num_clbits
-            bits[c_p], bits[c_m] = c0, c1
-            seeds.append((tuple(bits), vec))
-    m = n - 2
-    branches = _walk([_remap(ins, rest_map) for ins in suffix], seeds,
-                     lambda psi, ins: _apply_unitary(psi, ins, m), _split)
-    return branches, rest_map
+    for o0 in (0, 1):
+        for o1 in (0, 1):
+            cp, cm = (o0, o1) if q0 == pq else (o1, o0)
+            vec = (post[cm, 0] * a) * slices[cp] \
+                + (post[cm, 1] * b) * slices[1 - cp]
+            if np.vdot(vec, vec).real > 1e-24:
+                bits = _set_bit(_set_bit((0,) * num_clbits, c0, o0), c1, o1)
+                seeds.append((bits, vec))
+    return seeds
 
 
-def _branch_sum(circuit: Circuit, groups) -> list[np.ndarray]:
-    """Branch-summed reduced density matrix of a checked protocol circuit on
-    each ordered qubit tuple in ``groups``."""
-    branches, qmap = _protocol_branches(circuit)
-    nq = max(qmap.values()) + 1
+def _start(circuit: Circuit, position: dict[int, int], parts,
+           resource: CompiledResource | None):
+    """Where the walk of a valid circuit with compaction ``position``
+    begins: (instructions, branches, qubit count, map from the circuit's
+    qubits to state axes).
+
+    A circuit with a seedable Bell prefix starts after its Bell measurement,
+    from the Bell branches seeded from ``resource`` (compiled here when it
+    is None or its prep differs) over its used qubits but the port and the
+    message; its prep is neither compacted nor simulated. Any other circuit
+    is compacted and starts from |0...0>.
+    """
+    split = _split_prefix(circuit, parts, position)
+    if split is None:
+        circuit = compact(circuit)
+        n = circuit.num_qubits
+        return (circuit.instructions, [((0,) * circuit.num_clbits, _ground(n))],
+                n, position)
+    pre, post, prep = split
+    if resource is None or resource.prep != prep:
+        resource = _compile(prep)
+    seeds = _bell_seeds(resource, pre, post, parts[1], circuit.num_clbits)
+    return ([_remap(ins, resource.index) for ins in parts[2]], seeds,
+            len(resource.index), resource.index)
+
+
+# ---------------------------------------------------------------------------
+# exact branch sums
+# ---------------------------------------------------------------------------
+
+def _branch_sum(circuit: Circuit, groups, cap: int,
+                resource: CompiledResource | None = None) -> list[np.ndarray]:
+    """Branch-summed reduced density matrix of a protocol circuit on each
+    ordered tuple of its qubits in ``groups``. The circuit must measure
+    exactly the port and the message and then only feed forward."""
+    position = _validated(circuit, cap)
+    if any(role not in circuit.roles for role in ("port", "message", "clones")):
+        raise SimulationError("circuit lacks role metadata for the protocol")
+    parts = _bell_parts(circuit)
+    if parts is None or any(ins.gate == "measure" for ins in parts[2]):
+        raise SimulationError("circuit lacks the Bell-measurement structure")
+    instructions, branches, n, index = _start(circuit, position, parts, resource)
+    gone = sorted({q for group in groups for q in group} - index.keys())
+    if gone:
+        raise SimulationError(f"no state for qubits {gone}: the circuit does "
+                              "not use them or measures them")
+    branches = _walk(instructions, branches,
+                     lambda psi, ins: _apply_unitary(psi, ins, n), _split)
     out = []
     for group in groups:
-        keep = [qmap[q] for q in group]
+        keep = [index[q] for q in group]
         dim = 1 << len(keep)
         rho = np.zeros((dim, dim), dtype=complex)
         for _, vec in branches:
-            rho += _ptrace_pure(vec, keep, nq)
+            rho += _ptrace_pure(vec, keep, n)
         out.append(rho)
     return out
 
 
-def exact_clone_states(circuit: Circuit, cap: int = DEFAULT_QUBIT_CAP):
+def exact_clone_states(circuit: Circuit, cap: int = DEFAULT_QUBIT_CAP,
+                       resource: CompiledResource | None = None):
     """Deterministic per-clone density matrices of a protocol circuit.
 
     Enumerates the four Bell outcomes, pushes each post-measurement branch
     through its feed-forward corrections, weights by branch probability and
-    sums; noiseless semantics only. Requires tomo_basis="none".
+    sums; noiseless semantics only. Requires tomo_basis="none". ``resource``
+    is a :func:`compile_resource` result to reuse; without one, or when its
+    prep differs, the circuit compiles its own.
     """
-    circuit = _checked(circuit, cap)
-    return _branch_sum(circuit, [(q,) for q in circuit.roles["clones"]])
+    return _branch_sum(circuit, [(q,) for q in circuit.roles.get("clones", ())],
+                       cap, resource)
 
 
 def exact_subsystem_state(circuit: Circuit, qubits,
                           cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
     """Branch-averaged reduced density matrix on the given original qubits."""
-    return _branch_sum(_checked(circuit, cap), [qubits])[0]
+    return _branch_sum(circuit, [tuple(qubits)], cap)[0]
 
 
 def statevector(circuit: Circuit, cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
@@ -405,35 +483,28 @@ def _shot_rng(seed: int, shot: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
-def _terminal_measures(circuit: Circuit):
+def _terminal_measures(instructions):
     """Identities (``id``) of the measures that can be deferred to
-    final-state sampling: nothing later touches their qubit and no cond reads
-    their bit."""
-    instrs = circuit.instructions
+    final-state sampling: no later gate touches their qubit and no cond
+    reads their bit."""
+    instrs = [i for i in instructions if i.gate != "barrier"]
     terminal = set()
     for k, ins in enumerate(instrs):
         if ins.gate != "measure":
             continue
         q, c = ins.qubits[0], ins.clbit
-        ok = True
-        for later in instrs[k + 1:]:
-            touched = set(later.qubits) | {qq for s in later.body for qq in s.qubits}
-            if q in touched:
-                ok = False
-                break
-            if later.gate == "cond" and later.cond_clbit == c:
-                ok = False
-                break
-        if ok:
+        if not any(q in _touched(later)
+                   or (later.gate == "cond" and later.cond_clbit == c)
+                   for later in instrs[k + 1:]):
             terminal.add(id(ins))
     return terminal
 
 
-def _fast_shot_distributions(circuit: Circuit):
-    """Branch weights plus per-branch joint distributions over the deferred
-    measurement bits. Returns (branch bits, weights, clbit order, prob rows)."""
-    n = circuit.num_qubits
-    terminal = _terminal_measures(circuit)
+def _shot_distributions(instructions, branches, n: int):
+    """Walk ``branches`` over ``n`` qubits through ``instructions`` with the
+    terminal measures deferred. Returns (branch bits, weights, deferred
+    clbit order, per-branch joint distributions over the deferred bits)."""
+    terminal = _terminal_measures(instructions)
     deferred: list[tuple[int, int]] = []
 
     def measure(branches, ins):
@@ -442,7 +513,7 @@ def _fast_shot_distributions(circuit: Circuit):
             return branches
         return _split(branches, ins)
 
-    branches = _walk(circuit.instructions, [((0,) * circuit.num_clbits, _ground(n))],
+    branches = _walk(instructions, branches,
                      lambda psi, ins: _apply_unitary(psi, ins, n), measure)
     qubits = [q for q, _ in deferred]
     clbits = [c for _, c in deferred]
@@ -463,18 +534,26 @@ def _fast_shot_distributions(circuit: Circuit):
 
 def run_shots(circuit: Circuit, shots: int, seed: int,
               noise: NoiseModel | None = None,
-              cap: int = DEFAULT_QUBIT_CAP) -> dict[str, int]:
+              cap: int = DEFAULT_QUBIT_CAP,
+              resource: CompiledResource | None = None) -> dict[str, int]:
     """Sample measurement outcomes. Identical (circuit, shots, seed, noise)
-    inputs give identical counts; the total always equals ``shots``."""
+    inputs give identical counts; the total always equals ``shots``.
+
+    Noiseless protocol circuits walk only what follows the Bell measurement,
+    from branches seeded from ``resource`` (see :func:`exact_clone_states`).
+    """
     if shots < 1:
         raise SimulationError(f"shots must be >= 1, got {shots}")
-    circuit = _checked(circuit, cap)
+    position = _validated(circuit, cap)
     if noise is not None and noise.any_noise():
+        circuit = compact(circuit)
         counts = Counter("".join(map(str, _trajectory(circuit, noise, _shot_rng(seed, s))))
                          for s in range(shots))
         return dict(sorted(counts.items()))
 
-    bit_rows, weights, clbits, rows = _fast_shot_distributions(circuit)
+    instructions, branches, n, _ = _start(circuit, position, _bell_parts(circuit),
+                                          resource)
+    bit_rows, weights, clbits, rows = _shot_distributions(instructions, branches, n)
     total = weights.sum()
     branch_cdf = np.cumsum(weights / total)
     cdfs = [np.cumsum(r / w) if w > 0 else None

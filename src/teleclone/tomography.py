@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import SimulationError, TomographyError
-from .simulator import _X, _Y, _Z, NoiseModel, run_shots
+from .simulator import _X, _Y, _Z, CompiledResource, NoiseModel, run_shots
 from .telecloning import MessageState, TelecloningVariant, build_protocol_circuit
 
 BASES = ("x", "y", "z")
@@ -116,12 +116,15 @@ def mle_fit(counts: dict, shots_per_basis: int) -> np.ndarray:
 def tomography_run(m: int, variant: TelecloningVariant, message: MessageState,
                    shots_per_basis: int, seed: int,
                    noise: NoiseModel | None = None,
-                   transform=None) -> list[TomographyRecord]:
+                   transform=None,
+                   resource: CompiledResource | None = None) -> list[TomographyRecord]:
     """Measure all clones in X, Y, Z (one circuit per basis,
     shots_per_basis each) and reconstruct every clone's state via MLE.
 
     ``transform`` optionally rewrites each basis circuit before execution
     (layout mapping, decoupling passes); it must preserve clone bit order.
+    ``resource`` is the compiled resource the three basis circuits share
+    (see :func:`teleclone.simulator.compile_resource`).
     """
     if shots_per_basis < 1:
         raise SimulationError("shots_per_basis must be >= 1")
@@ -131,7 +134,8 @@ def tomography_run(m: int, variant: TelecloningVariant, message: MessageState,
         if transform is not None:
             circuit = transform(circuit)
         child = int(np.random.SeedSequence((seed, bi)).generate_state(1)[0])
-        counts = run_shots(circuit, shots_per_basis, seed=child, noise=noise)
+        counts = run_shots(circuit, shots_per_basis, seed=child, noise=noise,
+                           resource=resource)
         for k in range(m):
             n1 = sum(c for key, c in counts.items() if key[2 + k] == "1")
             per_clone[k][basis] = (shots_per_basis - n1, n1)

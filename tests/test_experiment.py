@@ -222,9 +222,24 @@ def test_cli_bad_config_exit_code(tmp_path):
 
 
 def test_worker_pool_determinism(tmp_path, monkeypatch):
-    cfg = ExperimentConfig(m=2, variant=NOA, n_psi=2, n_phi=2, mode="shots",
-                           shots_per_basis=100, seed=8)
-    serial = run_experiment(cfg).to_json()
+    configs = [ExperimentConfig(m=2, variant=NOA, n_psi=2, n_phi=2, mode="shots",
+                                shots_per_basis=100, seed=8),
+               ExperimentConfig(m=3, variant=OPT, n_psi=3, n_phi=1, mode="shots",
+                                shots_per_basis=100, seed=5, layout_index=2, dd=True)]
+    serial = [run_experiment(cfg) for cfg in configs]
+    assert serial[1].aggregate["n_failed"] == 0
     monkeypatch.setenv("TELECLONE_WORKERS", "2")
-    parallel = run_experiment(cfg).to_json()
-    assert serial == parallel
+    parallel = [run_experiment(cfg).to_json() for cfg in configs]
+    assert [rec.to_json() for rec in serial] == parallel
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-3"])
+def test_cli_rejects_bad_worker_count(tmp_path, monkeypatch, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"m": 2, "variant": "no-ancilla",
+                                    "n_psi": 1, "n_phi": 1}))
+    monkeypatch.setenv("TELECLONE_WORKERS", value)
+    r = _cli("run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "runs"))
+    assert r.returncode == 1
+    assert "TELECLONE_WORKERS" in r.stderr and "Traceback" not in r.stderr
+    assert not (tmp_path / "runs").exists()

@@ -65,25 +65,52 @@ def test_bell_outcomes_uniform_m2_all_variants():
 
 
 def test_counts_match_exact_branch_probabilities():
-    """Total-variation distance to the exact distribution <= 5/sqrt(shots)."""
-    from teleclone.simulator import _fast_shot_distributions
+    """Total-variation distance to the exact distribution <= 5/sqrt(shots).
+    The oracle enumerates every measurement, the clone measures included."""
+    from teleclone.simulator import _enumerate_branches
     shots = 10_000
+    c = build_protocol_circuit(2, NOA, MessageState(1.0, 0.5), tomo_basis="z")
+    exact = {}
+    for bits, vec in _enumerate_branches(compact(c)):
+        key = "".join(map(str, bits))
+        exact[key] = exact.get(key, 0.0) + np.vdot(vec, vec).real
+    assert abs(sum(exact.values()) - 1.0) < 1e-12
     for seed in (0, 1, 2):
-        c = build_protocol_circuit(2, NOA, MessageState(1.0, 0.5), tomo_basis="z")
         counts = run_shots(c, shots, seed=seed)
-        cc = compact(c)
-        bit_rows, weights, clbits, rows = _fast_shot_distributions(cc)
-        exact = {}
-        for bits, w, row in zip(bit_rows, weights, rows):
-            for v, p in enumerate(row):
-                b = list(bits)
-                for j, cl in enumerate(clbits):
-                    b[cl] = (v >> (len(clbits) - 1 - j)) & 1
-                key = "".join(map(str, b))
-                exact[key] = exact.get(key, 0.0) + p
         tvd = 0.5 * sum(abs(counts.get(k, 0) / shots - exact.get(k, 0.0))
                         for k in set(counts) | set(exact))
         assert tvd <= 5 / math.sqrt(shots)
+
+
+def _native(c, m, variant):
+    from teleclone.hardware import enumerate_layouts, insert_dd, transpile_to_native
+    return insert_dd(transpile_to_native(c, enumerate_layouts(m, variant)[m]))
+
+
+@pytest.mark.parametrize("native", [False, True], ids=["logical", "layout-dd"])
+@pytest.mark.parametrize("m,variant", [(2, NOA), (2, OPT), (2, FULL), (3, NOA),
+                                       (3, OPT), (3, FULL), (4, OPT), (4, FULL)])
+def test_seeded_shot_distributions_match_full_walk(m, variant, native):
+    """Shot sampling from the four seeded Bell branches gives the same
+    branches and per-branch distributions as walking the whole circuit."""
+    from teleclone.simulator import (_bell_parts, _ground, _shot_distributions,
+                                     _start, _validated)
+    msg = MessageState(1.1, 0.4)
+    for basis in ("x", "y", "z"):
+        c = build_protocol_circuit(m, variant, msg, tomo_basis=basis)
+        c = _native(c, m, variant) if native else c
+        position = _validated(c, 24)
+        instructions, seeds, n, _ = _start(c, position, _bell_parts(c), None)
+        assert n == len(position) - 2
+        bits, weights, clbits, rows = _shot_distributions(instructions, seeds, n)
+        cc = compact(c)
+        full = _shot_distributions(
+            cc.instructions, [((0,) * cc.num_clbits, _ground(cc.num_qubits))],
+            cc.num_qubits)
+        assert (bits, clbits) == (full[0], full[2])
+        np.testing.assert_allclose(weights, full[1], rtol=0, atol=1e-12)
+        for row, want in zip(rows, full[3]):
+            np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
 
 
 def test_exact_clone_states_m2_pole():
@@ -138,6 +165,61 @@ def test_exact_fast_path_matches_generic():
         for k, q in enumerate(cc.roles["clones"]):
             rho = sum(_ptrace_pure(v, [q], cc.num_qubits) for _, v in branches)
             np.testing.assert_allclose(fast[k], rho, atol=1e-12)
+
+
+def test_port_gate_after_bell_cx_is_enumerated():
+    """A gate on the port between the Bell cx and the measures cannot be
+    moved ahead of that cx, so such a circuit is walked in full."""
+    from teleclone.simulator import _enumerate_branches, _ptrace_pure
+    c = build_protocol_circuit(2, NOA, MessageState(0.8, 2.5))
+    port = c.roles["port"]
+    at = c.instructions.index(cx(0, port)) + 1
+    odd = Circuit(c.num_qubits, c.num_clbits,
+                  c.instructions[:at] + (h(port), rz(0.7, port)) + c.instructions[at:],
+                  roles=c.roles)
+    branches = _enumerate_branches(odd)
+    for k, q in enumerate(odd.roles["clones"]):
+        want = sum(_ptrace_pure(v, [q], odd.num_qubits) for _, v in branches)
+        np.testing.assert_allclose(exact_clone_states(odd)[k], want, atol=1e-12)
+        assert np.abs(want - exact_clone_states(c)[k]).max() > 0.05
+
+
+def test_compiled_resource_reused_only_on_matching_prep():
+    """A compiled resource serves every message and basis of its prep and
+    gives the results of an uncompiled call; a circuit whose prep differs
+    compiles its own."""
+    from teleclone.simulator import compile_resource
+    c = build_protocol_circuit(2, NOA, MessageState(0.3, 1.2))
+    resource = compile_resource(c)
+    msg = MessageState(0.8, 2.5)
+    same = build_protocol_circuit(2, NOA, msg)
+    for got, want in zip(exact_clone_states(same, resource=resource),
+                         exact_clone_states(same)):
+        np.testing.assert_array_equal(got, want)
+    for basis in ("x", "y", "z"):
+        t = build_protocol_circuit(2, NOA, msg, tomo_basis=basis)
+        assert run_shots(t, 500, seed=4, resource=resource) == run_shots(t, 500, seed=4)
+    clone = same.roles["clones"][0]
+    odd = Circuit(same.num_qubits, same.num_clbits,
+                  (ry(0.9, clone),) + same.instructions, roles=same.roles)
+    got = exact_clone_states(odd, resource=resource)
+    for rho, want, plain in zip(got, exact_clone_states(odd), exact_clone_states(same)):
+        np.testing.assert_allclose(rho, want, atol=1e-12)
+        assert np.abs(rho - plain).max() > 0.05
+
+
+def test_subsystem_state_takes_original_qubits():
+    """Qubits name the caller's circuit, not its compacted copy."""
+    from teleclone.hardware import enumerate_layouts, transpile_to_native
+    from teleclone.simulator import used_qubits
+    logical = build_protocol_circuit(3, OPT, MessageState(0.8, 2.5))
+    native = transpile_to_native(logical, enumerate_layouts(3, OPT)[0])
+    np.testing.assert_allclose(
+        exact_subsystem_state(native, native.roles["clones"]),
+        exact_subsystem_state(logical, logical.roles["clones"]), atol=1e-12)
+    idle = min(set(range(native.num_qubits)) - used_qubits(native))
+    with pytest.raises(SimulationError):
+        exact_subsystem_state(native, (idle,))
 
 
 def test_partial_trace_product_and_bell():

@@ -26,8 +26,9 @@ branches from it with :func:`_bell_seeds` and walk only what follows the
 Bell measurement, over the other n-2 qubits; a circuit's prep gates are
 compared with the resource's, never compacted or simulated again. A circuit
 whose prep differs from the resource passed in, or that is called without
-one, compiles its own; one whose prefix cannot be seeded is compacted and
-walked in full from |0...0>.
+one, compiles its own (``tomography_run`` without one compiles it once for
+its three bases); one whose prefix cannot be seeded is compacted and walked
+in full from |0...0>.
 """
 
 from __future__ import annotations
@@ -348,8 +349,7 @@ def _compile(prep: tuple) -> CompiledResource:
                             {q: k for k, q in enumerate(rest)})
 
 
-def compile_resource(circuit: Circuit,
-                     cap: int = DEFAULT_QUBIT_CAP) -> CompiledResource | None:
+def compile_resource(circuit: Circuit) -> CompiledResource | None:
     """Simulate the message-independent resource of a protocol circuit once.
 
     Pass the result to :func:`exact_clone_states` or :func:`run_shots` for
@@ -357,7 +357,8 @@ def compile_resource(circuit: Circuit,
     or tomography basis; a circuit whose prep differs compiles its own.
     Returns None when the circuit has no seedable Bell-measurement shape.
     """
-    split = _split_prefix(circuit, _bell_parts(circuit), _validated(circuit, cap))
+    position = _validated(circuit, DEFAULT_QUBIT_CAP)
+    split = _split_prefix(circuit, _bell_parts(circuit), position)
     return None if split is None else _compile(split[2])
 
 
@@ -423,11 +424,13 @@ def _branch_sum(circuit: Circuit, groups, cap: int,
     parts = _bell_parts(circuit)
     if parts is None or any(ins.gate == "measure" for ins in parts[2]):
         raise SimulationError("circuit lacks the Bell-measurement structure")
-    instructions, branches, n, index = _start(circuit, position, parts, resource)
-    gone = sorted({q for group in groups for q in group} - index.keys())
+    measured = {ins.qubits[0] for ins in parts[1]}
+    gone = sorted({q for group in groups for q in group}
+                  - (position.keys() - measured))
     if gone:
         raise SimulationError(f"no state for qubits {gone}: the circuit does "
                               "not use them or measures them")
+    instructions, branches, n, index = _start(circuit, position, parts, resource)
     branches = _walk(instructions, branches,
                      lambda psi, ins: _apply_unitary(psi, ins, n), _split)
     out = []

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import SimulationError, TomographyError
-from .simulator import _X, _Y, _Z, CompiledResource, NoiseModel, run_shots
+from .simulator import (_X, _Y, _Z, CompiledResource, NoiseModel, compile_resource,
+                        run_shots)
 from .telecloning import MessageState, TelecloningVariant, build_protocol_circuit
 
 BASES = ("x", "y", "z")
@@ -124,7 +125,8 @@ def tomography_run(m: int, variant: TelecloningVariant, message: MessageState,
     ``transform`` optionally rewrites each basis circuit before execution
     (layout mapping, decoupling passes); it must preserve clone bit order.
     ``resource`` is the compiled resource the three basis circuits share
-    (see :func:`teleclone.simulator.compile_resource`).
+    (see :func:`teleclone.simulator.compile_resource`); without one, a
+    noiseless run compiles it once from the first basis circuit.
     """
     if shots_per_basis < 1:
         raise SimulationError("shots_per_basis must be >= 1")
@@ -133,6 +135,8 @@ def tomography_run(m: int, variant: TelecloningVariant, message: MessageState,
         circuit = build_protocol_circuit(m, variant, message, tomo_basis=basis)
         if transform is not None:
             circuit = transform(circuit)
+        if resource is None and bi == 0 and (noise is None or not noise.any_noise()):
+            resource = compile_resource(circuit)
         child = int(np.random.SeedSequence((seed, bi)).generate_state(1)[0])
         counts = run_shots(circuit, shots_per_basis, seed=child, noise=noise,
                            resource=resource)

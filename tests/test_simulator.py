@@ -220,6 +220,17 @@ def test_subsystem_state_takes_original_qubits():
     idle = min(set(range(native.num_qubits)) - used_qubits(native))
     with pytest.raises(SimulationError):
         exact_subsystem_state(native, (idle,))
+    # measured qubits have no state, whether the Bell prefix is seeded or,
+    # with a gate on the port after the Bell cx, the circuit is walked in full
+    port = logical.roles["port"]
+    at = logical.instructions.index(cx(0, port)) + 1
+    walked = Circuit(logical.num_qubits, logical.num_clbits,
+                     logical.instructions[:at] + (h(port),) + logical.instructions[at:],
+                     roles=logical.roles)
+    for c in (native, walked):
+        for role in ("port", "message"):
+            with pytest.raises(SimulationError):
+                exact_subsystem_state(c, (c.roles[role],))
 
 
 def test_partial_trace_product_and_bell():

@@ -14,16 +14,17 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 
 import numpy as np
 
 from .analysis import CloneMetrics, clone_metrics
 from .circuit import Circuit
-from .exceptions import ConfigError, TelecloneError
+from .exceptions import ConfigError, SimulationError, TelecloneError
 from .hardware import DurationTable, enumerate_layouts, insert_dd, transpile_to_native
 from .simulator import (CompiledResource, NoiseModel, compile_resource,
                         exact_clone_states, noisy_clone_states)
@@ -48,6 +49,17 @@ class ExperimentConfig:
     mode: str = "exact"
 
     def __post_init__(self):
+        for name in ("m", "n_psi", "n_phi", "shots_per_basis", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not (self.layout_index is None or _is_int(self.layout_index)):
+            raise ConfigError(f"layout_index must be an integer or null, "
+                              f"got {self.layout_index!r}")
+        if not isinstance(self.dd, bool):
+            raise ConfigError(f"dd must be true or false, got {self.dd!r}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.m < 2:
             raise ConfigError("m must be >= 2")
         if self.n_psi < 1 or self.n_phi < 1:
@@ -98,10 +110,28 @@ class ExperimentConfig:
         kwargs = {k: d[k] for k in known - {"variant", "noise", "durations"}
                   if k in d}
         return cls(variant=variant,
-                   noise=None if noise is None else NoiseModel(**noise),
+                   noise=None if noise is None else _noise_model(noise),
                    durations=None if durations is None
                    else DurationTable.from_json_dict(durations),
                    **kwargs)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _noise_model(d) -> NoiseModel:
+    """The :class:`NoiseModel` of a config's ``noise`` object."""
+    names = [f.name for f in fields(NoiseModel)]
+    if not isinstance(d, dict):
+        raise ConfigError(f"noise must be an object with keys {names}, got {d!r}")
+    extra = set(d) - set(names)
+    if extra:
+        raise ConfigError(f"unknown noise keys: {sorted(extra)}")
+    try:
+        return NoiseModel(**d)
+    except SimulationError as exc:
+        raise ConfigError(f"bad noise: {exc}")
 
 
 def angle_grid(n_psi: int, n_phi: int) -> list[MessageState]:
@@ -134,7 +164,8 @@ def _point_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
 
 
-def _compile_for(config: ExperimentConfig, msg: MessageState) -> CompiledResource | None:
+def _compile_for(config: ExperimentConfig, transform,
+                 msg: MessageState) -> CompiledResource | None:
     """The resource that noiseless points share, compiled from the circuit
     of ``msg``. None when the points simulate noise, or when that circuit
     cannot be built or simulated: each point then reports its own error."""
@@ -144,15 +175,14 @@ def _compile_for(config: ExperimentConfig, msg: MessageState) -> CompiledResourc
     try:
         circuit = build_protocol_circuit(config.m, config.variant, msg,
                                          tomo_basis="none")
-        transform = _transform_for(config)
         return compile_resource(circuit if transform is None else transform(circuit))
     except TelecloneError:
         return None
 
 
-def _run_point(config: ExperimentConfig, resource: CompiledResource | None,
+def _run_point(config: ExperimentConfig, transform,
+               resource: CompiledResource | None,
                index: int, msg: MessageState) -> dict:
-    transform = _transform_for(config)
     if config.mode == "exact":
         circuit = build_protocol_circuit(config.m, config.variant, msg,
                                          tomo_basis="none")
@@ -230,12 +260,17 @@ def _aggregate(config: ExperimentConfig, results: list) -> dict:
 
 def _run_chunk(config: ExperimentConfig, points) -> list[dict]:
     """Outcomes of a run of (index, message) grid points, each one's failure
-    marker on a TelecloneError; the points share one compiled resource."""
-    resource = _compile_for(config, points[0][1])
+    marker on a TelecloneError; the points share one layout transform and
+    one compiled resource."""
+    try:
+        transform = _transform_for(config)
+    except TelecloneError as exc:
+        return [{"clones": [], "error": str(exc)} for _ in points]
+    resource = _compile_for(config, transform, points[0][1])
     outcomes = []
     for index, msg in points:
         try:
-            outcomes.append(_run_point(config, resource, index, msg))
+            outcomes.append(_run_point(config, transform, resource, index, msg))
         except TelecloneError as exc:
             outcomes.append({"clones": [], "error": str(exc)})
     return outcomes

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 
 from .circuit import Circuit, Instruction, rz, sx, x
@@ -21,11 +22,6 @@ from .exceptions import CapacityError, CircuitError, TranspileError
 from .telecloning import TelecloningVariant
 
 _NATIVE_GATES = ("rz", "sx", "x", "cx")
-
-
-def _load_data() -> dict:
-    path = resources.files("teleclone.data").joinpath("heavy_hex_27.json")
-    return json.loads(path.read_text())
 
 
 @dataclass(frozen=True)
@@ -54,9 +50,7 @@ class CouplingGraph:
 
 def heavy_hex_27() -> CouplingGraph:
     """The 27-qubit heavy-hex lattice shared by the modelled processors."""
-    data = _load_data()
-    return CouplingGraph(data["num_qubits"],
-                         frozenset(tuple(e) for e in data["edges"]))
+    return _load_data()[0]
 
 
 @dataclass(frozen=True)
@@ -71,6 +65,21 @@ class Layout:
 
     def used(self) -> tuple[int, ...]:
         return (self.message, self.port, *self.ancillas, *self.clones)
+
+
+@cache
+def _load_data() -> tuple[CouplingGraph, tuple[Layout, ...]]:
+    """The device file, parsed once: the lattice and the seven full-length
+    layouts, all frozen."""
+    path = resources.files("teleclone.data").joinpath("heavy_hex_27.json")
+    data = json.loads(path.read_text())
+    graph = CouplingGraph(data["num_qubits"],
+                          frozenset(tuple(e) for e in data["edges"]))
+    layouts = tuple(Layout(message=raw["message"], port=raw["port"],
+                           ancillas=tuple(raw["ancillas"]),
+                           clones=tuple(raw["clones"]))
+                    for raw in data["layouts"])
+    return graph, layouts
 
 
 def validate_layout(layout: Layout, graph: CouplingGraph) -> list[str]:
@@ -104,12 +113,8 @@ def enumerate_layouts(m: int, variant: TelecloningVariant) -> list[Layout]:
             raise CapacityError(
                 f"M={m} exceeds the M=10 capacity of the 27-qubit lattice")
         n_anc = m - 1
-    out = []
-    for raw in _load_data()["layouts"]:
-        out.append(Layout(message=raw["message"], port=raw["port"],
-                          ancillas=tuple(raw["ancillas"][:n_anc]),
-                          clones=tuple(raw["clones"][:m])))
-    return out
+    return [Layout(full.message, full.port, full.ancillas[:n_anc], full.clones[:m])
+            for full in _load_data()[1]]
 
 
 @dataclass(frozen=True)

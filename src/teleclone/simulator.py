@@ -4,7 +4,8 @@ measurement, feed-forward, seeded shot sampling and configurable noise.
 Conventions: qubit 0 is the most significant bit of the state index; counts
 keys list classical bits ascending left-to-right. Statevector mode is
 strictly noiseless; noise runs either as stochastic Kraus unravelling
-(per-shot) or as exact density-matrix evolution.
+(Monte Carlo wavefunction trajectories, one per shot) or as exact
+density-matrix evolution.
 
 One interpreter, :func:`_walk`, runs every mode. It carries a list of
 (classical bits, state) branches through the instructions and runs each
@@ -12,9 +13,19 @@ cond body only on the branches whose bit matches. Each mode supplies how a
 gate acts on its state and how a measurement changes the branch list: exact
 enumeration splits every branch into both outcomes, shot sampling also
 defers terminal measurements to the final distribution, the density-matrix
-oracle splits and merges readout-flip branches, and a noisy trajectory keeps
-one branch and samples its outcome. :func:`_noise_after` is the one rule
-for which noise follows a gate, read by both noisy modes.
+oracle splits and merges readout-flip branches, and the trajectory mode
+samples every shot's outcome and splits its shots by the recorded bit.
+:func:`_noise_after` is the one rule for which noise follows a gate, read
+by both noisy modes.
+
+The trajectory mode runs the shots in blocks, each one (2^n, shots) array
+with a shot's state in each column, capped at ``_BLOCK_AMPLITUDES``
+amplitudes. A branch is the group of a block's shots that recorded the same
+classical bits so far, with their states; a gate acts on the whole group
+at once, and its depolarizing Pauli and amplitude-damping jump act on the
+columns whose uniforms select them. Each shot reads its uniforms from a
+fixed slot schedule (:func:`_slot_schedule`) in its own counter-based
+Philox row (:func:`_shot_uniforms`), so counts do not depend on the blocks.
 
 The resource state does not depend on the message, so noiseless protocol
 circuits never simulate it per point. :func:`compile_resource` simulates it
@@ -34,6 +45,7 @@ in full from |0...0>.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 
@@ -45,6 +57,7 @@ from .exceptions import CircuitError, SimulationError
 DEFAULT_QUBIT_CAP = 24
 _DENSITY_QUBIT_CAP = 8
 _BRANCH_CAP = 4096
+_BLOCK_AMPLITUDES = 1 << 18  # shots x 2^n of one block of noisy trajectories
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -65,13 +78,15 @@ class NoiseModel:
     amplitude_damping_idle: float | None = None
 
     def __post_init__(self):
-        for name in ("depolarizing_1q", "depolarizing_2q", "readout_flip"):
+        for name in ("depolarizing_1q", "depolarizing_2q", "readout_flip",
+                     "amplitude_damping_idle"):
             p = getattr(self, name)
+            if p is None and name == "amplitude_damping_idle":
+                continue
+            if not isinstance(p, numbers.Real) or isinstance(p, bool):
+                raise SimulationError(f"{name}={p!r} is not a number")
             if not (0.0 <= p <= 1.0):
                 raise SimulationError(f"{name}={p} outside [0, 1]")
-        g = self.amplitude_damping_idle
-        if g is not None and not (0.0 <= g <= 1.0):
-            raise SimulationError(f"amplitude_damping_idle={g} outside [0, 1]")
 
     def any_noise(self) -> bool:
         return (self.depolarizing_1q > 0 or self.depolarizing_2q > 0
@@ -89,6 +104,9 @@ def gate_matrix(ins: Instruction) -> np.ndarray:
 
 
 def _apply_1q(psi: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
+    """Apply ``mat`` to qubit ``q`` of a state over ``n`` qubits, in place.
+    A contiguous (2^n, k) block holds k states, one per column, and every
+    column transforms alike (so for :func:`_apply_cx`)."""
     view = psi.reshape(1 << q, 2, -1)
     a = view[:, 0, :].copy()
     b = view[:, 1, :]
@@ -479,13 +497,6 @@ def statevector(circuit: Circuit, cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
 # shot sampling
 # ---------------------------------------------------------------------------
 
-def _shot_rng(seed: int, shot: int) -> np.random.Generator:
-    """Counter-based per-shot stream: batches reproduce in any order."""
-    bg = np.random.Philox(key=np.uint64(seed))
-    bg.advance(shot << 24)
-    return np.random.Generator(bg)
-
-
 def _terminal_measures(instructions):
     """Identities (``id``) of the measures that can be deferred to
     final-state sampling: no later gate touches their qubit and no cond
@@ -544,14 +555,14 @@ def run_shots(circuit: Circuit, shots: int, seed: int,
 
     Noiseless protocol circuits walk only what follows the Bell measurement,
     from branches seeded from ``resource`` (see :func:`exact_clone_states`).
+    Under noise every shot is a Monte Carlo wavefunction trajectory, run in
+    blocks of shots (see :func:`_trajectory_counts`).
     """
     if shots < 1:
         raise SimulationError(f"shots must be >= 1, got {shots}")
     position = _validated(circuit, cap)
     if noise is not None and noise.any_noise():
-        circuit = compact(circuit)
-        counts = Counter("".join(map(str, _trajectory(circuit, noise, _shot_rng(seed, s))))
-                         for s in range(shots))
+        counts = _trajectory_counts(compact(circuit), noise, seed, 0, shots)
         return dict(sorted(counts.items()))
 
     instructions, branches, n, _ = _start(circuit, position, _bell_parts(circuit),
@@ -603,57 +614,158 @@ def _damping_kraus(gamma: float):
             np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex)]
 
 
-def _sample_amplitude_damping(psi, q, n, rng, gamma):
-    view = psi.reshape(1 << q, 2, -1)
-    p1 = float(np.sum(np.abs(view[:, 1, :]) ** 2))
-    if rng.random() < gamma * p1:
-        view[:, 0, :] = view[:, 1, :] / math.sqrt(p1)
-        view[:, 1, :] = 0.0
-    else:
-        view[:, 1, :] *= math.sqrt(1 - gamma)
-        norm = math.sqrt(float(np.vdot(psi, psi).real))
-        psi /= norm
+def _slot_schedule(instructions, noise: NoiseModel):
+    """Offset of every instruction's first uniform in a shot's row, keyed by
+    ``id`` (cond bodies included; :func:`compact` makes every instruction
+    its own object), and the row width. A measurement reads one uniform for
+    its outcome and one for its readout flip; a gate, one for its
+    depolarizing Pauli and one per qubit for amplitude damping. A shot that
+    skips a cond body leaves the body's slots unread, so every shot reads
+    the same slot for the same instruction whatever its branch."""
+    slots, width = {}, 0
+    for ins in instructions:
+        for sub in ins.body if ins.gate == "cond" else (ins,):
+            slots[id(sub)] = width
+            if sub.gate == "measure":
+                width += 1 + (noise.readout_flip > 0)
+            elif sub.gate != "barrier":
+                p, gamma = _noise_after(sub, noise)
+                width += (p > 0) + (len(sub.qubits) if gamma else 0)
+    return slots, width
 
 
-def _trajectory(circuit: Circuit, noise: NoiseModel, rng) -> tuple:
-    """One Monte Carlo wavefunction trajectory; returns the recorded bits.
+def _shot_uniforms(seed: int, first: int, stop: int, width: int) -> np.ndarray:
+    """At least ``width`` uniforms for each shot first..stop-1, one row per
+    shot. Shot s reads the Philox counters from s*ceil(width/4) on of the
+    stream keyed by ``seed`` (a counter yields four doubles), so its row
+    depends only on (seed, s), never on how the shots are split into
+    blocks."""
+    counters = -(-width // 4)
+    bg = np.random.Philox(key=np.uint64(seed))
+    bg.advance(first * counters)
+    return np.random.Generator(bg).random((stop - first, 4 * counters))
 
-    Depolarizing with probability p replaces the state by I/2 (I/4 for cx),
-    so it is sampled as X, Y or Z with probability 3p/4 after a 1q gate and
-    as one of the 16 two-qubit Paulis with probability p after a cx.
+
+def _pauli_columns(psi: np.ndarray, which: np.ndarray, q: int, n: int):
+    """Apply Pauli ``which[c]`` (0 = I, then X, Y, Z) to qubit ``q`` of the
+    state in column c of a block."""
+    for k in (1, 2, 3):
+        cols = np.flatnonzero(which == k)
+        if cols.size:
+            psi[:, cols] = _apply_1q(psi.take(cols, axis=1), _PAULIS_1Q[k], q, n)
+
+
+def _weight_of_one(psi: np.ndarray, q: int):
+    """A (2^q, 2, -1, columns) view of a block whose axis 1 is qubit ``q``,
+    and each column's squared norm on q = 1."""
+    cols = psi.shape[1]
+    ones = psi.view(np.float64).reshape(1 << q, 2, -1, 2 * cols)[:, 1]
+    parts = np.einsum("atc,atc->c", ones, ones)  # real and imaginary, interleaved
+    return psi.reshape(1 << q, 2, -1, cols), parts[::2] + parts[1::2]
+
+
+def _damp_columns(psi: np.ndarray, q: int, gamma: float, draw: np.ndarray):
+    """Amplitude damping on qubit ``q`` of every normalized column: the jump
+    |1> -> |0> where ``draw`` < gamma P(1), else the renormalized no-jump."""
+    view, p1 = _weight_of_one(psi, q)
+    jump = np.flatnonzero(draw < gamma * p1)
+    fallen = view[:, 1][..., jump] / np.sqrt(p1[jump])
+    keep = 1 / np.sqrt(np.maximum(1 - gamma * p1, 1e-300))
+    view[:, 0] *= keep
+    view[:, 1] *= math.sqrt(1 - gamma) * keep
+    if jump.size:
+        view[:, 0][..., jump] = fallen
+        view[:, 1][..., jump] = 0.0
+
+
+def _trajectory_rules(n: int, noise: NoiseModel, slots: dict, u: np.ndarray):
+    """``apply`` and ``measure`` of the trajectory walk of one block.
+
+    A branch's state is (block, shots): a (2^n, k) block holding the
+    normalized states of k shots, one per column (so a gate's inner loops
+    run along the shots), and those shots' positions in the block, which
+    index the columns of ``u`` (one row per slot). Depolarizing with
+    probability p replaces the state by I/2 (I/4 for cx), so after a 1q gate
+    a shot takes X, Y or Z with probability p/4 each, and after a cx one of
+    the 16 two-qubit Paulis with probability p/16 each.
     """
-    n = circuit.num_qubits
+    flip = noise.readout_flip
 
-    def apply(psi, ins):
-        _apply_unitary(psi, ins, n)
+    def apply(state, ins):
+        psi, shots = state
+        if ins.gate == "x":  # a swap, exact; most decoupling pulses are x
+            view = psi.reshape(1 << ins.qubits[0], 2, -1)
+            view[:] = view[:, ::-1]
+        else:
+            _apply_unitary(psi, ins, n)
         p, gamma = _noise_after(ins, noise)
-        if ins.gate == "cx":
-            if p > 0 and rng.random() < p:
-                ks = rng.integers(0, 4), rng.integers(0, 4)
-                for q, k in zip(ins.qubits, ks):
-                    if k:
-                        _apply_1q(psi, _PAULIS_1Q[k], q, n)
-        elif p > 0 and rng.random() < 0.75 * p:
-            _apply_1q(psi, _PAULIS_1Q[rng.integers(1, 4)], ins.qubits[0], n)
+        k = slots[id(ins)]
+        if p > 0:
+            draw = u[k][shots]
+            k += 1
+            if ins.gate == "cx":
+                which = np.where(draw < p, np.minimum(draw * (16 / p), 15), 0).astype(int)
+                _pauli_columns(psi, which >> 2, ins.qubits[0], n)
+                _pauli_columns(psi, which & 3, ins.qubits[1], n)
+            else:
+                which = np.where(draw < 0.75 * p, np.minimum(draw * (4 / p), 2) + 1, 0)
+                _pauli_columns(psi, which.astype(int), ins.qubits[0], n)
         if gamma:
             for q in ins.qubits:
-                _sample_amplitude_damping(psi, q, n, rng, gamma)
-        return psi
+                _damp_columns(psi, q, gamma, u[k][shots])
+                k += 1
+        return state
 
     def measure(branches, ins):
-        ((bits, psi),) = branches
-        q = ins.qubits[0]
-        prob1 = float(np.sum(np.abs(psi.reshape(1 << q, 2, -1)[:, 1, :]) ** 2))
-        outcome = int(rng.random() < prob1)
-        psi = _project(psi, (q,), outcome)
-        psi /= math.sqrt(max(np.vdot(psi, psi).real, 1e-300))
-        if noise.readout_flip > 0 and rng.random() < noise.readout_flip:
-            outcome = 1 - outcome
-        return [(_set_bit(bits, ins.clbit, outcome), psi)]
+        """Sample each shot's outcome, project and renormalize its state,
+        flip the recorded bit with probability ``flip`` and split the
+        branch's shots by it."""
+        q, k = ins.qubits[0], slots[id(ins)]
+        out = []
+        for bits, (psi, shots) in branches:
+            view, p1 = _weight_of_one(psi, q)
+            one = u[k][shots] < p1
+            view[:, 0] *= ~one
+            view[:, 1] *= one
+            psi /= np.sqrt(np.maximum(np.where(one, p1, 1 - p1), 1e-300))
+            if flip > 0:
+                one ^= u[k + 1][shots] < flip
+            for recorded, cols in enumerate((np.flatnonzero(~one), np.flatnonzero(one))):
+                if cols.size == len(shots):
+                    out.append((_set_bit(bits, ins.clbit, recorded), (psi, shots)))
+                elif cols.size:
+                    out.append((_set_bit(bits, ins.clbit, recorded),
+                                (psi.take(cols, axis=1), shots[cols])))
+        return out
 
-    ((bits, _),) = _walk(circuit.instructions,
-                         [((0,) * circuit.num_clbits, _ground(n))], apply, measure)
-    return bits
+    return apply, measure
+
+
+def _trajectory_counts(circuit: Circuit, noise: NoiseModel, seed: int,
+                       first: int, stop: int) -> Counter:
+    """Counts of the recorded bits of shots first..stop-1 of a compacted
+    circuit, each a Monte Carlo wavefunction trajectory.
+
+    The shots run through :func:`_walk` in blocks of at most
+    ``_BLOCK_AMPLITUDES`` amplitudes, one column per shot; each shot draws
+    from its own :func:`_shot_uniforms` row, so the counts do not depend on
+    how the shots are split into blocks.
+    """
+    n = circuit.num_qubits
+    slots, width = _slot_schedule(circuit.instructions, noise)
+    per_block = max(1, _BLOCK_AMPLITUDES >> n)
+    counts: Counter = Counter()
+    for start in range(first, stop, per_block):
+        end = min(start + per_block, stop)
+        block = np.zeros((1 << n, end - start), dtype=complex)
+        block[0] = 1.0
+        u = _shot_uniforms(seed, start, end, width).T
+        branches = _walk(circuit.instructions,
+                         [((0,) * circuit.num_clbits, (block, np.arange(end - start)))],
+                         *_trajectory_rules(n, noise, slots, u))
+        for bits, (_, shots) in branches:
+            counts["".join(map(str, bits))] += len(shots)
+    return counts
 
 
 def _dm_apply_unitary(rho, ins: Instruction, n: int):

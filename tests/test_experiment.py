@@ -243,3 +243,25 @@ def test_cli_rejects_bad_worker_count(tmp_path, monkeypatch, value):
     assert r.returncode == 1
     assert "TELECLONE_WORKERS" in r.stderr and "Traceback" not in r.stderr
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("entry", [
+    {"noise": {"readout_flip": "0.1"}},
+    {"noise": {"bogus": 0.1}},
+    {"noise": [0.1]},
+    {"n_psi": "3"},
+    {"layout_index": 0, "dd": "yes"},
+    {"seed": -1},
+    {"seed": 2 ** 64},
+    {"seed": 1.5},
+], ids=["noise-string", "noise-unknown-key", "noise-list", "n_psi-string",
+        "dd-string", "seed-negative", "seed-too-large", "seed-float"])
+def test_cli_rejects_bad_config_values(tmp_path, entry):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"m": 2, "variant": "no-ancilla", "n_psi": 1,
+                                    "n_phi": 1, "shots_per_basis": 10,
+                                    "mode": "shots", **entry}))
+    r = _cli("run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "runs"))
+    assert r.returncode == 1
+    assert "config error" in r.stderr and "Traceback" not in r.stderr
+    assert not (tmp_path / "runs").exists()

@@ -322,31 +322,57 @@ def test_noisy_p0_matches_exact():
         np.testing.assert_allclose(x_, y_, atol=1e-10)
 
 
-@pytest.mark.parametrize("noise,layout_dd", [
-    (NoiseModel(depolarizing_1q=0.02, depolarizing_2q=0.05), False),
-    (NoiseModel(depolarizing_1q=0.01, depolarizing_2q=0.02, readout_flip=0.1,
-                amplitude_damping_idle=0.05), True),
-], ids=["depolarizing", "all-channels-layout0-dd"])
-def test_shot_noise_matches_density_oracle(noise, layout_dd):
+_ALL_CHANNELS = NoiseModel(depolarizing_1q=0.01, depolarizing_2q=0.02, readout_flip=0.1,
+                           amplitude_damping_idle=0.05)
+
+
+@pytest.mark.parametrize("m,variant,noise,layout_dd", [
+    (2, NOA, NoiseModel(depolarizing_1q=0.02, depolarizing_2q=0.05), False),
+    (2, NOA, _ALL_CHANNELS, True),
+    (3, OPT, _ALL_CHANNELS, True),
+], ids=["depolarizing", "all-channels-layout0-dd", "m3-opt-all-channels-layout0-dd"])
+def test_shot_noise_matches_density_oracle(m, variant, noise, layout_dd):
     """Stochastic Kraus unravelling agrees with the density-matrix path."""
     from teleclone.hardware import enumerate_layouts, insert_dd, transpile_to_native
     msg = MessageState(0.6, 0.9)
     shots = 4000
-    c = build_protocol_circuit(2, NOA, msg, tomo_basis="z")
+    c = build_protocol_circuit(m, variant, msg, tomo_basis="z")
     if layout_dd:
-        c = insert_dd(transpile_to_native(c, enumerate_layouts(2, NOA)[0]))
+        c = insert_dd(transpile_to_native(c, enumerate_layouts(m, variant)[0]))
     counts = run_shots(c, shots, seed=5, noise=noise)
-    # z-basis marginal of clone 0 from the density oracle: the same circuit
+    # z-basis marginal of each clone from the density oracle: the same circuit
     # without its clone measurements, with the readout flip applied to P(1)
     c0 = Circuit(c.num_qubits, c.num_clbits,
                  tuple(i for i in c.instructions
                        if not (i.gate == "measure" and i.clbit >= 2)), roles=c.roles)
-    rho = noisy_clone_states(c0, noise)[0]
     f = noise.readout_flip
-    p1 = (1 - f) * rho[1, 1].real + f * rho[0, 0].real
-    n1 = sum(v for k, v in counts.items() if k[2] == "1")
-    sigma = math.sqrt(shots * p1 * (1 - p1))
-    assert abs(n1 - shots * p1) <= 5 * sigma
+    for clone, rho in enumerate(noisy_clone_states(c0, noise)):
+        p1 = (1 - f) * rho[1, 1].real + f * rho[0, 0].real
+        n1 = sum(v for k, v in counts.items() if k[2 + clone] == "1")
+        sigma = math.sqrt(shots * p1 * (1 - p1))
+        assert abs(n1 - shots * p1) <= 5 * sigma, clone
+
+
+def test_noisy_counts_do_not_depend_on_blocks(monkeypatch):
+    """Each shot draws from its own stream, so the counts are the same in one
+    block or in many, and with the shot range run whole or in two halves."""
+    from teleclone import simulator
+    from teleclone.hardware import enumerate_layouts, insert_dd, transpile_to_native
+    noise = NoiseModel(depolarizing_1q=0.05, depolarizing_2q=0.1, readout_flip=0.1,
+                       amplitude_damping_idle=0.1)
+    c = build_protocol_circuit(2, NOA, MessageState(0.7, 0.3), tomo_basis="x")
+    c = compact(insert_dd(transpile_to_native(c, enumerate_layouts(2, NOA)[0])))
+    shots = 600
+    whole = run_shots(c, shots, seed=12, noise=noise)
+    assert len(whole) > 8
+    halves = (simulator._trajectory_counts(c, noise, 12, 0, 250)
+              + simulator._trajectory_counts(c, noise, 12, 250, shots))
+    assert dict(sorted(halves.items())) == whole
+    monkeypatch.setattr(simulator, "_BLOCK_AMPLITUDES", 7 << c.num_qubits)
+    assert run_shots(c, shots, seed=12, noise=noise) == whole
+    late = simulator._trajectory_counts(c, noise, 12, 250, shots)
+    early = simulator._trajectory_counts(c, noise, 12, 0, 250)
+    assert dict(sorted((early + late).items())) == whole
 
 
 def test_readout_flip_biases_counts():

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -76,8 +77,7 @@ def _cmd_run(args) -> int:
                              separators=(",", ":"))
     digest = hashlib.sha256(config_json.encode()).hexdigest()[:10]
     stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
-    out = args.out_dir / f"{stamp}-{digest}"
-    out.mkdir(parents=True, exist_ok=True)
+    out = _fresh_dir(args.out_dir, f"{stamp}-{digest}")
     (out / "config.json").write_text(config_json + "\n")
     (out / "record.json").write_text(record.to_json() + "\n")
     for k in range(config.m):
@@ -93,6 +93,19 @@ def _cmd_run(args) -> int:
     print(f"wrote {out}")
     _print_summary(record)
     return 2 if failed else 0
+
+
+def _fresh_dir(parent: Path, name: str) -> Path:
+    """Create parent/name, or parent/name-2, name-3, ... when it is taken.
+    Each mkdir is exclusive, so two runs never share a directory."""
+    parent.mkdir(parents=True, exist_ok=True)
+    for k in itertools.count(1):
+        out = parent / (name if k == 1 else f"{name}-{k}")
+        try:
+            out.mkdir()
+        except FileExistsError:
+            continue
+        return out
 
 
 def _print_summary(record: ExperimentRecord):

@@ -24,11 +24,13 @@ import numpy as np
 
 from .analysis import CloneMetrics, clone_metrics
 from .circuit import Circuit
-from .exceptions import ConfigError, SimulationError, TelecloneError
-from .hardware import DurationTable, enumerate_layouts, insert_dd, transpile_to_native
+from .exceptions import ConfigError, SimulationError, TelecloneError, TranspileError
+from .hardware import (DurationTable, check_capacity, enumerate_layouts, insert_dd,
+                       transpile_to_native)
 from .simulator import (CompiledResource, NoiseModel, compile_resource,
                         exact_clone_states, noisy_clone_states)
-from .telecloning import MessageState, TelecloningVariant, build_protocol_circuit
+from .telecloning import (MessageState, TelecloningVariant, build_protocol_circuit,
+                          check_variant)
 from .tomography import tomography_run
 
 MODES = ("exact", "shots")
@@ -72,6 +74,12 @@ class ExperimentConfig:
             raise ConfigError("layout_index must be in 0..6")
         if self.dd and self.layout_index is None:
             raise ConfigError("decoupling requires a layout (set layout_index)")
+        try:  # a config no point of which can run is refused here
+            check_variant(self.m, self.variant)
+            if self.layout_index is not None:
+                check_capacity(self.m, self.variant)
+        except TelecloneError as exc:
+            raise ConfigError(str(exc))
 
     def to_json_dict(self) -> dict:
         return {
@@ -111,8 +119,7 @@ class ExperimentConfig:
                   if k in d}
         return cls(variant=variant,
                    noise=None if noise is None else _noise_model(noise),
-                   durations=None if durations is None
-                   else DurationTable.from_json_dict(durations),
+                   durations=None if durations is None else _durations(durations),
                    **kwargs)
 
 
@@ -132,6 +139,14 @@ def _noise_model(d) -> NoiseModel:
         return NoiseModel(**d)
     except SimulationError as exc:
         raise ConfigError(f"bad noise: {exc}")
+
+
+def _durations(d) -> DurationTable:
+    """The :class:`DurationTable` of a config's ``durations`` object."""
+    try:
+        return DurationTable.from_json_dict(d)
+    except TranspileError as exc:
+        raise ConfigError(f"bad durations: {exc}")
 
 
 def angle_grid(n_psi: int, n_phi: int) -> list[MessageState]:

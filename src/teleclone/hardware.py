@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
@@ -101,20 +102,31 @@ def validate_layout(layout: Layout, graph: CouplingGraph) -> list[str]:
     return errors
 
 
-def enumerate_layouts(m: int, variant: TelecloningVariant) -> list[Layout]:
-    """The seven line embeddings, truncated to M clones (and M-1 ancillas
-    for the ancilla variants; the ancilla line stays unused otherwise)."""
+def check_capacity(m: int, variant: TelecloningVariant) -> None:
+    """Raise :class:`CapacityError` unless the layouts hold M clones of
+    ``variant``. Reads no device file."""
     if variant is TelecloningVariant.NO_ANCILLA:
         if m not in (2, 3):
             raise CapacityError(f"no-ancilla layouts exist only for M=2,3, got {m}")
-        n_anc = 0
-    else:
-        if not (2 <= m <= 10):
-            raise CapacityError(
-                f"M={m} exceeds the M=10 capacity of the 27-qubit lattice")
-        n_anc = m - 1
+    elif not (2 <= m <= 10):
+        raise CapacityError(
+            f"M={m} exceeds the M=10 capacity of the 27-qubit lattice")
+
+
+def enumerate_layouts(m: int, variant: TelecloningVariant) -> list[Layout]:
+    """The seven line embeddings, truncated to M clones (and M-1 ancillas
+    for the ancilla variants; the ancilla line stays unused otherwise)."""
+    check_capacity(m, variant)
+    n_anc = 0 if variant is TelecloningVariant.NO_ANCILLA else m - 1
     return [Layout(full.message, full.port, full.ancillas[:n_anc], full.clones[:m])
             for full in _load_data()[1]]
+
+
+def _check_duration(name: str, value) -> None:
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not math.isfinite(value) or value < 0):
+        raise TranspileError(f"{name} duration must be a finite number >= 0, "
+                             f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -133,8 +145,9 @@ class DurationTable:
         if self.rz != 0.0:
             raise TranspileError("rz is virtual; its duration must be 0")
         for name in ("sx", "x", "cx", "measure", "feedforward_latency"):
-            if getattr(self, name) < 0:
-                raise TranspileError(f"negative duration for {name}")
+            _check_duration(name, getattr(self, name))
+        for pair, value in self.cx_overrides.items():
+            _check_duration(f"cx_overrides {pair}", value)
 
     def gate(self, ins: Instruction) -> float:
         if ins.gate == "cx":
@@ -154,10 +167,18 @@ class DurationTable:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DurationTable":
+        if not isinstance(d, dict):
+            raise TranspileError(f"durations must be an object, got {d!r}")
+        raw = d.get("cx_overrides", {})
+        if not isinstance(raw, dict):
+            raise TranspileError(f"cx_overrides must be an object, got {raw!r}")
         overrides = {}
-        for key, v in d.get("cx_overrides", {}).items():
-            a, b = key.split("-")
-            overrides[(int(a), int(b))] = float(v)
+        for key, v in raw.items():
+            pair = key.split("-")
+            if len(pair) != 2 or not all(p.isdigit() for p in pair):
+                raise TranspileError(f"cx_overrides key {key!r} is not 'a-b'")
+            _check_duration(f"cx_overrides {key}", v)
+            overrides[(int(pair[0]), int(pair[1]))] = float(v)
         kwargs = {k: d[k] for k in
                   ("rz", "sx", "x", "cx", "measure", "feedforward_latency")
                   if k in d}

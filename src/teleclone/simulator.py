@@ -40,6 +40,15 @@ whose prep differs from the resource passed in, or that is called without
 one, compiles its own (``tomography_run`` without one compiles it once for
 its three bases); one whose prefix cannot be seeded is compacted and walked
 in full from |0...0>.
+
+The compiled prep does not run gate by gate. :func:`_fuse` multiplies each
+run of consecutive gates on at most ``_FUSE_QUBITS`` qubits into one
+matrix, and :func:`_apply_block` applies it in one pass, writing only the
+slices of its non-identity rows and reading only its nonzero entries. The
+state is float64 when every block is real, as in every logical prep
+(RY/CX/X only), and complex128 otherwise (native preps with rz/sx); the
+port slices are complex either way. :func:`_apply_1q`/:func:`_apply_cx`
+still run every other walk and are the oracle for the fused prep.
 """
 
 from __future__ import annotations
@@ -58,6 +67,7 @@ DEFAULT_QUBIT_CAP = 24
 _DENSITY_QUBIT_CAP = 8
 _BRANCH_CAP = 4096
 _BLOCK_AMPLITUDES = 1 << 18  # shots x 2^n of one block of noisy trajectories
+_FUSE_QUBITS = 3  # widest gate block the compiled prep multiplies out
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -351,16 +361,97 @@ def _split_prefix(circuit: Circuit, parts, position: dict[int, int]):
     return pre, post, (tuple(position), mq, pq, tuple(prep))
 
 
+def _fuse(gates, axis: dict[int, int]):
+    """Runs of consecutive gates whose qubits together span at most
+    ``_FUSE_QUBITS`` state axes (``axis`` maps a qubit to its axis), each
+    multiplied into one block: (its axes ascending, and row by row the
+    nonzero (column, entry) pairs, the diagonal one first, of the rows of
+    its 2^k x 2^k matrix that are not rows of the identity)."""
+    runs = []
+    for ins in gates:
+        axes = {axis[q] for q in ins.qubits}
+        if runs and len(runs[-1][0] | axes) <= _FUSE_QUBITS:
+            runs[-1][0].update(axes)
+            runs[-1][1].append(ins)
+        else:
+            runs.append((axes, [ins]))
+    blocks = []
+    for axes, run in runs:
+        axes = sorted(axes)
+        local = {q: axes.index(axis[q]) for ins in run for q in ins.qubits}
+        mat = np.eye(1 << len(axes), dtype=complex)
+        for ins in run:  # each column of mat is a state over the block's axes
+            _apply_unitary(mat, _remap(ins, local), len(axes))
+        rows = []
+        for i, row in enumerate(mat.tolist()):
+            terms = sorted(((j, a) for j, a in enumerate(row) if a != 0),
+                           key=lambda term: term[0] != i)
+            if terms != [(i, 1)]:
+                rows.append((i, terms))
+        blocks.append((axes, rows))
+    return blocks
+
+
+def _apply_block(psi: np.ndarray, axes, rows) -> None:
+    """Apply a :func:`_fuse` block to ``psi`` in place, in one pass: only
+    the slices of its non-identity rows are written, each from the slices
+    its nonzero entries name, so a controlled gate touches only the half of
+    the state where its control is set and a permutation is a copy."""
+    shape, last = [], -1
+    for q in axes:
+        shape += [1 << (q - last - 1), 2]
+        last = q
+    view = psi.reshape(shape + [-1])
+    k = len(axes)
+
+    def part(j):
+        return view[tuple(x for b in range(k)
+                          for x in (slice(None), (j >> (k - 1 - b)) & 1))]
+
+    # a slice is copied only when a later row still reads it once written
+    turn = {i: t for t, (i, _) in enumerate(rows)}
+    kept = {j for t, (i, terms) in enumerate(rows) for j, _ in terms
+            if j != i and turn.get(j, t) < t}
+    old = {}
+    for i, ((j, a), *rest) in rows:
+        out = part(i)
+        if i in kept:
+            old[i] = out.copy()
+        if j != i:
+            np.multiply(old.get(j, part(j)), a, out=out)
+        elif a != 1:
+            out *= a
+        for j, a in rest:
+            out += a * old.get(j, part(j))
+
+
+def _prep_state(gates, axis: dict[int, int]) -> np.ndarray:
+    """The state over the axes of ``axis`` after the prep ``gates``, run as
+    :func:`_fuse` blocks: float64 when every block is real, as in every
+    logical prep (RY/CX/X only), else complex128."""
+    blocks = _fuse(gates, axis)
+    real = not any(a.imag for _, rows in blocks for _, terms in rows
+                   for _, a in terms)
+    psi = np.zeros(1 << len(axis), dtype=float if real else complex)
+    psi[0] = 1.0
+    for axes, rows in blocks:
+        if real:
+            rows = [(i, [(j, a.real) for j, a in terms]) for i, terms in rows]
+        _apply_block(psi, axes, rows)
+    return psi
+
+
 def _compile(prep: tuple) -> CompiledResource:
     """Run the prep gates on every qubit but the message and slice the
     state along the port axis."""
     used, mq, pq, gates = prep
     others = [q for q in used if q != mq]
-    remap = {q: k for k, q in enumerate(others)}
-    psi = _ground(len(others))
-    for ins in gates:
-        _apply_unitary(psi, _remap(ins, remap), len(others))
-    view = psi.reshape(1 << remap[pq], 2, -1)
+    axis = {q: k for k, q in enumerate(others)}
+    # The whole state goes complex, not each slice: freeing this 2^n array
+    # raises glibc's mmap threshold above the 2^(n-2) arrays of every later
+    # suffix walk, which at M=8 measured half the time per point.
+    psi = _prep_state(gates, axis).astype(complex, copy=False)
+    view = psi.reshape(1 << axis[pq], 2, -1)
     rest = [q for q in others if q != pq]
     return CompiledResource(prep, view[:, 0, :].reshape(-1).copy(),
                             view[:, 1, :].reshape(-1).copy(),

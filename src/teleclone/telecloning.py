@@ -51,7 +51,9 @@ class MessageState:
                 abs(a) ** 2 - abs(b) ** 2)
 
 
-def _check_variant(m: int, variant: TelecloningVariant):
+def check_variant(m: int, variant: TelecloningVariant):
+    """Raise :class:`CircuitError` unless a circuit for M clones of
+    ``variant`` is known."""
     if m < 2:
         raise CircuitError(f"clone count must be >= 2, got {m}")
     if variant is TelecloningVariant.NO_ANCILLA and m not in (2, 3):
@@ -163,7 +165,7 @@ def build_telecloning_state(m: int, variant: TelecloningVariant) -> Circuit:
     prepared pure state reproduces the same protocol output once the Bell
     branches are averaged.
     """
-    _check_variant(m, variant)
+    check_variant(m, variant)
     roles, n = _roles(m, variant, with_message=False)
     if variant is TelecloningVariant.NO_ANCILLA:
         ops = _no_ancilla_prep(m, roles["port"], roles["clones"])
@@ -198,7 +200,7 @@ def build_protocol_circuit(m: int, variant: TelecloningVariant,
     5. tomography basis change on every clone (skipped for "none")
     6. measure clones into c2.. (skipped for "none")
     """
-    _check_variant(m, variant)
+    check_variant(m, variant)
     if tomo_basis not in BASIS_CHOICES:
         raise CircuitError(f"tomo basis must be one of {BASIS_CHOICES}")
     roles, n = _roles(m, variant, with_message=True)

@@ -254,8 +254,15 @@ def test_cli_rejects_bad_worker_count(tmp_path, monkeypatch, value):
     {"seed": -1},
     {"seed": 2 ** 64},
     {"seed": 1.5},
+    {"durations": {"sx": "35"}},
+    {"durations": 5},
+    {"durations": {"cx_overrides": {"1-2": "fast"}}},
+    {"m": 4},
+    {"m": 11, "variant": "with-ancilla-optimized", "layout_index": 0},
 ], ids=["noise-string", "noise-unknown-key", "noise-list", "n_psi-string",
-        "dd-string", "seed-negative", "seed-too-large", "seed-float"])
+        "dd-string", "seed-negative", "seed-too-large", "seed-float",
+        "durations-string", "durations-number", "cx-override-string",
+        "no-ancilla-m4", "layout-m11"])
 def test_cli_rejects_bad_config_values(tmp_path, entry):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"m": 2, "variant": "no-ancilla", "n_psi": 1,
@@ -265,3 +272,19 @@ def test_cli_rejects_bad_config_values(tmp_path, entry):
     assert r.returncode == 1
     assert "config error" in r.stderr and "Traceback" not in r.stderr
     assert not (tmp_path / "runs").exists()
+
+
+def test_same_second_runs_get_their_own_directories(tmp_path, monkeypatch):
+    from teleclone import cli
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"m": 2, "variant": "no-ancilla",
+                                    "n_psi": 1, "n_phi": 1}))
+    monkeypatch.setattr(cli.time, "strftime", lambda *args: "20260101T000000")
+    out = tmp_path / "runs"
+    for _ in range(2):
+        assert cli.main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    run_dirs = sorted(out.iterdir())
+    assert len(run_dirs) == 2
+    assert run_dirs[1].name == run_dirs[0].name + "-2"
+    for d in run_dirs:
+        assert (d / "record.json").is_file()

@@ -113,6 +113,33 @@ def test_seeded_shot_distributions_match_full_walk(m, variant, native):
             np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("m,variant", [(2, NOA), (3, NOA)]
+                         + [(m, v) for m in range(2, 9) for v in (OPT, FULL)])
+def test_compiled_prep_matches_gate_walk(m, variant):
+    """The fused prep gives the port slices of the gate-by-gate walk of the
+    same prep gates: in float64 for a logical circuit, in complex128 for a
+    native one at layouts 0 and 6 with decoupling, whose rz/sx are complex."""
+    from teleclone.hardware import enumerate_layouts, insert_dd, transpile_to_native
+    from teleclone.simulator import _ground, _prep_state, _remap, compile_resource
+    logical = build_protocol_circuit(m, variant, MessageState(1.1, 0.4))
+    layouts = enumerate_layouts(m, variant)
+    cases = [(logical, np.float64)] + [
+        (insert_dd(transpile_to_native(logical, layouts[k])), np.complex128)
+        for k in (0, 6)]
+    for c, dtype in cases:
+        resource = compile_resource(c)
+        used, mq, pq, gates = resource.prep
+        axis = {q: k for k, q in enumerate(q for q in used if q != mq)}
+        assert _prep_state(gates, axis).dtype == dtype
+        psi = _ground(len(axis))
+        for ins in gates:
+            _apply_unitary(psi, _remap(ins, axis), len(axis))
+        view = psi.reshape(1 << axis[pq], 2, -1)
+        for got, want in ((resource.t0, view[:, 0, :]), (resource.t1, view[:, 1, :])):
+            assert got.dtype == np.complex128
+            np.testing.assert_allclose(got, want.reshape(-1), rtol=0, atol=1e-12)
+
+
 def test_exact_clone_states_m2_pole():
     c = build_protocol_circuit(2, NOA, MessageState(0.0, 0.0))
     states = exact_clone_states(c)

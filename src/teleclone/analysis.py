@@ -146,7 +146,10 @@ def clone_metrics(rho: np.ndarray, message_bloch) -> CloneMetrics:
 
     The message is pure, so the general overlap reduces to
     (1 + r_msg . r_clone)/2; computing it that way avoids the square-root
-    noise amplification the matrix formula suffers at det ~ 0.
+    noise amplification the matrix formula suffers at det ~ 0. The angle
+    between the Bloch vectors is atan2(|r x m|, r . m), which stays at
+    rounding level near 0, where an arccos of their cosine reads about
+    sqrt(ulp).
     """
     m = np.asarray(message_bloch, dtype=float)
     r = bloch_vector(rho)
@@ -154,8 +157,9 @@ def clone_metrics(rho: np.ndarray, message_bloch) -> CloneMetrics:
     if mag < 1e-12 or np.linalg.norm(m) < 1e-12:
         angle = 0.0
     else:
-        cosang = float(np.dot(r, m) / (mag * np.linalg.norm(m)))
-        angle = math.acos(min(1.0, max(-1.0, cosang)))
+        (rx, ry, rz), (mx, my, mz) = r.tolist(), m.tolist()
+        cross = math.hypot(ry * mz - rz * my, rz * mx - rx * mz, rx * my - ry * mx)
+        angle = math.atan2(cross, rx * mx + ry * my + rz * mz)
     overlap = 0.5 * (1.0 + float(np.dot(m, r)))
     return CloneMetrics(
         fidelity_to_message=float(min(max(overlap, 0.0), 1.0)),

@@ -6,8 +6,13 @@ sampling entirely and is the acceptance path; shots mode reproduces the
 statistical procedure.
 
 The grid runs in chunks, one per worker process (a serial run is one
-chunk). Each chunk of noiseless points compiles the message-independent
-resource state once and passes it to every point and tomography basis.
+chunk). Every clone state of a noiseless point is linear in the message's
+one-qubit state, so each chunk of noiseless points compiles one clone
+response (``simulator.compile_response``) from a template message and no
+point builds or simulates a circuit: exact mode contracts the response with
+the point's message state, and shots mode draws each clone's counts from
+the contracted state (``tomography.sample_tomography``). Noisy points
+build, transpile and simulate their own circuits.
 """
 
 from __future__ import annotations
@@ -27,11 +32,10 @@ from .circuit import Circuit
 from .exceptions import ConfigError, SimulationError, TelecloneError, TranspileError
 from .hardware import (DurationTable, check_capacity, enumerate_layouts, insert_dd,
                        transpile_to_native)
-from .simulator import (CompiledResource, NoiseModel, compile_resource,
-                        exact_clone_states, noisy_clone_states)
+from .simulator import NoiseModel, apply_response, compile_response, noisy_clone_states
 from .telecloning import (MessageState, TelecloningVariant, build_protocol_circuit,
                           check_variant)
-from .tomography import tomography_run
+from .tomography import sample_tomography, tomography_run
 
 MODES = ("exact", "shots")
 
@@ -179,43 +183,47 @@ def _point_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
 
 
-def _compile_for(config: ExperimentConfig, transform,
-                 msg: MessageState) -> CompiledResource | None:
-    """The resource that noiseless points share, compiled from the circuit
-    of ``msg``. None when the points simulate noise, or when that circuit
-    cannot be built or simulated: each point then reports its own error."""
+# The message whose circuit compiles a sweep's response: any message gives
+# the same response, since only the message's own gates depend on it.
+_TEMPLATE = MessageState(0.0, 0.0)
+
+
+def _response_for(config: ExperimentConfig, transform) -> np.ndarray | None:
+    """The clone response that every point of a noiseless sweep shares, or
+    None when the points simulate noise (exact mode with any noise model,
+    shots mode with nonzero noise)."""
     if config.noise is not None and (config.mode == "exact"
                                      or config.noise.any_noise()):
         return None
-    try:
-        circuit = build_protocol_circuit(config.m, config.variant, msg,
-                                         tomo_basis="none")
-        return compile_resource(circuit if transform is None else transform(circuit))
-    except TelecloneError:
-        return None
+    circuit = build_protocol_circuit(config.m, config.variant, _TEMPLATE,
+                                     tomo_basis="none")
+    return compile_response(circuit if transform is None else transform(circuit))
 
 
-def _run_point(config: ExperimentConfig, transform,
-               resource: CompiledResource | None,
+def _run_point(config: ExperimentConfig, transform, response: np.ndarray | None,
                index: int, msg: MessageState) -> dict:
-    if config.mode == "exact":
+    records = None
+    if response is not None:
+        # transpiling changes the message's gates only by a global phase,
+        # and decoupling pulses multiply to the identity
+        a = np.array(msg.amplitudes())
+        rhos = apply_response(response, np.outer(a, a.conj()))
+        if config.mode == "shots":
+            records = sample_tomography(rhos, config.shots_per_basis,
+                                        _point_seed(config.seed, index))
+    elif config.mode == "exact":
         circuit = build_protocol_circuit(config.m, config.variant, msg,
                                          tomo_basis="none")
         if transform is not None:
             circuit = transform(circuit)
-        if config.noise is None:
-            rhos = exact_clone_states(circuit, resource=resource)
-        else:
-            rhos = noisy_clone_states(circuit, config.noise)
-        tomo = [None] * config.m
+        rhos = noisy_clone_states(circuit, config.noise)
     else:
         records = tomography_run(config.m, config.variant, msg,
                                  config.shots_per_basis,
                                  seed=_point_seed(config.seed, index),
-                                 noise=config.noise, transform=transform,
-                                 resource=resource)
+                                 noise=config.noise, transform=transform)
+    if records is not None:
         rhos = [rec.reconstructed for rec in records]
-        tomo = [rec.to_json_dict() for rec in records]
     clones = []
     for k, rho in enumerate(rhos):
         met = clone_metrics(rho, msg.bloch())
@@ -226,7 +234,7 @@ def _run_point(config: ExperimentConfig, transform,
             "bloch_angle_error": met.bloch_angle_error,
             "bloch_magnitude": met.bloch_magnitude,
             "rho": [[[float(v.real), float(v.imag)] for v in row] for row in rho],
-            "tomography": tomo[k],
+            "tomography": None if records is None else records[k].to_json_dict(),
         })
     return {"clones": clones, "error": None}
 
@@ -275,17 +283,18 @@ def _aggregate(config: ExperimentConfig, results: list) -> dict:
 
 def _run_chunk(config: ExperimentConfig, points) -> list[dict]:
     """Outcomes of a run of (index, message) grid points, each one's failure
-    marker on a TelecloneError; the points share one layout transform and
-    one compiled resource."""
+    marker on a TelecloneError; the points share one layout transform and,
+    without noise, one clone response. When either cannot be made, every
+    point carries its error."""
     try:
         transform = _transform_for(config)
+        response = _response_for(config, transform)
     except TelecloneError as exc:
         return [{"clones": [], "error": str(exc)} for _ in points]
-    resource = _compile_for(config, transform, points[0][1])
     outcomes = []
     for index, msg in points:
         try:
-            outcomes.append(_run_point(config, transform, resource, index, msg))
+            outcomes.append(_run_point(config, transform, response, index, msg))
         except TelecloneError as exc:
             outcomes.append({"clones": [], "error": str(exc)})
     return outcomes

@@ -29,17 +29,18 @@ Philox row (:func:`_shot_uniforms`), so counts do not depend on the blocks.
 
 The resource state does not depend on the message, so noiseless protocol
 circuits never simulate it per point. :func:`compile_resource` simulates it
-once into a :class:`CompiledResource` (the port's |0> and |1> slices), which
-``experiment.run_experiment`` builds once per sweep, or once per worker
-chunk, and hands to :func:`exact_clone_states` and, through
-``tomography.tomography_run``, to :func:`run_shots`. Both seed the four Bell
-branches from it with :func:`_bell_seeds` and walk only what follows the
-Bell measurement, over the other n-2 qubits; a circuit's prep gates are
-compared with the resource's, never compacted or simulated again. A circuit
-whose prep differs from the resource passed in, or that is called without
-one, compiles its own (``tomography_run`` without one compiles it once for
-its three bases); one whose prefix cannot be seeded is compacted and walked
-in full from |0...0>.
+once into a :class:`CompiledResource` (the port's |0> and |1> slices), from
+which :func:`_bell_seeds` seeds the four Bell branches of the message
+states given as columns; only what follows the Bell measurement is walked,
+over the other n-2 qubits. A circuit whose prep differs from the resource
+passed in, or that is called without one, compiles its own; one whose
+prefix cannot be seeded is compacted and walked in full from |0...0>.
+With the circuit's own message as the one column this runs
+:func:`exact_clone_states` and :func:`run_shots`. With the columns |0> and
+|1> it is :func:`compile_response`: every clone state is linear in the
+message's one-qubit state, so one response serves every message of a sweep
+(:func:`apply_response`), and ``experiment.run_experiment`` builds and walks
+no circuit per noiseless point.
 
 The compiled prep does not run gate by gate. :func:`_fuse` multiplies each
 run of consecutive gates on at most ``_FUSE_QUBITS`` qubits into one
@@ -198,20 +199,22 @@ def compact(circuit: Circuit) -> Circuit:
                    tuple(_remap(i, remap) for i in circuit.instructions), roles=roles)
 
 
-def _validated(circuit: Circuit, cap: int) -> dict[int, int]:
-    """The :func:`_compaction` of a valid circuit that fits the qubit cap."""
+def _validated(circuit: Circuit, cap: int,
+               state: str = "a statevector") -> dict[int, int]:
+    """The :func:`_compaction` of a valid circuit whose ``state`` fits the
+    qubit cap."""
     errors = validate(circuit)
     if errors:
         raise CircuitError("; ".join(errors))
     position = _compaction(circuit)
     if len(position) > cap:
-        raise SimulationError(
-            f"2^{len(position)} amplitudes exceed the {cap}-qubit cap")
+        raise SimulationError(f"{state} over {len(position)} qubits exceeds "
+                              f"the {cap}-qubit cap")
     return position
 
 
-def _checked(circuit: Circuit, cap: int) -> Circuit:
-    _validated(circuit, cap)
+def _checked(circuit: Circuit, cap: int, state: str = "a statevector") -> Circuit:
+    _validated(circuit, cap, state)
     return compact(circuit)
 
 
@@ -273,15 +276,6 @@ def _enumerate_branches(circuit: Circuit):
     n = circuit.num_qubits
     return _walk(circuit.instructions, [((0,) * circuit.num_clbits, _ground(n))],
                  lambda psi, ins: _apply_unitary(psi, ins, n), _split)
-
-
-def _ptrace_pure(psi: np.ndarray, keep, n: int) -> np.ndarray:
-    """Partial trace of |psi><psi| onto the ordered qubit tuple ``keep``."""
-    keep = list(keep)
-    tensor = psi.reshape((2,) * n)
-    order = keep + [q for q in range(n) if q not in keep]
-    mat = np.transpose(tensor, order).reshape(1 << len(keep), -1)
-    return mat @ mat.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -471,49 +465,53 @@ def compile_resource(circuit: Circuit) -> CompiledResource | None:
     return None if split is None else _compile(split[2])
 
 
-def _bell_seeds(resource: CompiledResource, pre, post, bell, num_clbits: int):
-    """The four Bell branches (clbits, vector over the remaining qubits) of
-    a message whose gates before and after the Bell cx multiply to ``pre``
-    and ``post``, in the order the two ``bell`` measures split them;
-    outcomes of zero weight are dropped."""
+def _bell_seeds(resource: CompiledResource, msg, post, bell, num_clbits: int):
+    """Yield the four Bell branches (clbits, (2^(n-2), c) block over the
+    remaining qubits) of the c message states in the columns of the 2 x c
+    ``msg``, whose gates after the Bell cx multiply to ``post``, in the
+    order the two ``bell`` measures split them; outcomes of zero weight are
+    dropped. Each block is built only when asked for, so a caller that
+    walks one branch before taking the next holds one block at a time."""
     pq = resource.prep[2]
-    a, b = pre[0, 0], pre[1, 0]
-    slices = (resource.t0, resource.t1)
+    slices = (resource.t0[:, None], resource.t1[:, None])
     (q0, c0), (_, c1) = [(m.qubits[0], m.clbit) for m in bell]
-    seeds = []
     for o0 in (0, 1):
         for o1 in (0, 1):
             cp, cm = (o0, o1) if q0 == pq else (o1, o0)
-            vec = (post[cm, 0] * a) * slices[cp] \
-                + (post[cm, 1] * b) * slices[1 - cp]
-            if np.vdot(vec, vec).real > 1e-24:
-                bits = _set_bit(_set_bit((0,) * num_clbits, c0, o0), c1, o1)
-                seeds.append((bits, vec))
-    return seeds
+            block = slices[cp] * (post[cm, 0] * msg[0]) \
+                + slices[1 - cp] * (post[cm, 1] * msg[1])
+            if np.vdot(block, block).real > 1e-24:
+                yield _set_bit(_set_bit((0,) * num_clbits, c0, o0), c1, o1), block
 
 
 def _start(circuit: Circuit, position: dict[int, int], parts,
-           resource: CompiledResource | None):
+           resource: CompiledResource | None, response: bool = False):
     """Where the walk of a valid circuit with compaction ``position``
     begins: (instructions, branches, qubit count, map from the circuit's
-    qubits to state axes).
+    qubits to state axes). Every branch state is a (2^n, c) block.
 
     A circuit with a seedable Bell prefix starts after its Bell measurement,
     from the Bell branches seeded from ``resource`` (compiled here when it
     is None or its prep differs) over its used qubits but the port and the
-    message; its prep is neither compacted nor simulated. Any other circuit
-    is compacted and starts from |0...0>.
+    message; its prep is neither compacted nor simulated. The blocks have
+    one column, the circuit's own message, or with ``response`` two: the
+    message |0> and |1>. Any other circuit is compacted and starts from
+    |0...0>; it has no response.
     """
     split = _split_prefix(circuit, parts, position)
     if split is None:
+        if response:
+            raise SimulationError("the circuit's message cannot be separated "
+                                  "from its resource state")
         circuit = compact(circuit)
         n = circuit.num_qubits
-        return (circuit.instructions, [((0,) * circuit.num_clbits, _ground(n))],
-                n, position)
+        return (circuit.instructions,
+                [((0,) * circuit.num_clbits, _ground(n)[:, None])], n, position)
     pre, post, prep = split
     if resource is None or resource.prep != prep:
         resource = _compile(prep)
-    seeds = _bell_seeds(resource, pre, post, parts[1], circuit.num_clbits)
+    msg = np.eye(2) if response else pre[:, :1]
+    seeds = _bell_seeds(resource, msg, post, parts[1], circuit.num_clbits)
     return ([_remap(ins, resource.index) for ins in parts[2]], seeds,
             len(resource.index), resource.index)
 
@@ -522,11 +520,26 @@ def _start(circuit: Circuit, position: dict[int, int], parts,
 # exact branch sums
 # ---------------------------------------------------------------------------
 
+def _cross_trace(block: np.ndarray, keep, n: int) -> np.ndarray:
+    """Partial traces onto the ordered qubit list ``keep`` of |i><j| for
+    every pair of columns i, j of a (2^n, c) block, as a (c, c, 2^k, 2^k)
+    array, taken with one matrix product."""
+    c = block.shape[1]
+    dim = 1 << len(keep)
+    order = list(keep) + [n] + [q for q in range(n) if q not in keep]
+    mat = np.transpose(block.reshape((2,) * n + (c,)), order).reshape(dim * c, -1)
+    return (mat @ mat.conj().T).reshape(dim, c, dim, c).transpose(1, 3, 0, 2)
+
+
 def _branch_sum(circuit: Circuit, groups, cap: int,
-                resource: CompiledResource | None = None) -> list[np.ndarray]:
-    """Branch-summed reduced density matrix of a protocol circuit on each
-    ordered tuple of its qubits in ``groups``. The circuit must measure
-    exactly the port and the message and then only feed forward."""
+                resource: CompiledResource | None = None,
+                response: bool = False) -> list[np.ndarray]:
+    """Branch-summed cross reduced matrices of a protocol circuit on each
+    ordered tuple of its qubits in ``groups``, as (c, c, 2^k, 2^k) arrays
+    over the c message columns of :func:`_start` (c = 1 is the circuit's
+    own reduced density matrix). The circuit must measure exactly the port
+    and the message and then only feed forward, so its Bell branches are
+    independent: each is walked and traced before the next is seeded."""
     position = _validated(circuit, cap)
     if any(role not in circuit.roles for role in ("port", "message", "clones")):
         raise SimulationError("circuit lacks role metadata for the protocol")
@@ -539,17 +552,15 @@ def _branch_sum(circuit: Circuit, groups, cap: int,
     if gone:
         raise SimulationError(f"no state for qubits {gone}: the circuit does "
                               "not use them or measures them")
-    instructions, branches, n, index = _start(circuit, position, parts, resource)
-    branches = _walk(instructions, branches,
-                     lambda psi, ins: _apply_unitary(psi, ins, n), _split)
-    out = []
-    for group in groups:
-        keep = [index[q] for q in group]
-        dim = 1 << len(keep)
-        rho = np.zeros((dim, dim), dtype=complex)
-        for _, vec in branches:
-            rho += _ptrace_pure(vec, keep, n)
-        out.append(rho)
+    instructions, seeds, n, index = _start(circuit, position, parts, resource,
+                                           response)
+    keeps = [[index[q] for q in group] for group in groups]
+    out = [0] * len(groups)
+    for seed in seeds:
+        for _, block in _walk(instructions, [seed],
+                              lambda psi, ins: _apply_unitary(psi, ins, n), _split):
+            for g, keep in enumerate(keeps):
+                out[g] = out[g] + _cross_trace(block, keep, n)
     return out
 
 
@@ -563,14 +574,33 @@ def exact_clone_states(circuit: Circuit, cap: int = DEFAULT_QUBIT_CAP,
     is a :func:`compile_resource` result to reuse; without one, or when its
     prep differs, the circuit compiles its own.
     """
-    return _branch_sum(circuit, [(q,) for q in circuit.roles.get("clones", ())],
-                       cap, resource)
+    return [r[0, 0] for r in _branch_sum(
+        circuit, [(q,) for q in circuit.roles.get("clones", ())], cap, resource)]
 
 
 def exact_subsystem_state(circuit: Circuit, qubits,
                           cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
     """Branch-averaged reduced density matrix on the given original qubits."""
-    return _branch_sum(circuit, [tuple(qubits)], cap)[0]
+    return _branch_sum(circuit, [tuple(qubits)], cap)[0][0, 0]
+
+
+def compile_response(circuit: Circuit, cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
+    """The clone response of a noiseless protocol circuit: an (M, 2, 2, 2, 2)
+    array R, clone k being in the state sum_ij rho[i, j] R[k, i, j] when the
+    message's own gates before the Bell cx leave it in the state rho. R[k,
+    i, j] sums clone k's partial traces of |psi_i><psi_j| over the Bell
+    branches seeded by the messages |0> and |1>; no other gate depends on
+    the message, so one response serves every message of the same (m,
+    variant, layout, dd). Requires tomo_basis="none" and a seedable prefix.
+    """
+    return np.stack(_branch_sum(circuit, [(q,) for q in circuit.roles.get("clones", ())],
+                                cap, response=True))
+
+
+def apply_response(response: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The (M, 2, 2) clone states of a :func:`compile_response` for the
+    message state ``rho``."""
+    return np.tensordot(rho, response, axes=([0, 1], [1, 2]))
 
 
 def statevector(circuit: Circuit, cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
@@ -901,7 +931,7 @@ def noisy_clone_states(circuit: Circuit, noise: NoiseModel,
                        cap: int = _DENSITY_QUBIT_CAP):
     """Exact density-matrix counterpart of :func:`exact_clone_states` under a
     static noise model; the oracle for stochastic shot-mode noise."""
-    circuit = _checked(circuit, cap)
+    circuit = _checked(circuit, cap, "a density matrix")
     n = circuit.num_qubits
     if any(i.gate == "measure" and i.qubits[0] in circuit.roles.get("clones", ())
            for i in circuit.instructions):

@@ -9,8 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import SimulationError, TomographyError
-from .simulator import (_X, _Y, _Z, CompiledResource, NoiseModel, compile_resource,
-                        run_shots)
+from .simulator import _X, _Y, _Z, NoiseModel, compile_resource, run_shots
 from .telecloning import MessageState, TelecloningVariant, build_protocol_circuit
 
 BASES = ("x", "y", "z")
@@ -114,38 +113,74 @@ def mle_fit(counts: dict, shots_per_basis: int) -> np.ndarray:
                           best=rho_from_bloch(best_r))
 
 
+def _basis_seed(seed: int, basis_index: int) -> int:
+    return int(np.random.SeedSequence((seed, basis_index)).generate_state(1)[0])
+
+
+def _fitted(counts: list[dict], shots_per_basis: int) -> list[TomographyRecord]:
+    """One record per clone's counts, each with its MLE state."""
+    records = []
+    for per_basis in counts:
+        rec = TomographyRecord(per_basis, shots_per_basis)
+        rec.reconstructed = mle_fit(rec.counts, shots_per_basis)
+        records.append(rec)
+    return records
+
+
 def tomography_run(m: int, variant: TelecloningVariant, message: MessageState,
                    shots_per_basis: int, seed: int,
                    noise: NoiseModel | None = None,
-                   transform=None,
-                   resource: CompiledResource | None = None) -> list[TomographyRecord]:
+                   transform=None) -> list[TomographyRecord]:
     """Measure all clones in X, Y, Z (one circuit per basis,
     shots_per_basis each) and reconstruct every clone's state via MLE.
 
     ``transform`` optionally rewrites each basis circuit before execution
     (layout mapping, decoupling passes); it must preserve clone bit order.
-    ``resource`` is the compiled resource the three basis circuits share
-    (see :func:`teleclone.simulator.compile_resource`); without one, a
-    noiseless run compiles it once from the first basis circuit.
+    Each basis samples joint counts with :func:`run_shots` from its own
+    child of ``seed``; a noiseless run compiles the resource once, from the
+    first basis circuit, for all three.
     """
     if shots_per_basis < 1:
         raise SimulationError("shots_per_basis must be >= 1")
     per_clone: list[dict] = [dict() for _ in range(m)]
+    resource = None
     for bi, basis in enumerate(BASES):
         circuit = build_protocol_circuit(m, variant, message, tomo_basis=basis)
         if transform is not None:
             circuit = transform(circuit)
-        if resource is None and bi == 0 and (noise is None or not noise.any_noise()):
+        if bi == 0 and (noise is None or not noise.any_noise()):
             resource = compile_resource(circuit)
-        child = int(np.random.SeedSequence((seed, bi)).generate_state(1)[0])
-        counts = run_shots(circuit, shots_per_basis, seed=child, noise=noise,
-                           resource=resource)
+        counts = run_shots(circuit, shots_per_basis, seed=_basis_seed(seed, bi),
+                           noise=noise, resource=resource)
         for k in range(m):
             n1 = sum(c for key, c in counts.items() if key[2 + k] == "1")
             per_clone[k][basis] = (shots_per_basis - n1, n1)
-    records = []
-    for k in range(m):
-        rec = TomographyRecord(per_clone[k], shots_per_basis)
-        rec.reconstructed = mle_fit(rec.counts, shots_per_basis)
-        records.append(rec)
-    return records
+    return _fitted(per_clone, shots_per_basis)
+
+
+def basis_p1(rho: np.ndarray) -> np.ndarray:
+    """P(1) of a one-qubit state measured in X, Y and Z: (1 - r_B)/2 for
+    each Bloch component r_B, clipped to [0, 1] against rounding."""
+    r = np.array([np.trace(rho @ pauli).real for pauli in (_X, _Y, _Z)])
+    return np.clip((1.0 - r) / 2, 0.0, 1.0)
+
+
+def sample_tomography(rhos, shots_per_basis: int, seed: int) -> list[TomographyRecord]:
+    """Tomography records of clones in the exact states ``rhos``.
+
+    Each clone's count of 1s in each basis is a Binomial(shots_per_basis,
+    P(1)) draw from its :func:`basis_p1`, all clones of a basis from the
+    Philox stream of that basis's child of ``seed`` (the seeds
+    :func:`tomography_run` uses). Records read only per-clone marginals, so
+    this is equal in law to summing :func:`tomography_run`'s joint counts
+    per clone; the draws differ.
+    """
+    if shots_per_basis < 1:
+        raise SimulationError("shots_per_basis must be >= 1")
+    p1 = np.array([basis_p1(rho) for rho in rhos])
+    per_clone: list[dict] = [dict() for _ in p1]
+    for bi, basis in enumerate(BASES):
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(_basis_seed(seed, bi))))
+        for k, n1 in enumerate(rng.binomial(shots_per_basis, p1[:, bi])):
+            per_clone[k][basis] = (shots_per_basis - int(n1), int(n1))
+    return _fitted(per_clone, shots_per_basis)

@@ -50,6 +50,14 @@ def circuit_unitary(circuit, apply_fn, n):
     return u
 
 
+def ptrace_pure(psi, keep, n):
+    """Partial trace of |psi><psi| onto the ordered qubit list ``keep``."""
+    keep = list(keep)
+    order = keep + [q for q in range(n) if q not in keep]
+    mat = np.transpose(psi.reshape((2,) * n), order).reshape(1 << len(keep), -1)
+    return mat @ mat.conj().T
+
+
 def telecloning_state_vector(m):
     """(1/sqrt(M+1)) sum_i |D_i> x |D_i> over (ancilla+port) x clones."""
     acc = np.zeros(1 << (2 * m), dtype=complex)

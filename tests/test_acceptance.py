@@ -15,6 +15,7 @@ from teleclone import (MessageState, NoiseModel, TelecloningVariant,
                        tomography_run)
 from teleclone.experiment import ExperimentConfig, run_experiment
 from teleclone.hardware import enumerate_layouts, insert_dd, transpile_to_native
+from teleclone.simulator import apply_response, compile_response
 from teleclone.tomography import rho_from_bloch
 
 from .oracles import (basis_state, dicke_vector, mle_grid_oracle,
@@ -75,6 +76,46 @@ def test_criterion_1_optimal_fidelity():
             f"max |mean - theory| = {worst:.2e}")
 
 
+_PAULIS = (np.array([[0, 1], [1, 0]], dtype=complex),
+           np.array([[0, -1j], [1j, 0]], dtype=complex),
+           np.array([[1, 0], [0, -1]], dtype=complex))
+
+
+def _bloch_map(response):
+    """Each clone's affine Bloch map r -> T r + t, read off a response: t is
+    the clones' Bloch vectors for the mixed message I/2, and T's column l
+    the shift that the pure message (I + sigma_l)/2 adds to it."""
+    def bloch(rho_msg):
+        return np.array([[np.trace(rho @ p).real for p in _PAULIS]
+                         for rho in apply_response(response, rho_msg)])
+    t = bloch(np.eye(2) / 2)
+    T = np.stack([bloch((np.eye(2) + p) / 2) - t for p in _PAULIS], axis=-1)
+    return T, t
+
+
+def test_criterion_1_universal_over_the_bloch_ball():
+    """Universality over every message, not only the grid: each clone's
+    Bloch map is the shrinking r -> eta r, for M=2..10, every variant,
+    logical and at layout 0 with decoupling."""
+    worst = 0.0
+    for m in range(2, 11):
+        eta = shrinking_factor(1, m)
+        for variant in ((NOA, FULL, OPT) if m <= 3 else (FULL, OPT)):
+            logical = build_protocol_circuit(m, variant, MessageState(0.0, 0.0))
+            native = insert_dd(transpile_to_native(
+                logical, enumerate_layouts(m, variant)[0]))
+            for circuit in (logical, native):
+                T, t = _bloch_map(compile_response(circuit))
+                err = max(float(np.abs(T - eta * np.eye(3)).max()),
+                          float(np.abs(t).max()))
+                worst = max(worst, err)
+                if err > 1e-12:
+                    _report("criterion 1: universal Bloch map", False,
+                            f"M={m} {variant.value}: max |T - eta I|, |t| = {err:.2e}")
+    _report("criterion 1: Bloch map T = eta I, t = 0 (M=2..10; all variants; "
+            "logical and layout 0 + DD)", True, f"max deviation = {worst:.2e}")
+
+
 def test_criterion_2_shrinking_geometry():
     worst_mag, worst_ang = 0.0, 0.0
     for m, variant, npsi, nphi in _AC1_CONFIGS:
@@ -84,7 +125,7 @@ def test_criterion_2_shrinking_geometry():
             for clone in point["clones"]:
                 worst_mag = max(worst_mag, abs(clone["bloch_magnitude"] - eta))
                 worst_ang = max(worst_ang, clone["bloch_angle_error"])
-    ok = worst_mag <= 1e-9 and worst_ang <= 1e-7
+    ok = worst_mag <= 1e-9 and worst_ang <= 1e-12
     _report("criterion 2: shrinking-factor geometry", ok,
             f"max |r - eta| = {worst_mag:.2e}, max angle = {worst_ang:.2e} rad")
 

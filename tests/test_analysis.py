@@ -138,5 +138,5 @@ def test_angle_preserved_magnitude_shrunk(m, variant):
         c = build_protocol_circuit(m, variant, msg)
         for rho in exact_clone_states(c):
             met = clone_metrics(rho, msg.bloch())
-            assert met.bloch_angle_error <= 1e-7
+            assert met.bloch_angle_error <= 1e-12
             assert abs(met.bloch_magnitude - shrinking_factor(1, m)) < 1e-9

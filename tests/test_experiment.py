@@ -288,3 +288,66 @@ def test_same_second_runs_get_their_own_directories(tmp_path, monkeypatch):
     assert run_dirs[1].name == run_dirs[0].name + "-2"
     for d in run_dirs:
         assert (d / "record.json").is_file()
+
+
+def _message_gates(c):
+    """The gate names on the message qubit alone, in order."""
+    mq = c.roles["message"]
+    return [i.gate for i in c.instructions if i.qubits == (mq,) and i.gate != "measure"]
+
+
+def _non_message(c):
+    """Every instruction but the gates on the message qubit alone."""
+    mq = c.roles["message"]
+    return [i for i in c.instructions if i.gate == "measure" or i.qubits != (mq,)]
+
+
+def _clone_p1(c, m):
+    """Each clone's P(1) in a basis circuit: the marginals of the joint
+    distributions over its deferred clone bits, summed over the branches
+    that run_shots samples from."""
+    from teleclone.simulator import _bell_parts, _shot_distributions, _start, _validated
+    instructions, seeds, n, _ = _start(c, _validated(c, 24), _bell_parts(c), None)
+    _, _, clbits, rows = _shot_distributions(instructions, seeds, n)
+    out = []
+    for k in range(m):
+        shift = len(clbits) - 1 - clbits.index(2 + k)
+        ones = (np.arange(1 << len(clbits)) >> shift) & 1
+        out.append(sum(float(np.dot(row, ones)) for row in rows))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("dd", [False, True], ids=["no-dd", "dd"])
+@pytest.mark.parametrize("m,variant", [(2, NOA), (2, OPT), (2, FULL), (3, NOA),
+                                       (3, OPT), (3, FULL), (5, OPT)])
+def test_response_matches_each_point_circuit(m, variant, dd):
+    """The response a sweep compiles from its template message stands for
+    every point's own circuit, logical and on all 7 layouts: the circuits
+    differ only in the message's gate angles, the contraction gives the
+    point circuit's exact clone states, and the shots-mode P(1) of each
+    clone and basis is the marginal of that basis circuit's distribution."""
+    from teleclone import build_protocol_circuit, exact_clone_states
+    from teleclone.experiment import _TEMPLATE, _response_for, _transform_for
+    from teleclone.simulator import apply_response
+    from teleclone.tomography import BASES, basis_p1
+    rng = np.random.default_rng(10 * m + dd)
+    msgs = [MessageState(float(rng.uniform(0, math.pi)),
+                         float(rng.uniform(0, 2 * math.pi))) for _ in range(2)]
+    for layout in ([] if dd else [None]) + list(range(7)):
+        cfg = ExperimentConfig(m=m, variant=variant, layout_index=layout,
+                               dd=dd, mode="shots")
+        transform = _transform_for(cfg) or (lambda c: c)
+        response = _response_for(cfg, _transform_for(cfg))
+        template = transform(build_protocol_circuit(m, variant, _TEMPLATE))
+        for msg in msgs:
+            circuit = transform(build_protocol_circuit(m, variant, msg))
+            assert _non_message(circuit) == _non_message(template)
+            assert _message_gates(circuit) == _message_gates(template)
+            a = np.array(msg.amplitudes())
+            rhos = apply_response(response, np.outer(a, a.conj()))
+            for got, want in zip(rhos, exact_clone_states(circuit), strict=True):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            p1 = np.array([basis_p1(rho) for rho in rhos])
+            for bi, basis in enumerate(BASES):
+                c = transform(build_protocol_circuit(m, variant, msg, tomo_basis=basis))
+                np.testing.assert_allclose(p1[:, bi], _clone_p1(c, m), rtol=0, atol=1e-12)

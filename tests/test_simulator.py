@@ -12,7 +12,7 @@ from teleclone import (Circuit, MessageState, NoiseModel, TelecloningVariant,
 from teleclone.exceptions import SimulationError
 from teleclone.simulator import _apply_unitary, compact
 
-from .oracles import ideal_clone_rho, trace_distance
+from .oracles import ideal_clone_rho, ptrace_pure, trace_distance
 
 NOA = TelecloningVariant.NO_ANCILLA
 OPT = TelecloningVariant.WITH_ANCILLA_OPTIMIZED
@@ -140,6 +140,14 @@ def test_compiled_prep_matches_gate_walk(m, variant):
             np.testing.assert_allclose(got, want.reshape(-1), rtol=0, atol=1e-12)
 
 
+def test_density_cap_names_a_density_matrix():
+    """Noisy exact simulation holds a density matrix, and its cap says so."""
+    c = build_protocol_circuit(4, OPT, MessageState(0.3, 0.2))
+    with pytest.raises(SimulationError,
+                       match="a density matrix over 9 qubits exceeds the 8-qubit cap"):
+        noisy_clone_states(c, NoiseModel(depolarizing_1q=0.01))
+
+
 def test_exact_clone_states_m2_pole():
     c = build_protocol_circuit(2, NOA, MessageState(0.0, 0.0))
     states = exact_clone_states(c)
@@ -182,7 +190,7 @@ def test_exact_requires_bell_structure():
 
 def test_exact_fast_path_matches_generic():
     """The port-slice shortcut and plain branch enumeration must agree."""
-    from teleclone.simulator import _enumerate_branches, _ptrace_pure
+    from teleclone.simulator import _enumerate_branches
     msg = MessageState(0.8, 2.5)
     for m, variant in [(2, NOA), (3, OPT)]:
         c = build_protocol_circuit(m, variant, msg)
@@ -190,14 +198,14 @@ def test_exact_fast_path_matches_generic():
         cc = compact(c)
         branches = _enumerate_branches(cc)
         for k, q in enumerate(cc.roles["clones"]):
-            rho = sum(_ptrace_pure(v, [q], cc.num_qubits) for _, v in branches)
+            rho = sum(ptrace_pure(v, [q], cc.num_qubits) for _, v in branches)
             np.testing.assert_allclose(fast[k], rho, atol=1e-12)
 
 
 def test_port_gate_after_bell_cx_is_enumerated():
     """A gate on the port between the Bell cx and the measures cannot be
     moved ahead of that cx, so such a circuit is walked in full."""
-    from teleclone.simulator import _enumerate_branches, _ptrace_pure
+    from teleclone.simulator import _enumerate_branches
     c = build_protocol_circuit(2, NOA, MessageState(0.8, 2.5))
     port = c.roles["port"]
     at = c.instructions.index(cx(0, port)) + 1
@@ -206,7 +214,7 @@ def test_port_gate_after_bell_cx_is_enumerated():
                   roles=c.roles)
     branches = _enumerate_branches(odd)
     for k, q in enumerate(odd.roles["clones"]):
-        want = sum(_ptrace_pure(v, [q], odd.num_qubits) for _, v in branches)
+        want = sum(ptrace_pure(v, [q], odd.num_qubits) for _, v in branches)
         np.testing.assert_allclose(exact_clone_states(odd)[k], want, atol=1e-12)
         assert np.abs(want - exact_clone_states(c)[k]).max() > 0.05
 

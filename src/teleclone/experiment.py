@@ -108,6 +108,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"a config must be an object, got {d!r}")
+        if "m" not in d:
+            raise ConfigError("the config lacks 'm', the clone count")
         try:
             variant = TelecloningVariant(d["variant"])
         except (KeyError, ValueError) as exc:

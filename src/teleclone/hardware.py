@@ -175,7 +175,7 @@ class DurationTable:
         overrides = {}
         for key, v in raw.items():
             pair = key.split("-")
-            if len(pair) != 2 or not all(p.isdigit() for p in pair):
+            if len(pair) != 2 or not all(p.isdecimal() for p in pair):
                 raise TranspileError(f"cx_overrides key {key!r} is not 'a-b'")
             _check_duration(f"cx_overrides {key}", v)
             overrides[(int(pair[0]), int(pair[1]))] = float(v)

@@ -27,29 +27,31 @@ columns whose uniforms select them. Each shot reads its uniforms from a
 fixed slot schedule (:func:`_slot_schedule`) in its own counter-based
 Philox row (:func:`_shot_uniforms`), so counts do not depend on the blocks.
 
-The resource state does not depend on the message, so noiseless protocol
-circuits never simulate it per point. :func:`compile_resource` simulates it
-once into a :class:`CompiledResource` (the port's |0> and |1> slices), from
-which :func:`_bell_seeds` seeds the four Bell branches of the message
-states given as columns; only what follows the Bell measurement is walked,
-over the other n-2 qubits. A circuit whose prep differs from the resource
-passed in, or that is called without one, compiles its own; one whose
-prefix cannot be seeded is compacted and walked in full from |0...0>.
-With the circuit's own message as the one column this runs
-:func:`exact_clone_states` and :func:`run_shots`. With the columns |0> and
-|1> it is :func:`compile_response`: every clone state is linear in the
-message's one-qubit state, so one response serves every message of a sweep
-(:func:`apply_response`), and ``experiment.run_experiment`` builds and walks
-no circuit per noiseless point.
+The resource state does not depend on the message, so a noiseless protocol
+circuit simulates it without the message: :func:`_compile` runs its prep
+gates and keeps the port's |0> and |1> slices, from which
+:func:`_bell_seeds` seeds the four Bell branches of the message states
+given as columns; only what follows the Bell measurement is walked, over
+the other n-2 qubits. A circuit whose prefix cannot be seeded is compacted
+and walked in full from |0...0>. With the circuit's own message as the one
+column this runs :func:`exact_clone_states` and :func:`run_shots`. With the
+columns |0> and |1> it is :func:`compile_response`: every clone state is
+linear in the message's one-qubit state, so one response serves every
+message of a sweep (:func:`apply_response`), and
+``experiment.run_experiment`` builds and walks no circuit per noiseless
+point.
 
-The compiled prep does not run gate by gate. :func:`_fuse` multiplies each
-run of consecutive gates on at most ``_FUSE_QUBITS`` qubits into one
-matrix, and :func:`_apply_block` applies it in one pass, writing only the
-slices of its non-identity rows and reading only its nonzero entries. The
-state is float64 when every block is real, as in every logical prep
-(RY/CX/X only), and complex128 otherwise (native preps with rz/sx); the
-port slices are complex either way. :func:`_apply_1q`/:func:`_apply_cx`
-still run every other walk and are the oracle for the fused prep.
+One kernel, :func:`_apply_block`, applies every gate and channel matrix,
+as a :func:`_block` built once per circuit: only the slices of its
+non-identity rows are written, each from the slices its nonzero entries
+name, so an X is a half swap, a Z a sign flip and a controlled gate touches
+only the half where its control is set. Trailing axes are batch axes, so
+one block serves a state, a trajectory block's shots in its columns and a
+density matrix read as a vector over 2n qubits, where a gate with its noise
+is one superoperator block sum_K K (x) K* on the axes (q..., q+n...). The
+prep fuses each run of gates on at most ``_FUSE_QUBITS`` qubits into one
+block (:func:`_fuse`), in float64 when every block is real (every logical
+prep) and complex128 otherwise (native preps with rz/sx).
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,6 +78,7 @@ _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SQRT_X = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex)
+_CX = np.eye(4, dtype=complex)[[0, 1, 3, 2]]  # over (control, target)
 _PAULIS_1Q = (np.eye(2, dtype=complex), _X, _Y, _Z)
 
 
@@ -111,39 +115,92 @@ def gate_matrix(ins: Instruction) -> np.ndarray:
     if ins.gate == "rz":
         return np.array([[np.exp(-0.5j * ins.angle), 0],
                          [0, np.exp(0.5j * ins.angle)]])
-    return {"h": _H, "x": _X, "z": _Z, "sx": _SQRT_X}[ins.gate]
+    return {"h": _H, "x": _X, "z": _Z, "sx": _SQRT_X, "cx": _CX}[ins.gate]
 
 
-def _apply_1q(psi: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Apply ``mat`` to qubit ``q`` of a state over ``n`` qubits, in place.
-    A contiguous (2^n, k) block holds k states, one per column, and every
-    column transforms alike (so for :func:`_apply_cx`)."""
-    view = psi.reshape(1 << q, 2, -1)
-    a = view[:, 0, :].copy()
-    b = view[:, 1, :]
-    view[:, 0, :] = mat[0, 0] * a + mat[0, 1] * b
-    view[:, 1, :] = mat[1, 0] * a + mat[1, 1] * b
+# ---------------------------------------------------------------------------
+# the one kernel: a matrix block applied to state axes
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _parts(k: int) -> tuple:
+    """Index of each slice j of a state reshaped by a k-axis block."""
+    return tuple(tuple(x for b in range(k) for x in (slice(None), (j >> (k - 1 - b)) & 1))
+                 for j in range(1 << k))
+
+
+def _block(mat: np.ndarray, axes) -> tuple:
+    """The block of the 2^k x 2^k ``mat`` acting on the state ``axes``, its
+    first index bit on ``axes[0]``, for :func:`_apply_block`: (the reshape
+    of a state that makes each axis a dimension of size 2, the index of
+    each slice j where those axes read j, and each row i that is not a row
+    of the identity as (i, whether slice i is copied before it is written
+    because a later row reads it, its nonzero (column, entry) pairs, the
+    diagonal one first)). The entries keep the dtype of ``mat``: a complex
+    state multiplies fastest by complex scalars, and a float64 state
+    accepts only real ones."""
+    k = len(axes)
+    order = sorted(range(k), key=axes.__getitem__)
+    if order != list(range(k)):
+        mat = mat.reshape((2,) * (2 * k)).transpose(
+            order + [k + b for b in order]).reshape(1 << k, 1 << k)
+    rows, turn = [], {}
+    for i, row in enumerate(mat.tolist()):
+        terms = [(j, a) for j, a in enumerate(row) if a != 0 and j != i]
+        if row[i] != 0:
+            terms.insert(0, (i, row[i]))
+        if terms != [(i, 1)]:
+            turn[i] = len(rows)
+            rows.append((i, terms))
+    kept = {j for t, (i, terms) in enumerate(rows) for j, _ in terms
+            if j != i and turn.get(j, t) < t}
+    shape, last = [], -1
+    for q in sorted(axes):
+        shape += [1 << (q - last - 1), 2]
+        last = q
+    return (*shape, -1), _parts(k), [(i, i in kept, terms) for i, terms in rows]
+
+
+def _apply_block(psi: np.ndarray, block) -> np.ndarray:
+    """Apply a :func:`_block` to the contiguous ``psi`` in place and return
+    it. Every trailing axis beyond the block's last is a batch axis: the
+    columns of a (2^n, c) array of states transform alike."""
+    shape, parts, rows = block
+    view = psi.reshape(shape)
+    old = {}
+    for i, keep, terms in rows:
+        out = view[parts[i]]
+        if keep:
+            old[i] = out.copy()
+        if not terms:
+            out[...] = 0.0
+            continue
+        (j, a), *rest = terms
+        if j == i:
+            if a != 1:
+                out *= a
+        elif a == 1:
+            out[...] = old[j] if j in old else view[parts[j]]
+        else:
+            np.multiply(old[j] if j in old else view[parts[j]], a, out=out)
+        for j, a in rest:
+            out += a * (old[j] if j in old else view[parts[j]])
     return psi
 
 
-def _apply_cx(psi: np.ndarray, c: int, t: int, n: int) -> np.ndarray:
-    lo, hi = (c, t) if c < t else (t, c)
-    view = psi.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
-    if c < t:
-        tmp = view[:, 1, :, 0, :].copy()
-        view[:, 1, :, 0, :] = view[:, 1, :, 1, :]
-        view[:, 1, :, 1, :] = tmp
-    else:
-        tmp = view[:, 0, :, 1, :].copy()
-        view[:, 0, :, 1, :] = view[:, 1, :, 1, :]
-        view[:, 1, :, 1, :] = tmp
-    return psi
+def _ops(instructions):
+    """Every instruction, each cond body's in place of its cond."""
+    for ins in instructions:
+        yield from ins.body if ins.gate == "cond" else (ins,)
 
 
-def _apply_unitary(psi: np.ndarray, ins: Instruction, n: int) -> np.ndarray:
-    if ins.gate == "cx":
-        return _apply_cx(psi, ins.qubits[0], ins.qubits[1], n)
-    return _apply_1q(psi, gate_matrix(ins), ins.qubits[0], n)
+def _block_rule(instructions, build=lambda ins: _block(gate_matrix(ins), ins.qubits)):
+    """``apply`` of a :func:`_walk` of ``instructions``, whose qubits are
+    state axes: each gate, cond bodies included, runs as the block that
+    ``build`` makes of it (by default its own matrix), built here once."""
+    blocks = {id(ins): build(ins) for ins in _ops(instructions)
+              if ins.gate not in ("barrier", "measure")}
+    return lambda state, ins: _apply_block(state, blocks[id(ins)])
 
 
 def _project(state: np.ndarray, axes, outcome: int) -> np.ndarray:
@@ -270,34 +327,9 @@ def _split(branches, ins):
     return out
 
 
-def _enumerate_branches(circuit: Circuit):
-    """Run all measurement branches exactly. Returns a list of
-    (clbits tuple, unnormalized statevector); weights are the norms squared."""
-    n = circuit.num_qubits
-    return _walk(circuit.instructions, [((0,) * circuit.num_clbits, _ground(n))],
-                 lambda psi, ins: _apply_unitary(psi, ins, n), _split)
-
-
 # ---------------------------------------------------------------------------
-# the compiled resource: message-independent work, simulated once per sweep
+# the Bell prefix: the resource state, simulated without the message
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class CompiledResource:
-    """The resource state of a protocol circuit, simulated once.
-
-    ``prep`` (the used qubits, the message and port qubits and the prep
-    gates, in the circuit's own numbering) is its identity: every message
-    and tomography basis of one (m, variant, layout, dd) shares it.
-    ``t0``/``t1`` are the port's |0> and |1> slices over the other used
-    qubits, and ``index`` maps each of those qubits to its axis in them.
-    """
-
-    prep: tuple
-    t0: np.ndarray
-    t1: np.ndarray
-    index: dict
-
 
 def _bell_parts(circuit: Circuit):
     """Split a valid circuit at its Bell measurement, or return None.
@@ -326,7 +358,8 @@ def _split_prefix(circuit: Circuit, parts, position: dict[int, int]):
     cannot be seeded. ``pre`` and ``post`` multiply the message's own 1q
     gates before and after its one cx(message, port); every other gate is
     resource prep and may not touch the port after that cx, which the
-    seeding would move ahead of it."""
+    seeding would move ahead of it. ``prep`` is what :func:`_compile` runs:
+    (the used qubits, the message, the port, the prep gates)."""
     if parts is None:
         return None
     mq, pq = circuit.roles["message"], circuit.roles["port"]
@@ -355,12 +388,12 @@ def _split_prefix(circuit: Circuit, parts, position: dict[int, int]):
     return pre, post, (tuple(position), mq, pq, tuple(prep))
 
 
-def _fuse(gates, axis: dict[int, int]):
+def _fuse(gates, axis: dict[int, int]) -> list[tuple]:
     """Runs of consecutive gates whose qubits together span at most
     ``_FUSE_QUBITS`` state axes (``axis`` maps a qubit to its axis), each
-    multiplied into one block: (its axes ascending, and row by row the
-    nonzero (column, entry) pairs, the diagonal one first, of the rows of
-    its 2^k x 2^k matrix that are not rows of the identity)."""
+    multiplied into one (matrix, its axes) pair for :func:`_block`. A lone
+    gate's matrix is its own; a longer run's is the identity, its columns
+    the batch axis, with each gate's own block applied to it in turn."""
     runs = []
     for ins in gates:
         axes = {axis[q] for q in ins.qubits}
@@ -371,109 +404,54 @@ def _fuse(gates, axis: dict[int, int]):
             runs.append((axes, [ins]))
     blocks = []
     for axes, run in runs:
+        if len(run) == 1:
+            blocks.append((gate_matrix(run[0]), [axis[q] for q in run[0].qubits]))
+            continue
         axes = sorted(axes)
-        local = {q: axes.index(axis[q]) for ins in run for q in ins.qubits}
         mat = np.eye(1 << len(axes), dtype=complex)
-        for ins in run:  # each column of mat is a state over the block's axes
-            _apply_unitary(mat, _remap(ins, local), len(axes))
-        rows = []
-        for i, row in enumerate(mat.tolist()):
-            terms = sorted(((j, a) for j, a in enumerate(row) if a != 0),
-                           key=lambda term: term[0] != i)
-            if terms != [(i, 1)]:
-                rows.append((i, terms))
-        blocks.append((axes, rows))
+        for ins in run:
+            _apply_block(mat, _block(gate_matrix(ins),
+                                     [axes.index(axis[q]) for q in ins.qubits]))
+        blocks.append((mat, axes))
     return blocks
-
-
-def _apply_block(psi: np.ndarray, axes, rows) -> None:
-    """Apply a :func:`_fuse` block to ``psi`` in place, in one pass: only
-    the slices of its non-identity rows are written, each from the slices
-    its nonzero entries name, so a controlled gate touches only the half of
-    the state where its control is set and a permutation is a copy."""
-    shape, last = [], -1
-    for q in axes:
-        shape += [1 << (q - last - 1), 2]
-        last = q
-    view = psi.reshape(shape + [-1])
-    k = len(axes)
-
-    def part(j):
-        return view[tuple(x for b in range(k)
-                          for x in (slice(None), (j >> (k - 1 - b)) & 1))]
-
-    # a slice is copied only when a later row still reads it once written
-    turn = {i: t for t, (i, _) in enumerate(rows)}
-    kept = {j for t, (i, terms) in enumerate(rows) for j, _ in terms
-            if j != i and turn.get(j, t) < t}
-    old = {}
-    for i, ((j, a), *rest) in rows:
-        out = part(i)
-        if i in kept:
-            old[i] = out.copy()
-        if j != i:
-            np.multiply(old.get(j, part(j)), a, out=out)
-        elif a != 1:
-            out *= a
-        for j, a in rest:
-            out += a * old.get(j, part(j))
 
 
 def _prep_state(gates, axis: dict[int, int]) -> np.ndarray:
     """The state over the axes of ``axis`` after the prep ``gates``, run as
     :func:`_fuse` blocks: float64 when every block is real, as in every
     logical prep (RY/CX/X only), else complex128."""
-    blocks = _fuse(gates, axis)
-    real = not any(a.imag for _, rows in blocks for _, terms in rows
-                   for _, a in terms)
+    fused = _fuse(gates, axis)
+    real = not any(mat.imag.any() for mat, _ in fused)
     psi = np.zeros(1 << len(axis), dtype=float if real else complex)
     psi[0] = 1.0
-    for axes, rows in blocks:
-        if real:
-            rows = [(i, [(j, a.real) for j, a in terms]) for i, terms in rows]
-        _apply_block(psi, axes, rows)
+    for mat, axes in fused:
+        _apply_block(psi, _block(mat.real if real else mat, axes))
     return psi
 
 
-def _compile(prep: tuple) -> CompiledResource:
-    """Run the prep gates on every qubit but the message and slice the
-    state along the port axis."""
+def _compile(prep: tuple):
+    """Run the prep gates on every qubit but the message. Returns the port's
+    |0> and |1> slices of that state, complex, over the other qubits, and
+    the map from each of those qubits to its axis in them."""
     used, mq, pq, gates = prep
     others = [q for q in used if q != mq]
     axis = {q: k for k, q in enumerate(others)}
-    # The whole state goes complex, not each slice: freeing this 2^n array
-    # raises glibc's mmap threshold above the 2^(n-2) arrays of every later
-    # suffix walk, which at M=8 measured half the time per point.
-    psi = _prep_state(gates, axis).astype(complex, copy=False)
-    view = psi.reshape(1 << axis[pq], 2, -1)
+    view = _prep_state(gates, axis).reshape(1 << axis[pq], 2, -1)
     rest = [q for q in others if q != pq]
-    return CompiledResource(prep, view[:, 0, :].reshape(-1).copy(),
-                            view[:, 1, :].reshape(-1).copy(),
-                            {q: k for k, q in enumerate(rest)})
+    return ((view[:, 0, :].astype(complex).reshape(-1),
+             view[:, 1, :].astype(complex).reshape(-1)),
+            {q: k for k, q in enumerate(rest)})
 
 
-def compile_resource(circuit: Circuit) -> CompiledResource | None:
-    """Simulate the message-independent resource of a protocol circuit once.
-
-    Pass the result to :func:`exact_clone_states` or :func:`run_shots` for
-    every circuit of the same (m, variant, layout, dd), whatever its message
-    or tomography basis; a circuit whose prep differs compiles its own.
-    Returns None when the circuit has no seedable Bell-measurement shape.
-    """
-    position = _validated(circuit, DEFAULT_QUBIT_CAP)
-    split = _split_prefix(circuit, _bell_parts(circuit), position)
-    return None if split is None else _compile(split[2])
-
-
-def _bell_seeds(resource: CompiledResource, msg, post, bell, num_clbits: int):
+def _bell_seeds(slices, pq: int, msg, post, bell, num_clbits: int):
     """Yield the four Bell branches (clbits, (2^(n-2), c) block over the
     remaining qubits) of the c message states in the columns of the 2 x c
-    ``msg``, whose gates after the Bell cx multiply to ``post``, in the
-    order the two ``bell`` measures split them; outcomes of zero weight are
+    ``msg``, from the port ``pq``'s :func:`_compile` ``slices``, when the
+    message's gates after the Bell cx multiply to ``post``, in the order
+    the two ``bell`` measures split them; outcomes of zero weight are
     dropped. Each block is built only when asked for, so a caller that
     walks one branch before taking the next holds one block at a time."""
-    pq = resource.prep[2]
-    slices = (resource.t0[:, None], resource.t1[:, None])
+    slices = [t[:, None] for t in slices]
     (q0, c0), (_, c1) = [(m.qubits[0], m.clbit) for m in bell]
     for o0 in (0, 1):
         for o1 in (0, 1):
@@ -484,19 +462,17 @@ def _bell_seeds(resource: CompiledResource, msg, post, bell, num_clbits: int):
                 yield _set_bit(_set_bit((0,) * num_clbits, c0, o0), c1, o1), block
 
 
-def _start(circuit: Circuit, position: dict[int, int], parts,
-           resource: CompiledResource | None, response: bool = False):
+def _start(circuit: Circuit, position: dict[int, int], parts, response: bool = False):
     """Where the walk of a valid circuit with compaction ``position``
     begins: (instructions, branches, qubit count, map from the circuit's
     qubits to state axes). Every branch state is a (2^n, c) block.
 
     A circuit with a seedable Bell prefix starts after its Bell measurement,
-    from the Bell branches seeded from ``resource`` (compiled here when it
-    is None or its prep differs) over its used qubits but the port and the
-    message; its prep is neither compacted nor simulated. The blocks have
-    one column, the circuit's own message, or with ``response`` two: the
-    message |0> and |1>. Any other circuit is compacted and starts from
-    |0...0>; it has no response.
+    from the Bell branches seeded from its compiled prep over its used
+    qubits but the port and the message; the prep is neither compacted nor
+    walked with the message. The blocks have one column, the circuit's own
+    message, or with ``response`` two: the message |0> and |1>. Any other
+    circuit is compacted and starts from |0...0>; it has no response.
     """
     split = _split_prefix(circuit, parts, position)
     if split is None:
@@ -508,12 +484,10 @@ def _start(circuit: Circuit, position: dict[int, int], parts,
         return (circuit.instructions,
                 [((0,) * circuit.num_clbits, _ground(n)[:, None])], n, position)
     pre, post, prep = split
-    if resource is None or resource.prep != prep:
-        resource = _compile(prep)
+    slices, index = _compile(prep)
     msg = np.eye(2) if response else pre[:, :1]
-    seeds = _bell_seeds(resource, msg, post, parts[1], circuit.num_clbits)
-    return ([_remap(ins, resource.index) for ins in parts[2]], seeds,
-            len(resource.index), resource.index)
+    seeds = _bell_seeds(slices, prep[2], msg, post, parts[1], circuit.num_clbits)
+    return [_remap(ins, index) for ins in parts[2]], seeds, len(index), index
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +506,6 @@ def _cross_trace(block: np.ndarray, keep, n: int) -> np.ndarray:
 
 
 def _branch_sum(circuit: Circuit, groups, cap: int,
-                resource: CompiledResource | None = None,
                 response: bool = False) -> list[np.ndarray]:
     """Branch-summed cross reduced matrices of a protocol circuit on each
     ordered tuple of its qubits in ``groups``, as (c, c, 2^k, 2^k) arrays
@@ -552,30 +525,26 @@ def _branch_sum(circuit: Circuit, groups, cap: int,
     if gone:
         raise SimulationError(f"no state for qubits {gone}: the circuit does "
                               "not use them or measures them")
-    instructions, seeds, n, index = _start(circuit, position, parts, resource,
-                                           response)
+    instructions, seeds, n, index = _start(circuit, position, parts, response)
+    apply = _block_rule(instructions)
     keeps = [[index[q] for q in group] for group in groups]
     out = [0] * len(groups)
     for seed in seeds:
-        for _, block in _walk(instructions, [seed],
-                              lambda psi, ins: _apply_unitary(psi, ins, n), _split):
+        for _, block in _walk(instructions, [seed], apply, _split):
             for g, keep in enumerate(keeps):
                 out[g] = out[g] + _cross_trace(block, keep, n)
     return out
 
 
-def exact_clone_states(circuit: Circuit, cap: int = DEFAULT_QUBIT_CAP,
-                       resource: CompiledResource | None = None):
+def exact_clone_states(circuit: Circuit, cap: int = DEFAULT_QUBIT_CAP):
     """Deterministic per-clone density matrices of a protocol circuit.
 
     Enumerates the four Bell outcomes, pushes each post-measurement branch
     through its feed-forward corrections, weights by branch probability and
-    sums; noiseless semantics only. Requires tomo_basis="none". ``resource``
-    is a :func:`compile_resource` result to reuse; without one, or when its
-    prep differs, the circuit compiles its own.
+    sums; noiseless semantics only. Requires tomo_basis="none".
     """
     return [r[0, 0] for r in _branch_sum(
-        circuit, [(q,) for q in circuit.roles.get("clones", ())], cap, resource)]
+        circuit, [(q,) for q in circuit.roles.get("clones", ())], cap)]
 
 
 def exact_subsystem_state(circuit: Circuit, qubits,
@@ -608,9 +577,8 @@ def statevector(circuit: Circuit, cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
     circuit = _checked(circuit, cap)
     if any(i.gate in ("measure", "cond") for i in circuit.instructions):
         raise SimulationError("statevector requires a measurement-free circuit")
-    n = circuit.num_qubits
-    ((_, psi),) = _walk(circuit.instructions, [((), _ground(n))],
-                        lambda psi, ins: _apply_unitary(psi, ins, n), None)
+    ((_, psi),) = _walk(circuit.instructions, [((), _ground(circuit.num_qubits))],
+                        _block_rule(circuit.instructions), None)
     return psi
 
 
@@ -648,8 +616,7 @@ def _shot_distributions(instructions, branches, n: int):
             return branches
         return _split(branches, ins)
 
-    branches = _walk(instructions, branches,
-                     lambda psi, ins: _apply_unitary(psi, ins, n), measure)
+    branches = _walk(instructions, branches, _block_rule(instructions), measure)
     qubits = [q for q, _ in deferred]
     clbits = [c for _, c in deferred]
     weights, rows, bit_rows = [], [], []
@@ -669,13 +636,12 @@ def _shot_distributions(instructions, branches, n: int):
 
 def run_shots(circuit: Circuit, shots: int, seed: int,
               noise: NoiseModel | None = None,
-              cap: int = DEFAULT_QUBIT_CAP,
-              resource: CompiledResource | None = None) -> dict[str, int]:
+              cap: int = DEFAULT_QUBIT_CAP) -> dict[str, int]:
     """Sample measurement outcomes. Identical (circuit, shots, seed, noise)
     inputs give identical counts; the total always equals ``shots``.
 
     Noiseless protocol circuits walk only what follows the Bell measurement,
-    from branches seeded from ``resource`` (see :func:`exact_clone_states`).
+    from branches seeded from their compiled prep (see :func:`_start`).
     Under noise every shot is a Monte Carlo wavefunction trajectory, run in
     blocks of shots (see :func:`_trajectory_counts`).
     """
@@ -686,8 +652,7 @@ def run_shots(circuit: Circuit, shots: int, seed: int,
         counts = _trajectory_counts(compact(circuit), noise, seed, 0, shots)
         return dict(sorted(counts.items()))
 
-    instructions, branches, n, _ = _start(circuit, position, _bell_parts(circuit),
-                                          resource)
+    instructions, branches, n, _ = _start(circuit, position, _bell_parts(circuit))
     bit_rows, weights, clbits, rows = _shot_distributions(instructions, branches, n)
     total = weights.sum()
     branch_cdf = np.cumsum(weights / total)
@@ -730,9 +695,45 @@ def _noise_after(ins: Instruction, noise: NoiseModel) -> tuple[float, float]:
     return p, noise.amplitude_damping_idle or 0.0
 
 
-def _damping_kraus(gamma: float):
-    return [np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex),
-            np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex)]
+def _superop(kraus) -> np.ndarray:
+    """sum_K K (x) K*: the channel on a density matrix read as a vector,
+    its row qubits before its column qubits."""
+    return sum(np.kron(K, K.conj()) for K in kraus)
+
+
+def _damping(gamma: float) -> np.ndarray:
+    """The superoperator of amplitude damping, whose Kraus operators are
+    diag(1, sqrt(1 - gamma)) and sqrt(gamma) |0><1|."""
+    c = math.sqrt(1 - gamma)
+    return np.array([[1, 0, 0, gamma], [0, c, 0, 0], [0, 0, c, 0], [0, 0, 0, 1 - gamma]],
+                    dtype=complex)
+
+
+def _depolarizing(p: float, k: int) -> np.ndarray:
+    """The superoperator of k-qubit depolarizing, which replaces the state
+    by I/2^k with probability p: rho -> (1 - p) rho + p Tr(rho) I/2^k."""
+    eye = np.eye(1 << k).reshape(-1)
+    return (1 - p) * np.eye(1 << 2 * k) + p / (1 << k) * np.outer(eye, eye)
+
+
+def _channel_block(superop: np.ndarray, qubits, n: int) -> tuple:
+    """The block of a :func:`_superop` on ``qubits`` of a density matrix
+    over ``n`` qubits, read as a vector over 2n."""
+    return _block(superop, [*qubits, *(q + n for q in qubits)])
+
+
+def _noisy_block(ins: Instruction, noise: NoiseModel, n: int) -> tuple:
+    """One gate of the density walk with the noise that follows it
+    (:func:`_noise_after`): the gate, depolarizing on its qubits jointly,
+    then amplitude damping on each of its qubits in turn."""
+    k = len(ins.qubits)
+    p, gamma = _noise_after(ins, noise)
+    superop = _superop([gate_matrix(ins)])
+    if p > 0:
+        superop = _depolarizing(p, k) @ superop
+    for b in range(k if gamma else 0):  # its columns the batch axis, as in _fuse
+        _apply_block(superop, _block(_damping(gamma), [b, k + b]))
+    return _channel_block(superop, ins.qubits, n)
 
 
 def _slot_schedule(instructions, noise: NoiseModel):
@@ -744,14 +745,13 @@ def _slot_schedule(instructions, noise: NoiseModel):
     skips a cond body leaves the body's slots unread, so every shot reads
     the same slot for the same instruction whatever its branch."""
     slots, width = {}, 0
-    for ins in instructions:
-        for sub in ins.body if ins.gate == "cond" else (ins,):
-            slots[id(sub)] = width
-            if sub.gate == "measure":
-                width += 1 + (noise.readout_flip > 0)
-            elif sub.gate != "barrier":
-                p, gamma = _noise_after(sub, noise)
-                width += (p > 0) + (len(sub.qubits) if gamma else 0)
+    for ins in _ops(instructions):
+        slots[id(ins)] = width
+        if ins.gate == "measure":
+            width += 1 + (noise.readout_flip > 0)
+        elif ins.gate != "barrier":
+            p, gamma = _noise_after(ins, noise)
+            width += (p > 0) + (len(ins.qubits) if gamma else 0)
     return slots, width
 
 
@@ -767,13 +767,13 @@ def _shot_uniforms(seed: int, first: int, stop: int, width: int) -> np.ndarray:
     return np.random.Generator(bg).random((stop - first, 4 * counters))
 
 
-def _pauli_columns(psi: np.ndarray, which: np.ndarray, q: int, n: int):
-    """Apply Pauli ``which[c]`` (0 = I, then X, Y, Z) to qubit ``q`` of the
-    state in column c of a block."""
+def _pauli_columns(psi: np.ndarray, which: np.ndarray, paulis):
+    """Apply Pauli ``which[c]`` (0 = I, then X, Y, Z) to the state in
+    column c of a block; ``paulis`` are the four blocks on one qubit."""
     for k in (1, 2, 3):
         cols = np.flatnonzero(which == k)
         if cols.size:
-            psi[:, cols] = _apply_1q(psi.take(cols, axis=1), _PAULIS_1Q[k], q, n)
+            psi[:, cols] = _apply_block(psi.take(cols, axis=1), paulis[k])
 
 
 def _weight_of_one(psi: np.ndarray, q: int):
@@ -799,8 +799,10 @@ def _damp_columns(psi: np.ndarray, q: int, gamma: float, draw: np.ndarray):
         view[:, 1][..., jump] = 0.0
 
 
-def _trajectory_rules(n: int, noise: NoiseModel, slots: dict, u: np.ndarray):
-    """``apply`` and ``measure`` of the trajectory walk of one block.
+def _trajectory_rules(noise: NoiseModel, slots: dict, gate, paulis, u: np.ndarray):
+    """``apply`` and ``measure`` of the trajectory walk of one block, whose
+    gates ``gate`` applies (a :func:`_block_rule`), with the four Pauli
+    blocks of each qubit in ``paulis``.
 
     A branch's state is (block, shots): a (2^n, k) block holding the
     normalized states of k shots, one per column (so a gate's inner loops
@@ -814,11 +816,7 @@ def _trajectory_rules(n: int, noise: NoiseModel, slots: dict, u: np.ndarray):
 
     def apply(state, ins):
         psi, shots = state
-        if ins.gate == "x":  # a swap, exact; most decoupling pulses are x
-            view = psi.reshape(1 << ins.qubits[0], 2, -1)
-            view[:] = view[:, ::-1]
-        else:
-            _apply_unitary(psi, ins, n)
+        gate(psi, ins)
         p, gamma = _noise_after(ins, noise)
         k = slots[id(ins)]
         if p > 0:
@@ -826,11 +824,11 @@ def _trajectory_rules(n: int, noise: NoiseModel, slots: dict, u: np.ndarray):
             k += 1
             if ins.gate == "cx":
                 which = np.where(draw < p, np.minimum(draw * (16 / p), 15), 0).astype(int)
-                _pauli_columns(psi, which >> 2, ins.qubits[0], n)
-                _pauli_columns(psi, which & 3, ins.qubits[1], n)
+                _pauli_columns(psi, which >> 2, paulis[ins.qubits[0]])
+                _pauli_columns(psi, which & 3, paulis[ins.qubits[1]])
             else:
                 which = np.where(draw < 0.75 * p, np.minimum(draw * (4 / p), 2) + 1, 0)
-                _pauli_columns(psi, which.astype(int), ins.qubits[0], n)
+                _pauli_columns(psi, which.astype(int), paulis[ins.qubits[0]])
         if gamma:
             for q in ins.qubits:
                 _damp_columns(psi, q, gamma, u[k][shots])
@@ -874,6 +872,8 @@ def _trajectory_counts(circuit: Circuit, noise: NoiseModel, seed: int,
     """
     n = circuit.num_qubits
     slots, width = _slot_schedule(circuit.instructions, noise)
+    gate = _block_rule(circuit.instructions)
+    paulis = [[_block(P, (q,)) for P in _PAULIS_1Q] for q in range(n)]
     per_block = max(1, _BLOCK_AMPLITUDES >> n)
     counts: Counter = Counter()
     for start in range(first, stop, per_block):
@@ -883,48 +883,10 @@ def _trajectory_counts(circuit: Circuit, noise: NoiseModel, seed: int,
         u = _shot_uniforms(seed, start, end, width).T
         branches = _walk(circuit.instructions,
                          [((0,) * circuit.num_clbits, (block, np.arange(end - start)))],
-                         *_trajectory_rules(n, noise, slots, u))
+                         *_trajectory_rules(noise, slots, gate, paulis, u))
         for bits, (_, shots) in branches:
             counts["".join(map(str, bits))] += len(shots)
     return counts
-
-
-def _dm_apply_unitary(rho, ins: Instruction, n: int):
-    flat = rho.reshape(-1)
-    if ins.gate == "cx":
-        c, t = ins.qubits
-        _apply_cx(flat, c, t, 2 * n)
-        _apply_cx(flat, c + n, t + n, 2 * n)
-    else:
-        mat = gate_matrix(ins)
-        _apply_1q(flat, mat, ins.qubits[0], 2 * n)
-        _apply_1q(flat, mat.conj(), ins.qubits[0] + n, 2 * n)
-    return rho
-
-
-def _dm_apply_kraus(rho, kraus, q, n):
-    dim = 1 << n
-    out = np.zeros_like(rho)
-    for K in kraus:
-        tmp = rho.copy().reshape(-1)
-        _apply_1q(tmp, K, q, 2 * n)
-        _apply_1q(tmp, K.conj(), q + n, 2 * n)
-        out += tmp.reshape(dim, dim)
-    return out
-
-
-def _depolarize_dm(rho, qubits, p, n):
-    if p <= 0:
-        return rho
-    if len(qubits) == 1:
-        kraus = [math.sqrt(1 - 0.75 * p) * _PAULIS_1Q[0]]
-        kraus += [math.sqrt(p / 4) * P for P in _PAULIS_1Q[1:]]
-        return _dm_apply_kraus(rho, kraus, qubits[0], n)
-    # two-qubit joint depolarizing: I/4 replacement
-    mixed = rho
-    for q in qubits:
-        mixed = _dm_apply_kraus(mixed, [0.5 * P for P in _PAULIS_1Q], q, n)
-    return (1 - p) * rho + p * mixed
 
 
 def noisy_clone_states(circuit: Circuit, noise: NoiseModel,
@@ -937,15 +899,6 @@ def noisy_clone_states(circuit: Circuit, noise: NoiseModel,
            for i in circuit.instructions):
         raise SimulationError("noisy_clone_states requires tomo_basis='none'")
     flip = noise.readout_flip
-
-    def apply(rho, ins):
-        _dm_apply_unitary(rho, ins, n)
-        p, gamma = _noise_after(ins, noise)
-        rho = _depolarize_dm(rho, ins.qubits, p, n)
-        if gamma:
-            for q in ins.qubits:
-                rho = _dm_apply_kraus(rho, _damping_kraus(gamma), q, n)
-        return rho
 
     def measure(branches, ins):
         """Split on the outcome, record it flipped with probability ``flip``
@@ -968,7 +921,8 @@ def noisy_clone_states(circuit: Circuit, noise: NoiseModel,
     dim = 1 << n
     rho0 = _ground(2 * n).reshape(dim, dim)
     branches = _walk(circuit.instructions, [((0,) * circuit.num_clbits, rho0)],
-                     apply, measure)
+                     _block_rule(circuit.instructions,
+                                 lambda ins: _noisy_block(ins, noise, n)), measure)
     total = sum(rho for _, rho in branches)
     return [partial_trace(total, [q], n) for q in circuit.roles["clones"]]
 
@@ -1003,19 +957,16 @@ def apply_noise_channel(rho: np.ndarray, channel: tuple, qubits) -> np.ndarray:
         raise SimulationError(f"channel parameter {param} is not CPTP")
     n = int(round(math.log2(rho.shape[0])))
     qubits = list(qubits)
-    out = rho.astype(complex).copy()
+    joint = name == "depolarizing" and len(qubits) == 2
     if name == "depolarizing":
-        if len(qubits) == 2:
-            return _depolarize_dm(out, qubits, param, n)
-        for q in qubits:
-            out = _depolarize_dm(out, [q], param, n)
-        return out
-    if name == "bit_flip":
-        kraus = [math.sqrt(1 - param) * _PAULIS_1Q[0], math.sqrt(param) * _X]
+        superop = _depolarizing(param, 2 if joint else 1)
+    elif name == "bit_flip":
+        superop = _superop([math.sqrt(1 - param) * _PAULIS_1Q[0], math.sqrt(param) * _X])
     elif name == "amplitude_damping":
-        kraus = _damping_kraus(param)
+        superop = _damping(param)
     else:
         raise SimulationError(f"unknown channel '{name}'")
-    for q in qubits:
-        out = _dm_apply_kraus(out, kraus, q, n)
+    out = rho.astype(complex, order="C")
+    for group in [qubits] if joint else [[q] for q in qubits]:
+        _apply_block(out, _channel_block(superop, group, n))
     return out

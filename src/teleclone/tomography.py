@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import SimulationError, TomographyError
-from .simulator import _X, _Y, _Z, NoiseModel, compile_resource, run_shots
+from .simulator import _X, _Y, _Z, NoiseModel, run_shots
 from .telecloning import MessageState, TelecloningVariant, build_protocol_circuit
 
 BASES = ("x", "y", "z")
@@ -137,21 +137,18 @@ def tomography_run(m: int, variant: TelecloningVariant, message: MessageState,
     ``transform`` optionally rewrites each basis circuit before execution
     (layout mapping, decoupling passes); it must preserve clone bit order.
     Each basis samples joint counts with :func:`run_shots` from its own
-    child of ``seed``; a noiseless run compiles the resource once, from the
-    first basis circuit, for all three.
+    child of ``seed``. Sweeps reach this only with noise; noiseless sweeps
+    draw from their clone response instead (:func:`sample_tomography`).
     """
     if shots_per_basis < 1:
         raise SimulationError("shots_per_basis must be >= 1")
     per_clone: list[dict] = [dict() for _ in range(m)]
-    resource = None
     for bi, basis in enumerate(BASES):
         circuit = build_protocol_circuit(m, variant, message, tomo_basis=basis)
         if transform is not None:
             circuit = transform(circuit)
-        if bi == 0 and (noise is None or not noise.any_noise()):
-            resource = compile_resource(circuit)
         counts = run_shots(circuit, shots_per_basis, seed=_basis_seed(seed, bi),
-                           noise=noise, resource=resource)
+                           noise=noise)
         for k in range(m):
             n1 = sum(c for key, c in counts.items() if key[2 + k] == "1")
             per_clone[k][basis] = (shots_per_basis - n1, n1)

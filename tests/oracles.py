@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from teleclone.simulator import _ground, _split, _walk, gate_matrix
+
 
 def basis_state(n, bits):
     v = np.zeros(1 << n, dtype=complex)
@@ -37,6 +39,98 @@ def scs_expected(m, i):
         moved = [1] * (i - 1) + [0] * (m - i) + [1]
         v[int("".join(map(str, moved)), 2)] += math.sqrt(i / m)
     return v
+
+
+def apply_1q(psi, mat, q, n):
+    """Apply ``mat`` to qubit ``q`` of a state over ``n`` qubits, in place,
+    gate by gate. A contiguous (2^n, k) block holds k states, one per
+    column, and every column transforms alike (so for :func:`apply_cx`)."""
+    view = psi.reshape(1 << q, 2, -1)
+    a = view[:, 0, :].copy()
+    b = view[:, 1, :]
+    view[:, 0, :] = mat[0, 0] * a + mat[0, 1] * b
+    view[:, 1, :] = mat[1, 0] * a + mat[1, 1] * b
+    return psi
+
+
+def apply_cx(psi, c, t, n):
+    lo, hi = (c, t) if c < t else (t, c)
+    view = psi.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
+    if c < t:
+        tmp = view[:, 1, :, 0, :].copy()
+        view[:, 1, :, 0, :] = view[:, 1, :, 1, :]
+        view[:, 1, :, 1, :] = tmp
+    else:
+        tmp = view[:, 0, :, 1, :].copy()
+        view[:, 0, :, 1, :] = view[:, 1, :, 1, :]
+        view[:, 1, :, 1, :] = tmp
+    return psi
+
+
+def apply_unitary(psi, ins, n):
+    if ins.gate == "cx":
+        return apply_cx(psi, ins.qubits[0], ins.qubits[1], n)
+    return apply_1q(psi, gate_matrix(ins), ins.qubits[0], n)
+
+
+def enumerate_branches(circuit):
+    """Run all measurement branches of a compacted circuit exactly, gate by
+    gate. Returns a list of (clbits tuple, unnormalized statevector);
+    weights are the norms squared."""
+    n = circuit.num_qubits
+    return _walk(circuit.instructions, [((0,) * circuit.num_clbits, _ground(n))],
+                 lambda psi, ins: apply_unitary(psi, ins, n), _split)
+
+
+def embed(op, qubits, n):
+    """The 2^n x 2^n matrix of the k-qubit ``op`` on ``qubits`` (its first
+    index bit on qubits[0]), the identity on every other qubit."""
+    k = len(qubits)
+    full = np.kron(op, np.eye(1 << (n - k))).reshape((2,) * (2 * n))
+    perm = list(np.argsort(list(qubits) + [q for q in range(n) if q not in qubits]))
+    return full.transpose(perm + [n + p for p in perm]).reshape(1 << n, 1 << n)
+
+
+PAULIS = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+          np.diag([1.0, -1.0]))
+
+
+def kraus_apply(rho, kraus, qubits, n):
+    """sum_K K rho K^dagger with each K embedded on ``qubits``."""
+    out = np.zeros_like(rho, dtype=complex)
+    for K in kraus:
+        full = embed(K, qubits, n)
+        out += full @ rho @ full.conj().T
+    return out
+
+
+def depolarize(rho, p, qubits, n):
+    """(1 - p) rho + p (the state with ``qubits`` replaced by I/2^k)."""
+    paulis = [np.kron(a, b) for a in PAULIS for b in PAULIS] if len(qubits) == 2 \
+        else PAULIS
+    mixed = kraus_apply(rho, paulis, qubits, n) / len(paulis)
+    return (1 - p) * rho + p * mixed
+
+
+def damp(rho, gamma, q, n):
+    kraus = [np.diag([1.0, math.sqrt(1 - gamma)]),
+             np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]])]
+    return kraus_apply(rho, kraus, [q], n)
+
+
+def noisy_gate(rho, ins, noise, n):
+    """A full 2^n x 2^n density matrix after one gate and the noise that
+    follows it: the gate; depolarizing on its qubits jointly, none after rz,
+    depolarizing_2q after cx and depolarizing_1q after every other gate;
+    then amplitude damping on each of its qubits in turn, none after rz."""
+    rho = kraus_apply(rho, [gate_matrix(ins)], list(ins.qubits), n)
+    if ins.gate == "rz":
+        return rho
+    p = noise.depolarizing_2q if ins.gate == "cx" else noise.depolarizing_1q
+    rho = depolarize(rho, p, list(ins.qubits), n)
+    for q in ins.qubits:
+        rho = damp(rho, noise.amplitude_damping_idle or 0.0, q, n)
+    return rho
 
 
 def circuit_unitary(circuit, apply_fn, n):

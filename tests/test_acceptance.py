@@ -18,7 +18,7 @@ from teleclone.hardware import enumerate_layouts, insert_dd, transpile_to_native
 from teleclone.simulator import apply_response, compile_response
 from teleclone.tomography import rho_from_bloch
 
-from .oracles import (basis_state, dicke_vector, mle_grid_oracle,
+from .oracles import (apply_unitary, basis_state, dicke_vector, mle_grid_oracle,
                       random_density_matrix, staircase_bits, trace_distance)
 
 NOA = TelecloningVariant.NO_ANCILLA
@@ -250,14 +250,13 @@ def test_criterion_7_noise_floor():
 def test_criterion_8_oracle_suites():
     # (a) Dicke builders vs combinatorial enumeration, M <= 6, every weight
     from teleclone import build_dsu
-    from teleclone.simulator import _apply_unitary
     worst_dicke = 0.0
     for m in range(1, 7):
         circ = build_dsu(m)
         for i in range(m + 1):
             psi = basis_state(m, staircase_bits(i, m))
             for ins in circ.instructions:
-                _apply_unitary(psi, ins, m)
+                apply_unitary(psi, ins, m)
             worst_dicke = max(worst_dicke,
                               float(np.abs(psi - dicke_vector(m, i)).max()))
     ok_a = worst_dicke <= 1e-12

@@ -9,16 +9,16 @@ import pytest
 from teleclone import Circuit, build_dsu, build_scs, statevector, validate
 from teleclone.exceptions import CircuitError
 
-from .oracles import basis_state, circuit_unitary, dicke_vector, scs_expected, staircase_bits
+from .oracles import (apply_unitary, basis_state, circuit_unitary, dicke_vector,
+                      scs_expected, staircase_bits)
 
 
 def _apply(circuit):
     def run(psi):
-        from teleclone.simulator import _apply_unitary
         out = psi.copy()
         for ins in circuit.instructions:
             if ins.gate != "barrier":
-                _apply_unitary(out, ins, circuit.num_qubits)
+                apply_unitary(out, ins, circuit.num_qubits)
         return out
     return run
 

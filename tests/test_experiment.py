@@ -7,11 +7,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from teleclone import MessageState, TelecloningVariant, theoretical_fidelity
+from teleclone import MessageState, NoiseModel, TelecloningVariant, theoretical_fidelity
 from teleclone.exceptions import ConfigError
 from teleclone.experiment import (ExperimentConfig, ExperimentRecord, angle_grid,
                                   emit_bloch, emit_heatmap, run_experiment)
+from teleclone.hardware import DurationTable
 
 NOA = TelecloningVariant.NO_ANCILLA
 OPT = TelecloningVariant.WITH_ANCILLA_OPTIMIZED
@@ -45,11 +48,61 @@ def test_config_validation():
                                          "bogus_key": 1})
 
 
-def test_config_json_round_trip():
-    cfg = ExperimentConfig(m=3, variant=OPT, n_psi=4, n_phi=5, seed=9,
-                           layout_index=2, dd=True, mode="exact")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8)
+_UNIT = st.floats(0.0, 1.0)
+_NS = st.floats(0.0, 1e4)
+
+
+@st.composite
+def _configs(draw):
+    variant = draw(st.sampled_from(list(TelecloningVariant)))
+    layout = draw(st.none() | st.integers(0, 6))
+    return ExperimentConfig(
+        m=draw(st.integers(2, 3) if variant is NOA else st.integers(2, 10)),
+        variant=variant, n_psi=draw(st.integers(1, 50)), n_phi=draw(st.integers(1, 50)),
+        shots_per_basis=draw(st.integers(1, 10 ** 6)),
+        seed=draw(st.integers(0, 2 ** 64 - 1)), layout_index=layout,
+        dd=layout is not None and draw(st.booleans()),
+        durations=draw(st.none() | st.builds(
+            DurationTable, sx=_NS, x=_NS, cx=_NS, measure=_NS, feedforward_latency=_NS,
+            cx_overrides=st.dictionaries(st.tuples(st.integers(0, 26), st.integers(0, 26)),
+                                         _NS, max_size=3))),
+        noise=draw(st.none() | st.builds(NoiseModel, depolarizing_1q=_UNIT,
+                                         depolarizing_2q=_UNIT, readout_flip=_UNIT,
+                                         amplitude_damping_idle=st.none() | _UNIT)),
+        mode=draw(st.sampled_from(["exact", "shots"])))
+
+
+@given(_configs())
+def test_config_json_round_trip(cfg):
     d = cfg.to_json_dict()
     assert ExperimentConfig.from_json_dict(json.loads(json.dumps(d))) == cfg
+
+
+def _config_or_config_error(d):
+    try:
+        assert isinstance(ExperimentConfig.from_json_dict(d), ExperimentConfig)
+    except ConfigError:
+        pass
+
+
+@example(7)
+@example(["x"])
+@example({"variant": "no-ancilla"})
+@given(_JSON)
+def test_any_json_config_gives_config_or_config_error(doc):
+    _config_or_config_error(json.loads(json.dumps(doc)))
+
+
+@given(_configs(), st.sampled_from(sorted(ExperimentConfig(m=2, variant=NOA).to_json_dict())),
+       _JSON)
+def test_any_json_config_value_gives_config_or_config_error(cfg, key, value):
+    d = cfg.to_json_dict()
+    d[key] = value
+    _config_or_config_error(json.loads(json.dumps(d)))
 
 
 def test_exact_mode_mean_matches_theory_m2():
@@ -274,6 +327,17 @@ def test_cli_rejects_bad_config_values(tmp_path, entry):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("doc", [7, ["x"], {"variant": "no-ancilla"}],
+                         ids=["number", "list", "no-m"])
+def test_cli_rejects_config_that_is_not_a_config_object(tmp_path, doc):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    r = _cli("run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "runs"))
+    assert r.returncode == 1
+    assert "config error" in r.stderr and "Traceback" not in r.stderr
+    assert not (tmp_path / "runs").exists()
+
+
 def test_same_second_runs_get_their_own_directories(tmp_path, monkeypatch):
     from teleclone import cli
     cfg_path = tmp_path / "cfg.json"
@@ -307,7 +371,7 @@ def _clone_p1(c, m):
     distributions over its deferred clone bits, summed over the branches
     that run_shots samples from."""
     from teleclone.simulator import _bell_parts, _shot_distributions, _start, _validated
-    instructions, seeds, n, _ = _start(c, _validated(c, 24), _bell_parts(c), None)
+    instructions, seeds, n, _ = _start(c, _validated(c, 24), _bell_parts(c))
     _, _, clbits, rows = _shot_distributions(instructions, seeds, n)
     out = []
     for k in range(m):

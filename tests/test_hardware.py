@@ -120,16 +120,19 @@ def transpile_to_native_roundtrip(native, lay):
 
 @pytest.mark.parametrize("m,variant", [(2, NOA), (3, NOA), (2, FULL), (3, OPT)])
 def test_transpile_preserves_exact_clone_states(m, variant):
-    msg = MessageState(1.0, 0.8)
-    base = build_protocol_circuit(m, variant, msg)
-    for k in (0, 3, 6):
-        lay = enumerate_layouts(m, variant)[k]
-        native = transpile_to_native(base, lay)
-        assert validate(native) == []
-        a = exact_clone_states(base)
-        b = exact_clone_states(native)
-        for ra, rb in zip(a, b):
-            np.testing.assert_allclose(ra, rb, atol=1e-10)
+    """Transpiled, with and without decoupling, equals logical on every
+    layout for random messages."""
+    rng = np.random.default_rng(m)
+    for _ in range(2):
+        msg = MessageState(float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi)))
+        base = build_protocol_circuit(m, variant, msg)
+        want = exact_clone_states(base)
+        for lay in enumerate_layouts(m, variant):
+            native = transpile_to_native(base, lay)
+            assert validate(native) == []
+            for c in (native, insert_dd(native)):
+                for ra, rb in zip(want, exact_clone_states(c)):
+                    np.testing.assert_allclose(rb, ra, rtol=0, atol=1e-12)
 
 
 def test_transpile_rejects_off_edge():

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from teleclone import (Circuit, MessageState, NoiseModel, TelecloningVariant,
-                       apply_noise_channel, build_protocol_circuit, cond, cx,
+                       apply_noise_channel, build_protocol_circuit, cx,
                        exact_clone_states, exact_subsystem_state, h, measure,
-                       noisy_clone_states, partial_trace, run_shots, ry, rz, x)
+                       noisy_clone_states, partial_trace, run_shots, ry, rz, sx, x)
 from teleclone.exceptions import SimulationError
-from teleclone.simulator import _apply_unitary, compact
+from teleclone.simulator import _apply_block, _block, _fuse, compact, gate_matrix
 
-from .oracles import ideal_clone_rho, ptrace_pure, trace_distance
+from .oracles import (PAULIS, apply_1q, apply_unitary, damp, depolarize,
+                      enumerate_branches, ideal_clone_rho, kraus_apply, noisy_gate,
+                      ptrace_pure, random_density_matrix)
 
 NOA = TelecloningVariant.NO_ANCILLA
 OPT = TelecloningVariant.WITH_ANCILLA_OPTIMIZED
@@ -67,11 +69,10 @@ def test_bell_outcomes_uniform_m2_all_variants():
 def test_counts_match_exact_branch_probabilities():
     """Total-variation distance to the exact distribution <= 5/sqrt(shots).
     The oracle enumerates every measurement, the clone measures included."""
-    from teleclone.simulator import _enumerate_branches
     shots = 10_000
     c = build_protocol_circuit(2, NOA, MessageState(1.0, 0.5), tomo_basis="z")
     exact = {}
-    for bits, vec in _enumerate_branches(compact(c)):
+    for bits, vec in enumerate_branches(compact(c)):
         key = "".join(map(str, bits))
         exact[key] = exact.get(key, 0.0) + np.vdot(vec, vec).real
     assert abs(sum(exact.values()) - 1.0) < 1e-12
@@ -100,7 +101,7 @@ def test_seeded_shot_distributions_match_full_walk(m, variant, native):
         c = build_protocol_circuit(m, variant, msg, tomo_basis=basis)
         c = _native(c, m, variant) if native else c
         position = _validated(c, 24)
-        instructions, seeds, n, _ = _start(c, position, _bell_parts(c), None)
+        instructions, seeds, n, _ = _start(c, position, _bell_parts(c))
         assert n == len(position) - 2
         bits, weights, clbits, rows = _shot_distributions(instructions, seeds, n)
         cc = compact(c)
@@ -120,22 +121,24 @@ def test_compiled_prep_matches_gate_walk(m, variant):
     same prep gates: in float64 for a logical circuit, in complex128 for a
     native one at layouts 0 and 6 with decoupling, whose rz/sx are complex."""
     from teleclone.hardware import enumerate_layouts, insert_dd, transpile_to_native
-    from teleclone.simulator import _ground, _prep_state, _remap, compile_resource
+    from teleclone.simulator import (_bell_parts, _compile, _ground, _prep_state, _remap,
+                                     _split_prefix, _validated)
     logical = build_protocol_circuit(m, variant, MessageState(1.1, 0.4))
     layouts = enumerate_layouts(m, variant)
     cases = [(logical, np.float64)] + [
         (insert_dd(transpile_to_native(logical, layouts[k])), np.complex128)
         for k in (0, 6)]
     for c, dtype in cases:
-        resource = compile_resource(c)
-        used, mq, pq, gates = resource.prep
+        _, _, prep = _split_prefix(c, _bell_parts(c), _validated(c, 24))
+        used, mq, pq, gates = prep
         axis = {q: k for k, q in enumerate(q for q in used if q != mq)}
         assert _prep_state(gates, axis).dtype == dtype
         psi = _ground(len(axis))
         for ins in gates:
-            _apply_unitary(psi, _remap(ins, axis), len(axis))
+            apply_unitary(psi, _remap(ins, axis), len(axis))
         view = psi.reshape(1 << axis[pq], 2, -1)
-        for got, want in ((resource.t0, view[:, 0, :]), (resource.t1, view[:, 1, :])):
+        slices, _ = _compile(prep)
+        for got, want in zip(slices, (view[:, 0, :], view[:, 1, :])):
             assert got.dtype == np.complex128
             np.testing.assert_allclose(got, want.reshape(-1), rtol=0, atol=1e-12)
 
@@ -190,13 +193,12 @@ def test_exact_requires_bell_structure():
 
 def test_exact_fast_path_matches_generic():
     """The port-slice shortcut and plain branch enumeration must agree."""
-    from teleclone.simulator import _enumerate_branches
     msg = MessageState(0.8, 2.5)
     for m, variant in [(2, NOA), (3, OPT)]:
         c = build_protocol_circuit(m, variant, msg)
         fast = exact_clone_states(c)
         cc = compact(c)
-        branches = _enumerate_branches(cc)
+        branches = enumerate_branches(cc)
         for k, q in enumerate(cc.roles["clones"]):
             rho = sum(ptrace_pure(v, [q], cc.num_qubits) for _, v in branches)
             np.testing.assert_allclose(fast[k], rho, atol=1e-12)
@@ -205,42 +207,17 @@ def test_exact_fast_path_matches_generic():
 def test_port_gate_after_bell_cx_is_enumerated():
     """A gate on the port between the Bell cx and the measures cannot be
     moved ahead of that cx, so such a circuit is walked in full."""
-    from teleclone.simulator import _enumerate_branches
     c = build_protocol_circuit(2, NOA, MessageState(0.8, 2.5))
     port = c.roles["port"]
     at = c.instructions.index(cx(0, port)) + 1
     odd = Circuit(c.num_qubits, c.num_clbits,
                   c.instructions[:at] + (h(port), rz(0.7, port)) + c.instructions[at:],
                   roles=c.roles)
-    branches = _enumerate_branches(odd)
+    branches = enumerate_branches(odd)
     for k, q in enumerate(odd.roles["clones"]):
         want = sum(ptrace_pure(v, [q], odd.num_qubits) for _, v in branches)
         np.testing.assert_allclose(exact_clone_states(odd)[k], want, atol=1e-12)
         assert np.abs(want - exact_clone_states(c)[k]).max() > 0.05
-
-
-def test_compiled_resource_reused_only_on_matching_prep():
-    """A compiled resource serves every message and basis of its prep and
-    gives the results of an uncompiled call; a circuit whose prep differs
-    compiles its own."""
-    from teleclone.simulator import compile_resource
-    c = build_protocol_circuit(2, NOA, MessageState(0.3, 1.2))
-    resource = compile_resource(c)
-    msg = MessageState(0.8, 2.5)
-    same = build_protocol_circuit(2, NOA, msg)
-    for got, want in zip(exact_clone_states(same, resource=resource),
-                         exact_clone_states(same)):
-        np.testing.assert_array_equal(got, want)
-    for basis in ("x", "y", "z"):
-        t = build_protocol_circuit(2, NOA, msg, tomo_basis=basis)
-        assert run_shots(t, 500, seed=4, resource=resource) == run_shots(t, 500, seed=4)
-    clone = same.roles["clones"][0]
-    odd = Circuit(same.num_qubits, same.num_clbits,
-                  (ry(0.9, clone),) + same.instructions, roles=same.roles)
-    got = exact_clone_states(odd, resource=resource)
-    for rho, want, plain in zip(got, exact_clone_states(odd), exact_clone_states(same)):
-        np.testing.assert_allclose(rho, want, atol=1e-12)
-        assert np.abs(rho - plain).max() > 0.05
 
 
 def test_subsystem_state_takes_original_qubits():
@@ -295,6 +272,91 @@ def test_partial_trace_ancilla_equivalence_m3():
     np.testing.assert_allclose(rf, ro, atol=1e-12)
 
 
+def _oracle_gates(n):
+    """x, sx, rz, h, ry and cx in both orientations, on the first and last
+    of ``n`` qubits and one between."""
+    return [x(n - 1), sx(0), rz(0.7, 1), h(n - 1), ry(1.3, 1), cx(0, n - 1), cx(n - 1, 1)]
+
+
+_ONE_CHANNEL = {
+    "depolarizing_1q": NoiseModel(depolarizing_1q=0.3),
+    "depolarizing_2q": NoiseModel(depolarizing_2q=0.4),
+    "readout_flip": NoiseModel(readout_flip=0.2),
+    "amplitude_damping": NoiseModel(amplitude_damping_idle=0.35),
+    "all-four": NoiseModel(depolarizing_1q=0.3, depolarizing_2q=0.4, readout_flip=0.2,
+                           amplitude_damping_idle=0.35),
+}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("noise", list(_ONE_CHANNEL.values()), ids=list(_ONE_CHANNEL))
+def test_density_walk_gate_matches_full_matrices(noise, n):
+    """The density walk's one block per gate is the gate, then
+    depolarizing, then damping on each of its qubits, on full 2^n matrices.
+    Damping does not commute with X, so a wrong composition order fails."""
+    from teleclone.simulator import _apply_block, _noisy_block
+    rho = random_density_matrix(np.random.default_rng(n), 1 << n)
+    for ins in _oracle_gates(n):
+        got = _apply_block(rho.copy(), _noisy_block(ins, noise, n))
+        np.testing.assert_allclose(got, noisy_gate(rho, ins, noise, n), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_noise_channels_match_full_matrices(n):
+    """apply_noise_channel on each qubit, on a qubit list, and as a joint
+    depolarizing on a reversed qubit pair, against full 2^n matrices."""
+    rho = random_density_matrix(np.random.default_rng(10 + n), 1 << n)
+    p = 0.3
+    flip = [math.sqrt(1 - p) * PAULIS[0], math.sqrt(p) * PAULIS[1]]
+    for q in range(n):
+        for name, want in (("depolarizing", depolarize(rho, p, [q], n)),
+                           ("bit_flip", kraus_apply(rho, flip, [q], n)),
+                           ("amplitude_damping", damp(rho, p, q, n))):
+            np.testing.assert_allclose(apply_noise_channel(rho, (name, p), [q]), want,
+                                       rtol=0, atol=1e-12)
+    np.testing.assert_allclose(apply_noise_channel(rho, ("amplitude_damping", p), [n - 1, 0]),
+                               damp(damp(rho, p, n - 1, n), p, 0, n), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(apply_noise_channel(rho, ("depolarizing", p), [n - 1, 0]),
+                               depolarize(rho, p, [n - 1, 0], n), rtol=0, atol=1e-12)
+
+
+def test_trajectory_step_matches_oracle():
+    """A trajectory step applies the gate to every column of a block, then
+    each column's drawn Pauli: after a 1q gate X, Y or Z with probability
+    p/4 each, after a cx one of the 16 two-qubit Paulis with p/16 each, and
+    none after the virtual rz. The oracle does the same column by column,
+    gate by gate, to 1e-12."""
+    from teleclone.simulator import (_PAULIS_1Q, _block, _block_rule, _slot_schedule,
+                                     _trajectory_rules)
+    n, cols, p = 3, 64, 0.9
+    noise = NoiseModel(depolarizing_1q=p, depolarizing_2q=p)
+    gates = _oracle_gates(n)
+    slots, width = _slot_schedule(gates, noise)
+    rng = np.random.default_rng(3)
+    u = rng.random((width, cols))
+    psi = rng.normal(size=(1 << n, cols)) + 1j * rng.normal(size=(1 << n, cols))
+    psi /= np.linalg.norm(psi, axis=0)
+    want = [psi[:, c].copy() for c in range(cols)]
+    apply, _ = _trajectory_rules(noise, slots, _block_rule(gates),
+                                 [[_block(P, (q,)) for P in _PAULIS_1Q] for q in range(n)], u)
+    state = (psi, np.arange(cols))
+    for ins in gates:
+        state = apply(state, ins)
+        for c, col in enumerate(want):
+            apply_unitary(col, ins, n)
+            draw = u[slots[id(ins)], c]
+            if ins.gate == "rz":
+                continue
+            if ins.gate == "cx":
+                pair = int(min(draw * (16 / p), 15)) if draw < p else 0
+                apply_1q(col, PAULIS[pair >> 2], ins.qubits[0], n)
+                apply_1q(col, PAULIS[pair & 3], ins.qubits[1], n)
+            elif draw < 0.75 * p:
+                apply_1q(col, PAULIS[int(min(draw * (4 / p), 2)) + 1], ins.qubits[0], n)
+    assert state[0] is psi
+    np.testing.assert_allclose(psi, np.transpose(want), rtol=0, atol=1e-12)
+
+
 def test_noise_channels_basic():
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     np.testing.assert_allclose(apply_noise_channel(rho0, ("depolarizing", 0.0), [0]),
@@ -312,24 +374,52 @@ def test_noise_channels_basic():
 
 
 def test_statevector_norm_preserved_random_circuits():
+    """Random circuits applied through blocks, one per gate or fused, to a
+    batch of random states in the columns of one array give the oracle's
+    gate-by-gate states to 1e-12, norms kept; statevector gives the
+    oracle's walk from |0...0>."""
+    from teleclone import statevector
+    from teleclone.simulator import used_qubits
     rng = np.random.default_rng(0)
     for _ in range(10_000):
         n = int(rng.integers(1, 7))
-        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        psi /= np.linalg.norm(psi)
+        gates = []
         for _ in range(8):
-            kind = rng.integers(0, 4)
+            kind = rng.integers(0, 6)
+            q = int(rng.integers(n))
             if kind == 0 and n >= 2:
                 a, b = rng.choice(n, size=2, replace=False)
-                ins = cx(int(a), int(b))
+                gates.append(cx(int(a), int(b)))
             elif kind == 1:
-                ins = ry(float(rng.normal()), int(rng.integers(n)))
+                gates.append(ry(float(rng.normal()), q))
             elif kind == 2:
-                ins = rz(float(rng.normal()), int(rng.integers(n)))
+                gates.append(rz(float(rng.normal()), q))
+            elif kind == 3:
+                gates.append(x(q))
+            elif kind == 4:
+                gates.append(sx(q))
             else:
-                ins = h(int(rng.integers(n)))
-            _apply_unitary(psi, ins, n)
-        assert abs(np.vdot(psi, psi).real - 1.0) < 1e-10
+                gates.append(h(q))
+        cols = int(rng.integers(1, 4))
+        psi = rng.normal(size=(1 << n, cols)) + 1j * rng.normal(size=(1 << n, cols))
+        psi /= np.linalg.norm(psi, axis=0)
+        want = psi.copy()
+        for ins in gates:
+            apply_unitary(want, ins, n)
+        for blocks in ([_block(gate_matrix(ins), ins.qubits) for ins in gates],
+                       [_block(*pair) for pair in _fuse(gates, {q: q for q in range(n)})]):
+            got = psi.copy()
+            for block in blocks:
+                _apply_block(got, block)
+            assert np.abs(got - want).max() <= 1e-12
+        assert np.abs(np.linalg.norm(got, axis=0) - 1.0).max() < 1e-10
+        circuit = Circuit(n, 0, tuple(gates))
+        if len(used_qubits(circuit)) == n:
+            ground = np.zeros(1 << n, dtype=complex)
+            ground[0] = 1.0
+            for ins in gates:
+                apply_unitary(ground, ins, n)
+            assert np.abs(statevector(circuit) - ground).max() <= 1e-12
 
 
 def test_noise_monotone_fidelity_and_floor():

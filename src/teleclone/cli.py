@@ -20,7 +20,7 @@ from .experiment import (ExperimentConfig, ExperimentRecord, emit_bloch,
 from .hardware import DurationTable, enumerate_layouts, insert_dd, transpile_to_native
 from .qasm import export_qasm
 from .telecloning import (BASIS_CHOICES, MessageState, TelecloningVariant,
-                          build_protocol_circuit)
+                          build_protocol_circuit, with_tomography)
 
 _VARIANTS = {v.value: v for v in TelecloningVariant}
 
@@ -85,10 +85,10 @@ def _cmd_run(args) -> int:
     (out / "bloch.json").write_text(emit_bloch(record) + "\n")
     circ_dir = out / "circuits"
     circ_dir.mkdir(exist_ok=True)
-    first = MessageState(0.0, 0.0)
+    none = build_protocol_circuit(config.m, config.variant, MessageState(0.0, 0.0))
     for basis in ("none", "x", "y", "z"):
-        c = build_protocol_circuit(config.m, config.variant, first, tomo_basis=basis)
-        (circ_dir / f"protocol-{basis}.qasm").write_text(export_qasm(c))
+        (circ_dir / f"protocol-{basis}.qasm").write_text(
+            export_qasm(with_tomography(none, basis)))
     failed = record.aggregate["n_failed"]
     print(f"wrote {out}")
     _print_summary(record)

@@ -21,7 +21,6 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import repeat
 
@@ -285,22 +284,34 @@ def _aggregate(config: ExperimentConfig, results: list) -> dict:
     }
 
 
+def _failure(exc: Exception) -> dict:
+    """The outcome of a point that raised ``exc``: a TelecloneError's
+    message, or any other exception's type and message, with its traceback
+    on stderr, since that is a fault of the program, not of the input."""
+    if isinstance(exc, TelecloneError):
+        return {"clones": [], "error": str(exc)}
+    import traceback
+    traceback.print_exception(exc)
+    return {"clones": [], "error": f"{type(exc).__name__}: {exc}"}
+
+
 def _run_chunk(config: ExperimentConfig, points) -> list[dict]:
     """Outcomes of a run of (index, message) grid points, each one's failure
-    marker on a TelecloneError; the points share one layout transform and,
+    marker on an exception; the points share one layout transform and,
     without noise, one clone response. When either cannot be made, every
     point carries its error."""
     try:
         transform = _transform_for(config)
         response = _response_for(config, transform)
-    except TelecloneError as exc:
-        return [{"clones": [], "error": str(exc)} for _ in points]
+    except Exception as exc:
+        error = _failure(exc)["error"]
+        return [{"clones": [], "error": error} for _ in points]
     outcomes = []
     for index, msg in points:
         try:
             outcomes.append(_run_point(config, transform, response, index, msg))
-        except TelecloneError as exc:
-            outcomes.append({"clones": [], "error": str(exc)})
+        except Exception as exc:
+            outcomes.append(_failure(exc))
     return outcomes
 
 
@@ -331,6 +342,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     chunks = [points[k:k + size] for k in range(0, len(points), size)]
     jobs = (repeat(config), chunks)
     if len(chunks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             done = list(pool.map(_run_chunk, *jobs))
     else:

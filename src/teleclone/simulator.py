@@ -29,17 +29,16 @@ Philox row (:func:`_shot_uniforms`), so counts do not depend on the blocks.
 
 The resource state does not depend on the message, so a noiseless protocol
 circuit simulates it without the message: :func:`_compile` runs its prep
-gates and keeps the port's |0> and |1> slices, from which
-:func:`_bell_seeds` seeds the four Bell branches of the message states
-given as columns; only what follows the Bell measurement is walked, over
-the other n-2 qubits. A circuit whose prefix cannot be seeded is compacted
-and walked in full from |0...0>. With the circuit's own message as the one
-column this runs :func:`exact_clone_states` and :func:`run_shots`. With the
-columns |0> and |1> it is :func:`compile_response`: every clone state is
-linear in the message's one-qubit state, so one response serves every
-message of a sweep (:func:`apply_response`), and
-``experiment.run_experiment`` builds and walks no circuit per noiseless
-point.
+gates and keeps the port's |0> and |1> slices over the other n-2 qubits.
+:func:`run_shots` walks what follows the Bell measurement from the four
+Bell branches seeded from them. When only one-qubit gates follow, the
+branches differ only by those gates, so :func:`_branch_sum` traces each
+clone out of the two slices once and turns the traced 2 x 2s by each
+branch's gates; nothing is walked. That gives :func:`exact_clone_states`,
+and with the messages |0> and |1> :func:`compile_response`: every clone
+state is linear in the message's one-qubit state, so one response serves
+every message of a sweep (:func:`apply_response`). Any other circuit is
+compacted and walked in full from |0...0>.
 
 One kernel, :func:`_apply_block`, applies every gate and channel matrix,
 as a :func:`_block` built once per circuit: only the slices of its
@@ -220,16 +219,9 @@ def _touched(ins: Instruction) -> set[int]:
 
 
 def used_qubits(circuit: Circuit) -> set[int]:
-    used = set()
-    for ins in circuit.instructions:
-        used.update(ins.qubits)
-        for sub in ins.body:
-            used.update(sub.qubits)
+    used = set().union(*map(_touched, circuit.instructions))
     for v in circuit.roles.values():
-        if isinstance(v, int):
-            used.add(v)
-        else:
-            used.update(v)
+        used.update((v,) if isinstance(v, int) else v)
     return used
 
 
@@ -443,50 +435,43 @@ def _compile(prep: tuple):
             {q: k for k, q in enumerate(rest)})
 
 
-def _bell_seeds(slices, pq: int, msg, post, bell, num_clbits: int):
-    """Yield the four Bell branches (clbits, (2^(n-2), c) block over the
-    remaining qubits) of the c message states in the columns of the 2 x c
-    ``msg``, from the port ``pq``'s :func:`_compile` ``slices``, when the
-    message's gates after the Bell cx multiply to ``post``, in the order
-    the two ``bell`` measures split them; outcomes of zero weight are
-    dropped. Each block is built only when asked for, so a caller that
-    walks one branch before taking the next holds one block at a time."""
-    slices = [t[:, None] for t in slices]
+def _bell_branches(pq: int, msg, post, bell, num_clbits: int):
+    """Yield the four Bell branches, in the order the two ``bell`` measures
+    split them, as (clbits, 2 x c A): with the port ``pq``'s
+    :func:`_compile` slices t_a, a branch leaves the message state in column
+    i of the 2 x c ``msg`` as sum_a A[a, i] t_a when the message's gates
+    after the Bell cx multiply to ``post``."""
     (q0, c0), (_, c1) = [(m.qubits[0], m.clbit) for m in bell]
     for o0 in (0, 1):
         for o1 in (0, 1):
             cp, cm = (o0, o1) if q0 == pq else (o1, o0)
-            block = slices[cp] * (post[cm, 0] * msg[0]) \
-                + slices[1 - cp] * (post[cm, 1] * msg[1])
-            if np.vdot(block, block).real > 1e-24:
-                yield _set_bit(_set_bit((0,) * num_clbits, c0, o0), c1, o1), block
+            yield (_set_bit(_set_bit((0,) * num_clbits, c0, o0), c1, o1),
+                   (post[cm][:, None] * msg)[[cp, 1 - cp]])
 
 
-def _start(circuit: Circuit, position: dict[int, int], parts, response: bool = False):
+def _start(circuit: Circuit, position: dict[int, int], parts):
     """Where the walk of a valid circuit with compaction ``position``
     begins: (instructions, branches, qubit count, map from the circuit's
-    qubits to state axes). Every branch state is a (2^n, c) block.
+    qubits to state axes). Every branch state is a state vector.
 
     A circuit with a seedable Bell prefix starts after its Bell measurement,
-    from the Bell branches seeded from its compiled prep over its used
-    qubits but the port and the message; the prep is neither compacted nor
-    walked with the message. The blocks have one column, the circuit's own
-    message, or with ``response`` two: the message |0> and |1>. Any other
-    circuit is compacted and starts from |0...0>; it has no response.
+    from its message's :func:`_bell_branches` of nonzero weight, seeded from
+    its compiled prep over its used qubits but the port and the message; the
+    prep is neither compacted nor walked with the message. Any other
+    circuit, or any circuit given no ``parts``, is compacted and starts from
+    |0...0>.
     """
     split = _split_prefix(circuit, parts, position)
     if split is None:
-        if response:
-            raise SimulationError("the circuit's message cannot be separated "
-                                  "from its resource state")
         circuit = compact(circuit)
         n = circuit.num_qubits
-        return (circuit.instructions,
-                [((0,) * circuit.num_clbits, _ground(n)[:, None])], n, position)
+        return (circuit.instructions, [((0,) * circuit.num_clbits, _ground(n))],
+                n, position)
     pre, post, prep = split
     slices, index = _compile(prep)
-    msg = np.eye(2) if response else pre[:, :1]
-    seeds = _bell_seeds(slices, prep[2], msg, post, parts[1], circuit.num_clbits)
+    seeds = [(bits, slices[0] * a[0, 0] + slices[1] * a[1, 0]) for bits, a in
+             _bell_branches(prep[2], pre[:, :1], post, parts[1], circuit.num_clbits)]
+    seeds = [(bits, psi) for bits, psi in seeds if np.vdot(psi, psi).real > 1e-24]
     return [_remap(ins, index) for ins in parts[2]], seeds, len(index), index
 
 
@@ -494,25 +479,42 @@ def _start(circuit: Circuit, position: dict[int, int], parts, response: bool = F
 # exact branch sums
 # ---------------------------------------------------------------------------
 
-def _cross_trace(block: np.ndarray, keep, n: int) -> np.ndarray:
-    """Partial traces onto the ordered qubit list ``keep`` of |i><j| for
-    every pair of columns i, j of a (2^n, c) block, as a (c, c, 2^k, 2^k)
-    array, taken with one matrix product."""
-    c = block.shape[1]
-    dim = 1 << len(keep)
-    order = list(keep) + [n] + [q for q in range(n) if q not in keep]
-    mat = np.transpose(block.reshape((2,) * n + (c,)), order).reshape(dim * c, -1)
-    return (mat @ mat.conj().T).reshape(dim, c, dim, c).transpose(1, 3, 0, 2)
+def _cross_trace(states, keep, n: int) -> np.ndarray:
+    """Partial traces onto the ordered qubit list ``keep`` of |s_a><s_b| for
+    every pair of the c complex states over ``n`` qubits, as a (2^k, c, 2^k,
+    c) array: three real matrix products of the states' real and imaginary
+    parts, copied once with the kept qubits first; no conjugate is made."""
+    dim, c = 1 << len(keep), len(states)
+    order = [n, *keep, *(q for q in range(n) if q not in keep)]
+    parts = np.empty((2, dim, c, 1 << (n - len(keep))))
+    for a, state in enumerate(states):
+        parts[:, :, a].reshape((2,) * (n + 1))[...] = \
+            state.view(float).reshape((2,) * (n + 1)).transpose(order)
+    re, im = parts.reshape(2, dim * c, -1)
+    cross = im @ re.T
+    return (re @ re.T + im @ im.T + 1j * (cross - cross.T)).reshape(dim, c, dim, c)
+
+
+def _turn(turns: dict, ins: Instruction) -> dict:
+    """``apply`` of a :func:`_walk` whose state maps each qubit to the
+    product of the one-qubit gates it has run."""
+    turns[ins.qubits[0]] = gate_matrix(ins) @ turns.get(ins.qubits[0], np.eye(2))
+    return turns
 
 
 def _branch_sum(circuit: Circuit, groups, cap: int,
                 response: bool = False) -> list[np.ndarray]:
     """Branch-summed cross reduced matrices of a protocol circuit on each
-    ordered tuple of its qubits in ``groups``, as (c, c, 2^k, 2^k) arrays
-    over the c message columns of :func:`_start` (c = 1 is the circuit's
-    own reduced density matrix). The circuit must measure exactly the port
-    and the message and then only feed forward, so its Bell branches are
-    independent: each is walked and traced before the next is seeded."""
+    ordered tuple of its qubits in ``groups``, as (2^k, 2^k, c, c) arrays
+    over the circuit's own message (c = 1) or, with ``response``, the
+    messages |0> and |1>. The circuit must measure exactly the port and the
+    message and then only feed forward.
+
+    When the Bell prefix is seedable and every later gate acts on one qubit,
+    each group is traced once out of the port's two :func:`_compile` slices;
+    per Bell branch, the trace is contracted with the branch's
+    :func:`_bell_branches` coefficients and each kept qubit is turned by its
+    gates' product (:func:`_turn`). Any other circuit is walked in full."""
     position = _validated(circuit, cap)
     if any(role not in circuit.roles for role in ("port", "message", "clones")):
         raise SimulationError("circuit lacks role metadata for the protocol")
@@ -525,32 +527,50 @@ def _branch_sum(circuit: Circuit, groups, cap: int,
     if gone:
         raise SimulationError(f"no state for qubits {gone}: the circuit does "
                               "not use them or measures them")
-    instructions, seeds, n, index = _start(circuit, position, parts, response)
-    apply = _block_rule(instructions)
-    keeps = [[index[q] for q in group] for group in groups]
+    split = _split_prefix(circuit, parts, position)
+    if split is not None and all(len(ins.qubits) == 1 for ins in _ops(parts[2])):
+        pre, post, prep = split
+        slices, index = _compile(prep)
+        msg = np.eye(2) if response else pre[:, :1]
+        sources = [(slices, [(coef, _walk(parts[2], [(bits, {})], _turn, None)[0][1])
+                             for bits, coef in _bell_branches(
+                                 prep[2], msg, post, parts[1], circuit.num_clbits)])]
+    elif response:
+        raise SimulationError("the clone states of this circuit cannot be traced "
+                              "before its feed-forward")
+    else:
+        instructions, branches, _, index = _start(circuit, position, None)
+        sources = [([psi], [(np.ones((1, 1)), {})]) for _, psi in
+                   _walk(instructions, branches, _block_rule(instructions), _split)]
     out = [0] * len(groups)
-    for seed in seeds:
-        for _, block in _walk(instructions, [seed], apply, _split):
-            for g, keep in enumerate(keeps):
-                out[g] = out[g] + _cross_trace(block, keep, n)
+    for states, branches in sources:
+        for g, group in enumerate(groups):
+            trace = _cross_trace(states, [index[q] for q in group], len(index))
+            for coef, turns in branches:
+                rho = np.einsum("xayb,ai,bj->xyij", trace, coef, coef.conj(), order="C")
+                for r, q in enumerate(group):
+                    if q in turns:
+                        _apply_block(rho, _channel_block(_superop([turns[q]]), [r],
+                                                         len(group)))
+                out[g] = out[g] + rho
     return out
 
 
 def exact_clone_states(circuit: Circuit, cap: int = DEFAULT_QUBIT_CAP):
     """Deterministic per-clone density matrices of a protocol circuit.
 
-    Enumerates the four Bell outcomes, pushes each post-measurement branch
-    through its feed-forward corrections, weights by branch probability and
-    sums; noiseless semantics only. Requires tomo_basis="none".
+    Sums the four Bell outcomes, each with its feed-forward corrections, as
+    :func:`_branch_sum` does; noiseless semantics only. Requires
+    tomo_basis="none".
     """
-    return [r[0, 0] for r in _branch_sum(
+    return [r[:, :, 0, 0] for r in _branch_sum(
         circuit, [(q,) for q in circuit.roles.get("clones", ())], cap)]
 
 
 def exact_subsystem_state(circuit: Circuit, qubits,
                           cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
     """Branch-averaged reduced density matrix on the given original qubits."""
-    return _branch_sum(circuit, [tuple(qubits)], cap)[0][0, 0]
+    return _branch_sum(circuit, [tuple(qubits)], cap)[0][:, :, 0, 0]
 
 
 def compile_response(circuit: Circuit, cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
@@ -558,12 +578,13 @@ def compile_response(circuit: Circuit, cap: int = DEFAULT_QUBIT_CAP) -> np.ndarr
     array R, clone k being in the state sum_ij rho[i, j] R[k, i, j] when the
     message's own gates before the Bell cx leave it in the state rho. R[k,
     i, j] sums clone k's partial traces of |psi_i><psi_j| over the Bell
-    branches seeded by the messages |0> and |1>; no other gate depends on
-    the message, so one response serves every message of the same (m,
-    variant, layout, dd). Requires tomo_basis="none" and a seedable prefix.
+    branches of the messages |0> and |1>; no other gate depends on the
+    message, so one response serves every message of the same (m, variant,
+    layout, dd). Requires tomo_basis="none", a seedable prefix and only
+    one-qubit gates after the Bell measurement (see :func:`_branch_sum`).
     """
     return np.stack(_branch_sum(circuit, [(q,) for q in circuit.roles.get("clones", ())],
-                                cap, response=True))
+                                cap, response=True)).transpose(0, 3, 4, 1, 2)
 
 
 def apply_response(response: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -931,15 +952,25 @@ def noisy_clone_states(circuit: Circuit, noise: NoiseModel,
 # channels and partial trace
 # ---------------------------------------------------------------------------
 
+def _checked_qubits(rho: np.ndarray, qubits) -> tuple[int, list]:
+    """The qubit count of a square density matrix whose side is a power of
+    two, and ``qubits`` as a list of distinct qubits in range."""
+    dim = rho.shape[0] if rho.ndim == 2 else 0
+    if dim < 1 or dim & (dim - 1) or rho.shape != (dim, dim):
+        raise SimulationError(f"density matrix of shape {rho.shape} is not square "
+                              "with a power of two side")
+    n, qubits = dim.bit_length() - 1, list(qubits)
+    if any(q not in range(n) for q in qubits) or len(set(qubits)) < len(qubits):
+        raise SimulationError(f"qubits {qubits} out of range or repeated for {n} qubits")
+    return n, qubits
+
+
 def partial_trace(rho: np.ndarray, keep, num_qubits: int | None = None) -> np.ndarray:
     """Standard partial trace onto the ordered qubit list ``keep``."""
-    dim = rho.shape[0]
-    n = num_qubits if num_qubits is not None else int(round(math.log2(dim)))
-    if 1 << n != dim or rho.shape != (dim, dim):
-        raise SimulationError("density matrix dimension is not a power of two")
-    keep = list(keep)
-    if not keep or any(not (0 <= q < n) for q in keep):
-        raise SimulationError(f"keep set {keep} out of range for {n} qubits")
+    n, keep = _checked_qubits(rho, keep)
+    if not keep or num_qubits not in (None, n):
+        raise SimulationError(f"keep set {keep} is empty, or the state is over {n} "
+                              f"qubits, not {num_qubits}")
     tensor = rho.reshape((2,) * (2 * n))
     order = keep + [q for q in range(n) if q not in keep]
     full_order = order + [q + n for q in order]
@@ -955,8 +986,7 @@ def apply_noise_channel(rho: np.ndarray, channel: tuple, qubits) -> np.ndarray:
     name, param = channel
     if not (0.0 <= param <= 1.0):
         raise SimulationError(f"channel parameter {param} is not CPTP")
-    n = int(round(math.log2(rho.shape[0])))
-    qubits = list(qubits)
+    n, qubits = _checked_qubits(rho, qubits)
     joint = name == "depolarizing" and len(qubits) == 2
     if name == "depolarizing":
         superop = _depolarizing(param, 2 if joint else 1)

@@ -201,12 +201,8 @@ def build_protocol_circuit(m: int, variant: TelecloningVariant,
     6. measure clones into c2.. (skipped for "none")
     """
     check_variant(m, variant)
-    if tomo_basis not in BASIS_CHOICES:
-        raise CircuitError(f"tomo basis must be one of {BASIS_CHOICES}")
     roles, n = _roles(m, variant, with_message=True)
     port, clones = roles["port"], roles["clones"]
-    with_tomo = tomo_basis != "none"
-    num_clbits = 2 + (m if with_tomo else 0)
 
     ops: list[Instruction] = [ry(message.psi, 0), rz(message.phi, 0)]
     shift = 1  # message qubit occupies index 0
@@ -223,10 +219,21 @@ def build_protocol_circuit(m: int, variant: TelecloningVariant,
         ops.append(cond(0, 1, [x(q)]))
         ops.append(cond(1, 1, [z(q)]))
     ops.append(barrier())
-    if with_tomo:
-        for q in clones:
-            ops += _basis_change(tomo_basis, q)
-        ops.append(barrier())
-        for k, q in enumerate(clones):
-            ops.append(measure(q, 2 + k))
-    return Circuit(n, num_clbits, tuple(ops), roles=roles)
+    return with_tomography(Circuit(n, 2, tuple(ops), roles=roles), tomo_basis)
+
+
+def with_tomography(circuit: Circuit, tomo_basis: str) -> Circuit:
+    """A ``tomo_basis="none"`` protocol circuit with segments 5 and 6 of
+    :func:`build_protocol_circuit` for ``tomo_basis`` appended: the basis
+    change on every clone, a barrier, then each clone measured into c2...
+    For "none" the circuit itself."""
+    if tomo_basis not in BASIS_CHOICES:
+        raise CircuitError(f"tomo basis must be one of {BASIS_CHOICES}")
+    if tomo_basis == "none":
+        return circuit
+    clones = circuit.roles["clones"]
+    ops = [g for q in clones for g in _basis_change(tomo_basis, q)]
+    ops.append(barrier())
+    ops += [measure(q, 2 + k) for k, q in enumerate(clones)]
+    return Circuit(circuit.num_qubits, 2 + len(clones), circuit.instructions + tuple(ops),
+                   roles=circuit.roles)

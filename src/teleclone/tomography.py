@@ -10,7 +10,8 @@ import numpy as np
 
 from .exceptions import SimulationError, TomographyError
 from .simulator import _X, _Y, _Z, NoiseModel, run_shots
-from .telecloning import MessageState, TelecloningVariant, build_protocol_circuit
+from .telecloning import (MessageState, TelecloningVariant, build_protocol_circuit,
+                          with_tomography)
 
 BASES = ("x", "y", "z")
 
@@ -143,8 +144,9 @@ def tomography_run(m: int, variant: TelecloningVariant, message: MessageState,
     if shots_per_basis < 1:
         raise SimulationError("shots_per_basis must be >= 1")
     per_clone: list[dict] = [dict() for _ in range(m)]
+    none = build_protocol_circuit(m, variant, message)
     for bi, basis in enumerate(BASES):
-        circuit = build_protocol_circuit(m, variant, message, tomo_basis=basis)
+        circuit = with_tomography(none, basis)
         if transform is not None:
             circuit = transform(circuit)
         counts = run_shots(circuit, shots_per_basis, seed=_basis_seed(seed, bi),

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -284,6 +285,67 @@ def test_worker_pool_determinism(tmp_path, monkeypatch):
     monkeypatch.setenv("TELECLONE_WORKERS", "2")
     parallel = [run_experiment(cfg).to_json() for cfg in configs]
     assert [rec.to_json() for rec in serial] == parallel
+
+
+def test_serial_sweep_skips_the_process_pool_import(tmp_path):
+    """A serial sweep never imports the process pool; two workers still run."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"m": 2, "variant": "no-ancilla",
+                                    "n_psi": 2, "n_phi": 1}))
+    code = ("import sys; from teleclone import cli; "
+            f"rc = cli.main(['run', '--config', {str(cfg_path)!r}, "
+            f"'--out-dir', {str(tmp_path / 'runs')!r}]); "
+            "print(rc, 'concurrent.futures.process' in sys.modules)")
+    for workers, want in (("1", "0 False"), ("2", "0 True")):
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env={**os.environ, "TELECLONE_WORKERS": workers})
+        assert r.stdout.splitlines()[-1] == want, r.stderr
+
+
+def test_point_raising_any_exception_is_marked_not_fatal(tmp_path, monkeypatch, capsys):
+    """An exception that is not a TelecloneError fails only its own point,
+    whose marker names its type, and its traceback goes to stderr; the CLI
+    then exits 2."""
+    from teleclone import cli, experiment
+    run_point = experiment._run_point
+
+    def flaky(config, transform, response, index, msg):
+        if index == 1:
+            raise ValueError("bad point")
+        return run_point(config, transform, response, index, msg)
+
+    monkeypatch.delenv("TELECLONE_WORKERS", raising=False)
+    monkeypatch.setattr(experiment, "_run_point", flaky)
+    rec = run_experiment(ExperimentConfig(m=2, variant=NOA, n_psi=2, n_phi=2))
+    assert [p["error"] for p in rec.results] == [None, "ValueError: bad point", None, None]
+    assert rec.aggregate["n_failed"] == 1
+    assert all(len(p["clones"]) == 2 for k, p in enumerate(rec.results) if k != 1)
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ValueError: bad point" in err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(rec.config.to_json_dict()))
+    assert cli.main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
+    # an exception while compiling the shared response marks every point
+    monkeypatch.setattr(experiment, "_response_for", lambda *args: 1 / 0)
+    rec = run_experiment(ExperimentConfig(m=2, variant=NOA, n_psi=1, n_phi=2))
+    assert [p["error"] for p in rec.results] == ["ZeroDivisionError: division by zero"] * 2
+
+
+@pytest.mark.parametrize("m,variant", [(2, NOA), (5, OPT), (8, FULL)])
+def test_cli_writes_every_basis_circuit_from_one_build(tmp_path, m, variant):
+    """The four circuits/protocol-*.qasm of a run, derived from its one
+    "none" build, are byte-identical to each basis's own build."""
+    from teleclone import build_protocol_circuit, cli
+    from teleclone.qasm import export_qasm
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"m": m, "variant": variant.value,
+                                    "n_psi": 1, "n_phi": 1}))
+    out = tmp_path / "runs"
+    assert cli.main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    (run,) = out.iterdir()
+    for basis in ("none", "x", "y", "z"):
+        c = build_protocol_circuit(m, variant, MessageState(0.0, 0.0), tomo_basis=basis)
+        assert (run / "circuits" / f"protocol-{basis}.qasm").read_text() == export_qasm(c)
 
 
 @pytest.mark.parametrize("value", ["two", "0", "-3"])

@@ -220,6 +220,94 @@ def test_port_gate_after_bell_cx_is_enumerated():
         assert np.abs(want - exact_clone_states(c)[k]).max() > 0.05
 
 
+def _oracle_states(c, groups):
+    """Branch-summed reduced states of ``c`` on each group of its qubits,
+    from the gate-by-gate walk of the whole compacted circuit."""
+    from teleclone.simulator import _compaction
+    position, cc = _compaction(c), compact(c)
+    branches = enumerate_branches(cc)
+    return [sum(ptrace_pure(v, [position[q] for q in group], cc.num_qubits)
+                for _, v in branches) for group in groups]
+
+
+def _assert_traced_first(c, msg):
+    """exact_clone_states, exact_subsystem_state on all clones and on two
+    clones in reverse order, and the response contracted with ``msg`` give
+    the gate-by-gate oracle's states to 1e-12."""
+    from teleclone.simulator import apply_response, compile_response
+    clones = c.roles["clones"]
+    pair = (clones[-1], clones[0])
+    want = _oracle_states(c, [(q,) for q in clones] + [clones, pair])
+    got = exact_clone_states(c) + [exact_subsystem_state(c, clones),
+                                   exact_subsystem_state(c, pair)]
+    a = np.array(msg.amplitudes())
+    got += list(apply_response(compile_response(c), np.outer(a, a.conj())))
+    want += want[:len(clones)]
+    for g, w in zip(got, want, strict=True):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("native", [False, True], ids=["logical", "layouts"])
+@pytest.mark.parametrize("m,variant", [(2, NOA), (2, OPT), (2, FULL), (3, NOA),
+                                       (3, OPT), (3, FULL), (5, OPT)])
+def test_trace_first_matches_branch_oracle(m, variant, native):
+    """Tracing each clone out of the prep's port slices and turning it by
+    each Bell branch's feed-forward gives the branch-by-branch oracle's
+    states, logical and on all 7 layouts with and without decoupling, for
+    random messages."""
+    from teleclone.hardware import enumerate_layouts, insert_dd, transpile_to_native
+    rng = np.random.default_rng(7 * m + native)
+    for _ in range(2):
+        msg = MessageState(float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi)))
+        logical = build_protocol_circuit(m, variant, msg)
+        circuits = [logical] if not native else [
+            f(transpile_to_native(logical, layout)) for layout in enumerate_layouts(m, variant)
+            for f in (lambda c: c, insert_dd)]
+        for c in circuits:
+            _assert_traced_first(c, msg)
+
+
+def _with_suffix(c, mid, tail):
+    """``c`` with ``mid`` between its two Bell measures and ``tail`` at the
+    end."""
+    at = [k for k, ins in enumerate(c.instructions) if ins.gate == "measure"][1]
+    ins = c.instructions
+    return Circuit(c.num_qubits, c.num_clbits, ins[:at] + tuple(mid) + ins[at:] + tuple(tail),
+                   roles=c.roles)
+
+
+def test_trace_first_turns_by_non_hermitian_feed_forward():
+    """One-qubit gates after the Bell measures that are not their own
+    inverse, between the measures, in cond bodies and on an ancilla that is
+    traced out, are applied in order, as U rho U^dagger."""
+    from teleclone import cond
+    for m, variant in [(2, NOA), (3, OPT), (3, FULL)]:
+        msg = MessageState(1.1, 0.4)
+        c = build_protocol_circuit(m, variant, msg)
+        a, b = c.roles["clones"][:2]
+        mid = [ry(0.7, a), rz(0.3, b)]
+        tail = [cond(0, 1, [sx(a), rz(1.3, a)]), cond(1, 0, [ry(-0.4, b)]), rz(0.9, a),
+                cond(1, 1, [sx(b)])] + [ry(0.5, q) for q in c.roles["ancillas"]]
+        _assert_traced_first(_with_suffix(c, mid, tail), msg)
+
+
+def test_two_qubit_feed_forward_walks_in_full():
+    """A cx between two clones after the Bell measures cannot be traced
+    first: the clone states come from the full walk, and the circuit has no
+    response."""
+    from teleclone.simulator import compile_response
+    c = build_protocol_circuit(3, OPT, MessageState(0.8, 2.5))
+    a, b = c.roles["clones"][:2]
+    odd = _with_suffix(c, [], [ry(0.6, a), cx(a, b)])
+    want = _oracle_states(odd, [(q,) for q in odd.roles["clones"]] + [(b, a)])
+    got = exact_clone_states(odd) + [exact_subsystem_state(odd, (b, a))]
+    for g, w in zip(got, want, strict=True):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+    assert np.abs(got[1] - exact_clone_states(c)[1]).max() > 0.05
+    with pytest.raises(SimulationError, match="cannot be traced"):
+        compile_response(odd)
+
+
 def test_subsystem_state_takes_original_qubits():
     """Qubits name the caller's circuit, not its compacted copy."""
     from teleclone.hardware import enumerate_layouts, transpile_to_native
@@ -371,6 +459,24 @@ def test_noise_channels_basic():
     # trace preserved
     out = apply_noise_channel(rho0, ("bit_flip", 0.3), [0])
     assert abs(np.trace(out).real - 1.0) < 1e-10
+
+
+def test_noise_channel_rejects_a_matrix_that_is_not_a_density_matrix():
+    for rho in (np.eye(3) / 3, np.eye(4)[:, :2], np.ones(4)):
+        with pytest.raises(SimulationError, match="power of two"):
+            apply_noise_channel(rho, ("depolarizing", 0.1), [0])
+
+
+def test_noise_channel_rejects_a_qubit_out_of_range():
+    for qubits in ([5], [-1], [0, 2]):
+        with pytest.raises(SimulationError, match="out of range"):
+            apply_noise_channel(np.eye(4) / 4, ("bit_flip", 0.1), qubits)
+
+
+def test_noise_channel_rejects_a_repeated_qubit():
+    for name in ("depolarizing", "amplitude_damping"):
+        with pytest.raises(SimulationError, match="repeated"):
+            apply_noise_channel(np.eye(4) / 4, (name, 0.1), [0, 0])
 
 
 def test_statevector_norm_preserved_random_circuits():

@@ -48,6 +48,8 @@ def _cmd_build(args) -> int:
                                      MessageState(args.psi, args.phi),
                                      tomo_basis=args.basis)
     if args.layout_index is not None:
+        if not 0 <= args.layout_index <= 6:
+            raise ConfigError(f"--layout-index must be in 0..6, got {args.layout_index}")
         layout = enumerate_layouts(args.m, _VARIANTS[args.variant])[args.layout_index]
         circuit = transpile_to_native(circuit, layout)
         if args.dd == "on":

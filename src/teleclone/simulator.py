@@ -30,15 +30,18 @@ Philox row (:func:`_shot_uniforms`), so counts do not depend on the blocks.
 The resource state does not depend on the message, so a noiseless protocol
 circuit simulates it without the message: :func:`_compile` runs its prep
 gates and keeps the port's |0> and |1> slices over the other n-2 qubits.
-:func:`run_shots` walks what follows the Bell measurement from the four
-Bell branches seeded from them. When only one-qubit gates follow, the
-branches differ only by those gates, so :func:`_branch_sum` traces each
-clone out of the two slices once and turns the traced 2 x 2s by each
-branch's gates; nothing is walked. That gives :func:`exact_clone_states`,
-and with the messages |0> and |1> :func:`compile_response`: every clone
-state is linear in the message's one-qubit state, so one response serves
-every message of a sweep (:func:`apply_response`). Any other circuit is
-compacted and walked in full from |0...0>.
+When only one-qubit gates and terminal measures follow the Bell
+measurement, :func:`_branches` gives each of the four Bell branches as its
+coefficients on the two slices and each qubit's gate product; nothing after
+the Bell measurement is walked. :func:`_branch_sum` traces each clone out of
+the slices once and turns the traced 2 x 2s, which gives
+:func:`exact_clone_states` and, with the messages |0> and |1>,
+:func:`compile_response`: every clone state is linear in the message's
+one-qubit state, so one response serves every message of a sweep
+(:func:`apply_response`). :func:`run_shots` turns each branch state on its
+measured qubits only and draws all counts from the joint distribution read
+off them. Any other circuit is compacted and walked in full from |0...0>,
+its terminal measures deferred (:func:`_full_walk`).
 
 One kernel, :func:`_apply_block`, applies every gate and channel matrix,
 as a :func:`_block` built once per circuit: only the slices of its
@@ -55,6 +58,7 @@ prep) and complex128 otherwise (native preps with rz/sx).
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from collections import Counter
@@ -248,7 +252,7 @@ def compact(circuit: Circuit) -> Circuit:
                    tuple(_remap(i, remap) for i in circuit.instructions), roles=roles)
 
 
-def _validated(circuit: Circuit, cap: int,
+def _validated(circuit: Circuit, cap: int = DEFAULT_QUBIT_CAP,
                state: str = "a statevector") -> dict[int, int]:
     """The :func:`_compaction` of a valid circuit whose ``state`` fits the
     qubit cap."""
@@ -260,11 +264,6 @@ def _validated(circuit: Circuit, cap: int,
         raise SimulationError(f"{state} over {len(position)} qubits exceeds "
                               f"the {cap}-qubit cap")
     return position
-
-
-def _checked(circuit: Circuit, cap: int, state: str = "a statevector") -> Circuit:
-    _validated(circuit, cap, state)
-    return compact(circuit)
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +316,41 @@ def _split(branches, ins):
             if np.vdot(proj, proj).real > 1e-24:
                 out.append((_set_bit(bits, ins.clbit, outcome), proj))
     return out
+
+
+def _terminal_measures(instructions):
+    """Identities (``id``) of the measures that can be deferred to
+    final-state sampling: no later gate touches their qubit and no cond
+    reads their bit."""
+    touched, read, terminal = set(), set(), set()
+    for ins in reversed(instructions):
+        if ins.gate == "measure" and ins.qubits[0] not in touched and ins.clbit not in read:
+            terminal.add(id(ins))
+        if ins.gate != "barrier":
+            touched |= _touched(ins)
+        if ins.gate == "cond":
+            read.add(ins.cond_clbit)
+    return terminal
+
+
+def _full_walk(circuit: Circuit):
+    """Walk a valid circuit, compacted, in full from |0...0> with its
+    terminal measures deferred: (the (clbits, state) branches, the deferred
+    (qubit, clbit) pairs in circuit order)."""
+    circuit = compact(circuit)
+    terminal = _terminal_measures(circuit.instructions)
+    deferred = []
+
+    def measure(branches, ins):
+        if id(ins) in terminal:
+            deferred.append((ins.qubits[0], ins.clbit))
+            return branches
+        return _split(branches, ins)
+
+    branches = _walk(circuit.instructions,
+                     [((0,) * circuit.num_clbits, _ground(circuit.num_qubits))],
+                     _block_rule(circuit.instructions), measure)
+    return branches, deferred
 
 
 # ---------------------------------------------------------------------------
@@ -449,30 +483,47 @@ def _bell_branches(pq: int, msg, post, bell, num_clbits: int):
                    (post[cm][:, None] * msg)[[cp, 1 - cp]])
 
 
-def _start(circuit: Circuit, position: dict[int, int], parts):
-    """Where the walk of a valid circuit with compaction ``position``
-    begins: (instructions, branches, qubit count, map from the circuit's
-    qubits to state axes). Every branch state is a state vector.
+def _turn(turns: dict, ins: Instruction) -> dict:
+    """``apply`` of a :func:`_walk` whose state maps each qubit to the
+    product of the one-qubit gates it has run."""
+    turns[ins.qubits[0]] = gate_matrix(ins) @ turns.get(ins.qubits[0], np.eye(2))
+    return turns
 
-    A circuit with a seedable Bell prefix starts after its Bell measurement,
-    from its message's :func:`_bell_branches` of nonzero weight, seeded from
-    its compiled prep over its used qubits but the port and the message; the
-    prep is neither compacted nor walked with the message. Any other
-    circuit, or any circuit given no ``parts``, is compacted and starts from
-    |0...0>.
-    """
+
+def _branches(circuit: Circuit, position: dict[int, int], parts,
+              response: bool = False):
+    """The branches of a valid circuit with compaction ``position`` and
+    :func:`_bell_parts` ``parts``, its terminal measures deferred: (sources,
+    the deferred (axis, clbit) pairs, the map from its qubits to state
+    axes). A source is (c states, [(clbits, 2 x c A, turns)]): a branch
+    leaves message column i in sum_a A[a, i] states[a], each axis then
+    turned by its matrix in ``turns``.
+
+    A seedable Bell prefix followed only by one-qubit gates and terminal
+    measures gives one source: the port's two :func:`_compile` slices with
+    the four :func:`_bell_branches` of the message's own state (with
+    ``response``, of |0> and |1>) and their :func:`_turn` products. Any
+    other circuit is walked in full (:func:`_full_walk`), one source per
+    branch with A = [[1]] and no turns, and refused with ``response``."""
     split = _split_prefix(circuit, parts, position)
-    if split is None:
-        circuit = compact(circuit)
-        n = circuit.num_qubits
-        return (circuit.instructions, [((0,) * circuit.num_clbits, _ground(n))],
-                n, position)
-    pre, post, prep = split
-    slices, index = _compile(prep)
-    seeds = [(bits, slices[0] * a[0, 0] + slices[1] * a[1, 0]) for bits, a in
-             _bell_branches(prep[2], pre[:, :1], post, parts[1], circuit.num_clbits)]
-    seeds = [(bits, psi) for bits, psi in seeds if np.vdot(psi, psi).real > 1e-24]
-    return [_remap(ins, index) for ins in parts[2]], seeds, len(index), index
+    if split is not None and all(len(ins.qubits) == 1 for ins in _ops(parts[2])) \
+            and _terminal_measures(parts[2]) >= {id(i) for i in parts[2] if i.gate == "measure"}:
+        pre, post, prep = split
+        slices, index = _compile(prep)
+        suffix = [_remap(ins, index) for ins in parts[2]]
+        msg = np.eye(2) if response else pre[:, :1]
+        branches = [(bits, coef, _walk(suffix, [(bits, {})], _turn,
+                                       lambda kept, _: kept)[0][1])
+                    for bits, coef in _bell_branches(prep[2], msg, post, parts[1],
+                                                     circuit.num_clbits)]
+        return ([(slices, branches)],
+                [(ins.qubits[0], ins.clbit) for ins in suffix if ins.gate == "measure"], index)
+    if response:
+        raise SimulationError("the clone states of this circuit cannot be traced "
+                              "before its feed-forward")
+    walked, deferred = _full_walk(circuit)
+    return ([([psi], [(bits, np.ones((1, 1)), {})]) for bits, psi in walked],
+            deferred, position)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +531,7 @@ def _start(circuit: Circuit, position: dict[int, int], parts):
 # ---------------------------------------------------------------------------
 
 def _cross_trace(states, keep, n: int) -> np.ndarray:
-    """Partial traces onto the ordered qubit list ``keep`` of |s_a><s_b| for
+    """Partial traces onto the ordered axis list ``keep`` of |s_a><s_b| for
     every pair of the c complex states over ``n`` qubits, as a (2^k, c, 2^k,
     c) array: three real matrix products of the states' real and imaginary
     parts, copied once with the kept qubits first; no conjugate is made."""
@@ -495,27 +546,17 @@ def _cross_trace(states, keep, n: int) -> np.ndarray:
     return (re @ re.T + im @ im.T + 1j * (cross - cross.T)).reshape(dim, c, dim, c)
 
 
-def _turn(turns: dict, ins: Instruction) -> dict:
-    """``apply`` of a :func:`_walk` whose state maps each qubit to the
-    product of the one-qubit gates it has run."""
-    turns[ins.qubits[0]] = gate_matrix(ins) @ turns.get(ins.qubits[0], np.eye(2))
-    return turns
-
-
-def _branch_sum(circuit: Circuit, groups, cap: int,
-                response: bool = False) -> list[np.ndarray]:
+def _branch_sum(circuit: Circuit, groups, response: bool = False) -> list[np.ndarray]:
     """Branch-summed cross reduced matrices of a protocol circuit on each
     ordered tuple of its qubits in ``groups``, as (2^k, 2^k, c, c) arrays
     over the circuit's own message (c = 1) or, with ``response``, the
     messages |0> and |1>. The circuit must measure exactly the port and the
     message and then only feed forward.
 
-    When the Bell prefix is seedable and every later gate acts on one qubit,
-    each group is traced once out of the port's two :func:`_compile` slices;
-    per Bell branch, the trace is contracted with the branch's
-    :func:`_bell_branches` coefficients and each kept qubit is turned by its
-    gates' product (:func:`_turn`). Any other circuit is walked in full."""
-    position = _validated(circuit, cap)
+    Each group is traced once out of each source of :func:`_branches`; per
+    branch, the trace is contracted with the branch's coefficients and each
+    kept qubit is turned by its gates' product, as one block of U (x) U*."""
+    position = _validated(circuit)
     if any(role not in circuit.roles for role in ("port", "message", "clones")):
         raise SimulationError("circuit lacks role metadata for the protocol")
     parts = _bell_parts(circuit)
@@ -527,36 +568,23 @@ def _branch_sum(circuit: Circuit, groups, cap: int,
     if gone:
         raise SimulationError(f"no state for qubits {gone}: the circuit does "
                               "not use them or measures them")
-    split = _split_prefix(circuit, parts, position)
-    if split is not None and all(len(ins.qubits) == 1 for ins in _ops(parts[2])):
-        pre, post, prep = split
-        slices, index = _compile(prep)
-        msg = np.eye(2) if response else pre[:, :1]
-        sources = [(slices, [(coef, _walk(parts[2], [(bits, {})], _turn, None)[0][1])
-                             for bits, coef in _bell_branches(
-                                 prep[2], msg, post, parts[1], circuit.num_clbits)])]
-    elif response:
-        raise SimulationError("the clone states of this circuit cannot be traced "
-                              "before its feed-forward")
-    else:
-        instructions, branches, _, index = _start(circuit, position, None)
-        sources = [([psi], [(np.ones((1, 1)), {})]) for _, psi in
-                   _walk(instructions, branches, _block_rule(instructions), _split)]
+    sources, _, index = _branches(circuit, position, parts, response)
     out = [0] * len(groups)
     for states, branches in sources:
         for g, group in enumerate(groups):
-            trace = _cross_trace(states, [index[q] for q in group], len(index))
-            for coef, turns in branches:
+            axes = [index[q] for q in group]
+            trace = _cross_trace(states, axes, len(index))
+            for _, coef, turns in branches:
                 rho = np.einsum("xayb,ai,bj->xyij", trace, coef, coef.conj(), order="C")
-                for r, q in enumerate(group):
-                    if q in turns:
-                        _apply_block(rho, _channel_block(_superop([turns[q]]), [r],
+                for r, a in enumerate(axes):
+                    if a in turns:
+                        _apply_block(rho, _channel_block(_superop([turns[a]]), [r],
                                                          len(group)))
                 out[g] = out[g] + rho
     return out
 
 
-def exact_clone_states(circuit: Circuit, cap: int = DEFAULT_QUBIT_CAP):
+def exact_clone_states(circuit: Circuit):
     """Deterministic per-clone density matrices of a protocol circuit.
 
     Sums the four Bell outcomes, each with its feed-forward corrections, as
@@ -564,16 +592,15 @@ def exact_clone_states(circuit: Circuit, cap: int = DEFAULT_QUBIT_CAP):
     tomo_basis="none".
     """
     return [r[:, :, 0, 0] for r in _branch_sum(
-        circuit, [(q,) for q in circuit.roles.get("clones", ())], cap)]
+        circuit, [(q,) for q in circuit.roles.get("clones", ())])]
 
 
-def exact_subsystem_state(circuit: Circuit, qubits,
-                          cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
+def exact_subsystem_state(circuit: Circuit, qubits) -> np.ndarray:
     """Branch-averaged reduced density matrix on the given original qubits."""
-    return _branch_sum(circuit, [tuple(qubits)], cap)[0][:, :, 0, 0]
+    return _branch_sum(circuit, [tuple(qubits)])[0][:, :, 0, 0]
 
 
-def compile_response(circuit: Circuit, cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
+def compile_response(circuit: Circuit) -> np.ndarray:
     """The clone response of a noiseless protocol circuit: an (M, 2, 2, 2, 2)
     array R, clone k being in the state sum_ij rho[i, j] R[k, i, j] when the
     message's own gates before the Bell cx leave it in the state rho. R[k,
@@ -581,10 +608,10 @@ def compile_response(circuit: Circuit, cap: int = DEFAULT_QUBIT_CAP) -> np.ndarr
     branches of the messages |0> and |1>; no other gate depends on the
     message, so one response serves every message of the same (m, variant,
     layout, dd). Requires tomo_basis="none", a seedable prefix and only
-    one-qubit gates after the Bell measurement (see :func:`_branch_sum`).
+    one-qubit gates after the Bell measurement (see :func:`_branches`).
     """
     return np.stack(_branch_sum(circuit, [(q,) for q in circuit.roles.get("clones", ())],
-                                cap, response=True)).transpose(0, 3, 4, 1, 2)
+                                response=True)).transpose(0, 3, 4, 1, 2)
 
 
 def apply_response(response: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -593,112 +620,75 @@ def apply_response(response: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.tensordot(rho, response, axes=([0, 1], [1, 2]))
 
 
-def statevector(circuit: Circuit, cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
+def statevector(circuit: Circuit) -> np.ndarray:
     """Final statevector of a measurement-free circuit."""
-    circuit = _checked(circuit, cap)
+    _validated(circuit)
     if any(i.gate in ("measure", "cond") for i in circuit.instructions):
         raise SimulationError("statevector requires a measurement-free circuit")
-    ((_, psi),) = _walk(circuit.instructions, [((), _ground(circuit.num_qubits))],
-                        _block_rule(circuit.instructions), None)
-    return psi
+    return _full_walk(circuit)[0][0][1]
 
 
 # ---------------------------------------------------------------------------
 # shot sampling
 # ---------------------------------------------------------------------------
 
-def _terminal_measures(instructions):
-    """Identities (``id``) of the measures that can be deferred to
-    final-state sampling: no later gate touches their qubit and no cond
-    reads their bit."""
-    instrs = [i for i in instructions if i.gate != "barrier"]
-    terminal = set()
-    for k, ins in enumerate(instrs):
-        if ins.gate != "measure":
-            continue
-        q, c = ins.qubits[0], ins.clbit
-        if not any(q in _touched(later)
-                   or (later.gate == "cond" and later.cond_clbit == c)
-                   for later in instrs[k + 1:]):
-            terminal.add(id(ins))
-    return terminal
+def _check_int(name: str, value, low: int, stop: float = math.inf) -> None:
+    """Refuse ``value`` unless it is an integer (a bool is not) in [low, stop)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
+            or not low <= value < stop:
+        raise SimulationError(f"{name} must be an integer in [{low}, {stop}), got {value!r}")
 
 
-def _shot_distributions(instructions, branches, n: int):
-    """Walk ``branches`` over ``n`` qubits through ``instructions`` with the
-    terminal measures deferred. Returns (branch bits, weights, deferred
-    clbit order, per-branch joint distributions over the deferred bits)."""
-    terminal = _terminal_measures(instructions)
-    deferred: list[tuple[int, int]] = []
-
-    def measure(branches, ins):
-        if id(ins) in terminal:
-            deferred.append((ins.qubits[0], ins.clbit))
-            return branches
-        return _split(branches, ins)
-
-    branches = _walk(instructions, branches, _block_rule(instructions), measure)
-    qubits = [q for q, _ in deferred]
-    clbits = [c for _, c in deferred]
-    weights, rows, bit_rows = [], [], []
-    for bits, psi in branches:
-        probs = np.abs(psi.reshape((2,) * n)) ** 2
-        axes = tuple(ax for ax in range(n) if ax not in qubits)
-        marg = probs.sum(axis=axes) if axes else probs
-        if qubits:
-            order = [sorted(qubits).index(q) for q in qubits]
-            marg = np.transpose(marg, order) if marg.ndim > 1 else marg
-        flat = marg.reshape(-1)
-        weights.append(flat.sum())
-        rows.append(flat)
-        bit_rows.append(bits)
-    return bit_rows, np.array(weights), clbits, rows
+def _outcome_table(circuit: Circuit, position: dict[int, int]) -> dict[str, float]:
+    """The probability of every string of recorded bits of a valid circuit
+    with compaction ``position``, with no noise. Each :func:`_branches`
+    branch's state is turned only on its deferred qubits, which is all
+    their marginal depends on."""
+    sources, deferred, index = _branches(circuit, position, _bell_parts(circuit))
+    axes = [a for a, _ in deferred]
+    others = tuple(a for a in range(len(index)) if a not in axes)
+    table: dict[str, float] = {}
+    for states, branches in sources:
+        for bits, coef, turns in branches:
+            psi = sum(w * state for w, state in zip(coef[:, 0], states))
+            for a in axes:
+                if a in turns:
+                    _apply_block(psi, _block(turns[a], (a,)))
+            probs = (psi.real ** 2 + psi.imag ** 2).reshape((2,) * len(index))
+            probs = probs.sum(axis=others).transpose([sorted(axes).index(a) for a in axes])
+            for outcome, p in zip(itertools.product((0, 1), repeat=len(axes)),
+                                  probs.reshape(-1)):
+                key = list(bits)
+                for (_, c), bit in zip(deferred, outcome):
+                    key[c] = bit
+                key = "".join(map(str, key))
+                table[key] = table.get(key, 0.0) + p
+    return table
 
 
 def run_shots(circuit: Circuit, shots: int, seed: int,
-              noise: NoiseModel | None = None,
-              cap: int = DEFAULT_QUBIT_CAP) -> dict[str, int]:
+              noise: NoiseModel | None = None) -> dict[str, int]:
     """Sample measurement outcomes. Identical (circuit, shots, seed, noise)
     inputs give identical counts; the total always equals ``shots``.
 
-    Noiseless protocol circuits walk only what follows the Bell measurement,
-    from branches seeded from their compiled prep (see :func:`_start`).
-    Under noise every shot is a Monte Carlo wavefunction trajectory, run in
-    blocks of shots (see :func:`_trajectory_counts`).
+    Without noise, the counts are one multinomial draw, from the Philox
+    stream keyed by ``seed``, over the circuit's exact outcome table
+    (:func:`_outcome_table`): a protocol circuit reads it off its four Bell
+    branches and walks nothing after the Bell measurement. Under noise every
+    shot is a Monte Carlo wavefunction trajectory, run in blocks of shots
+    (see :func:`_trajectory_counts`).
     """
-    if shots < 1:
-        raise SimulationError(f"shots must be >= 1, got {shots}")
-    position = _validated(circuit, cap)
+    _check_int("shots", shots, 1)
+    _check_int("seed", seed, 0, 1 << 64)
+    position = _validated(circuit)
     if noise is not None and noise.any_noise():
         counts = _trajectory_counts(compact(circuit), noise, seed, 0, shots)
         return dict(sorted(counts.items()))
-
-    instructions, branches, n, _ = _start(circuit, position, _bell_parts(circuit))
-    bit_rows, weights, clbits, rows = _shot_distributions(instructions, branches, n)
-    total = weights.sum()
-    branch_cdf = np.cumsum(weights / total)
-    cdfs = [np.cumsum(r / w) if w > 0 else None
-            for r, w in zip(rows, weights)]
-    u = np.random.Generator(np.random.Philox(key=np.uint64(seed))).random((shots, 2))
-    branch_idx = np.searchsorted(branch_cdf, u[:, 0], side="right")
-    branch_idx = np.minimum(branch_idx, len(weights) - 1)
-    counts: dict[str, int] = {}
-    nbits = circuit.num_clbits
-    for b in range(len(weights)):
-        mask = branch_idx == b
-        nshots = int(mask.sum())
-        if nshots == 0:
-            continue
-        picks = np.searchsorted(cdfs[b], u[mask, 1], side="right")
-        picks = np.minimum(picks, len(rows[b]) - 1)
-        vals, occur = np.unique(picks, return_counts=True)
-        for v, cnt in zip(vals, occur):
-            bits = list(bit_rows[b])
-            for j, c in enumerate(clbits):
-                bits[c] = (int(v) >> (len(clbits) - 1 - j)) & 1
-            key = "".join(str(bit) for bit in bits[:nbits])
-            counts[key] = counts.get(key, 0) + int(cnt)
-    return dict(sorted(counts.items()))
+    table = _outcome_table(circuit, position)
+    probs = np.array(list(table.values()))
+    drawn = np.random.Generator(np.random.Philox(key=np.uint64(seed))).multinomial(
+        shots, probs / probs.sum())
+    return {key: int(k) for key, k in sorted(zip(table, drawn)) if k}
 
 
 # ---------------------------------------------------------------------------
@@ -910,11 +900,11 @@ def _trajectory_counts(circuit: Circuit, noise: NoiseModel, seed: int,
     return counts
 
 
-def noisy_clone_states(circuit: Circuit, noise: NoiseModel,
-                       cap: int = _DENSITY_QUBIT_CAP):
+def noisy_clone_states(circuit: Circuit, noise: NoiseModel):
     """Exact density-matrix counterpart of :func:`exact_clone_states` under a
     static noise model; the oracle for stochastic shot-mode noise."""
-    circuit = _checked(circuit, cap, "a density matrix")
+    _validated(circuit, _DENSITY_QUBIT_CAP, "a density matrix")
+    circuit = compact(circuit)
     n = circuit.num_qubits
     if any(i.gate == "measure" and i.qubits[0] in circuit.roles.get("clones", ())
            for i in circuit.instructions):
@@ -983,9 +973,11 @@ def partial_trace(rho: np.ndarray, keep, num_qubits: int | None = None) -> np.nd
 def apply_noise_channel(rho: np.ndarray, channel: tuple, qubits) -> np.ndarray:
     """Apply a named single-qubit CPTP channel to each listed qubit (or a
     joint two-qubit depolarizing when two qubits are given)."""
+    if not (isinstance(channel, (tuple, list)) and len(channel) == 2
+            and isinstance(channel[1], numbers.Real) and not isinstance(channel[1], bool)
+            and 0.0 <= channel[1] <= 1.0):
+        raise SimulationError(f"channel {channel!r} is not a (name, number in [0, 1]) pair")
     name, param = channel
-    if not (0.0 <= param <= 1.0):
-        raise SimulationError(f"channel parameter {param} is not CPTP")
     n, qubits = _checked_qubits(rho, qubits)
     joint = name == "depolarizing" and len(qubits) == 2
     if name == "depolarizing":

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import SimulationError, TomographyError
-from .simulator import _X, _Y, _Z, NoiseModel, run_shots
+from .simulator import _X, _Y, _Z, NoiseModel, _check_int, run_shots
 from .telecloning import (MessageState, TelecloningVariant, build_protocol_circuit,
                           with_tomography)
 
@@ -141,8 +141,7 @@ def tomography_run(m: int, variant: TelecloningVariant, message: MessageState,
     child of ``seed``. Sweeps reach this only with noise; noiseless sweeps
     draw from their clone response instead (:func:`sample_tomography`).
     """
-    if shots_per_basis < 1:
-        raise SimulationError("shots_per_basis must be >= 1")
+    _check_int("shots_per_basis", shots_per_basis, 1)
     per_clone: list[dict] = [dict() for _ in range(m)]
     none = build_protocol_circuit(m, variant, message)
     for bi, basis in enumerate(BASES):
@@ -174,8 +173,7 @@ def sample_tomography(rhos, shots_per_basis: int, seed: int) -> list[TomographyR
     this is equal in law to summing :func:`tomography_run`'s joint counts
     per clone; the draws differ.
     """
-    if shots_per_basis < 1:
-        raise SimulationError("shots_per_basis must be >= 1")
+    _check_int("shots_per_basis", shots_per_basis, 1)
     p1 = np.array([basis_p1(rho) for rho in rhos])
     per_clone: list[dict] = [dict() for _ in p1]
     for bi, basis in enumerate(BASES):

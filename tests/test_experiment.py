@@ -221,6 +221,16 @@ def test_cli_build_with_layout_and_dd(tmp_path):
     assert gates <= {"rz", "sx", "x", "cx", "barrier", "measure", "cond"}
 
 
+@pytest.mark.parametrize("index", ["7", "9", "-1"])
+def test_cli_build_rejects_a_layout_index_out_of_range(tmp_path, index):
+    out = tmp_path / "native.json"
+    r = _cli("build", "--m", "2", "--variant", "no-ancilla",
+             "--layout-index", index, "--out", str(out))
+    assert r.returncode == 1
+    assert "config error" in r.stderr and "Traceback" not in r.stderr
+    assert not out.exists()
+
+
 def _cli(*argv, cwd=None):
     return subprocess.run([sys.executable, "-m", "teleclone.cli", *argv],
                           capture_output=True, text=True, cwd=cwd)
@@ -429,18 +439,12 @@ def _non_message(c):
 
 
 def _clone_p1(c, m):
-    """Each clone's P(1) in a basis circuit: the marginals of the joint
-    distributions over its deferred clone bits, summed over the branches
-    that run_shots samples from."""
-    from teleclone.simulator import _bell_parts, _shot_distributions, _start, _validated
-    instructions, seeds, n, _ = _start(c, _validated(c, 24), _bell_parts(c))
-    _, _, clbits, rows = _shot_distributions(instructions, seeds, n)
-    out = []
-    for k in range(m):
-        shift = len(clbits) - 1 - clbits.index(2 + k)
-        ones = (np.arange(1 << len(clbits)) >> shift) & 1
-        out.append(sum(float(np.dot(row, ones)) for row in rows))
-    return np.array(out)
+    """Each clone's P(1) in a basis circuit: the marginal of the exact
+    outcome table that run_shots samples from."""
+    from teleclone.simulator import _outcome_table, _validated
+    table = _outcome_table(c, _validated(c))
+    return np.array([sum(p for key, p in table.items() if key[2 + k] == "1")
+                     for k in range(m)])
 
 
 @pytest.mark.parametrize("dd", [False, True], ids=["no-dd", "dd"])

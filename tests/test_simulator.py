@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from teleclone import (Circuit, MessageState, NoiseModel, TelecloningVariant,
-                       apply_noise_channel, build_protocol_circuit, cx,
+                       apply_noise_channel, build_protocol_circuit, cond, cx,
                        exact_clone_states, exact_subsystem_state, h, measure,
                        noisy_clone_states, partial_trace, run_shots, ry, rz, sx, x)
 from teleclone.exceptions import SimulationError
@@ -45,15 +45,25 @@ def test_identical_inputs_identical_counts(noise, shots):
     assert a != run_shots(c, shots, seed=43, noise=noise)
 
 
-def test_shots_must_be_positive():
-    with pytest.raises(SimulationError):
-        run_shots(Circuit(1, 1, (measure(0, 0),)), 0, seed=1)
+@pytest.mark.parametrize("shots,seed", [(0, 1), (2.5, 1), (True, 1), (10, -1),
+                                        (10, 2 ** 64), (10, 1.5)],
+                         ids=["shots-zero", "shots-float", "shots-bool", "seed-negative",
+                              "seed-too-large", "seed-float"])
+def test_run_shots_rejects_bad_shots_or_seed(shots, seed):
+    from teleclone import tomography_run
+    c = Circuit(1, 1, (h(0), measure(0, 0)))
+    for noise in (None, NoiseModel(readout_flip=0.1)):
+        with pytest.raises(SimulationError):
+            run_shots(c, shots, seed=seed, noise=noise)
+    if seed == 1:  # a bad shot count, which tomography_run refuses too
+        with pytest.raises(SimulationError):
+            tomography_run(2, NOA, MessageState(0.3, 0.2), shots_per_basis=shots, seed=seed)
 
 
 def test_qubit_cap():
     with pytest.raises(SimulationError):
         run_shots(Circuit(30, 1, (h(29), measure(29, 0)),
-                          roles={"clones": tuple(range(30))}), 1, seed=0, cap=24)
+                          roles={"clones": tuple(range(30))}), 1, seed=0)
 
 
 def test_bell_outcomes_uniform_m2_all_variants():
@@ -71,10 +81,7 @@ def test_counts_match_exact_branch_probabilities():
     The oracle enumerates every measurement, the clone measures included."""
     shots = 10_000
     c = build_protocol_circuit(2, NOA, MessageState(1.0, 0.5), tomo_basis="z")
-    exact = {}
-    for bits, vec in enumerate_branches(compact(c)):
-        key = "".join(map(str, bits))
-        exact[key] = exact.get(key, 0.0) + np.vdot(vec, vec).real
+    exact = _oracle_table(c)
     assert abs(sum(exact.values()) - 1.0) < 1e-12
     for seed in (0, 1, 2):
         counts = run_shots(c, shots, seed=seed)
@@ -88,30 +95,53 @@ def _native(c, m, variant):
     return insert_dd(transpile_to_native(c, enumerate_layouts(m, variant)[m]))
 
 
+def _oracle_table(c):
+    """The same table from every measurement branch of the oracle's walk."""
+    table = {}
+    for bits, vec in enumerate_branches(compact(c)):
+        key = "".join(map(str, bits))
+        table[key] = table.get(key, 0.0) + np.vdot(vec, vec).real
+    return table
+
+
+def _assert_same_table(c):
+    from teleclone.simulator import _outcome_table, _validated
+    got, want = _outcome_table(c, _validated(c)), _oracle_table(c)
+    assert abs(sum(got.values()) - 1.0) < 1e-12
+    for key in set(got) | set(want):
+        assert abs(got.get(key, 0.0) - want.get(key, 0.0)) < 1e-12, key
+
+
 @pytest.mark.parametrize("native", [False, True], ids=["logical", "layout-dd"])
 @pytest.mark.parametrize("m,variant", [(2, NOA), (2, OPT), (2, FULL), (3, NOA),
                                        (3, OPT), (3, FULL), (4, OPT), (4, FULL)])
-def test_seeded_shot_distributions_match_full_walk(m, variant, native):
-    """Shot sampling from the four seeded Bell branches gives the same
-    branches and per-branch distributions as walking the whole circuit."""
-    from teleclone.simulator import (_bell_parts, _ground, _shot_distributions,
-                                     _start, _validated)
+def test_outcome_table_matches_branch_oracle(m, variant, native):
+    """The joint outcome distribution that noiseless shots are drawn from,
+    read off the four Bell branches, is the oracle's: every measurement
+    enumerated gate by gate from |0...0>, the clone measures included."""
     msg = MessageState(1.1, 0.4)
     for basis in ("x", "y", "z"):
         c = build_protocol_circuit(m, variant, msg, tomo_basis=basis)
-        c = _native(c, m, variant) if native else c
-        position = _validated(c, 24)
-        instructions, seeds, n, _ = _start(c, position, _bell_parts(c))
-        assert n == len(position) - 2
-        bits, weights, clbits, rows = _shot_distributions(instructions, seeds, n)
-        cc = compact(c)
-        full = _shot_distributions(
-            cc.instructions, [((0,) * cc.num_clbits, _ground(cc.num_qubits))],
-            cc.num_qubits)
-        assert (bits, clbits) == (full[0], full[2])
-        np.testing.assert_allclose(weights, full[1], rtol=0, atol=1e-12)
-        for row, want in zip(rows, full[3]):
-            np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
+        _assert_same_table(_native(c, m, variant) if native else c)
+
+
+def test_outcome_table_of_a_circuit_walked_in_full():
+    """A measure read by a later cond is walked, both outcomes, and the
+    terminal measures after it are deferred, in an order that is not the
+    order of their qubits: for a general circuit, and for a protocol
+    circuit whose feed-forward reads a clone bit."""
+    general = Circuit(3, 3, (h(0), cx(0, 1), ry(0.7, 2), measure(0, 0),
+                             cond(0, 1, (x(2), ry(0.3, 1))), ry(1.2, 1),
+                             measure(2, 1), measure(1, 2)))
+    _assert_same_table(general)
+    c = build_protocol_circuit(2, OPT, MessageState(1.1, 0.4), tomo_basis="y")
+    clones = c.roles["clones"]
+    c = Circuit(c.num_qubits, c.num_clbits + 1,
+                c.instructions + (cond(2, 1, (ry(0.9, clones[1]),)),
+                                  measure(clones[1], c.num_clbits)), roles=c.roles)
+    _assert_same_table(c)
+    counts = run_shots(c, 4000, seed=3)
+    assert sum(counts.values()) == 4000 and set(counts) <= set(_oracle_table(c))
 
 
 @pytest.mark.parametrize("m,variant", [(2, NOA), (3, NOA)]
@@ -471,6 +501,17 @@ def test_noise_channel_rejects_a_qubit_out_of_range():
     for qubits in ([5], [-1], [0, 2]):
         with pytest.raises(SimulationError, match="out of range"):
             apply_noise_channel(np.eye(4) / 4, ("bit_flip", 0.1), qubits)
+
+
+@pytest.mark.parametrize("channel", ["depolarizing", ("depolarizing",),
+                                     ("depolarizing", 0.1, 2), None,
+                                     ("depolarizing", "0.1"), ("bit_flip", True),
+                                     ("bit_flip", None), ("bit_flip", float("nan"))],
+                         ids=["name-only", "one-tuple", "three-tuple", "none",
+                              "string-param", "bool-param", "none-param", "nan-param"])
+def test_noise_channel_rejects_a_channel_that_is_not_a_name_and_number(channel):
+    with pytest.raises(SimulationError, match="channel"):
+        apply_noise_channel(np.eye(2) / 2, channel, [0])
 
 
 def test_noise_channel_rejects_a_repeated_qubit():

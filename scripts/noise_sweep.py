@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Depolarizing-noise sweep: mean clone fidelity vs error probability, for
 the M=2 ancilla-free circuit (density-matrix evolution, no sampling noise).
+Each noise level compiles one noisy clone response, contracted per message.
 
 Usage: python scripts/noise_sweep.py [--out sweep.csv]
 """
@@ -11,7 +12,8 @@ import sys
 import numpy as np
 
 from teleclone import (MessageState, NoiseModel, TelecloningVariant,
-                       build_protocol_circuit, clone_metrics, noisy_clone_states)
+                       build_protocol_circuit, clone_metrics)
+from teleclone.simulator import apply_response, compile_response, message_state
 
 PROBS = [0.0, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5]
 
@@ -29,9 +31,11 @@ def main():
     for p in PROBS:
         noise = NoiseModel(depolarizing_1q=p, depolarizing_2q=p)
         fids, mags = [], []
-        for msg in messages:
-            circ = build_protocol_circuit(2, TelecloningVariant.NO_ANCILLA, msg)
-            for rho in noisy_clone_states(circ, noise):
+        circuits = [build_protocol_circuit(2, TelecloningVariant.NO_ANCILLA, msg)
+                    for msg in messages]
+        response = compile_response(circuits[0], noise)
+        for msg, circ in zip(messages, circuits):
+            for rho in apply_response(response, message_state(circ, noise)):
                 met = clone_metrics(rho, msg.bloch())
                 fids.append(met.fidelity_to_message)
                 mags.append(met.bloch_magnitude)

@@ -6,13 +6,16 @@ sampling entirely and is the acceptance path; shots mode reproduces the
 statistical procedure.
 
 The grid runs in chunks, one per worker process (a serial run is one
-chunk). Every clone state of a noiseless point is linear in the message's
-one-qubit state, so each chunk of noiseless points compiles one clone
-response (``simulator.compile_response``) from a template message and no
-point builds or simulates a circuit: exact mode contracts the response with
-the point's message state, and shots mode draws each clone's counts from
-the contracted state (``tomography.sample_tomography``). Noisy points
-build, transpile and simulate their own circuits.
+chunk). Every clone state is linear in the message's one-qubit state, so
+each chunk compiles one clone response (``simulator.compile_response``)
+from a template message, and a point contracts it with its message state:
+exact mode records the contracted states, and shots mode draws each
+clone's counts from them (``tomography.sample_tomography``). Noiseless
+points build no circuit. Under noise the response comes from a density
+walk, one per tomography basis in shots mode, and each point builds and
+transpiles its own circuit only to evolve its message's noisy state
+(``simulator.message_state``). Noisy shots past the density cap share no
+response; their points run trajectories (``tomography.tomography_run``).
 """
 
 from __future__ import annotations
@@ -31,10 +34,11 @@ from .circuit import Circuit
 from .exceptions import ConfigError, SimulationError, TelecloneError, TranspileError
 from .hardware import (DurationTable, check_capacity, enumerate_layouts, insert_dd,
                        transpile_to_native)
-from .simulator import NoiseModel, apply_response, compile_response, noisy_clone_states
-from .telecloning import (MessageState, TelecloningVariant, build_protocol_circuit,
-                          check_variant)
-from .tomography import sample_tomography, tomography_run
+from .simulator import (_DENSITY_QUBIT_CAP, NoiseModel, apply_response, compile_response,
+                        message_state, used_qubits)
+from .telecloning import (MessageState, TelecloningVariant, _roles, build_protocol_circuit,
+                          check_variant, with_tomography)
+from .tomography import BASES, basis_p1, sample_tomography, tomography_run
 
 MODES = ("exact", "shots")
 
@@ -83,6 +87,11 @@ class ExperimentConfig:
                 check_capacity(self.m, self.variant)
         except TelecloneError as exc:
             raise ConfigError(str(exc))
+        qubits = _roles(self.m, self.variant, with_message=True)[1]
+        if self.mode == "exact" and _noise(self) is not None \
+                and qubits > _DENSITY_QUBIT_CAP:
+            raise ConfigError(f"noisy exact mode needs a density matrix over {qubits} "
+                              f"qubits, past the {_DENSITY_QUBIT_CAP}-qubit cap")
 
     def to_json_dict(self) -> dict:
         return {
@@ -130,6 +139,11 @@ class ExperimentConfig:
                    **kwargs)
 
 
+def _noise(config: ExperimentConfig) -> NoiseModel | None:
+    """The config's noise model, or None when it has no nonzero channel."""
+    return config.noise if config.noise is not None and config.noise.any_noise() else None
+
+
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
@@ -169,7 +183,7 @@ def angle_grid(n_psi: int, n_phi: int) -> list[MessageState]:
 
 def _transform_for(config: ExperimentConfig):
     if config.layout_index is None:
-        return None
+        return lambda circuit: circuit
     layout = enumerate_layouts(config.m, config.variant)[config.layout_index]
     durations = config.durations or DurationTable()
 
@@ -192,39 +206,48 @@ _TEMPLATE = MessageState(0.0, 0.0)
 
 
 def _response_for(config: ExperimentConfig, transform) -> np.ndarray | None:
-    """The clone response that every point of a noiseless sweep shares, or
-    None when the points simulate noise (exact mode with any noise model,
-    shots mode with nonzero noise)."""
-    if config.noise is not None and (config.mode == "exact"
-                                     or config.noise.any_noise()):
-        return None
+    """The clone response that every point of a sweep chunk shares: one for
+    exact mode, and for noisy shots one per tomography basis, stacked. None
+    for noisy shots whose circuits are past the density cap: each point
+    then runs its own trajectories."""
+    noise = _noise(config)
     circuit = build_protocol_circuit(config.m, config.variant, _TEMPLATE,
                                      tomo_basis="none")
-    return compile_response(circuit if transform is None else transform(circuit))
+    if noise is None or config.mode == "exact":
+        return compile_response(transform(circuit), noise)
+    bases = [transform(with_tomography(circuit, basis)) for basis in BASES]
+    if len(used_qubits(bases[0])) > _DENSITY_QUBIT_CAP:
+        return None
+    return np.stack([compile_response(c, noise) for c in bases])
 
 
 def _run_point(config: ExperimentConfig, transform, response: np.ndarray | None,
                index: int, msg: MessageState) -> dict:
-    records = None
-    if response is not None:
+    noise, records = _noise(config), None
+    # exact mode draws no seed: that would import numpy.random
+    seed = _point_seed(config.seed, index) if config.mode == "shots" else None
+    if response is None:
+        records = tomography_run(config.m, config.variant, msg, config.shots_per_basis,
+                                 seed=seed, noise=noise, transform=transform)
+    elif noise is None:
         # transpiling changes the message's gates only by a global phase,
         # and decoupling pulses multiply to the identity
         a = np.array(msg.amplitudes())
         rhos = apply_response(response, np.outer(a, a.conj()))
         if config.mode == "shots":
-            records = sample_tomography(rhos, config.shots_per_basis,
-                                        _point_seed(config.seed, index))
-    elif config.mode == "exact":
-        circuit = build_protocol_circuit(config.m, config.variant, msg,
-                                         tomo_basis="none")
-        if transform is not None:
-            circuit = transform(circuit)
-        rhos = noisy_clone_states(circuit, config.noise)
+            records = sample_tomography([basis_p1(rho) for rho in rhos],
+                                        config.shots_per_basis, seed)
     else:
-        records = tomography_run(config.m, config.variant, msg,
-                                 config.shots_per_basis,
-                                 seed=_point_seed(config.seed, index),
-                                 noise=config.noise, transform=transform)
+        circuit = build_protocol_circuit(config.m, config.variant, msg, tomo_basis="none")
+        rho = message_state(transform(circuit), noise)
+        if config.mode == "exact":
+            rhos = apply_response(response, rho)
+        else:
+            f = noise.readout_flip
+            p1 = [[(1 - f) * s[1, 1].real + f * s[0, 0].real
+                   for s in apply_response(per_basis, rho)] for per_basis in response]
+            records = sample_tomography(np.clip(np.transpose(p1), 0.0, 1.0),
+                                        config.shots_per_basis, seed)
     if records is not None:
         rhos = [rec.reconstructed for rec in records]
     clones = []
@@ -297,9 +320,9 @@ def _failure(exc: Exception) -> dict:
 
 def _run_chunk(config: ExperimentConfig, points) -> list[dict]:
     """Outcomes of a run of (index, message) grid points, each one's failure
-    marker on an exception; the points share one layout transform and,
-    without noise, one clone response. When either cannot be made, every
-    point carries its error."""
+    marker on an exception; the points share one layout transform and one
+    :func:`_response_for`. When either cannot be made, every point carries
+    its error."""
     try:
         transform = _transform_for(config)
         response = _response_for(config, transform)

@@ -12,11 +12,17 @@ One interpreter, :func:`_walk`, runs every mode. It carries a list of
 cond body only on the branches whose bit matches. Each mode supplies how a
 gate acts on its state and how a measurement changes the branch list: exact
 enumeration splits every branch into both outcomes, shot sampling also
-defers terminal measurements to the final distribution, the density-matrix
-oracle splits and merges readout-flip branches, and the trajectory mode
-samples every shot's outcome and splits its shots by the recorded bit.
+defers terminal measurements to the final distribution, the density walk
+defers them too and splits and merges readout-flip branches, and the
+trajectory mode samples every shot's outcome and splits its shots by the
+recorded bit.
 :func:`_noise_after` is the one rule for which noise follows a gate, read
 by both noisy modes.
+
+Noise acts on each gate's own qubits only, so a noisy protocol circuit is
+linear in its message's state after the message's own gates
+(:func:`message_state`): the noisy :func:`compile_response` walks every
+other gate once, four message inputs in a batch (:func:`_density_clones`).
 
 The trajectory mode runs the shots in blocks, each one (2^n, shots) array
 with a shot's state in each column, capped at ``_BLOCK_AMPLITUDES``
@@ -44,10 +50,11 @@ off them. Any other circuit is compacted and walked in full from |0...0>,
 its terminal measures deferred (:func:`_full_walk`).
 
 One kernel, :func:`_apply_block`, applies every gate and channel matrix,
-as a :func:`_block` built once per circuit: only the slices of its
-non-identity rows are written, each from the slices its nonzero entries
-name, so an X is a half swap, a Z a sign flip and a controlled gate touches
-only the half where its control is set. Trailing axes are batch axes, so
+as a :func:`_block` built once per distinct instruction of a circuit
+(:func:`_block_rule`): only the slices of its non-identity rows are
+written, each from the slices its nonzero entries name, so an X is a half
+swap, a Z a sign flip and a controlled gate touches only the half where its
+control is set. Trailing axes are batch axes, so
 one block serves a state, a trajectory block's shots in its columns and a
 density matrix read as a vector over 2n qubits, where a gate with its noise
 is one superoperator block sum_K K (x) K* on the axes (q..., q+n...). The
@@ -200,9 +207,11 @@ def _ops(instructions):
 def _block_rule(instructions, build=lambda ins: _block(gate_matrix(ins), ins.qubits)):
     """``apply`` of a :func:`_walk` of ``instructions``, whose qubits are
     state axes: each gate, cond bodies included, runs as the block that
-    ``build`` makes of it (by default its own matrix), built here once."""
-    blocks = {id(ins): build(ins) for ins in _ops(instructions)
-              if ins.gate not in ("barrier", "measure")}
+    ``build`` makes of it (by default its own matrix), built here once per
+    distinct instruction, so repeated decoupling pulses share one."""
+    gates = [ins for ins in _ops(instructions) if ins.gate not in ("barrier", "measure")]
+    built = {ins: build(ins) for ins in dict.fromkeys(gates)}
+    blocks = {id(ins): built[ins] for ins in gates}
     return lambda state, ins: _apply_block(state, blocks[id(ins)])
 
 
@@ -600,16 +609,23 @@ def exact_subsystem_state(circuit: Circuit, qubits) -> np.ndarray:
     return _branch_sum(circuit, [tuple(qubits)])[0][:, :, 0, 0]
 
 
-def compile_response(circuit: Circuit) -> np.ndarray:
-    """The clone response of a noiseless protocol circuit: an (M, 2, 2, 2, 2)
-    array R, clone k being in the state sum_ij rho[i, j] R[k, i, j] when the
-    message's own gates before the Bell cx leave it in the state rho. R[k,
-    i, j] sums clone k's partial traces of |psi_i><psi_j| over the Bell
-    branches of the messages |0> and |1>; no other gate depends on the
-    message, so one response serves every message of the same (m, variant,
-    layout, dd). Requires tomo_basis="none", a seedable prefix and only
-    one-qubit gates after the Bell measurement (see :func:`_branches`).
+def compile_response(circuit: Circuit, noise: NoiseModel | None = None) -> np.ndarray:
+    """The clone response of a protocol circuit: an (M, 2, 2, 2, 2) array R,
+    clone k being in the state sum_ij rho[i, j] R[k, i, j] when the
+    message's own gates before the Bell cx leave it in the state rho
+    (:func:`message_state`). No other gate depends on the message, so one
+    response serves every message of the same (m, variant, layout, dd,
+    tomography basis).
+
+    Without ``noise``, R[k, i, j] sums clone k's partial traces of
+    |psi_i><psi_j| over the Bell branches of the messages |0> and |1>; this
+    requires tomo_basis="none", a seedable prefix and only one-qubit gates
+    after the Bell measurement (see :func:`_branches`). With ``noise``, R
+    holds each clone's state before its terminal measure
+    (:func:`_density_response`), within the density cap.
     """
+    if noise is not None:
+        return _density_response(circuit, noise)
     return np.stack(_branch_sum(circuit, [(q,) for q in circuit.roles.get("clones", ())],
                                 response=True)).transpose(0, 3, 4, 1, 2)
 
@@ -900,26 +916,29 @@ def _trajectory_counts(circuit: Circuit, noise: NoiseModel, seed: int,
     return counts
 
 
-def noisy_clone_states(circuit: Circuit, noise: NoiseModel):
-    """Exact density-matrix counterpart of :func:`exact_clone_states` under a
-    static noise model; the oracle for stochastic shot-mode noise."""
-    _validated(circuit, _DENSITY_QUBIT_CAP, "a density matrix")
-    circuit = compact(circuit)
-    n = circuit.num_qubits
-    if any(i.gate == "measure" and i.qubits[0] in circuit.roles.get("clones", ())
-           for i in circuit.instructions):
-        raise SimulationError("noisy_clone_states requires tomo_basis='none'")
-    flip = noise.readout_flip
+def _density_clones(circuit: Circuit, noise: NoiseModel, rho: np.ndarray,
+                    skip=frozenset()) -> np.ndarray:
+    """Each clone's state, an (M, 2, 2, ...) array, after the density walk of
+    a compacted circuit, but for the instructions whose ``id`` is in
+    ``skip``, from ``rho``, a (2^n, 2^n) array whose trailing axes are a
+    batch. Each gate runs with its noise as one :func:`_noisy_block`; a
+    measure splits every branch on its outcome, records it flipped with
+    probability readout_flip and merges branches with the same bits, and
+    drops a branch only when its whole batch has zero weight. Terminal
+    measures are deferred: the states are those before them."""
+    n, flip = circuit.num_qubits, noise.readout_flip
+    instructions = [ins for ins in circuit.instructions if id(ins) not in skip]
+    terminal = _terminal_measures(instructions)
 
     def measure(branches, ins):
-        """Split on the outcome, record it flipped with probability ``flip``
-        and merge branches with identical classical bits."""
+        if id(ins) in terminal:
+            return branches
         q = ins.qubits[0]
         merged: dict[tuple, np.ndarray] = {}
-        for bits, rho in branches:
+        for bits, state in branches:
             for outcome in (0, 1):
-                proj = _project(rho, (q, q + n), outcome)
-                if np.trace(proj).real <= 1e-24:
+                proj = _project(state, (q, q + n), outcome)
+                if np.trace(proj).real.sum() <= 1e-24:
                     continue
                 for recorded, scale in ((outcome, 1 - flip), (1 - outcome, flip)):
                     if scale <= 0:
@@ -929,13 +948,73 @@ def noisy_clone_states(circuit: Circuit, noise: NoiseModel):
                         else proj * scale
         return list(merged.items())
 
-    dim = 1 << n
-    rho0 = _ground(2 * n).reshape(dim, dim)
-    branches = _walk(circuit.instructions, [((0,) * circuit.num_clbits, rho0)],
-                     _block_rule(circuit.instructions,
-                                 lambda ins: _noisy_block(ins, noise, n)), measure)
-    total = sum(rho for _, rho in branches)
-    return [partial_trace(total, [q], n) for q in circuit.roles["clones"]]
+    branches = _walk(instructions, [((0,) * circuit.num_clbits, rho)],
+                     _block_rule(instructions, lambda ins: _noisy_block(ins, noise, n)),
+                     measure)
+    total = sum(state for _, state in branches)
+    return np.stack([np.einsum("aibajb...->ij...", total.reshape(
+        1 << q, 2, 1 << (n - 1 - q), 1 << q, 2, 1 << (n - 1 - q), *rho.shape[2:]))
+        for q in circuit.roles["clones"]])
+
+
+def noisy_clone_states(circuit: Circuit, noise: NoiseModel):
+    """Exact density-matrix counterpart of :func:`exact_clone_states` under a
+    static noise model, the whole circuit walked from |0...0>
+    (:func:`_density_clones`): the per-circuit oracle of noisy responses and
+    of stochastic shot-mode noise."""
+    _validated(circuit, _DENSITY_QUBIT_CAP, "a density matrix")
+    circuit = compact(circuit)
+    if any(i.gate == "measure" and i.qubits[0] in circuit.roles.get("clones", ())
+           for i in circuit.instructions):
+        raise SimulationError("noisy_clone_states requires tomo_basis='none'")
+    n = circuit.num_qubits
+    return list(_density_clones(circuit, noise, _ground(2 * n).reshape(1 << n, 1 << n)))
+
+
+def _message_prefix(circuit: Circuit) -> list[Instruction]:
+    """The message's own one-qubit gates before anything else touches it
+    (in a protocol circuit, its Bell cx). Noise follows a gate on its own
+    qubits only, so every gate before them acts on other qubits, and the
+    rest of the circuit is linear in the state they leave the message in."""
+    mq, prefix = circuit.roles["message"], []
+    for ins in circuit.instructions:
+        if ins.gate == "barrier" or mq not in _touched(ins):
+            continue
+        if ins.gate in ("measure", "cond") or len(ins.qubits) > 1:
+            break
+        prefix.append(ins)
+    return prefix
+
+
+def message_state(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
+    """The 2 x 2 state of a protocol circuit's message after its
+    :func:`_message_prefix`, from |0><0|, each gate followed by its noise."""
+    mq = circuit.roles["message"]
+    rho = np.array([[1, 0], [0, 0]], dtype=complex)
+    for ins in _message_prefix(circuit):
+        _apply_block(rho, _noisy_block(_remap(ins, {mq: 0}), noise, 1))
+    return rho
+
+
+def _density_response(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
+    """The noisy :func:`compile_response` of a protocol circuit: one
+    :func:`_density_clones` walk, but for the message's prefix, with the
+    message in |0>, |1>, |+> and |+i> as a batch axis. Each clone's state
+    for |0><1| is then rho_+ + i rho_+i - (1 + i)(rho_0 + rho_1)/2."""
+    _validated(circuit, _DENSITY_QUBIT_CAP, "a density matrix")
+    if any(role not in circuit.roles for role in ("message", "clones")):
+        raise SimulationError("circuit lacks role metadata for the protocol")
+    circuit = compact(circuit)
+    n, mq = circuit.num_qubits, circuit.roles["message"]
+    inputs = np.array([[1, 0, 1, 1], [0, 1, 1, 1j]]) / np.sqrt([1, 1, 2, 2])
+    rho = np.zeros((1 << n, 1 << n, 4), dtype=complex)
+    at = [0, 1 << (n - 1 - mq)]
+    rho[np.ix_(at, at)] = np.einsum("ia,ja->ija", inputs, inputs.conj())
+    zero, one, plus, plus_i = np.moveaxis(
+        _density_clones(circuit, noise, rho, set(map(id, _message_prefix(circuit)))), -1, 0)
+    mid = (zero + one) / 2
+    return np.array([[zero, plus + 1j * plus_i - (1 + 1j) * mid],
+                     [plus - 1j * plus_i - (1 - 1j) * mid, one]]).transpose(2, 0, 1, 3, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -138,8 +138,9 @@ def tomography_run(m: int, variant: TelecloningVariant, message: MessageState,
     ``transform`` optionally rewrites each basis circuit before execution
     (layout mapping, decoupling passes); it must preserve clone bit order.
     Each basis samples joint counts with :func:`run_shots` from its own
-    child of ``seed``. Sweeps reach this only with noise; noiseless sweeps
-    draw from their clone response instead (:func:`sample_tomography`).
+    child of ``seed``. Sweeps reach this only with noise past the density
+    cap; other sweeps draw from their clone responses instead
+    (:func:`sample_tomography`).
     """
     _check_int("shots_per_basis", shots_per_basis, 1)
     per_clone: list[dict] = [dict() for _ in range(m)]
@@ -163,18 +164,20 @@ def basis_p1(rho: np.ndarray) -> np.ndarray:
     return np.clip((1.0 - r) / 2, 0.0, 1.0)
 
 
-def sample_tomography(rhos, shots_per_basis: int, seed: int) -> list[TomographyRecord]:
-    """Tomography records of clones in the exact states ``rhos``.
+def sample_tomography(p1, shots_per_basis: int, seed: int) -> list[TomographyRecord]:
+    """Tomography records of clones whose outcome 1 has probability
+    ``p1[k][b]`` for clone k in basis b of :data:`BASES`.
 
     Each clone's count of 1s in each basis is a Binomial(shots_per_basis,
-    P(1)) draw from its :func:`basis_p1`, all clones of a basis from the
-    Philox stream of that basis's child of ``seed`` (the seeds
-    :func:`tomography_run` uses). Records read only per-clone marginals, so
-    this is equal in law to summing :func:`tomography_run`'s joint counts
-    per clone; the draws differ.
+    P(1)) draw, all clones of a basis from the Philox stream of that
+    basis's child of ``seed`` (the seeds :func:`tomography_run` uses).
+    Records read only per-clone marginals, so this is equal in law to
+    summing :func:`tomography_run`'s joint counts per clone; the draws
+    differ. A noiseless clone in the state rho has the P(1) of
+    :func:`basis_p1`.
     """
     _check_int("shots_per_basis", shots_per_basis, 1)
-    p1 = np.array([basis_p1(rho) for rho in rhos])
+    p1 = np.asarray(p1, dtype=float)
     per_clone: list[dict] = [dict() for _ in p1]
     for bi, basis in enumerate(BASES):
         rng = np.random.Generator(np.random.Philox(key=np.uint64(_basis_seed(seed, bi))))

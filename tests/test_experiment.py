@@ -61,8 +61,14 @@ _NS = st.floats(0.0, 1e4)
 def _configs(draw):
     variant = draw(st.sampled_from(list(TelecloningVariant)))
     layout = draw(st.none() | st.integers(0, 6))
+    noise = draw(st.none() | st.builds(NoiseModel, depolarizing_1q=_UNIT,
+                                       depolarizing_2q=_UNIT, readout_flip=_UNIT,
+                                       amplitude_damping_idle=st.none() | _UNIT))
+    mode = draw(st.sampled_from(["exact", "shots"]))
+    # noisy exact mode holds a density matrix: at most 8 qubits, M=3 with ancillas
+    small = variant is NOA or (mode == "exact" and noise is not None and noise.any_noise())
     return ExperimentConfig(
-        m=draw(st.integers(2, 3) if variant is NOA else st.integers(2, 10)),
+        m=draw(st.integers(2, 3) if small else st.integers(2, 10)),
         variant=variant, n_psi=draw(st.integers(1, 50)), n_phi=draw(st.integers(1, 50)),
         shots_per_basis=draw(st.integers(1, 10 ** 6)),
         seed=draw(st.integers(0, 2 ** 64 - 1)), layout_index=layout,
@@ -71,10 +77,7 @@ def _configs(draw):
             DurationTable, sx=_NS, x=_NS, cx=_NS, measure=_NS, feedforward_latency=_NS,
             cx_overrides=st.dictionaries(st.tuples(st.integers(0, 26), st.integers(0, 26)),
                                          _NS, max_size=3))),
-        noise=draw(st.none() | st.builds(NoiseModel, depolarizing_1q=_UNIT,
-                                         depolarizing_2q=_UNIT, readout_flip=_UNIT,
-                                         amplitude_damping_idle=st.none() | _UNIT)),
-        mode=draw(st.sampled_from(["exact", "shots"])))
+        noise=noise, mode=mode)
 
 
 @given(_configs())
@@ -181,33 +184,123 @@ def test_noise_floor_heavy_depolarizing():
     assert abs(rec.aggregate["overall_mean_fidelity"] - 0.5) < 0.05
 
 
+_ALL_CHANNELS = NoiseModel(depolarizing_1q=0.01, depolarizing_2q=0.02, readout_flip=0.1,
+                           amplitude_damping_idle=0.05)
+
+
+def _density_p1(cfg, msg):
+    """P(1) of each clone in each basis from the density oracle: each basis
+    circuit of ``msg`` walked whole without its clone measures, with the
+    readout flip applied to P(1)."""
+    from teleclone import Circuit, build_protocol_circuit, noisy_clone_states
+    from teleclone.experiment import _transform_for
+    from teleclone.tomography import BASES
+    transform = _transform_for(cfg)
+    f = cfg.noise.readout_flip
+    p1 = []
+    for basis in BASES:
+        c = transform(build_protocol_circuit(cfg.m, cfg.variant, msg, tomo_basis=basis))
+        c = Circuit(c.num_qubits, c.num_clbits,
+                    tuple(i for i in c.instructions if not (i.gate == "measure" and i.clbit >= 2)),
+                    roles=c.roles)
+        p1.append([(1 - f) * rho[1, 1].real + f * rho[0, 0].real
+                   for rho in noisy_clone_states(c, cfg.noise)])
+    return np.transpose(p1)
+
+
 def test_shots_mode_heavy_noise_matches_density_oracle():
-    """Sampled sweep under strong CX depolarizing lands on the density-matrix
-    oracle's mean (within shot noise), close to the 0.5 floor."""
-    from teleclone import NoiseModel
-    noise = NoiseModel(depolarizing_2q=0.5)
-    cfg = ExperimentConfig(m=2, variant=NOA, n_psi=2, n_phi=2, mode="shots",
-                           shots_per_basis=2000, seed=6, noise=noise)
-    mean = run_experiment(cfg).aggregate["overall_mean_fidelity"]
+    """Sampled sweeps, under strong CX depolarizing and under all four
+    channels on layout 0 with decoupling, draw each clone's count of 1s in
+    each basis within 5 binomial sigmas of the density-matrix oracle; the
+    strong-depolarizing mean lands on the oracle's, close to the 0.5 floor."""
+    heavy = NoiseModel(depolarizing_2q=0.5)
+    # the decoupled layout's many pulses damp the clones to near I/2 under
+    # _ALL_CHANNELS, which would hide a misplaced readout flip
+    mild = NoiseModel(depolarizing_1q=0.002, depolarizing_2q=0.01, readout_flip=0.1,
+                      amplitude_damping_idle=0.002)
+    means = []
+    for noise, layout, (n_psi, n_phi) in ((heavy, None, (2, 2)), (mild, 0, (3, 4))):
+        cfg = ExperimentConfig(m=2, variant=NOA, n_psi=n_psi, n_phi=n_phi, mode="shots",
+                               shots_per_basis=2000, seed=6, noise=noise,
+                               layout_index=layout, dd=layout is not None)
+        rec = run_experiment(cfg)
+        means.append(rec.aggregate["overall_mean_fidelity"])
+        for point in rec.results:
+            p1 = _density_p1(cfg, MessageState(point["psi"], point["phi"]))
+            for k, clone in enumerate(point["clones"]):
+                for b, basis in enumerate(("x", "y", "z")):
+                    n1 = clone["tomography"]["counts"][basis][1]
+                    sigma = math.sqrt(2000 * p1[k, b] * (1 - p1[k, b]))
+                    assert abs(n1 - 2000 * p1[k, b]) <= 5 * sigma, (point["index"], k, basis)
     oracle = ExperimentConfig(m=2, variant=NOA, n_psi=2, n_phi=2, mode="exact",
-                              noise=noise)
+                              noise=heavy)
     oracle_mean = run_experiment(oracle).aggregate["overall_mean_fidelity"]
-    assert abs(mean - oracle_mean) < 0.03
+    assert abs(means[0] - oracle_mean) < 0.03
     assert oracle_mean < 0.62
 
 
-def test_partial_failure_markers_and_exit_code(tmp_path):
-    """Density-mode noise on a circuit above the density cap fails per point;
-    the record keeps markers and the CLI signals partial failure."""
-    cfg = {"m": 4, "variant": "with-ancilla-optimized", "n_psi": 2, "n_phi": 2,
-           "mode": "exact", "noise": {"depolarizing_1q": 0.1}}
+# Fails grid points 1 and 2 of every sweep with a SimulationError.
+_FAIL_TWO_POINTS = """
+from teleclone import experiment
+from teleclone.exceptions import SimulationError
+run_point = experiment._run_point
+
+def failing(config, transform, response, index, msg):
+    if index in (1, 2):
+        raise SimulationError(f"point {index} failed")
+    return run_point(config, transform, response, index, msg)
+"""
+
+
+def test_partial_failure_markers_and_exit_code(tmp_path, monkeypatch):
+    """Points that raise keep failure markers while the others run; the CLI
+    then signals partial failure."""
+    from teleclone import experiment
+    cfg = {"m": 2, "variant": "no-ancilla", "n_psi": 2, "n_phi": 2, "mode": "exact",
+           "noise": {"depolarizing_1q": 0.1}}
+    scope = {}
+    exec(_FAIL_TWO_POINTS, scope)
+    monkeypatch.delenv("TELECLONE_WORKERS", raising=False)
+    monkeypatch.setattr(experiment, "_run_point", scope["failing"])
     rec = run_experiment(ExperimentConfig.from_json_dict(cfg))
-    assert rec.aggregate["n_failed"] == 4
-    assert all(p["error"] is not None for p in rec.results)
+    assert rec.aggregate["n_failed"] == 2
+    assert [p["error"] for p in rec.results] == [None, "point 1 failed", "point 2 failed", None]
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    r = _cli("run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "runs"))
-    assert r.returncode == 2
+    code = _FAIL_TWO_POINTS + (
+        "experiment._run_point = failing\n"
+        "from teleclone import cli\n"
+        f"print(cli.main(['run', '--config', {str(cfg_path)!r}, "
+        f"'--out-dir', {str(tmp_path / 'runs')!r}]))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.stdout.splitlines()[-1] == "2", r.stderr
+
+
+def test_noisy_shots_past_the_density_cap_run_trajectories():
+    """Noisy shots whose circuit is past the density cap (M=4 with ancillas,
+    9 qubits) share no response; each point runs tomography_run's
+    trajectories from its own seed."""
+    from teleclone import tomography_run
+    from teleclone.experiment import _point_seed, _response_for, _transform_for
+    cfg = ExperimentConfig(m=4, variant=OPT, n_psi=1, n_phi=1, mode="shots",
+                           shots_per_basis=40, seed=2, noise=_ALL_CHANNELS)
+    assert _response_for(cfg, _transform_for(cfg)) is None
+    fits = ExperimentConfig(m=3, variant=OPT, mode="shots", noise=_ALL_CHANNELS)
+    assert _response_for(fits, _transform_for(fits)).shape == (3, 3, 2, 2, 2, 2)
+    (point,) = run_experiment(cfg).results
+    records = tomography_run(4, OPT, MessageState(0.0, 0.0), 40, seed=_point_seed(2, 0),
+                             noise=_ALL_CHANNELS)
+    assert [c["tomography"] for c in point["clones"]] == [r.to_json_dict() for r in records]
+
+
+def test_zero_noise_exact_mode_runs_noiseless():
+    """A noise object with every channel at zero is no noise: an M=5 exact
+    sweep, whose density matrix would be past the cap, gives the noiseless
+    sweep's results."""
+    cfg = {"m": 5, "variant": "with-ancilla-optimized", "n_psi": 2, "n_phi": 1}
+    rec = run_experiment(ExperimentConfig.from_json_dict({**cfg, "noise": {}}))
+    assert rec.aggregate["n_failed"] == 0
+    assert rec.results == run_experiment(ExperimentConfig.from_json_dict(cfg)).results
 
 
 def test_cli_build_with_layout_and_dd(tmp_path):
@@ -289,9 +382,12 @@ def test_worker_pool_determinism(tmp_path, monkeypatch):
     configs = [ExperimentConfig(m=2, variant=NOA, n_psi=2, n_phi=2, mode="shots",
                                 shots_per_basis=100, seed=8),
                ExperimentConfig(m=3, variant=OPT, n_psi=3, n_phi=1, mode="shots",
-                                shots_per_basis=100, seed=5, layout_index=2, dd=True)]
+                                shots_per_basis=100, seed=5, layout_index=2, dd=True),
+               ExperimentConfig(m=2, variant=NOA, n_psi=3, n_phi=1, mode="shots",
+                                shots_per_basis=100, seed=4, layout_index=3, dd=True,
+                                noise=_ALL_CHANNELS)]
     serial = [run_experiment(cfg) for cfg in configs]
-    assert serial[1].aggregate["n_failed"] == 0
+    assert serial[1].aggregate["n_failed"] == serial[2].aggregate["n_failed"] == 0
     monkeypatch.setenv("TELECLONE_WORKERS", "2")
     parallel = [run_experiment(cfg).to_json() for cfg in configs]
     assert [rec.to_json() for rec in serial] == parallel
@@ -384,10 +480,12 @@ def test_cli_rejects_bad_worker_count(tmp_path, monkeypatch, value):
     {"durations": {"cx_overrides": {"1-2": "fast"}}},
     {"m": 4},
     {"m": 11, "variant": "with-ancilla-optimized", "layout_index": 0},
+    {"m": 4, "variant": "with-ancilla-optimized", "mode": "exact",
+     "noise": {"depolarizing_1q": 0.1}},
 ], ids=["noise-string", "noise-unknown-key", "noise-list", "n_psi-string",
         "dd-string", "seed-negative", "seed-too-large", "seed-float",
         "durations-string", "durations-number", "cx-override-string",
-        "no-ancilla-m4", "layout-m11"])
+        "no-ancilla-m4", "layout-m11", "noisy-exact-past-density-cap"])
 def test_cli_rejects_bad_config_values(tmp_path, entry):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"m": 2, "variant": "no-ancilla", "n_psi": 1,
@@ -466,8 +564,8 @@ def test_response_matches_each_point_circuit(m, variant, dd):
     for layout in ([] if dd else [None]) + list(range(7)):
         cfg = ExperimentConfig(m=m, variant=variant, layout_index=layout,
                                dd=dd, mode="shots")
-        transform = _transform_for(cfg) or (lambda c: c)
-        response = _response_for(cfg, _transform_for(cfg))
+        transform = _transform_for(cfg)
+        response = _response_for(cfg, transform)
         template = transform(build_protocol_circuit(m, variant, _TEMPLATE))
         for msg in msgs:
             circuit = transform(build_protocol_circuit(m, variant, msg))
@@ -481,3 +579,54 @@ def test_response_matches_each_point_circuit(m, variant, dd):
             for bi, basis in enumerate(BASES):
                 c = transform(build_protocol_circuit(m, variant, msg, tomo_basis=basis))
                 np.testing.assert_allclose(p1[:, bi], _clone_p1(c, m), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dd", [False, True], ids=["no-dd", "dd"])
+@pytest.mark.parametrize("m,variant", [(2, NOA), (2, OPT), (2, FULL), (3, NOA),
+                                       (3, OPT), (3, FULL)])
+def test_noisy_response_matches_each_point_circuit(m, variant, dd):
+    """Under all four noise channels, the responses a noisy sweep compiles
+    from its template stand for every point's own circuit, logical and on
+    layouts (all 7 at M=2, two at M=3): the circuits differ only in the
+    message's own gates before its Bell cx, exact mode's contraction gives
+    the point circuit's noisy_clone_states, and shots mode's P(1) of each
+    clone and basis is the density oracle's."""
+    from dataclasses import replace
+
+    from teleclone import build_protocol_circuit, noisy_clone_states
+    from teleclone.experiment import _TEMPLATE, _response_for, _transform_for
+    from teleclone.simulator import _message_prefix, apply_response, message_state
+    from teleclone.telecloning import with_tomography
+    from teleclone.tomography import BASES
+    rng = np.random.default_rng(20 * m + dd)
+    msgs = [MessageState(float(rng.uniform(0, math.pi)),
+                         float(rng.uniform(0, 2 * math.pi))) for _ in range(2)]
+    f = _ALL_CHANNELS.readout_flip
+
+    def rest(c):
+        prefix = set(map(id, _message_prefix(c)))
+        return [i for i in c.instructions if id(i) not in prefix]
+
+    for layout in ([] if dd else [None]) + (list(range(7)) if m == 2 else [0, 5]):
+        exact = ExperimentConfig(m=m, variant=variant, layout_index=layout, dd=dd,
+                                 noise=_ALL_CHANNELS)
+        shots = replace(exact, mode="shots")
+        transform = _transform_for(exact)
+        response = _response_for(exact, transform)
+        per_basis = _response_for(shots, transform)
+        template = build_protocol_circuit(m, variant, _TEMPLATE)
+        for msg in msgs:
+            none = build_protocol_circuit(m, variant, msg)
+            for basis in ("none",) + BASES:
+                circuit = transform(with_tomography(none, basis))
+                assert rest(circuit) == rest(transform(with_tomography(template, basis)))
+                assert _message_prefix(circuit) == _message_prefix(transform(none))
+            rho = message_state(transform(none), _ALL_CHANNELS)
+            for got, want in zip(apply_response(response, rho),
+                                 noisy_clone_states(transform(none), _ALL_CHANNELS),
+                                 strict=True):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            p1 = [[(1 - f) * s[1, 1].real + f * s[0, 0].real
+                   for s in apply_response(r, rho)] for r in per_basis]
+            np.testing.assert_allclose(np.transpose(p1), _density_p1(shots, msg),
+                                       rtol=0, atol=1e-12)

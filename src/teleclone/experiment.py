@@ -11,11 +11,13 @@ each chunk compiles one clone response (``simulator.compile_response``)
 from a template message, and a point contracts it with its message state:
 exact mode records the contracted states, and shots mode draws each
 clone's counts from them (``tomography.sample_tomography``). Noiseless
-points build no circuit. Under noise the response comes from a density
-walk, one per tomography basis in shots mode, and each point builds and
-transpiles its own circuit only to evolve its message's noisy state
-(``simulator.message_state``). Noisy shots past the density cap share no
-response; their points run trajectories (``tomography.tomography_run``).
+points build no circuit. Under noise the response holds the prep as a
+density matrix, which must fit the density cap without the message (M <= 4
+with ancillas); shots mode compiles one per tomography basis, and each point
+builds and transpiles its own circuit only to evolve its message's noisy
+state (``simulator.message_state``). Noisy shots whose prep is past the cap
+share no response; their points run trajectories
+(``tomography.tomography_run``).
 """
 
 from __future__ import annotations
@@ -87,11 +89,10 @@ class ExperimentConfig:
                 check_capacity(self.m, self.variant)
         except TelecloneError as exc:
             raise ConfigError(str(exc))
-        qubits = _roles(self.m, self.variant, with_message=True)[1]
-        if self.mode == "exact" and _noise(self) is not None \
-                and qubits > _DENSITY_QUBIT_CAP:
-            raise ConfigError(f"noisy exact mode needs a density matrix over {qubits} "
-                              f"qubits, past the {_DENSITY_QUBIT_CAP}-qubit cap")
+        prep = _roles(self.m, self.variant, with_message=False)[1]
+        if self.mode == "exact" and _noise(self) is not None and prep > _DENSITY_QUBIT_CAP:
+            raise ConfigError(f"noisy exact mode needs a density matrix over the {prep} "
+                              f"prep qubits, past the {_DENSITY_QUBIT_CAP}-qubit cap")
 
     def to_json_dict(self) -> dict:
         return {
@@ -208,15 +209,15 @@ _TEMPLATE = MessageState(0.0, 0.0)
 def _response_for(config: ExperimentConfig, transform) -> np.ndarray | None:
     """The clone response that every point of a sweep chunk shares: one for
     exact mode, and for noisy shots one per tomography basis, stacked. None
-    for noisy shots whose circuits are past the density cap: each point
-    then runs its own trajectories."""
+    for noisy shots whose prep, every qubit but the message, is past the
+    density cap: each point then runs its own trajectories."""
     noise = _noise(config)
     circuit = build_protocol_circuit(config.m, config.variant, _TEMPLATE,
                                      tomo_basis="none")
     if noise is None or config.mode == "exact":
         return compile_response(transform(circuit), noise)
     bases = [transform(with_tomography(circuit, basis)) for basis in BASES]
-    if len(used_qubits(bases[0])) > _DENSITY_QUBIT_CAP:
+    if len(used_qubits(bases[0])) - 1 > _DENSITY_QUBIT_CAP:
         return None
     return np.stack([compile_response(c, noise) for c in bases])
 

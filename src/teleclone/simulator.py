@@ -19,11 +19,6 @@ recorded bit.
 :func:`_noise_after` is the one rule for which noise follows a gate, read
 by both noisy modes.
 
-Noise acts on each gate's own qubits only, so a noisy protocol circuit is
-linear in its message's state after the message's own gates
-(:func:`message_state`): the noisy :func:`compile_response` walks every
-other gate once, four message inputs in a batch (:func:`_density_clones`).
-
 The trajectory mode runs the shots in blocks, each one (2^n, shots) array
 with a shot's state in each column, capped at ``_BLOCK_AMPLITUDES``
 amplitudes. A branch is the group of a block's shots that recorded the same
@@ -33,21 +28,23 @@ columns whose uniforms select them. Each shot reads its uniforms from a
 fixed slot schedule (:func:`_slot_schedule`) in its own counter-based
 Philox row (:func:`_shot_uniforms`), so counts do not depend on the blocks.
 
-The resource state does not depend on the message, so a noiseless protocol
-circuit simulates it without the message: :func:`_compile` runs its prep
-gates and keeps the port's |0> and |1> slices over the other n-2 qubits.
-When only one-qubit gates and terminal measures follow the Bell
-measurement, :func:`_branches` gives each of the four Bell branches as its
-coefficients on the two slices and each qubit's gate product; nothing after
-the Bell measurement is walked. :func:`_branch_sum` traces each clone out of
-the slices once and turns the traced 2 x 2s, which gives
-:func:`exact_clone_states` and, with the messages |0> and |1>,
-:func:`compile_response`: every clone state is linear in the message's
-one-qubit state, so one response serves every message of a sweep
-(:func:`apply_response`). :func:`run_shots` turns each branch state on its
-measured qubits only and draws all counts from the joint distribution read
-off them. Any other circuit is compacted and walked in full from |0...0>,
-its terminal measures deferred (:func:`_full_walk`).
+The resource state does not depend on the message, and after the Bell cx
+only one-qubit gates touch a clone, so a protocol circuit's clone states
+are traced before its feed-forward (Murao et al., PRA 59, 156 (1999)).
+:func:`_traced` runs the prep once over every qubit but the message, a pure
+state without noise and a density matrix with it, takes each group's
+marginal with the port and runs a small tail over (message, port, group):
+the message's gates from its Bell cx on, the Bell measures and the group's
+own later gates, with the four message inputs |i><j| as a batch. Noise
+acts on a gate's own qubits only, so every clone state is linear in the
+message's state after its own gates (:func:`message_state`), and one
+:func:`compile_response` serves every message of a sweep
+(:func:`apply_response`); :func:`exact_clone_states` contracts it with the
+circuit's own message. Noiseless :func:`run_shots` reads the four Bell
+branches off the prep's two port slices (:func:`_branches`), turns each on
+its measured qubits only and draws all counts from the joint distribution.
+Any other circuit is compacted and walked in full from |0...0>, its
+terminal measures deferred (:func:`_full_walk`).
 
 One kernel, :func:`_apply_block`, applies every gate and channel matrix,
 as a :func:`_block` built once per distinct instruction of a circuit
@@ -74,11 +71,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import Circuit, Instruction, validate
+from .circuit import Circuit, Instruction, cond, validate
 from .exceptions import CircuitError, SimulationError
 
 DEFAULT_QUBIT_CAP = 24
-_DENSITY_QUBIT_CAP = 8
+_DENSITY_QUBIT_CAP = 8  # qubits of a walked density matrix: a noisy prep or an oracle
 _BRANCH_CAP = 4096
 _BLOCK_AMPLITUDES = 1 << 18  # shots x 2^n of one block of noisy trajectories
 _FUSE_QUBITS = 3  # widest gate block the compiled prep multiplies out
@@ -388,39 +385,34 @@ def _bell_parts(circuit: Circuit):
     return instrs[:at[0]], [instrs[k] for k in at], suffix
 
 
-def _split_prefix(circuit: Circuit, parts, position: dict[int, int]):
-    """(pre, post, prep) of a circuit's Bell prefix, or None when the prefix
-    cannot be seeded. ``pre`` and ``post`` multiply the message's own 1q
-    gates before and after its one cx(message, port); every other gate is
-    resource prep and may not touch the port after that cx, which the
-    seeding would move ahead of it. ``prep`` is what :func:`_compile` runs:
-    (the used qubits, the message, the port, the prep gates)."""
+def _split_prefix(circuit: Circuit, parts):
+    """(pre, post, prep) instruction lists of a circuit with
+    :func:`_bell_parts` ``parts``, or None when its clone states cannot be
+    traced before its feed-forward. ``pre`` and ``post`` are the message's
+    own instructions before and from its one cx(message, port), each other
+    one a one-qubit gate. Every other instruction before the Bell measures
+    is ``prep``, which runs ahead of that cx, so it may not touch the port
+    after it. Every instruction after the Bell measures, cond bodies
+    included, must act on one qubit and each of its measures be terminal."""
     if parts is None:
         return None
+    prefix, _, suffix = parts
+    if any(len(ins.qubits) != 1 for ins in _ops(suffix)) or not _terminal_measures(
+            suffix) >= {id(ins) for ins in suffix if ins.gate == "measure"}:
+        return None
     mq, pq = circuit.roles["message"], circuit.roles["port"]
-    pre = post = np.eye(2, dtype=complex)
-    prep = []
-    bell_seen = False
-    for ins in parts[0]:
+    pre, post, prep = [], [], []
+    for ins in prefix:
         if mq in ins.qubits:
-            if ins.gate == "cx":
-                if bell_seen or ins.qubits != (mq, pq):
-                    return None
-                bell_seen = True
-            elif len(ins.qubits) == 1:
-                if bell_seen:
-                    post = gate_matrix(ins) @ post
-                else:
-                    pre = gate_matrix(ins) @ pre
-            else:
+            if ins.gate == "cx" and (post or ins.qubits != (mq, pq)) \
+                    or ins.gate != "cx" and len(ins.qubits) != 1:
                 return None
-        elif bell_seen and pq in ins.qubits:
+            (post if post or ins.gate == "cx" else pre).append(ins)
+        elif post and pq in ins.qubits:
             return None
         else:
             prep.append(ins)
-    if not bell_seen:
-        return None
-    return pre, post, (tuple(position), mq, pq, tuple(prep))
+    return (pre, post, prep) if post else None
 
 
 def _fuse(gates, axis: dict[int, int]) -> list[tuple]:
@@ -464,32 +456,18 @@ def _prep_state(gates, axis: dict[int, int]) -> np.ndarray:
     return psi
 
 
-def _compile(prep: tuple):
-    """Run the prep gates on every qubit but the message. Returns the port's
-    |0> and |1> slices of that state, complex, over the other qubits, and
-    the map from each of those qubits to its axis in them."""
-    used, mq, pq, gates = prep
-    others = [q for q in used if q != mq]
-    axis = {q: k for k, q in enumerate(others)}
-    view = _prep_state(gates, axis).reshape(1 << axis[pq], 2, -1)
-    rest = [q for q in others if q != pq]
-    return ((view[:, 0, :].astype(complex).reshape(-1),
-             view[:, 1, :].astype(complex).reshape(-1)),
-            {q: k for k, q in enumerate(rest)})
-
-
 def _bell_branches(pq: int, msg, post, bell, num_clbits: int):
     """Yield the four Bell branches, in the order the two ``bell`` measures
-    split them, as (clbits, 2 x c A): with the port ``pq``'s
-    :func:`_compile` slices t_a, a branch leaves the message state in column
-    i of the 2 x c ``msg`` as sum_a A[a, i] t_a when the message's gates
-    after the Bell cx multiply to ``post``."""
+    split them, as (clbits, A): with the port ``pq``'s |0> and |1> slices
+    t_a of the prep state, a branch leaves the message state ``msg`` as
+    sum_a A[a] t_a when the message's gates after the Bell cx multiply to
+    ``post``."""
     (q0, c0), (_, c1) = [(m.qubits[0], m.clbit) for m in bell]
     for o0 in (0, 1):
         for o1 in (0, 1):
             cp, cm = (o0, o1) if q0 == pq else (o1, o0)
             yield (_set_bit(_set_bit((0,) * num_clbits, c0, o0), c1, o1),
-                   (post[cm][:, None] * msg)[[cp, 1 - cp]])
+                   (post[cm] * msg)[[cp, 1 - cp]])
 
 
 def _turn(turns: dict, ins: Instruction) -> dict:
@@ -499,114 +477,161 @@ def _turn(turns: dict, ins: Instruction) -> dict:
     return turns
 
 
-def _branches(circuit: Circuit, position: dict[int, int], parts,
-              response: bool = False):
-    """The branches of a valid circuit with compaction ``position`` and
-    :func:`_bell_parts` ``parts``, its terminal measures deferred: (sources,
-    the deferred (axis, clbit) pairs, the map from its qubits to state
-    axes). A source is (c states, [(clbits, 2 x c A, turns)]): a branch
-    leaves message column i in sum_a A[a, i] states[a], each axis then
-    turned by its matrix in ``turns``.
+def _product(gates) -> np.ndarray:
+    """The product of one-qubit ``gates``, the first applied first."""
+    out = np.eye(2, dtype=complex)
+    for ins in gates:
+        out = gate_matrix(ins) @ out
+    return out
 
-    A seedable Bell prefix followed only by one-qubit gates and terminal
-    measures gives one source: the port's two :func:`_compile` slices with
-    the four :func:`_bell_branches` of the message's own state (with
-    ``response``, of |0> and |1>) and their :func:`_turn` products. Any
-    other circuit is walked in full (:func:`_full_walk`), one source per
-    branch with A = [[1]] and no turns, and refused with ``response``."""
-    split = _split_prefix(circuit, parts, position)
-    if split is not None and all(len(ins.qubits) == 1 for ins in _ops(parts[2])) \
-            and _terminal_measures(parts[2]) >= {id(i) for i in parts[2] if i.gate == "measure"}:
-        pre, post, prep = split
-        slices, index = _compile(prep)
-        suffix = [_remap(ins, index) for ins in parts[2]]
-        msg = np.eye(2) if response else pre[:, :1]
-        branches = [(bits, coef, _walk(suffix, [(bits, {})], _turn,
-                                       lambda kept, _: kept)[0][1])
-                    for bits, coef in _bell_branches(prep[2], msg, post, parts[1],
-                                                     circuit.num_clbits)]
-        return ([(slices, branches)],
-                [(ins.qubits[0], ins.clbit) for ins in suffix if ins.gate == "measure"], index)
-    if response:
-        raise SimulationError("the clone states of this circuit cannot be traced "
-                              "before its feed-forward")
-    walked, deferred = _full_walk(circuit)
-    return ([([psi], [(bits, np.ones((1, 1)), {})]) for bits, psi in walked],
-            deferred, position)
+
+def _branches(circuit: Circuit, position: dict[int, int], parts):
+    """The (clbits, state, turns) branches of a valid circuit with
+    compaction ``position`` and :func:`_bell_parts` ``parts``, its terminal
+    measures deferred, each axis of a state then turned by its matrix in
+    ``turns``; the deferred (axis, clbit) pairs; and the map from its qubits
+    to state axes.
+
+    A circuit that :func:`_split_prefix` splits gives the four
+    :func:`_bell_branches` of its message, each a sum of the port's two
+    slices of the prep state, with the :func:`_turn` products of its gates
+    after the Bell measures: nothing after the Bell measurement is walked.
+    Any other circuit is walked in full (:func:`_full_walk`)."""
+    split = _split_prefix(circuit, parts)
+    if split is None:
+        walked, deferred = _full_walk(circuit)
+        return [(bits, psi, {}) for bits, psi in walked], deferred, position
+    pre, post, prep = split
+    mq, pq = circuit.roles["message"], circuit.roles["port"]
+    axis = {q: k for k, q in enumerate(q for q in position if q != mq)}
+    view = _prep_state(prep, axis).reshape(1 << axis[pq], 2, -1)
+    index = {q: k for k, q in enumerate(q for q in axis if q != pq)}
+    suffix = [_remap(ins, index) for ins in parts[2]]
+    branches = []
+    for bits, (a0, a1) in _bell_branches(pq, _product(pre)[:, 0], _product(post[1:]),
+                                         parts[1], circuit.num_clbits):
+        turns = _walk(suffix, [(bits, {})], _turn, lambda kept, _: kept)[0][1]
+        branches.append((bits, (a0 * view[:, 0] + a1 * view[:, 1]).reshape(-1), turns))
+    return (branches, [(ins.qubits[0], ins.clbit) for ins in suffix if ins.gate == "measure"],
+            index)
 
 
 # ---------------------------------------------------------------------------
-# exact branch sums
+# traced clone states: the prep once, each group's marginal, a small tail
 # ---------------------------------------------------------------------------
 
-def _cross_trace(states, keep, n: int) -> np.ndarray:
-    """Partial traces onto the ordered axis list ``keep`` of |s_a><s_b| for
-    every pair of the c complex states over ``n`` qubits, as a (2^k, c, 2^k,
-    c) array: three real matrix products of the states' real and imaginary
-    parts, copied once with the kept qubits first; no conjugate is made."""
-    dim, c = 1 << len(keep), len(states)
-    order = [n, *keep, *(q for q in range(n) if q not in keep)]
-    parts = np.empty((2, dim, c, 1 << (n - len(keep))))
-    for a, state in enumerate(states):
-        parts[:, :, a].reshape((2,) * (n + 1))[...] = \
-            state.view(float).reshape((2,) * (n + 1)).transpose(order)
-    re, im = parts.reshape(2, dim * c, -1)
-    cross = im @ re.T
-    return (re @ re.T + im @ im.T + 1j * (cross - cross.T)).reshape(dim, c, dim, c)
+def _gram(psi: np.ndarray, keep, n: int) -> np.ndarray:
+    """The partial trace of |psi><psi| onto the ordered axis list ``keep``
+    of the state ``psi`` over ``n`` qubits: one matrix product of a copy of
+    it with the kept axes first."""
+    order = [*keep, *(q for q in range(n) if q not in keep)]
+    a = psi.reshape((2,) * n).transpose(order).reshape(1 << len(keep), -1)
+    return a @ a.T.conj()
 
 
-def _branch_sum(circuit: Circuit, groups, response: bool = False) -> list[np.ndarray]:
-    """Branch-summed cross reduced matrices of a protocol circuit on each
-    ordered tuple of its qubits in ``groups``, as (2^k, 2^k, c, c) arrays
-    over the circuit's own message (c = 1) or, with ``response``, the
-    messages |0> and |1>. The circuit must measure exactly the port and the
-    message and then only feed forward.
+def _cut(suffix, group) -> list[Instruction]:
+    """The instructions of a :func:`_split_prefix` circuit after its Bell
+    measures that act on ``group``, cond bodies cut down to it; its measures,
+    all terminal, are left out."""
+    out = []
+    for ins in suffix:
+        if ins.gate == "cond":
+            body = [sub for sub in ins.body if sub.qubits[0] in group]
+            if body:
+                out.append(cond(ins.cond_clbit, ins.cond_value, body))
+        elif ins.gate != "measure" and ins.qubits[0] in group:
+            out.append(ins)
+    return out
 
-    Each group is traced once out of each source of :func:`_branches`; per
-    branch, the trace is contracted with the branch's coefficients and each
-    kept qubit is turned by its gates' product, as one block of U (x) U*."""
+
+def _traced(circuit: Circuit, groups, noise: NoiseModel | None = None):
+    """Each ordered qubit tuple in ``groups`` of a protocol circuit as a
+    linear map of its message: a (2, 2, 2^k, 2^k) array R, the group being in
+    the state sum_ij rho[i, j] R[i, j] when the message's gates before its
+    Bell cx leave it in rho (:func:`message_state`). None when
+    :func:`_split_prefix` cannot split the circuit.
+
+    After the Bell cx only one-qubit gates touch a clone, and noise acts on
+    a gate's own qubits, so a group sees the prep only through its marginal
+    with the port. The prep runs once over every qubit but the message:
+    without ``noise`` as a pure state, whose marginals are :func:`_gram`
+    products, and with it as a density matrix over at most
+    ``_DENSITY_QUBIT_CAP`` qubits, whose marginals are partial traces. Each
+    group's tail then runs over (message, port, group), from |i><j| (x) the
+    marginal with the four message inputs as a batch, through
+    :func:`_density_walk`: the message's instructions from its Bell cx on,
+    the Bell measures and the group's own later instructions
+    (:func:`_cut`)."""
     position = _validated(circuit)
     if any(role not in circuit.roles for role in ("port", "message", "clones")):
         raise SimulationError("circuit lacks role metadata for the protocol")
     parts = _bell_parts(circuit)
-    if parts is None or any(ins.gate == "measure" for ins in parts[2]):
+    if parts is None:
         raise SimulationError("circuit lacks the Bell-measurement structure")
-    measured = {ins.qubits[0] for ins in parts[1]}
-    gone = sorted({q for group in groups for q in group}
-                  - (position.keys() - measured))
+    mq, pq = circuit.roles["message"], circuit.roles["port"]
+    gone = sorted({q for group in groups for q in group} - (position.keys() - {mq, pq}))
     if gone:
         raise SimulationError(f"no state for qubits {gone}: the circuit does "
                               "not use them or measures them")
-    sources, _, index = _branches(circuit, position, parts, response)
-    out = [0] * len(groups)
-    for states, branches in sources:
-        for g, group in enumerate(groups):
-            axes = [index[q] for q in group]
-            trace = _cross_trace(states, axes, len(index))
-            for _, coef, turns in branches:
-                rho = np.einsum("xayb,ai,bj->xyij", trace, coef, coef.conj(), order="C")
-                for r, a in enumerate(axes):
-                    if a in turns:
-                        _apply_block(rho, _channel_block(_superop([turns[a]]), [r],
-                                                         len(group)))
-                out[g] = out[g] + rho
+    split = _split_prefix(circuit, parts)
+    if split is None:
+        return None
+    _, post, prep = split
+    axis = {q: k for k, q in enumerate(q for q in position if q != mq)}
+    p = len(axis)
+    if noise is None:
+        state = _prep_state(prep, axis)
+    elif p > _DENSITY_QUBIT_CAP:
+        raise SimulationError(f"a density matrix over {p} qubits exceeds the "
+                              f"{_DENSITY_QUBIT_CAP}-qubit cap")
+    else:
+        state = _density_walk([_remap(ins, axis) for ins in prep], p, 0, noise,
+                              _ground(2 * p).reshape(1 << p, 1 << p))
+    eye = np.eye(2, dtype=complex)
+    out = []
+    for group in groups:
+        n, k = 2 + len(group), 1 << len(group)
+        keep = [axis[q] for q in (pq, *group)]
+        marginal = _gram(state, keep, p) if noise is None else partial_trace(state, keep)
+        tail_axis = {mq: 0, pq: 1, **{q: 2 + r for r, q in enumerate(group)}}
+        tail = [_remap(ins, tail_axis) for ins in post + parts[1] + _cut(parts[2], group)]
+        start = np.einsum("ia,jb,xy->ixjyab", eye, eye, marginal, order="C")
+        after = _density_walk(tail, n, circuit.num_clbits,
+                              NoiseModel() if noise is None else noise,
+                              start.reshape(1 << n, 1 << n, 2, 2))
+        out.append(np.einsum("axay...->...xy", after.reshape(4, k, 4, k, 2, 2)))
     return out
 
 
-def exact_clone_states(circuit: Circuit):
-    """Deterministic per-clone density matrices of a protocol circuit.
+def _exact_states(circuit: Circuit, groups) -> list[np.ndarray]:
+    """The noiseless state of each group of a protocol circuit that measures
+    only its Bell pair: its :func:`_traced` map applied to its message's
+    state, or, when it cannot be traced first, the sum of the :func:`_gram`
+    traces of its :func:`_full_walk` branches."""
+    if sum(ins.gate == "measure" for ins in circuit.instructions) > 2:
+        raise SimulationError("circuit lacks the Bell-measurement structure")
+    traced = _traced(circuit, groups)
+    if traced is not None:
+        rho = message_state(circuit, NoiseModel())
+        return [np.tensordot(rho, r) for r in traced]
+    position = _compaction(circuit)
+    walked, _ = _full_walk(circuit)
+    return [sum(_gram(psi, [position[q] for q in group], len(position)) for _, psi in walked)
+            for group in groups]
 
-    Sums the four Bell outcomes, each with its feed-forward corrections, as
-    :func:`_branch_sum` does; noiseless semantics only. Requires
+
+def exact_clone_states(circuit: Circuit):
+    """Deterministic per-clone density matrices of a protocol circuit,
+    summed over the four Bell outcomes, each with its feed-forward
+    corrections (:func:`_exact_states`); noiseless semantics only. Requires
     tomo_basis="none".
     """
-    return [r[:, :, 0, 0] for r in _branch_sum(
-        circuit, [(q,) for q in circuit.roles.get("clones", ())])]
+    return _exact_states(circuit, [(q,) for q in circuit.roles.get("clones", ())])
 
 
 def exact_subsystem_state(circuit: Circuit, qubits) -> np.ndarray:
     """Branch-averaged reduced density matrix on the given original qubits."""
-    return _branch_sum(circuit, [tuple(qubits)])[0][:, :, 0, 0]
+    return _exact_states(circuit, [tuple(qubits)])[0]
 
 
 def compile_response(circuit: Circuit, noise: NoiseModel | None = None) -> np.ndarray:
@@ -617,17 +642,16 @@ def compile_response(circuit: Circuit, noise: NoiseModel | None = None) -> np.nd
     response serves every message of the same (m, variant, layout, dd,
     tomography basis).
 
-    Without ``noise``, R[k, i, j] sums clone k's partial traces of
-    |psi_i><psi_j| over the Bell branches of the messages |0> and |1>; this
-    requires tomo_basis="none", a seedable prefix and only one-qubit gates
-    after the Bell measurement (see :func:`_branches`). With ``noise``, R
-    holds each clone's state before its terminal measure
-    (:func:`_density_response`), within the density cap.
+    R stacks each clone's :func:`_traced` map, its terminal measures
+    deferred: the state before them. This requires a circuit that
+    :func:`_split_prefix` splits and, with ``noise``, a prep within the
+    density cap.
     """
-    if noise is not None:
-        return _density_response(circuit, noise)
-    return np.stack(_branch_sum(circuit, [(q,) for q in circuit.roles.get("clones", ())],
-                                response=True)).transpose(0, 3, 4, 1, 2)
+    response = _traced(circuit, [(q,) for q in circuit.roles.get("clones", ())], noise)
+    if response is None:
+        raise SimulationError("the clone states of this circuit cannot be traced "
+                              "before its feed-forward")
+    return np.stack(response)
 
 
 def apply_response(response: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -660,25 +684,22 @@ def _outcome_table(circuit: Circuit, position: dict[int, int]) -> dict[str, floa
     with compaction ``position``, with no noise. Each :func:`_branches`
     branch's state is turned only on its deferred qubits, which is all
     their marginal depends on."""
-    sources, deferred, index = _branches(circuit, position, _bell_parts(circuit))
+    branches, deferred, index = _branches(circuit, position, _bell_parts(circuit))
     axes = [a for a, _ in deferred]
     others = tuple(a for a in range(len(index)) if a not in axes)
     table: dict[str, float] = {}
-    for states, branches in sources:
-        for bits, coef, turns in branches:
-            psi = sum(w * state for w, state in zip(coef[:, 0], states))
-            for a in axes:
-                if a in turns:
-                    _apply_block(psi, _block(turns[a], (a,)))
-            probs = (psi.real ** 2 + psi.imag ** 2).reshape((2,) * len(index))
-            probs = probs.sum(axis=others).transpose([sorted(axes).index(a) for a in axes])
-            for outcome, p in zip(itertools.product((0, 1), repeat=len(axes)),
-                                  probs.reshape(-1)):
-                key = list(bits)
-                for (_, c), bit in zip(deferred, outcome):
-                    key[c] = bit
-                key = "".join(map(str, key))
-                table[key] = table.get(key, 0.0) + p
+    for bits, psi, turns in branches:
+        for a in axes:
+            if a in turns:
+                _apply_block(psi, _block(turns[a], (a,)))
+        probs = (psi.real ** 2 + psi.imag ** 2).reshape((2,) * len(index))
+        probs = probs.sum(axis=others).transpose([sorted(axes).index(a) for a in axes])
+        for outcome, p in zip(itertools.product((0, 1), repeat=len(axes)), probs.reshape(-1)):
+            key = list(bits)
+            for (_, c), bit in zip(deferred, outcome):
+                key[c] = bit
+            key = "".join(map(str, key))
+            table[key] = table.get(key, 0.0) + p
     return table
 
 
@@ -916,18 +937,17 @@ def _trajectory_counts(circuit: Circuit, noise: NoiseModel, seed: int,
     return counts
 
 
-def _density_clones(circuit: Circuit, noise: NoiseModel, rho: np.ndarray,
-                    skip=frozenset()) -> np.ndarray:
-    """Each clone's state, an (M, 2, 2, ...) array, after the density walk of
-    a compacted circuit, but for the instructions whose ``id`` is in
-    ``skip``, from ``rho``, a (2^n, 2^n) array whose trailing axes are a
-    batch. Each gate runs with its noise as one :func:`_noisy_block`; a
-    measure splits every branch on its outcome, records it flipped with
-    probability readout_flip and merges branches with the same bits, and
-    drops a branch only when its whole batch has zero weight. Terminal
-    measures are deferred: the states are those before them."""
-    n, flip = circuit.num_qubits, noise.readout_flip
-    instructions = [ins for ins in circuit.instructions if id(ins) not in skip]
+def _density_walk(instructions, n: int, num_clbits: int, noise: NoiseModel,
+                  rho: np.ndarray) -> np.ndarray:
+    """The state after the density walk of ``instructions`` over ``n``
+    qubits from ``rho``, a (2^n, 2^n) array whose trailing axes are a batch,
+    summed over the recorded bits. Each gate runs with its noise as one
+    :func:`_noisy_block`; a measure splits every branch on its outcome,
+    records it flipped with probability readout_flip and merges branches
+    with the same bits, and drops a branch only when its whole batch has
+    zero weight. Terminal measures are deferred: the state is the one
+    before them."""
+    flip = noise.readout_flip
     terminal = _terminal_measures(instructions)
 
     def measure(branches, ins):
@@ -938,7 +958,7 @@ def _density_clones(circuit: Circuit, noise: NoiseModel, rho: np.ndarray,
         for bits, state in branches:
             for outcome in (0, 1):
                 proj = _project(state, (q, q + n), outcome)
-                if np.trace(proj).real.sum() <= 1e-24:
+                if np.abs(np.trace(proj)).sum() <= 1e-24:
                     continue
                 for recorded, scale in ((outcome, 1 - flip), (1 - outcome, flip)):
                     if scale <= 0:
@@ -948,19 +968,16 @@ def _density_clones(circuit: Circuit, noise: NoiseModel, rho: np.ndarray,
                         else proj * scale
         return list(merged.items())
 
-    branches = _walk(instructions, [((0,) * circuit.num_clbits, rho)],
+    branches = _walk(instructions, [((0,) * num_clbits, rho)],
                      _block_rule(instructions, lambda ins: _noisy_block(ins, noise, n)),
                      measure)
-    total = sum(state for _, state in branches)
-    return np.stack([np.einsum("aibajb...->ij...", total.reshape(
-        1 << q, 2, 1 << (n - 1 - q), 1 << q, 2, 1 << (n - 1 - q), *rho.shape[2:]))
-        for q in circuit.roles["clones"]])
+    return sum(state for _, state in branches)
 
 
 def noisy_clone_states(circuit: Circuit, noise: NoiseModel):
     """Exact density-matrix counterpart of :func:`exact_clone_states` under a
     static noise model, the whole circuit walked from |0...0>
-    (:func:`_density_clones`): the per-circuit oracle of noisy responses and
+    (:func:`_density_walk`): the per-circuit oracle of noisy responses and
     of stochastic shot-mode noise."""
     _validated(circuit, _DENSITY_QUBIT_CAP, "a density matrix")
     circuit = compact(circuit)
@@ -968,53 +985,25 @@ def noisy_clone_states(circuit: Circuit, noise: NoiseModel):
            for i in circuit.instructions):
         raise SimulationError("noisy_clone_states requires tomo_basis='none'")
     n = circuit.num_qubits
-    return list(_density_clones(circuit, noise, _ground(2 * n).reshape(1 << n, 1 << n)))
-
-
-def _message_prefix(circuit: Circuit) -> list[Instruction]:
-    """The message's own one-qubit gates before anything else touches it
-    (in a protocol circuit, its Bell cx). Noise follows a gate on its own
-    qubits only, so every gate before them acts on other qubits, and the
-    rest of the circuit is linear in the state they leave the message in."""
-    mq, prefix = circuit.roles["message"], []
-    for ins in circuit.instructions:
-        if ins.gate == "barrier" or mq not in _touched(ins):
-            continue
-        if ins.gate in ("measure", "cond") or len(ins.qubits) > 1:
-            break
-        prefix.append(ins)
-    return prefix
+    rho = _density_walk(circuit.instructions, n, circuit.num_clbits, noise,
+                        _ground(2 * n).reshape(1 << n, 1 << n))
+    return [partial_trace(rho, [q]) for q in circuit.roles["clones"]]
 
 
 def message_state(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
-    """The 2 x 2 state of a protocol circuit's message after its
-    :func:`_message_prefix`, from |0><0|, each gate followed by its noise."""
+    """The 2 x 2 state of a protocol circuit's message after its own gates
+    before its Bell cx (:func:`_split_prefix`), from |0><0|, each gate
+    followed by its noise. Noise acts on a gate's own qubits only, so the
+    rest of the circuit is linear in this state (:func:`compile_response`)."""
+    split = _split_prefix(circuit, _bell_parts(circuit))
+    if split is None:
+        raise SimulationError("the clone states of this circuit cannot be traced "
+                              "before its feed-forward")
     mq = circuit.roles["message"]
     rho = np.array([[1, 0], [0, 0]], dtype=complex)
-    for ins in _message_prefix(circuit):
+    for ins in split[0]:
         _apply_block(rho, _noisy_block(_remap(ins, {mq: 0}), noise, 1))
     return rho
-
-
-def _density_response(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
-    """The noisy :func:`compile_response` of a protocol circuit: one
-    :func:`_density_clones` walk, but for the message's prefix, with the
-    message in |0>, |1>, |+> and |+i> as a batch axis. Each clone's state
-    for |0><1| is then rho_+ + i rho_+i - (1 + i)(rho_0 + rho_1)/2."""
-    _validated(circuit, _DENSITY_QUBIT_CAP, "a density matrix")
-    if any(role not in circuit.roles for role in ("message", "clones")):
-        raise SimulationError("circuit lacks role metadata for the protocol")
-    circuit = compact(circuit)
-    n, mq = circuit.num_qubits, circuit.roles["message"]
-    inputs = np.array([[1, 0, 1, 1], [0, 1, 1, 1j]]) / np.sqrt([1, 1, 2, 2])
-    rho = np.zeros((1 << n, 1 << n, 4), dtype=complex)
-    at = [0, 1 << (n - 1 - mq)]
-    rho[np.ix_(at, at)] = np.einsum("ia,ja->ija", inputs, inputs.conj())
-    zero, one, plus, plus_i = np.moveaxis(
-        _density_clones(circuit, noise, rho, set(map(id, _message_prefix(circuit)))), -1, 0)
-    mid = (zero + one) / 2
-    return np.array([[zero, plus + 1j * plus_i - (1 + 1j) * mid],
-                     [plus - 1j * plus_i - (1 - 1j) * mid, one]]).transpose(2, 0, 1, 3, 4)
 
 
 # ---------------------------------------------------------------------------

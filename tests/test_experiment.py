@@ -277,18 +277,18 @@ def test_partial_failure_markers_and_exit_code(tmp_path, monkeypatch):
 
 
 def test_noisy_shots_past_the_density_cap_run_trajectories():
-    """Noisy shots whose circuit is past the density cap (M=4 with ancillas,
-    9 qubits) share no response; each point runs tomography_run's
-    trajectories from its own seed."""
+    """Noisy shots whose prep is past the density cap (M=5 with ancillas, 10
+    qubits without the message) share no response; each point runs
+    tomography_run's trajectories from its own seed."""
     from teleclone import tomography_run
     from teleclone.experiment import _point_seed, _response_for, _transform_for
-    cfg = ExperimentConfig(m=4, variant=OPT, n_psi=1, n_phi=1, mode="shots",
+    cfg = ExperimentConfig(m=5, variant=OPT, n_psi=1, n_phi=1, mode="shots",
                            shots_per_basis=40, seed=2, noise=_ALL_CHANNELS)
     assert _response_for(cfg, _transform_for(cfg)) is None
-    fits = ExperimentConfig(m=3, variant=OPT, mode="shots", noise=_ALL_CHANNELS)
-    assert _response_for(fits, _transform_for(fits)).shape == (3, 3, 2, 2, 2, 2)
+    fits = ExperimentConfig(m=4, variant=OPT, mode="shots", noise=_ALL_CHANNELS)
+    assert _response_for(fits, _transform_for(fits)).shape == (3, 4, 2, 2, 2, 2)
     (point,) = run_experiment(cfg).results
-    records = tomography_run(4, OPT, MessageState(0.0, 0.0), 40, seed=_point_seed(2, 0),
+    records = tomography_run(5, OPT, MessageState(0.0, 0.0), 40, seed=_point_seed(2, 0),
                              noise=_ALL_CHANNELS)
     assert [c["tomography"] for c in point["clones"]] == [r.to_json_dict() for r in records]
 
@@ -480,7 +480,7 @@ def test_cli_rejects_bad_worker_count(tmp_path, monkeypatch, value):
     {"durations": {"cx_overrides": {"1-2": "fast"}}},
     {"m": 4},
     {"m": 11, "variant": "with-ancilla-optimized", "layout_index": 0},
-    {"m": 4, "variant": "with-ancilla-optimized", "mode": "exact",
+    {"m": 5, "variant": "with-ancilla-optimized", "mode": "exact",
      "noise": {"depolarizing_1q": 0.1}},
 ], ids=["noise-string", "noise-unknown-key", "noise-list", "n_psi-string",
         "dd-string", "seed-negative", "seed-too-large", "seed-float",
@@ -583,44 +583,53 @@ def test_response_matches_each_point_circuit(m, variant, dd):
 
 @pytest.mark.parametrize("dd", [False, True], ids=["no-dd", "dd"])
 @pytest.mark.parametrize("m,variant", [(2, NOA), (2, OPT), (2, FULL), (3, NOA),
-                                       (3, OPT), (3, FULL)])
-def test_noisy_response_matches_each_point_circuit(m, variant, dd):
+                                       (3, OPT), (3, FULL), (4, OPT)])
+def test_noisy_response_matches_each_point_circuit(m, variant, dd, monkeypatch):
     """Under all four noise channels, the responses a noisy sweep compiles
     from its template stand for every point's own circuit, logical and on
-    layouts (all 7 at M=2, two at M=3): the circuits differ only in the
-    message's own gates before its Bell cx, exact mode's contraction gives
-    the point circuit's noisy_clone_states, and shots mode's P(1) of each
-    clone and basis is the density oracle's."""
+    layouts (all 7 at M=2, two at M=3, layout 0 with decoupling at M=4):
+    the circuits differ only in the message's own gates before its Bell cx,
+    exact mode's contraction gives the point circuit's noisy_clone_states,
+    and shots mode's P(1) of each clone and basis is the density oracle's.
+    At M=4 the responses are compiled within the density cap, whose 8
+    qubits hold the prep without the message; only the whole-circuit oracle
+    is given a 9-qubit cap, and one message."""
     from dataclasses import replace
 
-    from teleclone import build_protocol_circuit, noisy_clone_states
+    from teleclone import build_protocol_circuit, noisy_clone_states, simulator
     from teleclone.experiment import _TEMPLATE, _response_for, _transform_for
-    from teleclone.simulator import _message_prefix, apply_response, message_state
+    from teleclone.simulator import _bell_parts, _split_prefix, apply_response, message_state
     from teleclone.telecloning import with_tomography
     from teleclone.tomography import BASES
     rng = np.random.default_rng(20 * m + dd)
     msgs = [MessageState(float(rng.uniform(0, math.pi)),
-                         float(rng.uniform(0, 2 * math.pi))) for _ in range(2)]
+                         float(rng.uniform(0, 2 * math.pi))) for _ in range(1 if m == 4 else 2)]
     f = _ALL_CHANNELS.readout_flip
 
+    def pre(c):
+        return _split_prefix(c, _bell_parts(c))[0]
+
     def rest(c):
-        prefix = set(map(id, _message_prefix(c)))
+        prefix = set(map(id, pre(c)))
         return [i for i in c.instructions if id(i) not in prefix]
 
-    for layout in ([] if dd else [None]) + (list(range(7)) if m == 2 else [0, 5]):
+    layouts = list(range(7)) if m == 2 else [0, 5] if m == 3 else [0] if dd else []
+    for layout in ([] if dd else [None]) + layouts:
         exact = ExperimentConfig(m=m, variant=variant, layout_index=layout, dd=dd,
                                  noise=_ALL_CHANNELS)
         shots = replace(exact, mode="shots")
         transform = _transform_for(exact)
         response = _response_for(exact, transform)
         per_basis = _response_for(shots, transform)
+        if m == 4:
+            monkeypatch.setattr(simulator, "_DENSITY_QUBIT_CAP", 9)
         template = build_protocol_circuit(m, variant, _TEMPLATE)
         for msg in msgs:
             none = build_protocol_circuit(m, variant, msg)
             for basis in ("none",) + BASES:
                 circuit = transform(with_tomography(none, basis))
                 assert rest(circuit) == rest(transform(with_tomography(template, basis)))
-                assert _message_prefix(circuit) == _message_prefix(transform(none))
+                assert pre(circuit) == pre(transform(none))
             rho = message_state(transform(none), _ALL_CHANNELS)
             for got, want in zip(apply_response(response, rho),
                                  noisy_clone_states(transform(none), _ALL_CHANNELS),

@@ -33,7 +33,7 @@ def main():
         fids, mags = [], []
         circuits = [build_protocol_circuit(2, TelecloningVariant.NO_ANCILLA, msg)
                     for msg in messages]
-        response = compile_response(circuits[0], noise)
+        (response,) = compile_response(circuits[:1], noise)
         for msg, circ in zip(messages, circuits):
             for rho in apply_response(response, message_state(circ, noise)):
                 met = clone_metrics(rho, msg.bloch())

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -34,7 +33,7 @@ def theoretical_fidelity(n_inputs: int, m_clones: int) -> float:
     if not (1 <= n_inputs <= m_clones):
         raise ValueError(f"need 1 <= N <= M, got N={n_inputs}, M={m_clones}")
     n, m = n_inputs, m_clones
-    return float(Fraction(m * n + m + n, m * (n + 2)))
+    return (m * n + m + n) / (m * (n + 2))  # int / int rounds correctly
 
 
 def shrinking_factor(n_inputs: int, m_clones: int) -> float:
@@ -42,7 +41,7 @@ def shrinking_factor(n_inputs: int, m_clones: int) -> float:
     if not (1 <= n_inputs <= m_clones):
         raise ValueError(f"need 1 <= N <= M, got N={n_inputs}, M={m_clones}")
     n, m = n_inputs, m_clones
-    return float(Fraction(n * (m + 2), m * (n + 2)))
+    return n * (m + 2) / (m * (n + 2))
 
 
 def _check_density(rho: np.ndarray):

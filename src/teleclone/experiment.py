@@ -13,9 +13,10 @@ exact mode records the contracted states, and shots mode draws each
 clone's counts from them (``tomography.sample_tomography``). Noiseless
 points build no circuit. Under noise the response holds the prep as a
 density matrix, which must fit the density cap without the message (M <= 4
-with ancillas); shots mode compiles one per tomography basis, and each point
-builds and transpiles its own circuit only to evolve its message's noisy
-state (``simulator.message_state``). Noisy shots whose prep is past the cap
+with ancillas); shots mode compiles the x, y and z responses in one call,
+which walks their common prep once, and each point builds and transpiles
+its own circuit only to evolve its message's noisy state
+(``simulator.message_state``). Noisy shots whose prep is past the cap
 share no response; their points run trajectories
 (``tomography.tomography_run``).
 """
@@ -207,19 +208,21 @@ _TEMPLATE = MessageState(0.0, 0.0)
 
 
 def _response_for(config: ExperimentConfig, transform) -> np.ndarray | None:
-    """The clone response that every point of a sweep chunk shares: one for
-    exact mode, and for noisy shots one per tomography basis, stacked. None
-    for noisy shots whose prep, every qubit but the message, is past the
-    density cap: each point then runs its own trajectories."""
+    """The clone response that every point of a sweep chunk shares, from one
+    :func:`compile_response` call: of the "none" circuit in exact mode and
+    without noise, and in noisy shots mode of the x, y and z circuits,
+    stacked, whose one prep is walked once. None for noisy shots whose prep,
+    every qubit but the message, is past the density cap: each point then
+    runs its own trajectories."""
     noise = _noise(config)
     circuit = build_protocol_circuit(config.m, config.variant, _TEMPLATE,
                                      tomo_basis="none")
     if noise is None or config.mode == "exact":
-        return compile_response(transform(circuit), noise)
+        return compile_response([transform(circuit)], noise)[0]
     bases = [transform(with_tomography(circuit, basis)) for basis in BASES]
     if len(used_qubits(bases[0])) - 1 > _DENSITY_QUBIT_CAP:
         return None
-    return np.stack([compile_response(c, noise) for c in bases])
+    return compile_response(bases, noise)
 
 
 def _run_point(config: ExperimentConfig, transform, response: np.ndarray | None,

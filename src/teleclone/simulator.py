@@ -38,8 +38,10 @@ the message's gates from its Bell cx on, the Bell measures and the group's
 own later gates, with the four message inputs |i><j| as a batch. Noise
 acts on a gate's own qubits only, so every clone state is linear in the
 message's state after its own gates (:func:`message_state`), and one
-:func:`compile_response` serves every message of a sweep
-(:func:`apply_response`); :func:`exact_clone_states` contracts it with the
+:func:`compile_response` call serves every message of a sweep
+(:func:`apply_response`) and every tomography basis: circuits whose preps
+are equal share one prep run, and all the density walks of the call share
+one dict of blocks. :func:`exact_clone_states` contracts a response with the
 circuit's own message. Noiseless :func:`run_shots` reads the four Bell
 branches off the prep's two port slices (:func:`_branches`), turns each on
 its measured qubits only and draws all counts from the joint distribution.
@@ -55,9 +57,10 @@ control is set. Trailing axes are batch axes, so
 one block serves a state, a trajectory block's shots in its columns and a
 density matrix read as a vector over 2n qubits, where a gate with its noise
 is one superoperator block sum_K K (x) K* on the axes (q..., q+n...). The
-prep fuses each run of gates on at most ``_FUSE_QUBITS`` qubits into one
-block (:func:`_fuse`), in float64 when every block is real (every logical
-prep) and complex128 otherwise (native preps with rz/sx).
+pure prep multiplies each run of gates on at most ``_FUSE_QUBITS`` qubits
+out into one matrix (:func:`_fuse`), applied as one block, in float64 when
+every block is real (every logical prep) and complex128 otherwise (native
+preps with rz/sx).
 """
 
 from __future__ import annotations
@@ -201,14 +204,21 @@ def _ops(instructions):
         yield from ins.body if ins.gate == "cond" else (ins,)
 
 
-def _block_rule(instructions, build=lambda ins: _block(gate_matrix(ins), ins.qubits)):
+def _block_rule(instructions, build=lambda ins: _block(gate_matrix(ins), ins.qubits),
+                built=None):
     """``apply`` of a :func:`_walk` of ``instructions``, whose qubits are
     state axes: each gate, cond bodies included, runs as the block that
-    ``build`` makes of it (by default its own matrix), built here once per
-    distinct instruction, so repeated decoupling pulses share one."""
-    gates = [ins for ins in _ops(instructions) if ins.gate not in ("barrier", "measure")]
-    built = {ins: build(ins) for ins in dict.fromkeys(gates)}
-    blocks = {id(ins): built[ins] for ins in gates}
+    ``build`` makes of it (by default its own matrix), built once per
+    distinct instruction into ``built`` (a new dict unless one is given), so
+    repeated decoupling pulses share one, and so do the walks that share
+    ``built``."""
+    built = {} if built is None else built
+    blocks = {}
+    for ins in _ops(instructions):
+        if ins.gate not in ("barrier", "measure"):
+            if ins not in built:
+                built[ins] = build(ins)
+            blocks[id(ins)] = built[ins]
     return lambda state, ins: _apply_block(state, blocks[id(ins)])
 
 
@@ -419,8 +429,10 @@ def _fuse(gates, axis: dict[int, int]) -> list[tuple]:
     """Runs of consecutive gates whose qubits together span at most
     ``_FUSE_QUBITS`` state axes (``axis`` maps a qubit to its axis), each
     multiplied into one (matrix, its axes) pair for :func:`_block`. A lone
-    gate's matrix is its own; a longer run's is the identity, its columns
-    the batch axis, with each gate's own block applied to it in turn."""
+    gate's matrix is its own. A longer run's starts as the identity over its
+    sorted axes, and each gate multiplies into it in turn: a one-qubit gate
+    as a 2x2 product on the rows its axis splits, a cx as a permutation of
+    rows, made once per (width, control, target) of the call."""
     runs = []
     for ins in gates:
         axes = {axis[q] for q in ins.qubits}
@@ -429,16 +441,25 @@ def _fuse(gates, axis: dict[int, int]) -> list[tuple]:
             runs[-1][1].append(ins)
         else:
             runs.append((axes, [ins]))
-    blocks = []
+    blocks, flips = [], {}
     for axes, run in runs:
         if len(run) == 1:
             blocks.append((gate_matrix(run[0]), [axis[q] for q in run[0].qubits]))
             continue
         axes = sorted(axes)
-        mat = np.eye(1 << len(axes), dtype=complex)
+        k = 1 << len(axes)
+        mat = np.eye(k, dtype=complex)
         for ins in run:
-            _apply_block(mat, _block(gate_matrix(ins),
-                                     [axes.index(axis[q]) for q in ins.qubits]))
+            local = [axes.index(axis[q]) for q in ins.qubits]
+            if ins.gate == "cx":
+                key = (k, *local)
+                if key not in flips:  # row i of cx @ mat is row i ^ t of mat where c is set
+                    c, t = (k >> 1 >> b for b in local)
+                    rows = np.arange(k)
+                    flips[key] = rows ^ np.where(rows & c, t, 0)
+                mat = mat[flips[key]]
+            else:
+                mat = (gate_matrix(ins) @ mat.reshape(1 << local[0], 2, -1)).reshape(k, k)
         blocks.append((mat, axes))
     return blocks
 
@@ -544,62 +565,76 @@ def _cut(suffix, group) -> list[Instruction]:
     return out
 
 
-def _traced(circuit: Circuit, groups, noise: NoiseModel | None = None):
-    """Each ordered qubit tuple in ``groups`` of a protocol circuit as a
-    linear map of its message: a (2, 2, 2^k, 2^k) array R, the group being in
-    the state sum_ij rho[i, j] R[i, j] when the message's gates before its
-    Bell cx leave it in rho (:func:`message_state`). None when
-    :func:`_split_prefix` cannot split the circuit.
+def _traced(jobs, noise: NoiseModel | None = None) -> list:
+    """For each (protocol circuit, groups) pair of ``jobs``, each ordered
+    qubit tuple in its ``groups`` as a linear map of its message: a (2, 2,
+    2^k, 2^k) array R, the group being in the state sum_ij rho[i, j] R[i, j]
+    when the message's gates before its Bell cx leave it in rho
+    (:func:`message_state`). None in place of a circuit's maps when
+    :func:`_split_prefix` cannot split it.
 
     After the Bell cx only one-qubit gates touch a clone, and noise acts on
     a gate's own qubits, so a group sees the prep only through its marginal
-    with the port. The prep runs once over every qubit but the message:
+    with the port. A prep runs once over every qubit but the message:
     without ``noise`` as a pure state, whose marginals are :func:`_gram`
     products, and with it as a density matrix over at most
-    ``_DENSITY_QUBIT_CAP`` qubits, whose marginals are partial traces. Each
-    group's tail then runs over (message, port, group), from |i><j| (x) the
-    marginal with the four message inputs as a batch, through
-    :func:`_density_walk`: the message's instructions from its Bell cx on,
-    the Bell measures and the group's own later instructions
-    (:func:`_cut`)."""
-    position = _validated(circuit)
-    if any(role not in circuit.roles for role in ("port", "message", "clones")):
-        raise SimulationError("circuit lacks role metadata for the protocol")
-    parts = _bell_parts(circuit)
-    if parts is None:
-        raise SimulationError("circuit lacks the Bell-measurement structure")
-    mq, pq = circuit.roles["message"], circuit.roles["port"]
-    gone = sorted({q for group in groups for q in group} - (position.keys() - {mq, pq}))
-    if gone:
-        raise SimulationError(f"no state for qubits {gone}: the circuit does "
-                              "not use them or measures them")
-    split = _split_prefix(circuit, parts)
-    if split is None:
-        return None
-    _, post, prep = split
-    axis = {q: k for k, q in enumerate(q for q in position if q != mq)}
-    p = len(axis)
-    if noise is None:
-        state = _prep_state(prep, axis)
-    elif p > _DENSITY_QUBIT_CAP:
-        raise SimulationError(f"a density matrix over {p} qubits exceeds the "
-                              f"{_DENSITY_QUBIT_CAP}-qubit cap")
-    else:
-        state = _density_walk([_remap(ins, axis) for ins in prep], p, 0, noise,
-                              _ground(2 * p).reshape(1 << p, 1 << p))
+    ``_DENSITY_QUBIT_CAP`` qubits, whose marginals are partial traces.
+    Circuits whose prep instructions are equal and act on the same axes, as
+    the tomography bases of one circuit do, share that run; any other prep
+    runs on its own. Each group's tail then runs over (message, port,
+    group), from |i><j| (x) the marginal with the four message inputs as a
+    batch, through :func:`_density_walk`: the message's instructions from
+    its Bell cx on, the Bell measures and the group's own later instructions
+    (:func:`_cut`). Every density walk of the call shares one dict of
+    blocks, so each distinct (instruction, qubit count) is built once."""
     eye = np.eye(2, dtype=complex)
-    out = []
-    for group in groups:
-        n, k = 2 + len(group), 1 << len(group)
-        keep = [axis[q] for q in (pq, *group)]
-        marginal = _gram(state, keep, p) if noise is None else partial_trace(state, keep)
-        tail_axis = {mq: 0, pq: 1, **{q: 2 + r for r, q in enumerate(group)}}
-        tail = [_remap(ins, tail_axis) for ins in post + parts[1] + _cut(parts[2], group)]
-        start = np.einsum("ia,jb,xy->ixjyab", eye, eye, marginal, order="C")
-        after = _density_walk(tail, n, circuit.num_clbits,
-                              NoiseModel() if noise is None else noise,
-                              start.reshape(1 << n, 1 << n, 2, 2))
-        out.append(np.einsum("axay...->...xy", after.reshape(4, k, 4, k, 2, 2)))
+    tail_noise = NoiseModel() if noise is None else noise
+    preps, blocks, out = [], {}, []
+    for circuit, groups in jobs:
+        position = _validated(circuit)
+        if any(role not in circuit.roles for role in ("port", "message", "clones")):
+            raise SimulationError("circuit lacks role metadata for the protocol")
+        parts = _bell_parts(circuit)
+        if parts is None:
+            raise SimulationError("circuit lacks the Bell-measurement structure")
+        mq, pq = circuit.roles["message"], circuit.roles["port"]
+        gone = sorted({q for group in groups for q in group} - (position.keys() - {mq, pq}))
+        if gone:
+            raise SimulationError(f"no state for qubits {gone}: the circuit does "
+                                  "not use them or measures them")
+        repeated = sorted({q for group in groups for q in group if group.count(q) > 1})
+        if repeated:
+            raise SimulationError(f"qubits {repeated} are repeated in a group")
+        split = _split_prefix(circuit, parts)
+        if split is None:
+            out.append(None)
+            continue
+        _, post, prep = split
+        axis = {q: k for k, q in enumerate(q for q in position if q != mq)}
+        p = len(axis)
+        state = next((s for a, g, s in preps if a == axis and g == prep), None)
+        if state is None:
+            if noise is None:
+                state = _prep_state(prep, axis)
+            elif p > _DENSITY_QUBIT_CAP:
+                raise SimulationError(f"a density matrix over {p} qubits exceeds the "
+                                      f"{_DENSITY_QUBIT_CAP}-qubit cap")
+            else:
+                state = _density_walk([_remap(ins, axis) for ins in prep], p, 0, noise,
+                                      _ground(2 * p).reshape(1 << p, 1 << p), blocks)
+            preps.append((axis, prep, state))
+        maps = []
+        for group in groups:
+            n, k = 2 + len(group), 1 << len(group)
+            keep = [axis[q] for q in (pq, *group)]
+            marginal = _gram(state, keep, p) if noise is None else partial_trace(state, keep)
+            tail_axis = {mq: 0, pq: 1, **{q: 2 + r for r, q in enumerate(group)}}
+            tail = [_remap(ins, tail_axis) for ins in post + parts[1] + _cut(parts[2], group)]
+            start = np.einsum("ia,jb,xy->ixjyab", eye, eye, marginal, order="C")
+            after = _density_walk(tail, n, circuit.num_clbits, tail_noise,
+                                  start.reshape(1 << n, 1 << n, 2, 2), blocks)
+            maps.append(np.einsum("axay...->...xy", after.reshape(4, k, 4, k, 2, 2)))
+        out.append(maps)
     return out
 
 
@@ -610,7 +645,7 @@ def _exact_states(circuit: Circuit, groups) -> list[np.ndarray]:
     traces of its :func:`_full_walk` branches."""
     if sum(ins.gate == "measure" for ins in circuit.instructions) > 2:
         raise SimulationError("circuit lacks the Bell-measurement structure")
-    traced = _traced(circuit, groups)
+    (traced,) = _traced([(circuit, groups)])
     if traced is not None:
         rho = message_state(circuit, NoiseModel())
         return [np.tensordot(rho, r) for r in traced]
@@ -634,24 +669,28 @@ def exact_subsystem_state(circuit: Circuit, qubits) -> np.ndarray:
     return _exact_states(circuit, [tuple(qubits)])[0]
 
 
-def compile_response(circuit: Circuit, noise: NoiseModel | None = None) -> np.ndarray:
-    """The clone response of a protocol circuit: an (M, 2, 2, 2, 2) array R,
-    clone k being in the state sum_ij rho[i, j] R[k, i, j] when the
-    message's own gates before the Bell cx leave it in the state rho
+def compile_response(circuits, noise: NoiseModel | None = None) -> np.ndarray:
+    """The clone responses of a sequence of protocol circuits with one clone
+    count M: a (len(circuits), M, 2, 2, 2, 2) array R, clone k of circuit c
+    being in the state sum_ij rho[i, j] R[c, k, i, j] when the message's own
+    gates before the Bell cx leave it in the state rho
     (:func:`message_state`). No other gate depends on the message, so one
     response serves every message of the same (m, variant, layout, dd,
     tomography basis).
 
     R stacks each clone's :func:`_traced` map, its terminal measures
-    deferred: the state before them. This requires a circuit that
-    :func:`_split_prefix` splits and, with ``noise``, a prep within the
-    density cap.
+    deferred: the state before them. The circuits share one :func:`_traced`
+    call, so the tomography bases of one circuit run its prep once. This
+    requires circuits that :func:`_split_prefix` splits and, with
+    ``noise``, preps within the density cap.
     """
-    response = _traced(circuit, [(q,) for q in circuit.roles.get("clones", ())], noise)
-    if response is None:
+    traced = _traced([(c, [(q,) for q in c.roles.get("clones", ())]) for c in circuits], noise)
+    if any(maps is None for maps in traced):
         raise SimulationError("the clone states of this circuit cannot be traced "
                               "before its feed-forward")
-    return np.stack(response)
+    if len({len(maps) for maps in traced}) != 1:
+        raise SimulationError("compile_response needs one or more circuits of one clone count")
+    return np.stack([np.stack(maps) for maps in traced])
 
 
 def apply_response(response: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -938,11 +977,13 @@ def _trajectory_counts(circuit: Circuit, noise: NoiseModel, seed: int,
 
 
 def _density_walk(instructions, n: int, num_clbits: int, noise: NoiseModel,
-                  rho: np.ndarray) -> np.ndarray:
+                  rho: np.ndarray, blocks: dict) -> np.ndarray:
     """The state after the density walk of ``instructions`` over ``n``
     qubits from ``rho``, a (2^n, 2^n) array whose trailing axes are a batch,
     summed over the recorded bits. Each gate runs with its noise as one
-    :func:`_noisy_block`; a measure splits every branch on its outcome,
+    :func:`_noisy_block`, kept in ``blocks``, which maps a qubit count to the
+    blocks built for it under ``noise`` by this or an earlier walk (see
+    :func:`_block_rule`); a measure splits every branch on its outcome,
     records it flipped with probability readout_flip and merges branches
     with the same bits, and drops a branch only when its whole batch has
     zero weight. Terminal measures are deferred: the state is the one
@@ -969,7 +1010,8 @@ def _density_walk(instructions, n: int, num_clbits: int, noise: NoiseModel,
         return list(merged.items())
 
     branches = _walk(instructions, [((0,) * num_clbits, rho)],
-                     _block_rule(instructions, lambda ins: _noisy_block(ins, noise, n)),
+                     _block_rule(instructions, lambda ins: _noisy_block(ins, noise, n),
+                                 blocks.setdefault(n, {})),
                      measure)
     return sum(state for _, state in branches)
 
@@ -986,7 +1028,7 @@ def noisy_clone_states(circuit: Circuit, noise: NoiseModel):
         raise SimulationError("noisy_clone_states requires tomo_basis='none'")
     n = circuit.num_qubits
     rho = _density_walk(circuit.instructions, n, circuit.num_clbits, noise,
-                        _ground(2 * n).reshape(1 << n, 1 << n))
+                        _ground(2 * n).reshape(1 << n, 1 << n), {})
     return [partial_trace(rho, [q]) for q in circuit.roles["clones"]]
 
 

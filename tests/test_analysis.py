@@ -20,6 +20,15 @@ OPT = TelecloningVariant.WITH_ANCILLA_OPTIMIZED
 FULL = TelecloningVariant.WITH_ANCILLA_FULL
 
 
+def test_bounds_are_correctly_rounded_ratios():
+    """Integer true division rounds each bound as the exact fraction does."""
+    from fractions import Fraction
+    for n in range(1, 60):
+        for m in range(n, 200):
+            assert theoretical_fidelity(n, m) == float(Fraction(m * n + m + n, m * (n + 2)))
+            assert shrinking_factor(n, m) == float(Fraction(n * (m + 2), m * (n + 2)))
+
+
 def test_theoretical_fidelity_values():
     assert abs(theoretical_fidelity(1, 2) - 5 / 6) < 1e-15
     assert abs(theoretical_fidelity(1, 3) - 7 / 9) < 1e-15

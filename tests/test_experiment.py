@@ -639,3 +639,66 @@ def test_noisy_response_matches_each_point_circuit(m, variant, dd, monkeypatch):
                    for s in apply_response(r, rho)] for r in per_basis]
             np.testing.assert_allclose(np.transpose(p1), _density_p1(shots, msg),
                                        rtol=0, atol=1e-12)
+
+
+def _prep_walks(monkeypatch) -> list:
+    """The qubit count of every density walk from a prep's |0><0|, which,
+    unlike a tail's, carries no batch of message inputs, recorded as
+    compile_response runs it."""
+    from teleclone import simulator
+    walks, walk = [], simulator._density_walk
+
+    def counted(instructions, n, num_clbits, noise, rho, blocks):
+        if rho.ndim == 2:
+            walks.append(n)
+        return walk(instructions, n, num_clbits, noise, rho, blocks)
+
+    monkeypatch.setattr(simulator, "_density_walk", counted)
+    return walks
+
+
+@pytest.mark.parametrize("m,variant", [(2, NOA), (4, OPT)])
+def test_noisy_shots_walk_the_prep_once_for_all_bases(m, variant, monkeypatch):
+    """The x, y and z circuits of a noisy shots sweep, at layout 0 with
+    decoupling, share one prep, walked once over every qubit but the
+    message."""
+    from teleclone import build_protocol_circuit
+    from teleclone.experiment import _response_for, _transform_for
+    from teleclone.simulator import used_qubits
+    cfg = ExperimentConfig(m=m, variant=variant, layout_index=0, dd=True, mode="shots",
+                           noise=_ALL_CHANNELS)
+    transform = _transform_for(cfg)
+    prep = len(used_qubits(transform(build_protocol_circuit(m, variant, MessageState(0, 0))))) - 1
+    walks = _prep_walks(monkeypatch)
+    assert _response_for(cfg, transform).shape == (3, m, 2, 2, 2, 2)
+    assert walks == [prep]
+
+
+def test_a_different_prep_is_walked_on_its_own(monkeypatch):
+    """A basis circuit whose prep has an extra gate gets its own prep walk,
+    and every circuit's response is the one it compiles alone."""
+    from teleclone import Circuit, build_protocol_circuit, ry
+    from teleclone.simulator import compile_response
+    from teleclone.telecloning import with_tomography
+    from teleclone.tomography import BASES
+    none = build_protocol_circuit(2, NOA, MessageState(0.0, 0.0))
+    x, y, z = [with_tomography(none, basis) for basis in BASES]
+    odd = Circuit(y.num_qubits, y.num_clbits, (ry(0.3, y.roles["clones"][0]),) + y.instructions,
+                  roles=y.roles)
+    walks = _prep_walks(monkeypatch)
+    shared = compile_response([x, odd, z], _ALL_CHANNELS)
+    assert len(walks) == 2
+    alone = np.stack([compile_response([c], _ALL_CHANNELS)[0] for c in (x, odd, z)])
+    np.testing.assert_allclose(shared, alone, rtol=0, atol=1e-12)
+    assert np.abs(shared[1] - compile_response([y], _ALL_CHANNELS)[0]).max() > 1e-3
+
+
+def test_noise_sweep_script_runs():
+    """scripts/noise_sweep.py prints its header and one row per noise level,
+    the noiseless one at the M=2 optimum 5/6."""
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "noise_sweep.py")
+    r = subprocess.run([sys.executable, script, "--grid", "2"], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    header, *rows = r.stdout.split()
+    assert header == "p,mean_fidelity,mean_bloch_magnitude" and len(rows) == 10
+    assert rows[0].split(",")[:2] == ["0.0", "0.833333"]

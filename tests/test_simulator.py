@@ -13,8 +13,8 @@ from teleclone.exceptions import SimulationError
 from teleclone.simulator import _apply_block, _block, _fuse, compact, gate_matrix
 
 from .oracles import (PAULIS, apply_1q, apply_unitary, damp, depolarize,
-                      enumerate_branches, ideal_clone_rho, kraus_apply, noisy_gate,
-                      ptrace_pure, random_density_matrix)
+                      enumerate_branches, fuse_by_kernel, ideal_clone_rho, kraus_apply,
+                      noisy_gate, ptrace_pure, random_density_matrix)
 
 NOA = TelecloningVariant.NO_ANCILLA
 OPT = TelecloningVariant.WITH_ANCILLA_OPTIMIZED
@@ -151,7 +151,9 @@ def test_outcome_table_of_a_circuit_walked_in_full():
 def test_compiled_prep_matches_gate_walk(m, variant):
     """The fused prep gives the state of the gate-by-gate walk of the same
     prep gates: in float64 for a logical circuit, in complex128 for a
-    native one at layouts 0 and 6 with decoupling, whose rz/sx are complex."""
+    native one at layouts 0 and 6 with decoupling, whose rz/sx are complex.
+    Each fused run's matrix, multiplied out gate by gate, is the block
+    kernel's product on the identity."""
     from teleclone.hardware import enumerate_layouts, insert_dd, transpile_to_native
     from teleclone.simulator import (_bell_parts, _ground, _prep_state, _remap,
                                      _split_prefix, _validated)
@@ -164,6 +166,10 @@ def test_compiled_prep_matches_gate_walk(m, variant):
         _, _, gates = _split_prefix(c, _bell_parts(c))
         mq = c.roles["message"]
         axis = {q: k for k, q in enumerate(q for q in _validated(c) if q != mq)}
+        fused, want = _fuse(gates, axis), fuse_by_kernel(gates, axis)
+        assert [list(axes) for _, axes in fused] == [list(axes) for _, axes in want]
+        for (f, _), (w, _) in zip(fused, want):
+            np.testing.assert_allclose(f, w, rtol=0, atol=1e-12)
         got = _prep_state(gates, axis)
         assert got.dtype == dtype
         psi = _ground(len(axis))
@@ -227,7 +233,7 @@ def test_exact_requires_bell_structure():
         exact_clone_states(tomo)
     with pytest.raises(SimulationError, match="Bell-measurement structure"):
         exact_subsystem_state(tomo, tomo.roles["clones"][:1])
-    assert compile_response(tomo).shape == (2, 2, 2, 2, 2)
+    assert compile_response([tomo]).shape == (1, 2, 2, 2, 2, 2)
 
 
 def test_exact_fast_path_matches_generic():
@@ -280,7 +286,7 @@ def _assert_traced_first(c, msg):
     got = exact_clone_states(c) + [exact_subsystem_state(c, clones),
                                    exact_subsystem_state(c, pair)]
     a = np.array(msg.amplitudes())
-    got += list(apply_response(compile_response(c), np.outer(a, a.conj())))
+    got += list(apply_response(compile_response([c])[0], np.outer(a, a.conj())))
     want += want[:len(clones)]
     for g, w in zip(got, want, strict=True):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
@@ -332,7 +338,7 @@ def test_trace_first_turns_by_non_hermitian_feed_forward():
                 cond(1, 1, [sx(b)])] + [ry(0.5, q) for q in c.roles["ancillas"]]
         odd = _with_suffix(c, mid, tail)
         _assert_traced_first(odd, msg)
-        got = apply_response(compile_response(odd, _ALL_CHANNELS),
+        got = apply_response(compile_response([odd], _ALL_CHANNELS)[0],
                              message_state(odd, _ALL_CHANNELS))
         for g, w in zip(got, noisy_clone_states(odd, _ALL_CHANNELS), strict=True):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
@@ -352,7 +358,15 @@ def test_two_qubit_feed_forward_walks_in_full():
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
     assert np.abs(got[1] - exact_clone_states(c)[1]).max() > 0.05
     with pytest.raises(SimulationError, match="cannot be traced"):
-        compile_response(odd)
+        compile_response([odd])
+
+
+def test_compile_response_needs_circuits_of_one_clone_count():
+    from teleclone.simulator import compile_response
+    two, three = (build_protocol_circuit(m, OPT, MessageState(0.8, 2.5)) for m in (2, 3))
+    for circuits in ([], [two, three]):
+        with pytest.raises(SimulationError, match="one clone count"):
+            compile_response(circuits)
 
 
 def test_subsystem_state_takes_original_qubits():
@@ -378,6 +392,14 @@ def test_subsystem_state_takes_original_qubits():
         for role in ("port", "message"):
             with pytest.raises(SimulationError):
                 exact_subsystem_state(c, (c.roles[role],))
+
+
+def test_subsystem_state_refuses_a_repeated_qubit():
+    """A qubit listed twice is refused by name, not by a numpy error."""
+    c = build_protocol_circuit(3, OPT, MessageState(0.8, 2.5))
+    q = c.roles["clones"][1]
+    with pytest.raises(SimulationError, match=rf"qubits \[{q}\] are repeated"):
+        exact_subsystem_state(c, (q, q))
 
 
 def test_partial_trace_product_and_bell():

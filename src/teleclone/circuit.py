@@ -238,13 +238,18 @@ def to_json(circuit: Circuit) -> str:
 
 
 def from_json(text: str) -> Circuit:
+    """The circuit of a :func:`to_json` text; CircuitError when the JSON
+    does not have that structure."""
     d = json.loads(text)
-    return Circuit(
-        num_qubits=d["num_qubits"],
-        num_clbits=d["num_clbits"],
-        instructions=tuple(_instruction_from_dict(i) for i in d["instructions"]),
-        roles=_roles_from_json(d.get("roles", {})),
-    )
+    try:
+        return Circuit(
+            num_qubits=d["num_qubits"],
+            num_clbits=d["num_clbits"],
+            instructions=tuple(_instruction_from_dict(i) for i in d["instructions"]),
+            roles=_roles_from_json(d.get("roles", {})),
+        )
+    except (TypeError, KeyError, AttributeError) as exc:
+        raise _circuit_error([f"malformed circuit JSON ({type(exc).__name__}: {exc})"])
 
 
 def _roles_to_json(roles: dict) -> dict:

@@ -37,8 +37,8 @@ from .circuit import Circuit
 from .exceptions import ConfigError, SimulationError, TelecloneError, TranspileError
 from .hardware import (DurationTable, check_capacity, enumerate_layouts, insert_dd,
                        transpile_to_native)
-from .simulator import (_DENSITY_QUBIT_CAP, NoiseModel, apply_response, compile_response,
-                        message_state, used_qubits)
+from .simulator import (_DENSITY_QUBIT_CAP, DEFAULT_QUBIT_CAP, NoiseModel, apply_response,
+                        compile_response, message_state)
 from .telecloning import (MessageState, TelecloningVariant, _roles, build_protocol_circuit,
                           check_variant, with_tomography)
 from .tomography import BASES, basis_p1, sample_tomography, tomography_run
@@ -90,7 +90,10 @@ class ExperimentConfig:
                 check_capacity(self.m, self.variant)
         except TelecloneError as exc:
             raise ConfigError(str(exc))
-        prep = _roles(self.m, self.variant, with_message=False)[1]
+        prep = _prep_qubits(self)
+        if prep + 1 > DEFAULT_QUBIT_CAP:
+            raise ConfigError(f"the protocol circuit's {prep + 1} qubits exceed the "
+                              f"{DEFAULT_QUBIT_CAP}-qubit statevector cap")
         if self.mode == "exact" and _noise(self) is not None and prep > _DENSITY_QUBIT_CAP:
             raise ConfigError(f"noisy exact mode needs a density matrix over the {prep} "
                               f"prep qubits, past the {_DENSITY_QUBIT_CAP}-qubit cap")
@@ -139,6 +142,11 @@ class ExperimentConfig:
                    noise=None if noise is None else _noise_model(noise),
                    durations=None if durations is None else _durations(durations),
                    **kwargs)
+
+
+def _prep_qubits(config: ExperimentConfig) -> int:
+    """Qubits of the config's protocol circuits but the message: its prep."""
+    return _roles(config.m, config.variant, with_message=False)[1]
 
 
 def _noise(config: ExperimentConfig) -> NoiseModel | None:
@@ -219,10 +227,10 @@ def _response_for(config: ExperimentConfig, transform) -> np.ndarray | None:
                                      tomo_basis="none")
     if noise is None or config.mode == "exact":
         return compile_response([transform(circuit)], noise)[0]
-    bases = [transform(with_tomography(circuit, basis)) for basis in BASES]
-    if len(used_qubits(bases[0])) - 1 > _DENSITY_QUBIT_CAP:
+    if _prep_qubits(config) > _DENSITY_QUBIT_CAP:
         return None
-    return compile_response(bases, noise)
+    return compile_response([transform(with_tomography(circuit, basis)) for basis in BASES],
+                            noise)
 
 
 def _run_point(config: ExperimentConfig, transform, response: np.ndarray | None,
@@ -286,6 +294,10 @@ class ExperimentRecord:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentRecord":
         d = json.loads(text)
+        if not (isinstance(d, dict) and isinstance(d.get("results"), list)
+                and isinstance(d.get("aggregate"), dict)):
+            raise ConfigError("a record must be an object with a 'config', a 'results' "
+                              "list and an 'aggregate' object")
         return cls(config=ExperimentConfig.from_json_dict(d["config"]),
                    results=d["results"], aggregate=d["aggregate"])
 

@@ -42,11 +42,11 @@ message's state after its own gates (:func:`message_state`), and one
 (:func:`apply_response`) and every tomography basis: circuits whose preps
 are equal share one prep run, and all the density walks of the call share
 one dict of blocks. :func:`exact_clone_states` contracts a response with the
-circuit's own message. Noiseless :func:`run_shots` reads the four Bell
-branches off the prep's two port slices (:func:`_branches`), turns each on
-its measured qubits only and draws all counts from the joint distribution.
-Any other circuit is compacted and walked in full from |0...0>, its
-terminal measures deferred (:func:`_full_walk`).
+circuit's own message, and noiseless tomography draws each clone's counts
+from its contracted state. Any other circuit, and noiseless
+:func:`run_shots`, is compacted and walked in full from |0...0>: the gates
+before its first measure or cond as one fused prep, its terminal measures
+deferred (:func:`_full_walk`).
 
 One kernel, :func:`_apply_block`, applies every gate and channel matrix,
 as a :func:`_block` built once per distinct instruction of a circuit
@@ -56,11 +56,11 @@ swap, a Z a sign flip and a controlled gate touches only the half where its
 control is set. Trailing axes are batch axes, so
 one block serves a state, a trajectory block's shots in its columns and a
 density matrix read as a vector over 2n qubits, where a gate with its noise
-is one superoperator block sum_K K (x) K* on the axes (q..., q+n...). The
-pure prep multiplies each run of gates on at most ``_FUSE_QUBITS`` qubits
-out into one matrix (:func:`_fuse`), applied as one block, in float64 when
-every block is real (every logical prep) and complex128 otherwise (native
-preps with rz/sx).
+is one superoperator block sum_K K (x) K* on the axes (q..., q+n...). A
+pure prep, traced or ahead of a full walk's first measure, multiplies each
+run of gates on at most ``_FUSE_QUBITS`` qubits out into one matrix
+(:func:`_fuse`), applied as one block, in float64 when every block is real
+(every logical prep) and complex128 otherwise (native preps with rz/sx).
 """
 
 from __future__ import annotations
@@ -351,10 +351,17 @@ def _terminal_measures(instructions):
 
 def _full_walk(circuit: Circuit):
     """Walk a valid circuit, compacted, in full from |0...0> with its
-    terminal measures deferred: (the (clbits, state) branches, the deferred
-    (qubit, clbit) pairs in circuit order)."""
+    terminal measures deferred: (the complex (clbits, state) branches, the
+    deferred (qubit, clbit) pairs in circuit order). The gates before its
+    first measure or cond run as one :func:`_prep_state`."""
     circuit = compact(circuit)
-    terminal = _terminal_measures(circuit.instructions)
+    instructions = circuit.instructions
+    terminal = _terminal_measures(instructions)
+    first = next((k for k, ins in enumerate(instructions) if ins.gate in ("measure", "cond")),
+                 len(instructions))
+    prep = [ins for ins in instructions[:first] if ins.gate != "barrier"]
+    axis = {q: q for q in range(circuit.num_qubits)}
+    psi = _prep_state(prep, axis).astype(complex, copy=False)
     deferred = []
 
     def measure(branches, ins):
@@ -363,9 +370,8 @@ def _full_walk(circuit: Circuit):
             return branches
         return _split(branches, ins)
 
-    branches = _walk(circuit.instructions,
-                     [((0,) * circuit.num_clbits, _ground(circuit.num_qubits))],
-                     _block_rule(circuit.instructions), measure)
+    rest = instructions[first:]
+    branches = _walk(rest, [((0,) * circuit.num_clbits, psi)], _block_rule(rest), measure)
     return branches, deferred
 
 
@@ -475,66 +481,6 @@ def _prep_state(gates, axis: dict[int, int]) -> np.ndarray:
     for mat, axes in fused:
         _apply_block(psi, _block(mat.real if real else mat, axes))
     return psi
-
-
-def _bell_branches(pq: int, msg, post, bell, num_clbits: int):
-    """Yield the four Bell branches, in the order the two ``bell`` measures
-    split them, as (clbits, A): with the port ``pq``'s |0> and |1> slices
-    t_a of the prep state, a branch leaves the message state ``msg`` as
-    sum_a A[a] t_a when the message's gates after the Bell cx multiply to
-    ``post``."""
-    (q0, c0), (_, c1) = [(m.qubits[0], m.clbit) for m in bell]
-    for o0 in (0, 1):
-        for o1 in (0, 1):
-            cp, cm = (o0, o1) if q0 == pq else (o1, o0)
-            yield (_set_bit(_set_bit((0,) * num_clbits, c0, o0), c1, o1),
-                   (post[cm] * msg)[[cp, 1 - cp]])
-
-
-def _turn(turns: dict, ins: Instruction) -> dict:
-    """``apply`` of a :func:`_walk` whose state maps each qubit to the
-    product of the one-qubit gates it has run."""
-    turns[ins.qubits[0]] = gate_matrix(ins) @ turns.get(ins.qubits[0], np.eye(2))
-    return turns
-
-
-def _product(gates) -> np.ndarray:
-    """The product of one-qubit ``gates``, the first applied first."""
-    out = np.eye(2, dtype=complex)
-    for ins in gates:
-        out = gate_matrix(ins) @ out
-    return out
-
-
-def _branches(circuit: Circuit, position: dict[int, int], parts):
-    """The (clbits, state, turns) branches of a valid circuit with
-    compaction ``position`` and :func:`_bell_parts` ``parts``, its terminal
-    measures deferred, each axis of a state then turned by its matrix in
-    ``turns``; the deferred (axis, clbit) pairs; and the map from its qubits
-    to state axes.
-
-    A circuit that :func:`_split_prefix` splits gives the four
-    :func:`_bell_branches` of its message, each a sum of the port's two
-    slices of the prep state, with the :func:`_turn` products of its gates
-    after the Bell measures: nothing after the Bell measurement is walked.
-    Any other circuit is walked in full (:func:`_full_walk`)."""
-    split = _split_prefix(circuit, parts)
-    if split is None:
-        walked, deferred = _full_walk(circuit)
-        return [(bits, psi, {}) for bits, psi in walked], deferred, position
-    pre, post, prep = split
-    mq, pq = circuit.roles["message"], circuit.roles["port"]
-    axis = {q: k for k, q in enumerate(q for q in position if q != mq)}
-    view = _prep_state(prep, axis).reshape(1 << axis[pq], 2, -1)
-    index = {q: k for k, q in enumerate(q for q in axis if q != pq)}
-    suffix = [_remap(ins, index) for ins in parts[2]]
-    branches = []
-    for bits, (a0, a1) in _bell_branches(pq, _product(pre)[:, 0], _product(post[1:]),
-                                         parts[1], circuit.num_clbits):
-        turns = _walk(suffix, [(bits, {})], _turn, lambda kept, _: kept)[0][1]
-        branches.append((bits, (a0 * view[:, 0] + a1 * view[:, 1]).reshape(-1), turns))
-    return (branches, [(ins.qubits[0], ins.clbit) for ins in suffix if ins.gate == "measure"],
-            index)
 
 
 # ---------------------------------------------------------------------------
@@ -718,20 +664,17 @@ def _check_int(name: str, value, low: int, stop: float = math.inf) -> None:
         raise SimulationError(f"{name} must be an integer in [{low}, {stop}), got {value!r}")
 
 
-def _outcome_table(circuit: Circuit, position: dict[int, int]) -> dict[str, float]:
-    """The probability of every string of recorded bits of a valid circuit
-    with compaction ``position``, with no noise. Each :func:`_branches`
-    branch's state is turned only on its deferred qubits, which is all
-    their marginal depends on."""
-    branches, deferred, index = _branches(circuit, position, _bell_parts(circuit))
+def _outcome_table(circuit: Circuit) -> dict[str, float]:
+    """The probability of every string of recorded bits of a valid circuit,
+    with no noise: each :func:`_full_walk` branch's bits, with the outcomes
+    of its deferred measures read off the marginal of its state."""
+    branches, deferred = _full_walk(circuit)
+    n = branches[0][1].size.bit_length() - 1
     axes = [a for a, _ in deferred]
-    others = tuple(a for a in range(len(index)) if a not in axes)
+    others = tuple(a for a in range(n) if a not in axes)
     table: dict[str, float] = {}
-    for bits, psi, turns in branches:
-        for a in axes:
-            if a in turns:
-                _apply_block(psi, _block(turns[a], (a,)))
-        probs = (psi.real ** 2 + psi.imag ** 2).reshape((2,) * len(index))
+    for bits, psi in branches:
+        probs = (psi.real ** 2 + psi.imag ** 2).reshape((2,) * n)
         probs = probs.sum(axis=others).transpose([sorted(axes).index(a) for a in axes])
         for outcome, p in zip(itertools.product((0, 1), repeat=len(axes)), probs.reshape(-1)):
             key = list(bits)
@@ -749,18 +692,18 @@ def run_shots(circuit: Circuit, shots: int, seed: int,
 
     Without noise, the counts are one multinomial draw, from the Philox
     stream keyed by ``seed``, over the circuit's exact outcome table
-    (:func:`_outcome_table`): a protocol circuit reads it off its four Bell
-    branches and walks nothing after the Bell measurement. Under noise every
-    shot is a Monte Carlo wavefunction trajectory, run in blocks of shots
-    (see :func:`_trajectory_counts`).
+    (:func:`_outcome_table`), which walks the whole circuit as a pure state
+    and splits it at every measure that a later gate or cond depends on.
+    Under noise every shot is a Monte Carlo wavefunction trajectory, run in
+    blocks of shots (see :func:`_trajectory_counts`).
     """
     _check_int("shots", shots, 1)
     _check_int("seed", seed, 0, 1 << 64)
-    position = _validated(circuit)
+    _validated(circuit)
     if noise is not None and noise.any_noise():
         counts = _trajectory_counts(compact(circuit), noise, seed, 0, shots)
         return dict(sorted(counts.items()))
-    table = _outcome_table(circuit, position)
+    table = _outcome_table(circuit)
     probs = np.array(list(table.values()))
     drawn = np.random.Generator(np.random.Philox(key=np.uint64(seed))).multinomial(
         shots, probs / probs.sum())

@@ -3,13 +3,13 @@ likelihood density-matrix reconstruction on the Bloch ball."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import SimulationError, TomographyError
-from .simulator import _X, _Y, _Z, NoiseModel, _check_int, run_shots
+from .simulator import (_X, _Y, _Z, NoiseModel, _check_int, apply_response, compile_response,
+                        message_state, run_shots)
 from .telecloning import (MessageState, TelecloningVariant, build_protocol_circuit,
                           with_tomography)
 
@@ -132,25 +132,31 @@ def tomography_run(m: int, variant: TelecloningVariant, message: MessageState,
                    shots_per_basis: int, seed: int,
                    noise: NoiseModel | None = None,
                    transform=None) -> list[TomographyRecord]:
-    """Measure all clones in X, Y, Z (one circuit per basis,
-    shots_per_basis each) and reconstruct every clone's state via MLE.
+    """Measure all clones in X, Y, Z (shots_per_basis each) and reconstruct
+    every clone's state via MLE.
 
     ``transform`` optionally rewrites each basis circuit before execution
     (layout mapping, decoupling passes); it must preserve clone bit order.
-    Each basis samples joint counts with :func:`run_shots` from its own
-    child of ``seed``. Sweeps reach this only with noise past the density
-    cap; other sweeps draw from their clone responses instead
-    (:func:`sample_tomography`).
+    Without noise (None or all zero) one :func:`compile_response` of the
+    transformed "none" circuit, contracted with its message, gives every
+    clone's state, so the prep runs once for the three bases, and
+    :func:`sample_tomography` draws the counts from it, as a noiseless
+    sweep point does. Under noise each basis circuit samples joint counts
+    with :func:`run_shots` from its own child of ``seed``: sweeps reach this
+    only with noise past the density cap.
     """
     _check_int("shots_per_basis", shots_per_basis, 1)
-    per_clone: list[dict] = [dict() for _ in range(m)]
+    transform = transform or (lambda circuit: circuit)
     none = build_protocol_circuit(m, variant, message)
+    if noise is None or not noise.any_noise():
+        circuit = transform(none)
+        rhos = apply_response(compile_response([circuit])[0],
+                              message_state(circuit, NoiseModel()))
+        return sample_tomography([basis_p1(rho) for rho in rhos], shots_per_basis, seed)
+    per_clone: list[dict] = [dict() for _ in range(m)]
     for bi, basis in enumerate(BASES):
-        circuit = with_tomography(none, basis)
-        if transform is not None:
-            circuit = transform(circuit)
-        counts = run_shots(circuit, shots_per_basis, seed=_basis_seed(seed, bi),
-                           noise=noise)
+        counts = run_shots(transform(with_tomography(none, basis)), shots_per_basis,
+                           seed=_basis_seed(seed, bi), noise=noise)
         for k in range(m):
             n1 = sum(c for key, c in counts.items() if key[2 + k] == "1")
             per_clone[k][basis] = (shots_per_basis - n1, n1)
@@ -172,9 +178,9 @@ def sample_tomography(p1, shots_per_basis: int, seed: int) -> list[TomographyRec
     P(1)) draw, all clones of a basis from the Philox stream of that
     basis's child of ``seed`` (the seeds :func:`tomography_run` uses).
     Records read only per-clone marginals, so this is equal in law to
-    summing :func:`tomography_run`'s joint counts per clone; the draws
-    differ. A noiseless clone in the state rho has the P(1) of
-    :func:`basis_p1`.
+    summing per clone the joint counts that :func:`run_shots` samples from
+    the basis circuits; the draws differ. A noiseless clone in the state rho
+    has the P(1) of :func:`basis_p1`.
     """
     _check_int("shots_per_basis", shots_per_basis, 1)
     p1 = np.asarray(p1, dtype=float)

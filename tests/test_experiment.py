@@ -482,10 +482,12 @@ def test_cli_rejects_bad_worker_count(tmp_path, monkeypatch, value):
     {"m": 11, "variant": "with-ancilla-optimized", "layout_index": 0},
     {"m": 5, "variant": "with-ancilla-optimized", "mode": "exact",
      "noise": {"depolarizing_1q": 0.1}},
+    {"m": 12, "variant": "with-ancilla-optimized", "n_psi": 2, "n_phi": 2, "mode": "exact"},
 ], ids=["noise-string", "noise-unknown-key", "noise-list", "n_psi-string",
         "dd-string", "seed-negative", "seed-too-large", "seed-float",
         "durations-string", "durations-number", "cx-override-string",
-        "no-ancilla-m4", "layout-m11", "noisy-exact-past-density-cap"])
+        "no-ancilla-m4", "layout-m11", "noisy-exact-past-density-cap",
+        "m12-past-statevector-cap"])
 def test_cli_rejects_bad_config_values(tmp_path, entry):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"m": 2, "variant": "no-ancilla", "n_psi": 1,
@@ -506,6 +508,26 @@ def test_cli_rejects_config_that_is_not_a_config_object(tmp_path, doc):
     assert r.returncode == 1
     assert "config error" in r.stderr and "Traceback" not in r.stderr
     assert not (tmp_path / "runs").exists()
+
+
+_H_ON_QUBIT_5 = {"num_qubits": 1, "num_clbits": 0,
+                 "instructions": [{"gate": "h", "qubits": 5}]}
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("export", _H_ON_QUBIT_5),
+    ("export", {"num_qubits": 1, "num_clbits": 0, "instructions": 3}),
+    ("export", [_H_ON_QUBIT_5]),
+    ("analyze", [{"config": {"m": 2, "variant": "no-ancilla"}}]),
+], ids=["export-qubits-number", "export-instructions-number", "export-list", "analyze-list"])
+def test_cli_rejects_malformed_json(tmp_path, command, doc):
+    """A JSON file of the wrong structure fails with exit code 1 and a
+    message, not a traceback."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    r = _cli(*(["export", "--circuit"] if command == "export" else ["analyze"]), str(path))
+    assert r.returncode == 1
+    assert "error" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_same_second_runs_get_their_own_directories(tmp_path, monkeypatch):
@@ -539,8 +561,8 @@ def _non_message(c):
 def _clone_p1(c, m):
     """Each clone's P(1) in a basis circuit: the marginal of the exact
     outcome table that run_shots samples from."""
-    from teleclone.simulator import _outcome_table, _validated
-    table = _outcome_table(c, _validated(c))
+    from teleclone.simulator import _outcome_table
+    table = _outcome_table(c)
     return np.array([sum(p for key, p in table.items() if key[2 + k] == "1")
                      for k in range(m)])
 

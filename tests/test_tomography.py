@@ -5,15 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from teleclone import (MessageState, TelecloningVariant, exact_clone_states,
+from teleclone import (MessageState, NoiseModel, TelecloningVariant, exact_clone_states,
                        build_protocol_circuit, linear_inversion, mle_fit,
                        run_shots, tomography_run)
-from teleclone.tomography import TomographyRecord, rho_from_bloch
+from teleclone.tomography import TomographyRecord, basis_p1, rho_from_bloch
 from teleclone.exceptions import SimulationError
 
 from .oracles import mle_grid_oracle, trace_distance
 
 NOA = TelecloningVariant.NO_ANCILLA
+OPT = TelecloningVariant.WITH_ANCILLA_OPTIMIZED
 
 
 def _counts(x, y, z, shots):
@@ -152,6 +153,39 @@ def test_tomography_close_to_exact_at_10k():
     recs = tomography_run(2, NOA, msg, shots_per_basis=10_000, seed=29)
     for rec, rho in zip(recs, exact):
         assert trace_distance(rec.reconstructed, rho) < 0.02
+
+
+@pytest.mark.parametrize("native", [False, True], ids=["logical", "layout-dd"])
+def test_noiseless_tomography_samples_the_exact_clone_states(monkeypatch, native):
+    """Noiseless tomography_run, with no noise object or an all-zero one,
+    draws its counts from each clone's exact state: the P(1)s it passes to
+    sample_tomography are basis_p1 of exact_clone_states of its circuit."""
+    import teleclone.tomography as tomo
+    from teleclone.hardware import enumerate_layouts, insert_dd, transpile_to_native
+    layout = enumerate_layouts(3, OPT)[0]
+    transform = (lambda c: insert_dd(transpile_to_native(c, layout))) if native \
+        else (lambda c: c)
+    msg, seen, sample = MessageState(1.1, 0.4), [], tomo.sample_tomography
+    monkeypatch.setattr(tomo, "sample_tomography",
+                        lambda p1, *args: seen.append(np.array(p1)) or sample(p1, *args))
+    want = [basis_p1(rho) for rho in
+            exact_clone_states(transform(build_protocol_circuit(3, OPT, msg)))]
+    for noise in (None, NoiseModel()):
+        recs = tomography_run(3, OPT, msg, 200, seed=5, noise=noise, transform=transform)
+        assert len(recs) == 3 and all(sum(rec.counts["z"]) == 200 for rec in recs)
+    assert len(seen) == 2
+    for got in seen:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_noiseless_tomography_walks_the_prep_once(monkeypatch):
+    """The three bases of a noiseless tomography_run share one prep walk."""
+    import teleclone.simulator as sim
+    calls, prep_state = [], sim._prep_state
+    monkeypatch.setattr(sim, "_prep_state",
+                        lambda *args: calls.append(args) or prep_state(*args))
+    tomography_run(3, OPT, MessageState(0.3, 0.2), 100, seed=1)
+    assert len(calls) == 1
 
 
 def test_marginals_independent_of_other_clone_measures():

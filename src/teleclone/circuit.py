@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 ONE_QUBIT_GATES = ("ry", "rz", "h", "x", "z", "sx")
@@ -75,8 +76,7 @@ def measure(qubit: int, clbit: int) -> Instruction:
 def cond(clbit: int, value: int, body) -> Instruction:
     body = tuple(body)
     qubits = tuple(sorted({q for ins in body for q in ins.qubits}))
-    return Instruction("cond", qubits, cond_clbit=clbit, cond_value=int(value),
-                       body=body)
+    return Instruction("cond", qubits, cond_clbit=clbit, cond_value=value, body=body)
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,12 @@ class CircuitStats:
     depth: int
 
 
+def _is_int(value) -> bool:
+    """An integer that is not a bool (type() first: isinstance on the ABC is slow)."""
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
+
+
 def _check_instruction(ins, num_qubits, num_clbits, errors, in_body=False):
     if ins.gate not in ALL_GATES:
         errors.append(f"unknown gate '{ins.gate}'")
@@ -112,8 +118,8 @@ def _check_instruction(ins, num_qubits, num_clbits, errors, in_body=False):
     if in_body and ins.gate not in UNITARY_GATES:
         errors.append(f"cond body contains non-unitary instruction '{ins.gate}'")
     for q in ins.qubits:
-        if not (0 <= q < num_qubits):
-            errors.append(f"qubit index {q} out of range for {ins.gate}")
+        if not (_is_int(q) and 0 <= q < num_qubits):
+            errors.append(f"{ins.gate} qubit {q!r} is not an integer in [0, {num_qubits})")
     if ins.gate == "cx":
         if len(ins.qubits) != 2:
             errors.append("cx requires exactly two qubits")
@@ -122,33 +128,35 @@ def _check_instruction(ins, num_qubits, num_clbits, errors, in_body=False):
     elif ins.gate in ONE_QUBIT_GATES and len(ins.qubits) != 1:
         errors.append(f"{ins.gate} requires exactly one qubit")
     if ins.gate in PARAM_GATES:
-        if ins.angle is None or not math.isfinite(ins.angle):
-            errors.append(f"{ins.gate} angle must be finite")
+        if isinstance(ins.angle, bool) or not isinstance(ins.angle, (int, float)) \
+                or not math.isfinite(ins.angle):
+            errors.append(f"{ins.gate} angle {ins.angle!r} must be a finite real")
     if ins.gate == "measure":
-        if ins.clbit is None or not (0 <= ins.clbit < num_clbits):
-            errors.append(f"measure clbit {ins.clbit} out of range")
+        if not (_is_int(ins.clbit) and 0 <= ins.clbit < num_clbits):
+            errors.append(f"measure clbit {ins.clbit!r} is not an integer in [0, {num_clbits})")
     if ins.gate == "cond":
-        if ins.cond_clbit is None or not (0 <= ins.cond_clbit < num_clbits):
-            errors.append(f"cond clbit {ins.cond_clbit} out of range")
-        if ins.cond_value not in (0, 1):
-            errors.append(f"cond value {ins.cond_value} must be 0 or 1")
+        if not (_is_int(ins.cond_clbit) and 0 <= ins.cond_clbit < num_clbits):
+            errors.append(f"cond clbit {ins.cond_clbit!r} is not an integer in [0, {num_clbits})")
+        if not (_is_int(ins.cond_value) and ins.cond_value in (0, 1)):
+            errors.append(f"cond value {ins.cond_value!r} must be the integer 0 or 1")
         for sub in ins.body:
             _check_instruction(sub, num_qubits, num_clbits, errors, in_body=True)
 
 
 def validate(circuit: Circuit) -> list[str]:
     """Return all IR invariant violations; an empty list means well-formed."""
+    if not all(_is_int(n) and n >= 0 for n in (circuit.num_qubits, circuit.num_clbits)):
+        return [f"qubit/clbit counts {circuit.num_qubits!r}, {circuit.num_clbits!r} "
+                "must be integers >= 0"]
     errors: list[str] = []
-    if circuit.num_qubits < 0 or circuit.num_clbits < 0:
-        errors.append("negative qubit/clbit count")
     written: set[int] = set()
     for ins in circuit.instructions:
         _check_instruction(ins, circuit.num_qubits, circuit.num_clbits, errors)
-        if ins.gate == "measure" and ins.clbit is not None:
+        if ins.gate == "measure" and _is_int(ins.clbit):
             if ins.clbit in written:
                 errors.append(f"classical bit {ins.clbit} written more than once")
             written.add(ins.clbit)
-        if ins.gate == "cond" and ins.cond_clbit is not None:
+        if ins.gate == "cond" and _is_int(ins.cond_clbit):
             if ins.cond_clbit not in written:
                 errors.append(
                     f"read-before-write: cond on c{ins.cond_clbit} precedes its measure")
@@ -239,10 +247,10 @@ def to_json(circuit: Circuit) -> str:
 
 def from_json(text: str) -> Circuit:
     """The circuit of a :func:`to_json` text; CircuitError when the JSON
-    does not have that structure."""
+    does not have that structure or the circuit fails :func:`validate`."""
     d = json.loads(text)
     try:
-        return Circuit(
+        circuit = Circuit(
             num_qubits=d["num_qubits"],
             num_clbits=d["num_clbits"],
             instructions=tuple(_instruction_from_dict(i) for i in d["instructions"]),
@@ -250,6 +258,10 @@ def from_json(text: str) -> Circuit:
         )
     except (TypeError, KeyError, AttributeError) as exc:
         raise _circuit_error([f"malformed circuit JSON ({type(exc).__name__}: {exc})"])
+    errors = validate(circuit)
+    if errors:
+        raise _circuit_error(errors)
+    return circuit
 
 
 def _roles_to_json(roles: dict) -> dict:

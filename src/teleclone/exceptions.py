@@ -21,13 +21,5 @@ class CapacityError(TelecloneError):
     """Requested clone count does not fit the device model."""
 
 
-class TomographyError(TelecloneError):
-    """MLE fit did not converge. Carries the best iterate found."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
-
 class ConfigError(TelecloneError):
     """Invalid experiment configuration."""

@@ -3,21 +3,18 @@ likelihood density-matrix reconstruction on the Bloch ball."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import SimulationError, TomographyError
+from .exceptions import SimulationError
 from .simulator import (_X, _Y, _Z, NoiseModel, _check_int, apply_response, compile_response,
                         message_state, run_shots)
 from .telecloning import (MessageState, TelecloningVariant, build_protocol_circuit,
                           with_tomography)
 
 BASES = ("x", "y", "z")
-
-_MAX_ITER = 10_000
-_GRAD_TOL = 1e-10
-_BALL_EDGE = 1.0 - 1e-12
 
 
 @dataclass
@@ -29,11 +26,7 @@ class TomographyRecord:
     reconstructed: np.ndarray | None = None
 
     def __post_init__(self):
-        for b in BASES:
-            n0, n1 = self.counts[b]
-            if n0 + n1 != self.shots_per_basis:
-                raise SimulationError(
-                    f"basis {b}: counts {n0}+{n1} != shots {self.shots_per_basis}")
+        _checked_counts(self.counts, self.shots_per_basis)
 
     def to_json_dict(self) -> dict:
         rho = self.reconstructed
@@ -45,6 +38,21 @@ class TomographyRecord:
         }
 
 
+def _checked_counts(counts: dict, shots_per_basis: int) -> list[tuple[int, int]]:
+    """The (n0, n1) counts of :data:`BASES`, after checking that each basis
+    has two integer counts >= 0 summing to the shots."""
+    _check_int("shots_per_basis", shots_per_basis, 1)
+    for b in BASES:
+        if b not in counts:
+            raise SimulationError(f"no counts for basis {b}")
+        n0, n1 = counts[b]
+        _check_int(f"basis {b} count", n0, 0)
+        _check_int(f"basis {b} count", n1, 0)
+        if n0 + n1 != shots_per_basis:
+            raise SimulationError(f"basis {b}: counts {n0}+{n1} != shots {shots_per_basis}")
+    return [counts[b] for b in BASES]
+
+
 def rho_from_bloch(r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     return 0.5 * (np.eye(2, dtype=complex) + r[0] * _X + r[1] * _Y + r[2] * _Z)
@@ -52,66 +60,52 @@ def rho_from_bloch(r) -> np.ndarray:
 
 def linear_inversion(counts: dict, shots_per_basis: int):
     """r_B = (n0 - n1)/shots per basis; the raw state may be unphysical."""
-    if shots_per_basis < 1:
-        raise SimulationError("linear inversion needs at least one shot")
-    r = np.array([(counts[b][0] - counts[b][1]) / shots_per_basis for b in BASES])
+    pairs = _checked_counts(counts, shots_per_basis)
+    r = np.array([(n0 - n1) / shots_per_basis for n0, n1 in pairs])
     return r, rho_from_bloch(r)
 
 
-def _log_likelihood(r, n0, n1):
-    rp = np.clip(r, -_BALL_EDGE, _BALL_EDGE)
-    return float(np.sum(n0 * np.log1p(rp) + n1 * np.log1p(-rp)))
+def _middle_root(n0: float, n1: float, mu: float) -> float:
+    """The root in [-1, 1] of 2 mu r^3 - (n0 + n1 + 2 mu) r + (n0 - n1),
+    which is the r where n0/(1+r) - n1/(1-r) = 2 mu r.
 
-
-def _grad(r, n0, n1):
-    return n0 / (1.0 + r) - n1 / (1.0 - r)
-
-
-def _project_ball(r):
-    nrm = np.linalg.norm(r)
-    if nrm > _BALL_EDGE:
-        return r * (_BALL_EDGE / nrm)
-    return r
+    The cubic is >= 0 at -1 and <= 0 at 1, and its middle root, in
+    trigonometric form 2a sin(asin(.)/3), lies there. When n0 (n1) is 0,
+    -1 (1) is a root too, but not of the Lagrange condition, and the middle
+    root is the right one of the two.
+    """
+    a = math.sqrt((n0 + n1 + 2 * mu) / (6 * mu))
+    arg = 1.5 * (n0 - n1) / (a * (n0 + n1 + 2 * mu))
+    return 2 * a * math.sin(math.asin(max(-1.0, min(1.0, arg))) / 3)
 
 
 def mle_fit(counts: dict, shots_per_basis: int) -> np.ndarray:
-    """Physical single-qubit state maximizing the multinomial likelihood.
+    """Physical single-qubit state maximizing the multinomial likelihood
+    sum_b n0_b log(1 + r_b) + n1_b log(1 - r_b) over the Bloch ball.
 
-    Projected gradient ascent with backtracking over the Bloch ball, started
-    from the (projected) linear-inversion point. When linear inversion is
-    already physical it is the interior optimum and is returned directly.
+    The likelihood is concave and separable in the Bloch components. When
+    linear inversion lies in the ball it is the optimum. Otherwise the
+    optimum is on the sphere, where each component solves the Lagrange
+    condition n0/(1+r) - n1/(1-r) = 2 mu r for one multiplier mu > 0 (the
+    middle root of a cubic, in closed form). The sum of their squares falls
+    as mu grows, so mu is bisected on (0, 2 shots] to make it 1, down to
+    adjacent floats, and r is normalised onto the sphere.
     """
-    n0 = np.array([counts[b][0] for b in BASES], dtype=float)
-    n1 = np.array([counts[b][1] for b in BASES], dtype=float)
-    total = n0 + n1
-    if shots_per_basis < 1 or np.any(total != shots_per_basis):
-        raise SimulationError("counts must sum to shots_per_basis in each basis")
-
-    r_li = (n0 - n1) / shots_per_basis
-    if np.linalg.norm(r_li) <= _BALL_EDGE:
-        return rho_from_bloch(r_li)
-
-    r = _project_ball(r_li)
-    best_r, best_ll = r.copy(), _log_likelihood(r, n0, n1)
-    step = 1.0 / max(shots_per_basis, 1)
-    for _ in range(_MAX_ITER):
-        r_safe = np.clip(r, -_BALL_EDGE, _BALL_EDGE)
-        g = _grad(r_safe, n0, n1)
-        moved = _project_ball(r + step * g)
-        if np.linalg.norm(moved - r) <= _GRAD_TOL:
-            return rho_from_bloch(moved)
-        ll = _log_likelihood(moved, n0, n1)
-        cur = _log_likelihood(r, n0, n1)
-        if ll < cur - 1e-15:
-            step *= 0.5  # backtrack
-            if step < 1e-18:
-                return rho_from_bloch(best_r)
-            continue
-        r = moved
-        if ll > best_ll:
-            best_ll, best_r = ll, r.copy()
-    raise TomographyError("MLE did not converge within the iteration cap",
-                          best=rho_from_bloch(best_r))
+    r_li, rho_li = linear_inversion(counts, shots_per_basis)
+    if r_li @ r_li <= 1.0:
+        return rho_li
+    pairs = [counts[b] for b in BASES]
+    lo, hi = 0.0, 2.0 * shots_per_basis  # at mu = 2 shots every |r_b| <= 1/4
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if sum(_middle_root(a, b, mid) ** 2 for a, b in pairs) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    r = np.array([_middle_root(a, b, hi) for a, b in pairs])
+    return rho_from_bloch(r / np.linalg.norm(r))
 
 
 def _basis_seed(seed: int, basis_index: int) -> int:

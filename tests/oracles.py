@@ -191,11 +191,8 @@ def telecloning_state_vector(m):
 def ideal_clone_rho(message_bloch, m):
     """eta |m><m| + (1 - eta) I/2 with eta = (M+2)/(3M) for one input."""
     eta = (m + 2) / (3 * m)
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
     r = np.asarray(message_bloch, dtype=float) * eta
-    return 0.5 * (np.eye(2, dtype=complex) + r[0] * sx + r[1] * sy + r[2] * sz)
+    return 0.5 * (PAULIS[0] + r[0] * PAULIS[1] + r[1] * PAULIS[2] + r[2] * PAULIS[3])
 
 
 def mle_grid_oracle(counts, shots, resolution=1e-3):

@@ -18,7 +18,7 @@ from teleclone.hardware import enumerate_layouts, insert_dd, transpile_to_native
 from teleclone.simulator import apply_response, compile_response
 from teleclone.tomography import rho_from_bloch
 
-from .oracles import (apply_unitary, basis_state, dicke_vector, mle_grid_oracle,
+from .oracles import (PAULIS, apply_unitary, basis_state, dicke_vector, mle_grid_oracle,
                       random_density_matrix, staircase_bits, trace_distance)
 
 NOA = TelecloningVariant.NO_ANCILLA
@@ -76,20 +76,15 @@ def test_criterion_1_optimal_fidelity():
             f"max |mean - theory| = {worst:.2e}")
 
 
-_PAULIS = (np.array([[0, 1], [1, 0]], dtype=complex),
-           np.array([[0, -1j], [1j, 0]], dtype=complex),
-           np.array([[1, 0], [0, -1]], dtype=complex))
-
-
 def _bloch_map(response):
     """Each clone's affine Bloch map r -> T r + t, read off a response: t is
     the clones' Bloch vectors for the mixed message I/2, and T's column l
     the shift that the pure message (I + sigma_l)/2 adds to it."""
     def bloch(rho_msg):
-        return np.array([[np.trace(rho @ p).real for p in _PAULIS]
+        return np.array([[np.trace(rho @ p).real for p in PAULIS[1:]]
                          for rho in apply_response(response, rho_msg)])
     t = bloch(np.eye(2) / 2)
-    T = np.stack([bloch((np.eye(2) + p) / 2) - t for p in _PAULIS], axis=-1)
+    T = np.stack([bloch((np.eye(2) + p) / 2) - t for p in PAULIS[1:]], axis=-1)
     return T, t
 
 

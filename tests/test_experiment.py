@@ -514,12 +514,35 @@ _H_ON_QUBIT_5 = {"num_qubits": 1, "num_clbits": 0,
                  "instructions": [{"gate": "h", "qubits": 5}]}
 
 
+def _two_qubit_doc(**instruction):
+    return {"num_qubits": 2, "num_clbits": 0, "instructions": [instruction]}
+
+
+def _cond_doc(clbit, value):
+    return {"num_qubits": 2, "num_clbits": 1, "instructions": [
+        {"gate": "measure", "qubits": [0], "clbit": 0},
+        {"gate": "cond", "qubits": [1], "cond": {"clbit": clbit, "value": value,
+                                                 "body": [{"gate": "x", "qubits": [1]}]}}]}
+
+
 @pytest.mark.parametrize("command,doc", [
     ("export", _H_ON_QUBIT_5),
     ("export", {"num_qubits": 1, "num_clbits": 0, "instructions": 3}),
     ("export", [_H_ON_QUBIT_5]),
     ("analyze", [{"config": {"m": 2, "variant": "no-ancilla"}}]),
-], ids=["export-qubits-number", "export-instructions-number", "export-list", "analyze-list"])
+    ("export", _two_qubit_doc(gate="h", qubits=["a"])),
+    ("export", _two_qubit_doc(gate="x", qubits=[True])),
+    ("export", _two_qubit_doc(gate="ry", qubits=[0], angle="x")),
+    ("export", {"num_qubits": 1, "num_clbits": 1, "instructions": [
+        {"gate": "measure", "qubits": [0], "clbit": "0"}]}),
+    ("export", _cond_doc("0", 1)),
+    ("export", _cond_doc(0, "x")),
+    ("export", {"num_qubits": "1", "num_clbits": 0,
+                "instructions": [{"gate": "h", "qubits": [0]}]}),
+], ids=["export-qubits-number", "export-instructions-number", "export-list", "analyze-list",
+        "export-qubit-string", "export-qubit-bool", "export-angle-string",
+        "export-clbit-string", "export-cond-clbit-string", "export-cond-value-string",
+        "export-num-qubits-string"])
 def test_cli_rejects_malformed_json(tmp_path, command, doc):
     """A JSON file of the wrong structure fails with exit code 1 and a
     message, not a traceback."""

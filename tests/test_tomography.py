@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from teleclone import (MessageState, NoiseModel, TelecloningVariant, exact_clone_states,
-                       build_protocol_circuit, linear_inversion, mle_fit,
+from teleclone import (MessageState, NoiseModel, TelecloningVariant, bloch_vector,
+                       build_protocol_circuit, exact_clone_states, linear_inversion, mle_fit,
                        run_shots, tomography_run)
 from teleclone.tomography import TomographyRecord, basis_p1, rho_from_bloch
 from teleclone.exceptions import SimulationError
@@ -63,7 +63,6 @@ def test_mle_all_zero_counts_boundary():
     shots = 100
     counts = _counts((100, 0), (100, 0), (100, 0), shots)
     rho = mle_fit(counts, shots)
-    from teleclone import bloch_vector
     r = bloch_vector(rho)
     want = np.ones(3) / math.sqrt(3)
     assert abs(np.linalg.norm(r) - 1.0) < 1e-6
@@ -90,18 +89,57 @@ def test_mle_matches_grid_oracle_boundary_cases():
         assert dist <= 2e-3, (counts, dist)
 
 
-def test_mle_always_physical_fuzz():
+def _fuzz_cases(n):
+    """n (counts, shots) pairs with 1..399 shots and uniform 0-counts."""
     rng = np.random.default_rng(17)
-    for _ in range(10_000):
+    cases = []
+    for _ in range(n):
         shots = int(rng.integers(1, 400))
         counts = {}
         for b in ("x", "y", "z"):
             n0 = int(rng.integers(0, shots + 1))
             counts[b] = (n0, shots - n0)
+        cases.append((counts, shots))
+    return cases
+
+
+def test_mle_always_physical_fuzz():
+    for counts, shots in _fuzz_cases(10_000):
         rho = mle_fit(counts, shots)
         vals = np.linalg.eigvalsh(rho)
         assert vals.min() >= -1e-15
         assert abs(np.trace(rho).real - 1.0) < 1e-12
+
+
+def _log_likelihood(r, n0, n1):
+    c = np.clip(r, -1 + 1e-9, 1 - 1e-9)  # the clip mle_grid_oracle scores with
+    return float(np.sum(n0 * np.log1p(c) + n1 * np.log1p(-c)))
+
+
+def test_mle_boundary_fits_are_exact():
+    """Where linear inversion leaves the ball, the fit is the exact optimum
+    on the sphere: |r| = 1, the likelihood gradient is 2 mu r with mu > 0
+    (the Lagrange condition), and no point of a coarse sphere grid scores
+    higher."""
+    boundary = 0
+    for counts, shots in _fuzz_cases(10_000):
+        n0 = np.array([counts[b][0] for b in "xyz"], dtype=float)
+        n1 = np.array([counts[b][1] for b in "xyz"], dtype=float)
+        r_li = (n0 - n1) / shots
+        if r_li @ r_li <= 1.0:
+            continue
+        boundary += 1
+        r = bloch_vector(mle_fit(counts, shots))
+        assert abs(np.linalg.norm(r) - 1.0) <= 1e-12, counts
+        grad = n0 / (1 + r) - n1 / (1 - r)
+        mu = grad @ r / 2
+        assert mu > 0, counts
+        assert np.linalg.norm(grad - 2 * mu * r) <= 1e-9 * np.linalg.norm(grad), counts
+        if boundary <= 1_000:
+            r_grid = mle_grid_oracle(counts, shots, resolution=5e-2)
+            ll = _log_likelihood(r, n0, n1)
+            assert ll >= _log_likelihood(r_grid, n0, n1) - 1e-12 * abs(ll), counts
+    assert boundary > 4_000
 
 
 def test_record_requires_consistent_counts():
@@ -109,16 +147,19 @@ def test_record_requires_consistent_counts():
         TomographyRecord({"x": (5, 4), "y": (5, 5), "z": (5, 5)}, 10)
 
 
-def test_mle_nonconvergence_carries_best_iterate(monkeypatch):
-    import teleclone.tomography as tomo
-    from teleclone.exceptions import TomographyError
-    monkeypatch.setattr(tomo, "_MAX_ITER", 1)
-    with pytest.raises(TomographyError) as err:
-        tomo.mle_fit(_counts((200, 0), (150, 50), (190, 10), 200), 200)
-    best = err.value.best
-    assert best is not None
-    vals = np.linalg.eigvalsh(best)
-    assert vals.min() >= -1e-12 and abs(np.trace(best).real - 1) < 1e-12
+@pytest.mark.parametrize("counts", [
+    {"x": (-1, 3), "y": (1, 1), "z": (1, 1)},
+    {"x": (0.5, 1.5), "y": (1, 1), "z": (1, 1)},
+    {"x": (True, True), "y": (1, 1), "z": (1, 1)},
+    {"x": (1, 1), "y": (1, 1)},
+    {"x": (1, 1), "y": (2, 1), "z": (1, 1)},
+], ids=["negative", "non-integer", "bool", "missing-basis", "wrong-sum"])
+def test_tomography_rejects_bad_counts(counts):
+    """mle_fit, linear_inversion and TomographyRecord refuse counts that are
+    not two integers >= 0 summing to the shots in each of x, y and z."""
+    for consumer in (mle_fit, linear_inversion, TomographyRecord):
+        with pytest.raises(SimulationError):
+            consumer(counts, 2)
 
 
 def test_tomography_run_shapes_and_samples():

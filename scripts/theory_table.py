@@ -1,43 +1,42 @@
 #!/usr/bin/env python3
 """Reproduce the noiseless theory column: mean clone fidelity per clone
-count, from exact branch-enumeration sweeps of every circuit variant.
+count, from exact sweeps of every circuit variant known for M = 2..10.
 
-Usage: python scripts/theory_table.py [--grid N] [--m10-grid N]
+Usage: python scripts/theory_table.py [--grid N]
 """
 
 import argparse
 import time
 
 from teleclone import TelecloningVariant, shrinking_factor, theoretical_fidelity
+from teleclone.exceptions import CircuitError
 from teleclone.experiment import ExperimentConfig, run_experiment
+from teleclone.telecloning import check_variant
 
-VARIANTS = {
-    2: [TelecloningVariant.NO_ANCILLA, TelecloningVariant.WITH_ANCILLA_FULL,
-        TelecloningVariant.WITH_ANCILLA_OPTIMIZED],
-    3: [TelecloningVariant.NO_ANCILLA, TelecloningVariant.WITH_ANCILLA_FULL,
-        TelecloningVariant.WITH_ANCILLA_OPTIMIZED],
-    4: [TelecloningVariant.WITH_ANCILLA_OPTIMIZED],
-    5: [TelecloningVariant.WITH_ANCILLA_OPTIMIZED],
-    10: [TelecloningVariant.WITH_ANCILLA_OPTIMIZED],
-}
+
+def _known(m):
+    """The variants with a circuit for M clones."""
+    for variant in TelecloningVariant:
+        try:
+            check_variant(m, variant)
+        except CircuitError:
+            continue
+        yield variant
 
 
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--grid", type=int, default=10,
-                    help="grid side for M <= 5 (default 10 -> 100 states)")
-    ap.add_argument("--m10-grid", type=int, default=5,
-                    help="grid side for M = 10 (default 5 -> 25 states)")
+                    help="grid side (default 10 -> 100 states)")
     args = ap.parse_args()
 
     print(f"{'M':>3} {'variant':<24} {'sim mean':>12} {'bound':>10} "
           f"{'|diff|':>9} {'eta':>8} {'time':>7}")
-    for m, variants in VARIANTS.items():
-        side = args.m10_grid if m == 10 else args.grid
-        for variant in variants:
+    for m in range(2, 11):
+        for variant in _known(m):
             t0 = time.time()
-            cfg = ExperimentConfig(m=m, variant=variant, n_psi=side,
-                                   n_phi=side, mode="exact")
+            cfg = ExperimentConfig(m=m, variant=variant, n_psi=args.grid,
+                                   n_phi=args.grid, mode="exact")
             rec = run_experiment(cfg)
             mean = rec.aggregate["overall_mean_fidelity"]
             bound = theoretical_fidelity(1, m)

@@ -48,19 +48,28 @@ from its contracted state. Any other circuit, and noiseless
 before its first measure or cond as one fused prep, its terminal measures
 deferred (:func:`_full_walk`).
 
-One kernel, :func:`_apply_block`, applies every gate and channel matrix,
-as a :func:`_block` built once per distinct instruction of a circuit
-(:func:`_block_rule`): only the slices of its non-identity rows are
+One kernel, :func:`_apply_block`, applies every gate and channel matrix
+of a walk, as a :func:`_block` built once per distinct instruction of a
+circuit (:func:`_block_rule`): only the slices of its non-identity rows are
 written, each from the slices its nonzero entries name, so an X is a half
 swap, a Z a sign flip and a controlled gate touches only the half where its
 control is set. Trailing axes are batch axes, so
 one block serves a state, a trajectory block's shots in its columns and a
 density matrix read as a vector over 2n qubits, where a gate with its noise
-is one superoperator block sum_K K (x) K* on the axes (q..., q+n...). A
-pure prep, traced or ahead of a full walk's first measure, multiplies each
-run of gates on at most ``_FUSE_QUBITS`` qubits out into one matrix
-(:func:`_fuse`), applied as one block, in float64 when every block is real
-(every logical prep) and complex128 otherwise (native preps with rz/sx).
+is one superoperator block sum_K K (x) K* on the axes (q..., q+n...).
+
+A pure prep, traced or ahead of a full walk's first measure, is not walked
+on the dense state. A resource prep is a sum of Dicke-state products
+(Bärtschi and Eidenbenz, FCT 2019), nonzero on a sliver of the 2^n basis
+states: 2^(M+1) - 2 of them for the optimized resource, C(2M, M) for the
+full one. :func:`_prep_state` multiplies each run of gates on at most
+``_FUSE_QUBITS`` qubits out into one matrix (:func:`_fuse`), in float64
+when every block is real (every logical prep) and complex128 otherwise
+(native preps with rz/sx), and carries the state as the (basis indices,
+amplitudes) of its support: a block is one matrix product on the
+amplitudes grouped by their index bits off its axes (:func:`_grouped`). A
+traced marginal is a Gram product of the same groups (:func:`_gram`), and
+a full walk scatters the support into its dense state once.
 """
 
 from __future__ import annotations
@@ -82,6 +91,7 @@ _DENSITY_QUBIT_CAP = 8  # qubits of a walked density matrix: a noisy prep or an 
 _BRANCH_CAP = 4096
 _BLOCK_AMPLITUDES = 1 << 18  # shots x 2^n of one block of noisy trajectories
 _FUSE_QUBITS = 3  # widest gate block the compiled prep multiplies out
+_FLOOR = 1e-14  # prep amplitudes at or below this are rounding residue, dropped
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -147,8 +157,7 @@ def _block(mat: np.ndarray, axes) -> tuple:
     of the identity as (i, whether slice i is copied before it is written
     because a later row reads it, its nonzero (column, entry) pairs, the
     diagonal one first)). The entries keep the dtype of ``mat``: a complex
-    state multiplies fastest by complex scalars, and a float64 state
-    accepts only real ones."""
+    state multiplies fastest by complex scalars."""
     k = len(axes)
     order = sorted(range(k), key=axes.__getitem__)
     if order != list(range(k)):
@@ -353,15 +362,17 @@ def _full_walk(circuit: Circuit):
     """Walk a valid circuit, compacted, in full from |0...0> with its
     terminal measures deferred: (the complex (clbits, state) branches, the
     deferred (qubit, clbit) pairs in circuit order). The gates before its
-    first measure or cond run as one :func:`_prep_state`."""
+    first measure or cond run as one :func:`_prep_state`, whose support is
+    scattered into the dense state the rest of the walk runs on."""
     circuit = compact(circuit)
     instructions = circuit.instructions
     terminal = _terminal_measures(instructions)
     first = next((k for k, ins in enumerate(instructions) if ins.gate in ("measure", "cond")),
                  len(instructions))
     prep = [ins for ins in instructions[:first] if ins.gate != "barrier"]
-    axis = {q: q for q in range(circuit.num_qubits)}
-    psi = _prep_state(prep, axis).astype(complex, copy=False)
+    idx, amp = _prep_state(prep, {q: q for q in range(circuit.num_qubits)})
+    psi = np.zeros(1 << circuit.num_qubits, dtype=complex)
+    psi[idx] = amp
     deferred = []
 
     def measure(branches, ins):
@@ -434,11 +445,12 @@ def _split_prefix(circuit: Circuit, parts):
 def _fuse(gates, axis: dict[int, int]) -> list[tuple]:
     """Runs of consecutive gates whose qubits together span at most
     ``_FUSE_QUBITS`` state axes (``axis`` maps a qubit to its axis), each
-    multiplied into one (matrix, its axes) pair for :func:`_block`. A lone
-    gate's matrix is its own. A longer run's starts as the identity over its
-    sorted axes, and each gate multiplies into it in turn: a one-qubit gate
-    as a 2x2 product on the rows its axis splits, a cx as a permutation of
-    rows, made once per (width, control, target) of the call."""
+    multiplied into one (matrix, its axes) pair, its first index bit on the
+    first axis, for :func:`_prep_state`. A lone gate's matrix is its own. A
+    longer run's starts as the identity over its sorted axes, and each gate
+    multiplies into it in turn: a one-qubit gate as a 2x2 product on the
+    rows its axis splits, a cx as a permutation of rows, made once per
+    (width, control, target) of the call."""
     runs = []
     for ins in gates:
         axes = {axis[q] for q in ins.qubits}
@@ -470,30 +482,67 @@ def _fuse(gates, axis: dict[int, int]) -> list[tuple]:
     return blocks
 
 
-def _prep_state(gates, axis: dict[int, int]) -> np.ndarray:
-    """The state over the axes of ``axis`` after the prep ``gates``, run as
-    :func:`_fuse` blocks: float64 when every block is real, as in every
-    logical prep (RY/CX/X only), else complex128."""
+def _grouped(support, axes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (basis indices, amplitudes) ``support`` of a state over ``n``
+    axes, grouped by the index bits off ``axes``: (each group's bits off
+    them, a (groups, 2^k) array whose row g holds the amplitudes of group g
+    in the order of a k-axis block, its first index bit on ``axes[0]``, and
+    the offset of each of its columns on those bits)."""
+    idx, amp = support
+    k = len(axes)
+    spread = np.zeros(1 << k, dtype=np.int64)
+    local = np.zeros_like(idx)
+    for b, a in enumerate(axes):
+        bit = 1 << (n - 1 - a)
+        spread |= np.where(np.arange(1 << k) >> (k - 1 - b) & 1, bit, 0)
+        local = local << 1 | (idx & bit != 0)
+    rest = idx  # its bits off the axes, packed into n - k bits
+    for s in sorted((n - 1 - a for a in axes), reverse=True):
+        rest = rest >> (s + 1) << s | rest & ((1 << s) - 1)
+    # Number the groups in time linear in the support, with no sort: one
+    # entry of each group wins the write of its position into ``owner``, and
+    # the winners, in support order, are the groups.
+    owner = np.empty(1 << (n - k), dtype=np.int64)
+    owner[rest] = np.arange(idx.size)
+    first = np.flatnonzero(owner[rest] == np.arange(idx.size))
+    owner[rest[first]] = np.arange(first.size)
+    rows = np.zeros((first.size, 1 << k), dtype=amp.dtype)
+    rows[owner[rest], local] = amp
+    return idx[first] & ~int(spread[-1]), rows, spread
+
+
+def _prep_state(gates, axis: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The pure state over the axes of ``axis`` after the prep ``gates``,
+    from |0...0>, as the (basis indices, amplitudes) of its support.
+
+    A resource prep is a sum of Dicke-state products, so its support is a
+    sliver of the 2^n indices. Each :func:`_fuse` block multiplies the
+    :func:`_grouped` rows of the support on its axes, and keeps only the
+    entries whose magnitude exceeds ``_FLOOR``: below it lies what rounding
+    leaves of an amplitude that cancels. The amplitudes are float64 when
+    every block is real, as in every logical prep (RY/CX/X only), else
+    complex128."""
     fused = _fuse(gates, axis)
     real = not any(mat.imag.any() for mat, _ in fused)
-    psi = np.zeros(1 << len(axis), dtype=float if real else complex)
-    psi[0] = 1.0
+    support = np.zeros(1, dtype=np.int64), np.ones(1, dtype=float if real else complex)
     for mat, axes in fused:
-        _apply_block(psi, _block(mat.real if real else mat, axes))
-    return psi
+        keys, rows, spread = _grouped(support, axes, len(axis))
+        rows = rows @ (mat.real if real else mat).T
+        g, j = np.nonzero(np.abs(rows) > _FLOOR)
+        support = keys[g] | spread[j], rows[g, j]
+    return support
 
 
 # ---------------------------------------------------------------------------
 # traced clone states: the prep once, each group's marginal, a small tail
 # ---------------------------------------------------------------------------
 
-def _gram(psi: np.ndarray, keep, n: int) -> np.ndarray:
-    """The partial trace of |psi><psi| onto the ordered axis list ``keep``
-    of the state ``psi`` over ``n`` qubits: one matrix product of a copy of
-    it with the kept axes first."""
-    order = [*keep, *(q for q in range(n) if q not in keep)]
-    a = psi.reshape((2,) * n).transpose(order).reshape(1 << len(keep), -1)
-    return a @ a.T.conj()
+def _gram(support, keep, n: int) -> np.ndarray:
+    """The partial trace of |psi><psi| onto the ordered axis list ``keep``,
+    for the state psi over ``n`` qubits with the (basis indices, amplitudes)
+    ``support``: V^T V* of its :func:`_grouped` rows V on those axes."""
+    rows = _grouped(support, keep, n)[1]
+    return rows.T @ rows.conj()
 
 
 def _cut(suffix, group) -> list[Instruction]:
@@ -522,9 +571,10 @@ def _traced(jobs, noise: NoiseModel | None = None) -> list:
     After the Bell cx only one-qubit gates touch a clone, and noise acts on
     a gate's own qubits, so a group sees the prep only through its marginal
     with the port. A prep runs once over every qubit but the message:
-    without ``noise`` as a pure state, whose marginals are :func:`_gram`
-    products, and with it as a density matrix over at most
-    ``_DENSITY_QUBIT_CAP`` qubits, whose marginals are partial traces.
+    without ``noise`` as the support of a pure state (:func:`_prep_state`),
+    whose marginals are :func:`_gram` products, and with it as a density
+    matrix over at most ``_DENSITY_QUBIT_CAP`` qubits, whose marginals are
+    partial traces.
     Circuits whose prep instructions are equal and act on the same axes, as
     the tomography bases of one circuit do, share that run; any other prep
     runs on its own. Each group's tail then runs over (message, port,
@@ -597,8 +647,8 @@ def _exact_states(circuit: Circuit, groups) -> list[np.ndarray]:
         return [np.tensordot(rho, r) for r in traced]
     position = _compaction(circuit)
     walked, _ = _full_walk(circuit)
-    return [sum(_gram(psi, [position[q] for q in group], len(position)) for _, psi in walked)
-            for group in groups]
+    return [sum(_gram((np.arange(psi.size), psi), [position[q] for q in group], len(position))
+                for _, psi in walked) for group in groups]
 
 
 def exact_clone_states(circuit: Circuit):
@@ -641,8 +691,9 @@ def compile_response(circuits, noise: NoiseModel | None = None) -> np.ndarray:
 
 def apply_response(response: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """The (M, 2, 2) clone states of a :func:`compile_response` for the
-    message state ``rho``."""
-    return np.tensordot(rho, response, axes=([0, 1], [1, 2]))
+    message state ``rho``. The response is contracted in C order, so the
+    rounding does not depend on how it is laid out in memory."""
+    return np.tensordot(rho, np.ascontiguousarray(response), axes=([0, 1], [1, 2]))
 
 
 def statevector(circuit: Circuit) -> np.ndarray:

@@ -200,8 +200,10 @@ def mle_grid_oracle(counts, shots, resolution=1e-3):
 
     The log likelihood is separable across Bloch components, so the interior
     optimum is exactly linear inversion; if that is outside the ball the
-    optimum lies on the sphere and is located by an angle grid at the given
-    resolution.
+    optimum lies on the sphere and is located on an angle grid at the given
+    resolution. The search scores every ``step``-th angle of that grid (a
+    0.02 rad lattice), then every grid point within ``step`` angles of the
+    best eight lattice points; it returns the best grid point it scored.
     """
     n0 = np.array([counts[b][0] for b in ("x", "y", "z")], dtype=float)
     n1 = np.array([counts[b][1] for b in ("x", "y", "z")], dtype=float)
@@ -210,17 +212,28 @@ def mle_grid_oracle(counts, shots, resolution=1e-3):
         return r_li
     thetas = np.arange(0.0, math.pi + resolution, resolution)
     phis = np.arange(0.0, 2 * math.pi + resolution, resolution)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    rx = np.sin(tt) * np.cos(pp)
-    ry_ = np.sin(tt) * np.sin(pp)
-    rz_ = np.cos(tt)
     edge = 1.0 - 1e-9
-    ll = np.zeros_like(tt)
-    for comp, (a, b) in zip((rx, ry_, rz_), zip(n0, n1)):
-        c = np.clip(comp, -edge, edge)
-        ll += a * np.log1p(c) + b * np.log1p(-c)
-    flat = np.argmax(ll)
-    return np.array([rx.flat[flat], ry_.flat[flat], rz_.flat[flat]])
+
+    def score(i, j):
+        """The Bloch vectors at grid points (thetas[i], phis[j]) and their
+        log likelihoods."""
+        r = np.stack(np.broadcast_arrays(np.sin(thetas[i]) * np.cos(phis[j]),
+                                         np.sin(thetas[i]) * np.sin(phis[j]),
+                                         np.cos(thetas[i])))
+        c = np.clip(r, -edge, edge)
+        return r, sum(a * np.log1p(c[k]) + b * np.log1p(-c[k])
+                      for k, (a, b) in enumerate(zip(n0, n1)))
+
+    step = max(1, round(0.02 / resolution))
+    i, j = np.arange(0, thetas.size, step), np.arange(0, phis.size, step)
+    top = np.argsort(score(i[:, None], j[None, :])[1].ravel())[-8:]
+    near = np.arange(-step, step + 1)
+    i, j = np.broadcast_arrays(i[top // j.size, None, None] + near[:, None],
+                               j[top % j.size, None, None] + near)
+    inside = (i >= 0) & (i < thetas.size) & (j >= 0) & (j < phis.size)
+    i, j = np.divmod(np.unique(i[inside] * phis.size + j[inside]), phis.size)
+    r, ll = score(i, j)
+    return r[:, np.argmax(ll)]
 
 
 def trace_distance(rho1, rho2):

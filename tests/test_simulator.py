@@ -149,9 +149,10 @@ def test_outcome_table_of_a_circuit_walked_in_full():
 @pytest.mark.parametrize("m,variant", [(2, NOA), (3, NOA)]
                          + [(m, v) for m in range(2, 9) for v in (OPT, FULL)])
 def test_compiled_prep_matches_gate_walk(m, variant):
-    """The fused prep gives the state of the gate-by-gate walk of the same
-    prep gates: in float64 for a logical circuit, in complex128 for a
-    native one at layouts 0 and 6 with decoupling, whose rz/sx are complex.
+    """The fused prep's support, each basis index once, gives the state of
+    the gate-by-gate walk of the same prep gates: in float64 for a logical
+    circuit, in complex128 for a native one at layouts 0 and 6 with
+    decoupling, whose rz/sx are complex.
     Each fused run's matrix, multiplied out gate by gate, is the block
     kernel's product on the identity."""
     from teleclone.hardware import enumerate_layouts, insert_dd, transpile_to_native
@@ -170,12 +171,45 @@ def test_compiled_prep_matches_gate_walk(m, variant):
         assert [list(axes) for _, axes in fused] == [list(axes) for _, axes in want]
         for (f, _), (w, _) in zip(fused, want):
             np.testing.assert_allclose(f, w, rtol=0, atol=1e-12)
-        got = _prep_state(gates, axis)
-        assert got.dtype == dtype
+        idx, amp = _prep_state(gates, axis)
+        assert amp.dtype == dtype and np.unique(idx).size == idx.size
+        got = np.zeros(1 << len(axis), dtype=complex)
+        got[idx] = amp
         psi = _ground(len(axis))
         for ins in gates:
             apply_unitary(psi, _remap(ins, axis), len(axis))
         np.testing.assert_allclose(got, psi, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", [OPT, FULL])
+def test_prep_is_walked_on_its_support(variant):
+    """The prep without the message, a sum of Dicke-state products, is
+    carried on its support alone: 2^(M+1) - 2 basis states for the
+    optimized resource and C(2M, M) for the full one, each once, for
+    M = 2..10, with norm 1."""
+    from teleclone.simulator import _bell_parts, _prep_state, _split_prefix, _validated
+    for m in range(2, 11):
+        c = build_protocol_circuit(m, variant, MessageState(1.1, 0.4))
+        _, _, gates = _split_prefix(c, _bell_parts(c))
+        mq = c.roles["message"]
+        idx, amp = _prep_state(gates, {q: k for k, q in enumerate(
+            q for q in _validated(c) if q != mq)})
+        assert idx.size == (2 ** (m + 1) - 2 if variant is OPT else math.comb(2 * m, m))
+        assert np.unique(idx).size == idx.size
+        assert abs(np.linalg.norm(amp) - 1.0) <= 1e-12
+
+
+def test_prep_whose_gates_cancel_leaves_ground():
+    """Gates followed by their inverses, in reverse order and across fused
+    runs, leave the support {0}: what rounding leaves elsewhere is dropped."""
+    from teleclone.simulator import _prep_state
+    gates = [h(0), ry(0.7, 1), cx(0, 2), ry(1.1, 3), cx(3, 4), h(4), cx(1, 3),
+             rz(0.4, 2), sx(1), cx(2, 4), ry(0.2, 0), cx(4, 0)]
+    undo = {"ry": lambda g: [ry(-g.angle, *g.qubits)], "rz": lambda g: [rz(-g.angle, *g.qubits)],
+            "sx": lambda g: [g] * 3}
+    gates += [u for g in gates[::-1] for u in undo.get(g.gate, lambda g: [g])(g)]
+    idx, amp = _prep_state(gates, {q: q for q in range(5)})
+    assert idx.tolist() == [0] and abs(amp[0] - 1.0) <= 1e-12
 
 
 def test_density_cap_names_a_density_matrix():
@@ -213,10 +247,10 @@ def test_exact_clone_states_match_shrunk_message(m, variant):
 def test_exact_clone_states_m10_theory_value():
     from teleclone import clone_metrics
     msg = MessageState(0.9, 1.7)
-    c = build_protocol_circuit(10, OPT, msg)
-    states = exact_clone_states(c)
-    vals = [clone_metrics(rho, msg.bloch()).fidelity_to_message for rho in states]
-    assert all(abs(v - 0.7) < 1e-9 for v in vals)
+    for variant in (OPT, FULL):
+        states = exact_clone_states(build_protocol_circuit(10, variant, msg))
+        vals = [clone_metrics(rho, msg.bloch()).fidelity_to_message for rho in states]
+        assert all(abs(v - 0.7) < 1e-9 for v in vals), variant
 
 
 def test_exact_requires_bell_structure():
@@ -342,6 +376,21 @@ def test_trace_first_turns_by_non_hermitian_feed_forward():
                              message_state(odd, _ALL_CHANNELS))
         for g, w in zip(got, noisy_clone_states(odd, _ALL_CHANNELS), strict=True):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+def test_apply_response_ignores_memory_layout():
+    """A noisy M=4 response contracts to bitwise-equal clone states in the
+    layout compile_response stacks it in, in C order and in Fortran order."""
+    from teleclone.simulator import apply_response, compile_response
+    c = build_protocol_circuit(4, OPT, MessageState(0.3, 0.2))
+    response = compile_response([c], _ALL_CHANNELS)[0]
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        a = rng.normal(size=2) + 1j * rng.normal(size=2)
+        rho = np.outer(a, a.conj()) / (a.conj() @ a)
+        want = apply_response(response, rho)
+        for layout in (np.ascontiguousarray(response), np.asfortranarray(response)):
+            assert np.array_equal(apply_response(layout, rho), want)
 
 
 def test_two_qubit_feed_forward_walks_in_full():

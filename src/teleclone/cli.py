@@ -18,7 +18,7 @@ from .exceptions import ConfigError, TelecloneError
 from .experiment import (ExperimentConfig, ExperimentRecord, emit_bloch,
                          emit_heatmap, run_experiment)
 from .hardware import DurationTable, enumerate_layouts, insert_dd, transpile_to_native
-from .qasm import export_qasm
+from .qasm import export_extensions, export_qasm
 from .telecloning import (BASIS_CHOICES, MessageState, TelecloningVariant,
                           build_protocol_circuit, with_tomography)
 
@@ -88,9 +88,9 @@ def _cmd_run(args) -> int:
     circ_dir = out / "circuits"
     circ_dir.mkdir(exist_ok=True)
     none = build_protocol_circuit(config.m, config.variant, MessageState(0.0, 0.0))
-    for basis in ("none", "x", "y", "z"):
-        (circ_dir / f"protocol-{basis}.qasm").write_text(
-            export_qasm(with_tomography(none, basis)))
+    tomo = [with_tomography(none, basis) for basis in BASIS_CHOICES]
+    for basis, text in zip(BASIS_CHOICES, export_extensions(none, tomo)):
+        (circ_dir / f"protocol-{basis}.qasm").write_text(text)
     failed = record.aggregate["n_failed"]
     print(f"wrote {out}")
     _print_summary(record)

@@ -15,19 +15,16 @@ def _gate_line(ins: Instruction) -> str:
     return f"{ins.gate} {qs};"
 
 
-def export_qasm(circuit: Circuit) -> str:
-    """Render the circuit as OpenQASM 3 text with `if (c[k] == v) { ... }`
-    blocks for feed-forward. Output is deterministic for a given circuit."""
+def _checked(circuit: Circuit) -> None:
     errors = validate(circuit)
     if errors:
         raise CircuitError("; ".join(errors))
-    lines = [
-        "OPENQASM 3.0;",
-        'include "stdgates.inc";',
-        f"qubit[{circuit.num_qubits}] q;",
-        f"bit[{circuit.num_clbits}] c;",
-    ]
-    for ins in circuit.instructions:
+
+
+def _body(instructions) -> str:
+    """The OpenQASM lines of ``instructions``, each ending in a newline."""
+    lines = []
+    for ins in instructions:
         if ins.gate not in _EXPORTABLE:
             raise CircuitError(f"gate '{ins.gate}' outside exportable set")
         if ins.gate == "barrier":
@@ -44,4 +41,31 @@ def export_qasm(circuit: Circuit) -> str:
             lines.append("}")
         else:
             lines.append(_gate_line(ins))
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in lines)
+
+
+def export_qasm(circuit: Circuit) -> str:
+    """Render the circuit as OpenQASM 3 text with `if (c[k] == v) { ... }`
+    blocks for feed-forward. Output is deterministic for a given circuit."""
+    return export_extensions(circuit, [circuit])[0]
+
+
+def export_extensions(circuit: Circuit, extended) -> list[str]:
+    """The :func:`export_qasm` text of each circuit of ``extended``, each
+    over the qubits of ``circuit`` and starting with all its instructions,
+    as its tomography circuits do. ``circuit`` is validated and rendered
+    once; each text adds its own header and further instructions, which
+    are validated after the measures of ``circuit``."""
+    _checked(circuit)
+    body = _body(circuit.instructions)
+    written = tuple(ins for ins in circuit.instructions if ins.gate == "measure")
+    k = len(circuit.instructions)
+    texts = []
+    for c in extended:
+        if c.num_qubits != circuit.num_qubits or c.instructions[:k] != circuit.instructions:
+            raise CircuitError("circuit does not extend the rendered circuit")
+        _checked(Circuit(c.num_qubits, c.num_clbits, written + c.instructions[k:]))
+        header = (f'OPENQASM 3.0;\ninclude "stdgates.inc";\n'
+                  f"qubit[{c.num_qubits}] q;\nbit[{c.num_clbits}] c;\n")
+        texts.append(header + body + _body(c.instructions[k:]))
+    return texts

@@ -45,8 +45,8 @@ one dict of blocks. :func:`exact_clone_states` contracts a response with the
 circuit's own message, and noiseless tomography draws each clone's counts
 from its contracted state. Any other circuit, and noiseless
 :func:`run_shots`, is compacted and walked in full from |0...0>: the gates
-before its first measure or cond as one fused prep, its terminal measures
-deferred (:func:`_full_walk`).
+before its first measure or cond through :func:`_prep_state`, its terminal
+measures deferred (:func:`_full_walk`).
 
 One kernel, :func:`_apply_block`, applies every gate and channel matrix
 of a walk, as a :func:`_block` built once per distinct instruction of a
@@ -62,14 +62,15 @@ A pure prep, traced or ahead of a full walk's first measure, is not walked
 on the dense state. A resource prep is a sum of Dicke-state products
 (Bärtschi and Eidenbenz, FCT 2019), nonzero on a sliver of the 2^n basis
 states: 2^(M+1) - 2 of them for the optimized resource, C(2M, M) for the
-full one. :func:`_prep_state` multiplies each run of gates on at most
-``_FUSE_QUBITS`` qubits out into one matrix (:func:`_fuse`), in float64
-when every block is real (every logical prep) and complex128 otherwise
-(native preps with rz/sx), and carries the state as the (basis indices,
-amplitudes) of its support: a block is one matrix product on the
-amplitudes grouped by their index bits off its axes (:func:`_grouped`). A
-traced marginal is a Gram product of the same groups (:func:`_gram`), and
-a full walk scatters the support into its dense state once.
+full one. :func:`_prep_state` carries the state as the (basis indices,
+amplitudes) of its support and walks it one gate at a time: a cx or x
+XORs index bits, a z or rz scales the amplitudes, and only a mixing gate
+(ry, h, sx) pairs the entries by their index with its bit cleared and
+multiplies each pair by its 2x2 matrix. The amplitudes are float64 unless
+a gate is complex (rz or sx, in native preps). A traced marginal is a
+Gram product of the amplitudes grouped by their index bits off its axes
+(:func:`_grouped`, :func:`_gram`), and a full walk scatters the support
+into its dense state once.
 """
 
 from __future__ import annotations
@@ -90,7 +91,6 @@ DEFAULT_QUBIT_CAP = 24
 _DENSITY_QUBIT_CAP = 8  # qubits of a walked density matrix: a noisy prep or an oracle
 _BRANCH_CAP = 4096
 _BLOCK_AMPLITUDES = 1 << 18  # shots x 2^n of one block of noisy trajectories
-_FUSE_QUBITS = 3  # widest gate block the compiled prep multiplies out
 _FLOOR = 1e-14  # prep amplitudes at or below this are rounding residue, dropped
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -442,60 +442,16 @@ def _split_prefix(circuit: Circuit, parts):
     return (pre, post, prep) if post else None
 
 
-def _fuse(gates, axis: dict[int, int]) -> list[tuple]:
-    """Runs of consecutive gates whose qubits together span at most
-    ``_FUSE_QUBITS`` state axes (``axis`` maps a qubit to its axis), each
-    multiplied into one (matrix, its axes) pair, its first index bit on the
-    first axis, for :func:`_prep_state`. A lone gate's matrix is its own. A
-    longer run's starts as the identity over its sorted axes, and each gate
-    multiplies into it in turn: a one-qubit gate as a 2x2 product on the
-    rows its axis splits, a cx as a permutation of rows, made once per
-    (width, control, target) of the call."""
-    runs = []
-    for ins in gates:
-        axes = {axis[q] for q in ins.qubits}
-        if runs and len(runs[-1][0] | axes) <= _FUSE_QUBITS:
-            runs[-1][0].update(axes)
-            runs[-1][1].append(ins)
-        else:
-            runs.append((axes, [ins]))
-    blocks, flips = [], {}
-    for axes, run in runs:
-        if len(run) == 1:
-            blocks.append((gate_matrix(run[0]), [axis[q] for q in run[0].qubits]))
-            continue
-        axes = sorted(axes)
-        k = 1 << len(axes)
-        mat = np.eye(k, dtype=complex)
-        for ins in run:
-            local = [axes.index(axis[q]) for q in ins.qubits]
-            if ins.gate == "cx":
-                key = (k, *local)
-                if key not in flips:  # row i of cx @ mat is row i ^ t of mat where c is set
-                    c, t = (k >> 1 >> b for b in local)
-                    rows = np.arange(k)
-                    flips[key] = rows ^ np.where(rows & c, t, 0)
-                mat = mat[flips[key]]
-            else:
-                mat = (gate_matrix(ins) @ mat.reshape(1 << local[0], 2, -1)).reshape(k, k)
-        blocks.append((mat, axes))
-    return blocks
-
-
-def _grouped(support, axes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (basis indices, amplitudes) ``support`` of a state over ``n``
-    axes, grouped by the index bits off ``axes``: (each group's bits off
-    them, a (groups, 2^k) array whose row g holds the amplitudes of group g
-    in the order of a k-axis block, its first index bit on ``axes[0]``, and
-    the offset of each of its columns on those bits)."""
+def _grouped(support, axes, n: int) -> np.ndarray:
+    """The amplitudes of the (basis indices, amplitudes) ``support`` of a
+    state over ``n`` axes, grouped by their index bits off ``axes``: a
+    (groups, 2^k) array whose row g holds the amplitudes of group g in the
+    order of a k-axis block, its first index bit on ``axes[0]``."""
     idx, amp = support
     k = len(axes)
-    spread = np.zeros(1 << k, dtype=np.int64)
     local = np.zeros_like(idx)
-    for b, a in enumerate(axes):
-        bit = 1 << (n - 1 - a)
-        spread |= np.where(np.arange(1 << k) >> (k - 1 - b) & 1, bit, 0)
-        local = local << 1 | (idx & bit != 0)
+    for a in axes:
+        local = local << 1 | (idx >> (n - 1 - a) & 1)
     rest = idx  # its bits off the axes, packed into n - k bits
     for s in sorted((n - 1 - a for a in axes), reverse=True):
         rest = rest >> (s + 1) << s | rest & ((1 << s) - 1)
@@ -508,7 +464,7 @@ def _grouped(support, axes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     owner[rest[first]] = np.arange(first.size)
     rows = np.zeros((first.size, 1 << k), dtype=amp.dtype)
     rows[owner[rest], local] = amp
-    return idx[first] & ~int(spread[-1]), rows, spread
+    return rows
 
 
 def _prep_state(gates, axis: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -516,21 +472,42 @@ def _prep_state(gates, axis: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
     from |0...0>, as the (basis indices, amplitudes) of its support.
 
     A resource prep is a sum of Dicke-state products, so its support is a
-    sliver of the 2^n indices. Each :func:`_fuse` block multiplies the
-    :func:`_grouped` rows of the support on its axes, and keeps only the
+    sliver of the 2^n indices, and it is walked one gate at a time. A cx or
+    x XORs index bits, a z or rz scales each amplitude by the diagonal entry
+    its bit selects, and a mixing gate (ry, h, sx) pairs the entries whose
+    indices differ only in its bit, through an ``owner`` table of 2^n
+    entries, multiplies each pair by its 2x2 matrix and keeps only the
     entries whose magnitude exceeds ``_FLOOR``: below it lies what rounding
-    leaves of an amplitude that cancels. The amplitudes are float64 when
-    every block is real, as in every logical prep (RY/CX/X only), else
-    complex128."""
-    fused = _fuse(gates, axis)
-    real = not any(mat.imag.any() for mat, _ in fused)
-    support = np.zeros(1, dtype=np.int64), np.ones(1, dtype=float if real else complex)
-    for mat, axes in fused:
-        keys, rows, spread = _grouped(support, axes, len(axis))
-        rows = rows @ (mat.real if real else mat).T
-        g, j = np.nonzero(np.abs(rows) > _FLOOR)
-        support = keys[g] | spread[j], rows[g, j]
-    return support
+    leaves of an amplitude that cancels. The amplitudes are float64 when no
+    gate is complex, as in every logical prep (ry, cx, x), and complex128
+    when one is (rz, sx)."""
+    n = len(axis)
+    real = not any(ins.gate in ("rz", "sx") for ins in gates)
+    idx, amp = np.zeros(1, dtype=np.int64), np.ones(1, dtype=float if real else complex)
+    owner = np.empty(1 << n, dtype=np.int32)  # pages are touched only where written
+    for ins in gates:
+        if ins.gate == "cx":
+            c, t = (n - 1 - axis[q] for q in ins.qubits)
+            idx ^= (idx >> (c - t) if c > t else idx << (t - c)) & (1 << t)
+            continue
+        s = n - 1 - axis[ins.qubits[0]]
+        if ins.gate == "x":
+            idx ^= 1 << s
+            continue
+        mat = gate_matrix(ins).real if real else gate_matrix(ins)
+        if ins.gate in ("z", "rz"):
+            amp = amp * mat.diagonal()[idx >> s & 1]
+            continue
+        # Both entries of a pair land in the row of the one that wins the
+        # write at their key; the other rows stay zero and are dropped.
+        key = idx & ~(1 << s)
+        owner[key] = np.arange(idx.size, dtype=np.int32)
+        rows = np.zeros(2 * idx.size, dtype=amp.dtype)
+        rows[owner[key] * 2 + (idx >> s & 1)] = amp
+        rows = (rows.reshape(-1, 2) @ mat.T).reshape(-1)
+        keep = np.flatnonzero(np.abs(rows) > _FLOOR)
+        idx, amp = key[keep >> 1] | (keep & 1) << s, rows[keep]
+    return idx, amp
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +518,7 @@ def _gram(support, keep, n: int) -> np.ndarray:
     """The partial trace of |psi><psi| onto the ordered axis list ``keep``,
     for the state psi over ``n`` qubits with the (basis indices, amplitudes)
     ``support``: V^T V* of its :func:`_grouped` rows V on those axes."""
-    rows = _grouped(support, keep, n)[1]
+    rows = _grouped(support, keep, n)
     return rows.T @ rows.conj()
 
 
@@ -812,7 +789,7 @@ def _noisy_block(ins: Instruction, noise: NoiseModel, n: int) -> tuple:
     superop = _superop([gate_matrix(ins)])
     if p > 0:
         superop = _depolarizing(p, k) @ superop
-    for b in range(k if gamma else 0):  # its columns the batch axis, as in _fuse
+    for b in range(k if gamma else 0):  # on superop's rows, its columns a batch axis
         _apply_block(superop, _block(_damping(gamma), [b, k + b]))
     return _channel_block(superop, ins.qubits, n)
 

@@ -157,6 +157,15 @@ def _roles(m: int, variant: TelecloningVariant, with_message: bool):
     return roles, n
 
 
+def _resource_prep(m: int, variant: TelecloningVariant, roles) -> list[Instruction]:
+    """The resource-state prep of ``variant`` on the qubits ``roles`` name."""
+    if variant is TelecloningVariant.NO_ANCILLA:
+        return _no_ancilla_prep(m, roles["port"], roles["clones"])
+    return _with_ancilla_prep(
+        m, variant is TelecloningVariant.WITH_ANCILLA_OPTIMIZED,
+        roles["ancillas"], roles["port"], roles["clones"])
+
+
 def build_telecloning_state(m: int, variant: TelecloningVariant) -> Circuit:
     """Circuit preparing the telecloning resource state (no message qubit).
 
@@ -167,13 +176,7 @@ def build_telecloning_state(m: int, variant: TelecloningVariant) -> Circuit:
     """
     check_variant(m, variant)
     roles, n = _roles(m, variant, with_message=False)
-    if variant is TelecloningVariant.NO_ANCILLA:
-        ops = _no_ancilla_prep(m, roles["port"], roles["clones"])
-    else:
-        ops = _with_ancilla_prep(
-            m, variant is TelecloningVariant.WITH_ANCILLA_OPTIMIZED,
-            roles["ancillas"], roles["port"], roles["clones"])
-    return Circuit(n, 0, tuple(ops), roles=roles)
+    return Circuit(n, 0, tuple(_resource_prep(m, variant, roles)), roles=roles)
 
 
 BASIS_CHOICES = ("x", "y", "z", "none")
@@ -204,12 +207,8 @@ def build_protocol_circuit(m: int, variant: TelecloningVariant,
     roles, n = _roles(m, variant, with_message=True)
     port, clones = roles["port"], roles["clones"]
 
-    ops: list[Instruction] = [ry(message.psi, 0), rz(message.phi, 0)]
-    shift = 1  # message qubit occupies index 0
-    ops += [Instruction(i.gate, tuple(q + shift for q in i.qubits),
-                        angle=i.angle, clbit=i.clbit)
-            for i in build_telecloning_state(m, variant).instructions]
-    ops.append(barrier())
+    ops = [ry(message.psi, 0), rz(message.phi, 0), *_resource_prep(m, variant, roles),
+           barrier()]
 
     ops += [cx(0, port), h(0)]
     ops.append(barrier())

@@ -9,8 +9,7 @@ import math
 
 import numpy as np
 
-from teleclone.simulator import (_FUSE_QUBITS, _apply_block, _block, _ground, _split, _walk,
-                                 gate_matrix)
+from teleclone.simulator import _ground, _split, _walk, gate_matrix
 
 
 def basis_state(n, bits):
@@ -72,33 +71,6 @@ def apply_unitary(psi, ins, n):
     if ins.gate == "cx":
         return apply_cx(psi, ins.qubits[0], ins.qubits[1], n)
     return apply_1q(psi, gate_matrix(ins), ins.qubits[0], n)
-
-
-def fuse_by_kernel(gates, axis):
-    """The (matrix, axes) runs of ``simulator._fuse``, each run's matrix
-    built by the block kernel: the identity over the run's sorted axes, its
-    columns the batch axis, with each gate's own block applied to it in
-    turn."""
-    runs = []
-    for ins in gates:
-        axes = {axis[q] for q in ins.qubits}
-        if runs and len(runs[-1][0] | axes) <= _FUSE_QUBITS:
-            runs[-1][0].update(axes)
-            runs[-1][1].append(ins)
-        else:
-            runs.append((axes, [ins]))
-    blocks = []
-    for axes, run in runs:
-        if len(run) == 1:
-            blocks.append((gate_matrix(run[0]), [axis[q] for q in run[0].qubits]))
-            continue
-        axes = sorted(axes)
-        mat = np.eye(1 << len(axes), dtype=complex)
-        for ins in run:
-            _apply_block(mat, _block(gate_matrix(ins),
-                                     [axes.index(axis[q]) for q in ins.qubits]))
-        blocks.append((mat, axes))
-    return blocks
 
 
 def enumerate_branches(circuit):

@@ -39,3 +39,17 @@ def test_deterministic_output():
     c = build_protocol_circuit(3, TelecloningVariant.NO_ANCILLA,
                                MessageState(0.62831, 0.62831), tomo_basis="y")
     assert export_qasm(c) == export_qasm(c)
+
+
+def test_extensions_are_validated_as_whole_circuits():
+    """export_extensions refuses a circuit that does not start with the
+    rendered one, and an extension that validate refuses as a whole: here
+    one that measures the port's bit again."""
+    from teleclone import validate
+    from teleclone.qasm import export_extensions
+    none = build_protocol_circuit(2, TelecloningVariant.NO_ANCILLA, MessageState(0.1, 0.2))
+    rewrite = Circuit(none.num_qubits, 2, none.instructions + (measure(2, 0),))
+    assert validate(rewrite)
+    for bad in (rewrite, Circuit(none.num_qubits, 2, none.instructions[1:])):
+        with pytest.raises(CircuitError):
+            export_extensions(none, [bad])

@@ -8,12 +8,12 @@ import pytest
 from teleclone import (Circuit, MessageState, NoiseModel, TelecloningVariant,
                        apply_noise_channel, build_protocol_circuit, cond, cx,
                        exact_clone_states, exact_subsystem_state, h, measure,
-                       noisy_clone_states, partial_trace, run_shots, ry, rz, sx, x)
+                       noisy_clone_states, partial_trace, run_shots, ry, rz, sx, x, z)
 from teleclone.exceptions import SimulationError
-from teleclone.simulator import _apply_block, _block, _fuse, compact, gate_matrix
+from teleclone.simulator import _apply_block, _block, compact, gate_matrix
 
-from .oracles import (PAULIS, apply_1q, apply_unitary, damp, depolarize,
-                      enumerate_branches, fuse_by_kernel, ideal_clone_rho, kraus_apply,
+from .oracles import (PAULIS, apply_1q, apply_unitary, damp, depolarize, embed,
+                      enumerate_branches, ideal_clone_rho, kraus_apply,
                       noisy_gate, ptrace_pure, random_density_matrix)
 
 NOA = TelecloningVariant.NO_ANCILLA
@@ -149,12 +149,10 @@ def test_outcome_table_of_a_circuit_walked_in_full():
 @pytest.mark.parametrize("m,variant", [(2, NOA), (3, NOA)]
                          + [(m, v) for m in range(2, 9) for v in (OPT, FULL)])
 def test_compiled_prep_matches_gate_walk(m, variant):
-    """The fused prep's support, each basis index once, gives the state of
-    the gate-by-gate walk of the same prep gates: in float64 for a logical
-    circuit, in complex128 for a native one at layouts 0 and 6 with
-    decoupling, whose rz/sx are complex.
-    Each fused run's matrix, multiplied out gate by gate, is the block
-    kernel's product on the identity."""
+    """The prep's support, each basis index once, gives the state of the
+    dense gate-by-gate walk of the same prep gates: in float64 for a
+    logical circuit, in complex128 for a native one at layouts 0 and 6 with
+    decoupling, whose rz/sx are complex."""
     from teleclone.hardware import enumerate_layouts, insert_dd, transpile_to_native
     from teleclone.simulator import (_bell_parts, _ground, _prep_state, _remap,
                                      _split_prefix, _validated)
@@ -167,10 +165,6 @@ def test_compiled_prep_matches_gate_walk(m, variant):
         _, _, gates = _split_prefix(c, _bell_parts(c))
         mq = c.roles["message"]
         axis = {q: k for k, q in enumerate(q for q in _validated(c) if q != mq)}
-        fused, want = _fuse(gates, axis), fuse_by_kernel(gates, axis)
-        assert [list(axes) for _, axes in fused] == [list(axes) for _, axes in want]
-        for (f, _), (w, _) in zip(fused, want):
-            np.testing.assert_allclose(f, w, rtol=0, atol=1e-12)
         idx, amp = _prep_state(gates, axis)
         assert amp.dtype == dtype and np.unique(idx).size == idx.size
         got = np.zeros(1 << len(axis), dtype=complex)
@@ -200,13 +194,16 @@ def test_prep_is_walked_on_its_support(variant):
 
 
 def test_prep_whose_gates_cancel_leaves_ground():
-    """Gates followed by their inverses, in reverse order and across fused
-    runs, leave the support {0}: what rounding leaves elsewhere is dropped."""
+    """Gates of every kind, relabelling (cx, x), diagonal (z, rz) and
+    mixing (ry, h, sx), followed by their inverses in reverse order, leave
+    the support {0}: what rounding leaves elsewhere is dropped. The x and z
+    are undone as HZH and HXH, so that each branch must act."""
     from teleclone.simulator import _prep_state
-    gates = [h(0), ry(0.7, 1), cx(0, 2), ry(1.1, 3), cx(3, 4), h(4), cx(1, 3),
-             rz(0.4, 2), sx(1), cx(2, 4), ry(0.2, 0), cx(4, 0)]
+    gates = [h(0), ry(0.7, 1), cx(0, 2), ry(1.1, 3), cx(3, 4), h(4), cx(1, 3), x(3),
+             rz(0.4, 2), z(4), sx(1), cx(2, 4), ry(0.2, 0), x(1), z(0), cx(4, 0)]
     undo = {"ry": lambda g: [ry(-g.angle, *g.qubits)], "rz": lambda g: [rz(-g.angle, *g.qubits)],
-            "sx": lambda g: [g] * 3}
+            "sx": lambda g: [g] * 3, "x": lambda g: [h(*g.qubits), z(*g.qubits), h(*g.qubits)],
+            "z": lambda g: [h(*g.qubits), x(*g.qubits), h(*g.qubits)]}
     gates += [u for g in gates[::-1] for u in undo.get(g.gate, lambda g: [g])(g)]
     idx, amp = _prep_state(gates, {q: q for q in range(5)})
     assert idx.tolist() == [0] and abs(amp[0] - 1.0) <= 1e-12
@@ -609,15 +606,16 @@ def test_noise_channel_rejects_a_repeated_qubit():
 
 
 def test_statevector_norm_preserved_random_circuits():
-    """Random circuits applied through blocks, one per gate or fused, to a
-    batch of random states in the columns of one array give the oracle's
-    gate-by-gate states to 1e-12, norms kept; statevector gives the
-    oracle's walk from |0...0>."""
+    """Random circuits, 300 for each qubit count from 1 to 6, applied to a
+    batch of random states in the columns of one array through blocks, one
+    per gate or one per pair of consecutive gates (their product over the
+    union of their qubits, in the order the gates name them), give the
+    oracle's gate-by-gate states to 1e-12, norms kept; statevector gives
+    the oracle's walk from |0...0>."""
     from teleclone import statevector
     from teleclone.simulator import used_qubits
     rng = np.random.default_rng(0)
-    for _ in range(10_000):
-        n = int(rng.integers(1, 7))
+    for n in [n for n in range(1, 7) for _ in range(300)]:
         gates = []
         for _ in range(8):
             kind = rng.integers(0, 6)
@@ -641,8 +639,13 @@ def test_statevector_norm_preserved_random_circuits():
         want = psi.copy()
         for ins in gates:
             apply_unitary(want, ins, n)
-        for blocks in ([_block(gate_matrix(ins), ins.qubits) for ins in gates],
-                       [_block(*pair) for pair in _fuse(gates, {q: q for q in range(n)})]):
+        pairs = []
+        for first, then in zip(gates[::2], gates[1::2]):
+            axes = list(dict.fromkeys(first.qubits + then.qubits))
+            mat = [embed(gate_matrix(g), [axes.index(q) for q in g.qubits], len(axes))
+                   for g in (first, then)]
+            pairs.append(_block(mat[1] @ mat[0], axes))
+        for blocks in ([_block(gate_matrix(ins), ins.qubits) for ins in gates], pairs):
             got = psi.copy()
             for block in blocks:
                 _apply_block(got, block)

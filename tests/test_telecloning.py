@@ -142,3 +142,23 @@ def test_caterpillar_interactions_only():
                 if sub.gate == "cx":
                     a, b = sub.qubits
                     assert abs(a - b) == 1 or {a, b} == {0, port}
+
+
+def test_protocol_prep_is_the_resource_prep_shifted_by_one():
+    """The protocol circuit's prep, between the message's two gates and the
+    first barrier, is build_telecloning_state's instructions with every
+    qubit shifted by one, for M=2..10 and every variant check_variant
+    accepts."""
+    from teleclone.circuit import Instruction, barrier
+    from teleclone.telecloning import check_variant
+    for m in range(2, 11):
+        for variant in TelecloningVariant:
+            try:
+                check_variant(m, variant)
+            except CircuitError:
+                continue
+            state = build_telecloning_state(m, variant).instructions
+            ops = build_protocol_circuit(m, variant, MessageState(0.6, 1.9)).instructions
+            assert ops[2:ops.index(barrier())] == tuple(
+                Instruction(i.gate, tuple(q + 1 for q in i.qubits), angle=i.angle)
+                for i in state)

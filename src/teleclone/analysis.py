@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SimulationError
-from .simulator import _X, _Y, _Z
+from .simulator import _Y
 
 _EIG_CLAMP = 1e-9
 
@@ -91,12 +91,14 @@ def fidelity_general(rho1: np.ndarray, rho2: np.ndarray) -> float:
 
 
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
-    """(Tr(rho X), Tr(rho Y), Tr(rho Z)) of a single-qubit state."""
+    """(Tr(rho X), Tr(rho Y), Tr(rho Z)) of a single-qubit state, read off
+    its entries: (rho01 + rho10).real, rho10.imag - rho01.imag and
+    rho00.real - rho11.real."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise SimulationError("Bloch vector needs a 2x2 density matrix")
-    r = np.array([np.trace(rho @ _X).real, np.trace(rho @ _Y).real,
-                  np.trace(rho @ _Z).real])
+    (a, b), (c, d) = rho.tolist()
+    r = np.array([(b + c).real, c.imag - b.imag, a.real - d.real])
     if np.linalg.norm(r) > 1 + 1e-9:
         raise SimulationError("Bloch vector longer than 1")
     return r

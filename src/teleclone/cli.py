@@ -5,11 +5,11 @@ finished with failed grid points."""
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import json
 import sys
 import time
+import zlib
 from pathlib import Path
 
 from . import __version__
@@ -77,7 +77,7 @@ def _cmd_run(args) -> int:
     record = run_experiment(config)
     config_json = json.dumps(config.to_json_dict(), sort_keys=True,
                              separators=(",", ":"))
-    digest = hashlib.sha256(config_json.encode()).hexdigest()[:10]
+    digest = f"{zlib.crc32(config_json.encode()):08x}"
     stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
     out = _fresh_dir(args.out_dir, f"{stamp}-{digest}")
     (out / "config.json").write_text(config_json + "\n")

@@ -63,12 +63,10 @@ on the dense state. A resource prep is a sum of Dicke-state products
 (Bärtschi and Eidenbenz, FCT 2019), nonzero on a sliver of the 2^n basis
 states: 2^(M+1) - 2 of them for the optimized resource, C(2M, M) for the
 full one. :func:`_prep_state` carries the state as the (basis indices,
-amplitudes) of its support and walks it one gate at a time: a cx or x
-XORs index bits, a z or rz scales the amplitudes, and only a mixing gate
-(ry, h, sx) pairs the entries by their index with its bit cleared and
-multiplies each pair by its 2x2 matrix. The amplitudes are float64 unless
-a gate is complex (rz or sx, in native preps). A traced marginal is a
-Gram product of the amplitudes grouped by their index bits off its axes
+amplitudes) of its support and walks it in phases, each one pairing of
+the entries on a qubit, which lasts through a split-and-cyclic-shift
+block (rotations and cx on one target). A traced marginal is a Gram
+product of the amplitudes grouped by their index bits off its axes
 (:func:`_grouped`, :func:`_gram`), and a full walk scatters the support
 into its dense state once.
 """
@@ -471,43 +469,60 @@ def _prep_state(gates, axis: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """The pure state over the axes of ``axis`` after the prep ``gates``,
     from |0...0>, as the (basis indices, amplitudes) of its support.
 
-    A resource prep is a sum of Dicke-state products, so its support is a
-    sliver of the 2^n indices, and it is walked one gate at a time. A cx or
-    x XORs index bits, a z or rz scales each amplitude by the diagonal entry
-    its bit selects, and a mixing gate (ry, h, sx) pairs the entries whose
-    indices differ only in its bit, through an ``owner`` table of 2^n
-    entries, multiplies each pair by its 2x2 matrix and keeps only the
-    entries whose magnitude exceeds ``_FLOOR``: below it lies what rounding
-    leaves of an amplitude that cancels. The amplitudes are float64 when no
-    gate is complex, as in every logical prep (ry, cx, x), and complex128
-    when one is (rz, sx)."""
-    n = len(axis)
-    real = not any(ins.gate in ("rz", "sx") for ins in gates)
-    idx, amp = np.zeros(1, dtype=np.int64), np.ones(1, dtype=float if real else complex)
-    owner = np.empty(1 << n, dtype=np.int32)  # pages are touched only where written
+    The support is walked in phases. A mixing gate (ry, h, sx) on bit q
+    pairs it on q through an ``owner`` table of 2^n entries into two rows
+    (bit q = 0, 1), a column per entry keyed by its index with bit q clear:
+    a pair shares the column of the entry that wins the write at its key,
+    the other columns stay zero. Until a mixing gate on another bit or a cx
+    controlled by q unpairs them, dropping rounding residue at or below
+    ``_FLOOR``, the gates on q multiply, in extended precision, into one
+    2x2 applied before a cx(c, q) swaps the rows of the columns whose key
+    has bit c set, and a z or rz elsewhere scales each column by the entry
+    its key selects. A cx off q XORs key bits; an x flips a bit of a mask
+    XORed in at the end. Amplitudes are complex only if a gate is (rz, sx)."""
+    bit = {q: len(axis) - 1 - a for q, a in axis.items()}
+    kinds = {(ins.gate, ins.angle): ins for ins in gates if ins.gate != "cx"}
+    real = not any(gate in ("rz", "sx") for gate, _ in kinds)
+    dtype, ext = (float, np.longdouble) if real else (complex, np.clongdouble)
+    mats = {k: gate_matrix(ins).real if real else gate_matrix(ins) for k, ins in kinds.items()}
+    keys, rows = np.zeros(1, dtype=np.int64), np.ones((1, 1), dtype=dtype)
+    owner = np.empty(1 << len(axis), dtype=np.int32)  # pages are touched only where written
+    s, mat, scale, flip = -1, None, None, 0  # paired bit, its 2x2 and column scale; x mask
+
+    def unpair():
+        amps = rows if mat is None else mat.astype(dtype) @ rows
+        amps = (amps if scale is None else amps * scale).reshape(-1)
+        keep = np.flatnonzero(np.abs(amps) > _FLOOR)
+        return np.concatenate([keys, keys | 1 << s])[keep], amps[None, keep]
+
     for ins in gates:
-        if ins.gate == "cx":
-            c, t = (n - 1 - axis[q] for q in ins.qubits)
-            idx ^= (idx >> (c - t) if c > t else idx << (t - c)) & (1 << t)
-            continue
-        s = n - 1 - axis[ins.qubits[0]]
-        if ins.gate == "x":
-            idx ^= 1 << s
-            continue
-        mat = gate_matrix(ins).real if real else gate_matrix(ins)
-        if ins.gate in ("z", "rz"):
-            amp = amp * mat.diagonal()[idx >> s & 1]
-            continue
-        # Both entries of a pair land in the row of the one that wins the
-        # write at their key; the other rows stay zero and are dropped.
-        key = idx & ~(1 << s)
-        owner[key] = np.arange(idx.size, dtype=np.int32)
-        rows = np.zeros(2 * idx.size, dtype=amp.dtype)
-        rows[owner[key] * 2 + (idx >> s & 1)] = amp
-        rows = (rows.reshape(-1, 2) @ mat.T).reshape(-1)
-        keep = np.flatnonzero(np.abs(rows) > _FLOOR)
-        idx, amp = key[keep >> 1] | (keep & 1) << s, rows[keep]
-    return idx, amp
+        gate, c, t = ins.gate, bit[ins.qubits[0]], bit[ins.qubits[-1]]
+        if s >= 0 and (gate == "cx" and c == s or gate in ("ry", "h", "sx") and t != s):
+            (keys, rows), s, mat, scale = unpair(), -1, None, None
+        if gate == "cx" and t == s:
+            rows, mat = rows if mat is None else mat.astype(dtype) @ rows, None
+            rows = np.where((keys & 1 << c) != (flip & 1 << c), rows[::-1], rows)
+        elif gate == "cx":
+            keys ^= (keys >> (c - t) if c > t else keys << (t - c)) & (1 << t)
+            flip ^= (flip >> c & 1) << t
+        elif gate == "x" and t != s:
+            flip ^= 1 << t
+        else:
+            m = mats[gate, ins.angle]
+            if t == s:
+                mat = m if mat is None else np.matmul(m, mat, dtype=ext)
+            elif gate in ("z", "rz"):
+                f = (m.diagonal()[::-1] if flip >> t & 1 else m.diagonal())[keys >> t & 1]
+                scale = f if scale is None else scale * f
+                rows, scale = (rows * scale, None) if s < 0 else (rows, scale)
+            else:  # where the mask flips bit t, the rows are swapped: so are m's columns
+                s, mat, flip = t, m[:, ::-1] if flip >> t & 1 else m, flip & ~(1 << t)
+                paired, new = keys & ~(1 << t), np.zeros((2, keys.size), dtype=rows.dtype)
+                owner[paired] = np.arange(keys.size, dtype=np.int32)
+                new.reshape(-1)[(keys >> t & 1) * keys.size + owner[paired]] = rows[0]
+                keys, rows = paired, new
+    keys, rows = unpair() if s >= 0 else (keys, rows)
+    return keys ^ flip, rows[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from teleclone import (MessageState, TelecloningVariant, bloch_vector,
                        theoretical_fidelity)
 from teleclone.exceptions import SimulationError
 
-from .oracles import random_density_matrix
+from .oracles import PAULIS, random_density_matrix
 
 NOA = TelecloningVariant.NO_ANCILLA
 OPT = TelecloningVariant.WITH_ANCILLA_OPTIMIZED
@@ -83,6 +83,16 @@ def test_bloch_vector_values():
     np.testing.assert_allclose(bloch_vector(np.eye(2) / 2), [0, 0, 0], atol=1e-12)
     with pytest.raises(SimulationError):
         bloch_vector(np.eye(4) / 4)
+
+
+def test_bloch_vector_equals_the_trace_formula_bitwise():
+    """Read off the entries, the Bloch vector is bitwise the real part of
+    Tr(rho P) for P = X, Y, Z, taken through the matrix products."""
+    rng = np.random.default_rng(7)
+    for _ in range(120):
+        rho = random_density_matrix(rng)
+        want = [np.trace(rho @ p).real for p in PAULIS[1:]]
+        assert bloch_vector(rho).tolist() == want
 
 
 def test_ideal_m2_clone_bloch():

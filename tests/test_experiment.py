@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -452,6 +453,27 @@ def test_cli_writes_every_basis_circuit_from_one_build(tmp_path, m, variant):
     for basis in ("none", "x", "y", "z"):
         c = build_protocol_circuit(m, variant, MessageState(0.0, 0.0), tomo_basis=basis)
         assert (run / "circuits" / f"protocol-{basis}.qasm").read_text() == export_qasm(c)
+
+
+def test_run_directory_is_named_by_the_config(tmp_path):
+    """A run directory is <timestamp>-<config digest>: the digest is the
+    same for one config and differs between two, and a taken name gets a
+    -2, -3 suffix."""
+    from teleclone import cli
+    names = []
+    for n_psi in (1, 1, 2):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"m": 2, "variant": "no-ancilla",
+                                        "n_psi": n_psi, "n_phi": 1}))
+        out = tmp_path / f"runs{len(names)}"
+        assert cli.main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        (run,) = out.iterdir()
+        names.append(run.name)
+    assert all(re.fullmatch(r"\d{8}T\d{6}-[0-9a-f]{8}", name) for name in names)
+    digests = [name.split("-")[1] for name in names]
+    assert digests[0] == digests[1] != digests[2]
+    assert [cli._fresh_dir(tmp_path / "taken", "name").name for _ in range(3)] == [
+        "name", "name-2", "name-3"]
 
 
 @pytest.mark.parametrize("value", ["two", "0", "-3"])

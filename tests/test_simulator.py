@@ -1,5 +1,6 @@
 """Shot sampling, exact branch enumeration, partial trace, noise channels."""
 
+import itertools
 import math
 
 import numpy as np
@@ -605,34 +606,74 @@ def test_noise_channel_rejects_a_repeated_qubit():
             apply_noise_channel(np.eye(4) / 4, (name, 0.1), [0, 0])
 
 
+def _phased_preps(rng, count: int):
+    """(qubit count, gates) of random preps over 2 to 6 qubits, each an x on
+    every qubit and then phases: a mixing gate (ry, h or sx) on a qubit q,
+    then gates on q, cx(c, q), x, z or rz on other qubits and cx between
+    them, closed by a cx controlled by q or by the next phase's mixing gate
+    on another qubit; some phases end in a cancelling pair, ry(a) then
+    ry(-a) on another qubit, which leaves only rounding residue where the
+    first ry split an amplitude."""
+    for k in range(count):
+        n = 2 + k % 5
+        gates = [x(q) for q in range(n)]
+        for _ in range(4):
+            q = int(rng.integers(n))
+            others = [p for p in range(n) if p != q]
+            angle = float(rng.normal())
+            gates.append((ry(angle, q), h(q), sx(q))[rng.integers(3)])
+            for _ in range(6):
+                p = others[rng.integers(len(others))]
+                r = others[rng.integers(len(others))]
+                angle = float(rng.normal())
+                gates.append((cx(p, q), ry(angle, q), rz(angle, q), x(q), z(q), sx(q),
+                              x(p), z(p), rz(angle, p), cx(p, r) if p != r else h(q),
+                              )[rng.integers(10)])
+            p = others[rng.integers(len(others))]
+            if rng.random() < 0.5:
+                gates.append(cx(q, p))
+            if rng.random() < 0.5:
+                gates += [ry(angle, p), ry(-angle, p)]
+        yield n, gates
+
+
 def test_statevector_norm_preserved_random_circuits():
     """Random circuits, 300 for each qubit count from 1 to 6, applied to a
     batch of random states in the columns of one array through blocks, one
     per gate or one per pair of consecutive gates (their product over the
-    union of their qubits, in the order the gates name them), give the
+    union of their qubits, in the order the gates name them; an odd last
+    gate alone), give the
     oracle's gate-by-gate states to 1e-12, norms kept; statevector gives
-    the oracle's walk from |0...0>."""
+    the oracle's walk from |0...0>. So do 300 preps built of phases
+    (:func:`_phased_preps`), and the prep walk of each circuit holds the
+    oracle's nonzero amplitudes only: the floor drops rounding residue."""
     from teleclone import statevector
-    from teleclone.simulator import used_qubits
+    from teleclone.simulator import _prep_state, used_qubits
     rng = np.random.default_rng(0)
-    for n in [n for n in range(1, 7) for _ in range(300)]:
-        gates = []
-        for _ in range(8):
-            kind = rng.integers(0, 6)
-            q = int(rng.integers(n))
-            if kind == 0 and n >= 2:
-                a, b = rng.choice(n, size=2, replace=False)
-                gates.append(cx(int(a), int(b)))
-            elif kind == 1:
-                gates.append(ry(float(rng.normal()), q))
-            elif kind == 2:
-                gates.append(rz(float(rng.normal()), q))
-            elif kind == 3:
-                gates.append(x(q))
-            elif kind == 4:
-                gates.append(sx(q))
-            else:
-                gates.append(h(q))
+
+    def random_circuits():
+        for n in [n for n in range(1, 7) for _ in range(300)]:
+            gates = []
+            for _ in range(8):
+                kind = rng.integers(0, 6)
+                q = int(rng.integers(n))
+                if kind == 0 and n >= 2:
+                    a, b = rng.choice(n, size=2, replace=False)
+                    gates.append(cx(int(a), int(b)))
+                elif kind == 1:
+                    gates.append(ry(float(rng.normal()), q))
+                elif kind == 2:
+                    gates.append(rz(float(rng.normal()), q))
+                elif kind == 3:
+                    gates.append(x(q))
+                elif kind == 4:
+                    gates.append(sx(q))
+                else:
+                    gates.append(h(q))
+            yield n, gates
+
+    for n, gates in itertools.chain(random_circuits(),
+                                    _phased_preps(np.random.default_rng(1), 300)):
         cols = int(rng.integers(1, 4))
         psi = rng.normal(size=(1 << n, cols)) + 1j * rng.normal(size=(1 << n, cols))
         psi /= np.linalg.norm(psi, axis=0)
@@ -645,6 +686,7 @@ def test_statevector_norm_preserved_random_circuits():
             mat = [embed(gate_matrix(g), [axes.index(q) for q in g.qubits], len(axes))
                    for g in (first, then)]
             pairs.append(_block(mat[1] @ mat[0], axes))
+        pairs += [_block(gate_matrix(ins), ins.qubits) for ins in gates[len(gates) & ~1:]]
         for blocks in ([_block(gate_matrix(ins), ins.qubits) for ins in gates], pairs):
             got = psi.copy()
             for block in blocks:
@@ -658,6 +700,8 @@ def test_statevector_norm_preserved_random_circuits():
             for ins in gates:
                 apply_unitary(ground, ins, n)
             assert np.abs(statevector(circuit) - ground).max() <= 1e-12
+            idx, _ = _prep_state(gates, {q: q for q in range(n)})
+            assert sorted(idx.tolist()) == np.flatnonzero(np.abs(ground) > 1e-10).tolist()
 
 
 def test_noise_monotone_fidelity_and_floor():

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass, field, fields
 from itertools import repeat
@@ -33,7 +32,7 @@ from itertools import repeat
 import numpy as np
 
 from .analysis import CloneMetrics, clone_metrics
-from .circuit import Circuit
+from .circuit import Circuit, _is_int
 from .exceptions import ConfigError, SimulationError, TelecloneError, TranspileError
 from .hardware import (DurationTable, check_capacity, enumerate_layouts, insert_dd,
                        transpile_to_native)
@@ -152,10 +151,6 @@ def _prep_qubits(config: ExperimentConfig) -> int:
 def _noise(config: ExperimentConfig) -> NoiseModel | None:
     """The config's noise model, or None when it has no nonzero channel."""
     return config.noise if config.noise is not None and config.noise.any_noise() else None
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _noise_model(d) -> NoiseModel:

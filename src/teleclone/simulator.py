@@ -1,18 +1,18 @@
-"""Dense statevector and density-matrix simulation with mid-circuit
+"""Pure-state, trajectory and density-matrix simulation with mid-circuit
 measurement, feed-forward, seeded shot sampling and configurable noise.
 
 Conventions: qubit 0 is the most significant bit of the state index; counts
-keys list classical bits ascending left-to-right. Statevector mode is
-strictly noiseless; noise runs either as stochastic Kraus unravelling
-(Monte Carlo wavefunction trajectories, one per shot) or as exact
-density-matrix evolution.
+keys list classical bits ascending left-to-right. A pure state is strictly
+noiseless and carried on its sparse support; noise runs either as
+stochastic Kraus unravelling (Monte Carlo wavefunction trajectories, one
+per shot, on dense blocks) or as exact density-matrix evolution.
 
 One interpreter, :func:`_walk`, runs every mode. It carries a list of
 (classical bits, state) branches through the instructions and runs each
 cond body only on the branches whose bit matches. Each mode supplies how a
-gate acts on its state and how a measurement changes the branch list: exact
-enumeration splits every branch into both outcomes, shot sampling also
-defers terminal measurements to the final distribution, the density walk
+gate acts on its state and how a measurement changes the branch list: the
+pure walk splits every branch's support into both outcomes and defers
+terminal measurements to the final distribution, the density walk
 defers them too and splits and merges readout-flip branches, and the
 trajectory mode samples every shot's outcome and splits its shots by the
 recorded bit.
@@ -44,31 +44,30 @@ are equal share one prep run, and all the density walks of the call share
 one dict of blocks. :func:`exact_clone_states` contracts a response with the
 circuit's own message, and noiseless tomography draws each clone's counts
 from its contracted state. Any other circuit, and noiseless
-:func:`run_shots`, is compacted and walked in full from |0...0>: the gates
-before its first measure or cond through :func:`_prep_state`, its terminal
-measures deferred (:func:`_full_walk`).
+:func:`run_shots`, is compacted and walked in full from |0...0> on the
+support of each branch (:func:`_full_walk`).
 
 One kernel, :func:`_apply_block`, applies every gate and channel matrix
-of a walk, as a :func:`_block` built once per distinct instruction of a
-circuit (:func:`_block_rule`): only the slices of its non-identity rows are
-written, each from the slices its nonzero entries name, so an X is a half
-swap, a Z a sign flip and a controlled gate touches only the half where its
-control is set. Trailing axes are batch axes, so
-one block serves a state, a trajectory block's shots in its columns and a
-density matrix read as a vector over 2n qubits, where a gate with its noise
-is one superoperator block sum_K K (x) K* on the axes (q..., q+n...).
+of a density or trajectory walk, as a :func:`_block` built once per
+distinct instruction of a circuit (:func:`_block_rule`): only the slices of
+its non-identity rows are written, each from the slices its nonzero entries
+name, so an X is a half swap, a Z a sign flip and a controlled gate touches
+only the half where its control is set. Trailing axes are batch axes, so
+one block serves a trajectory block's shots in its columns and a density
+matrix read as a vector over 2n qubits, where a gate with its noise is one
+superoperator block sum_K K (x) K* on the axes (q..., q+n...).
 
-A pure prep, traced or ahead of a full walk's first measure, is not walked
-on the dense state. A resource prep is a sum of Dicke-state products
-(Bärtschi and Eidenbenz, FCT 2019), nonzero on a sliver of the 2^n basis
-states: 2^(M+1) - 2 of them for the optimized resource, C(2M, M) for the
-full one. :func:`_prep_state` carries the state as the (basis indices,
-amplitudes) of its support and walks it in phases, each one pairing of
-the entries on a qubit, which lasts through a split-and-cyclic-shift
-block (rotations and cx on one target). A traced marginal is a Gram
-product of the amplitudes grouped by their index bits off its axes
-(:func:`_grouped`, :func:`_gram`), and a full walk scatters the support
-into its dense state once.
+A pure state is never walked dense. A resource prep is a sum of
+Dicke-state products (Bärtschi and Eidenbenz, FCT 2019), nonzero on a
+sliver of the 2^n basis states: 2^(M+1) - 2 of them for the optimized
+resource, C(2M, M) for the full one. :func:`_prep_state` carries the state
+as the (basis indices, amplitudes) of its support and walks it in phases,
+each one pairing of the entries on a qubit, which lasts through a
+split-and-cyclic-shift block (rotations and cx on one target). A traced
+marginal is a Gram product of the amplitudes grouped by their index bits
+off its axes (:func:`_grouped`, :func:`_gram`). A full walk keeps each
+branch as such a support, which a measure splits by the measured bit; only
+:func:`statevector` scatters one into a dense state.
 """
 
 from __future__ import annotations
@@ -329,18 +328,6 @@ def _walk(instructions, branches, apply, measure):
     return branches
 
 
-def _split(branches, ins):
-    """Both outcomes of a measurement on every pure branch; outcomes of
-    zero weight are dropped."""
-    out = []
-    for bits, psi in branches:
-        for outcome in (0, 1):
-            proj = _project(psi, (ins.qubits[0],), outcome)
-            if np.vdot(proj, proj).real > 1e-24:
-                out.append((_set_bit(bits, ins.clbit, outcome), proj))
-    return out
-
-
 def _terminal_measures(instructions):
     """Identities (``id``) of the measures that can be deferred to
     final-state sampling: no later gate touches their qubit and no cond
@@ -358,30 +345,37 @@ def _terminal_measures(instructions):
 
 def _full_walk(circuit: Circuit):
     """Walk a valid circuit, compacted, in full from |0...0> with its
-    terminal measures deferred: (the complex (clbits, state) branches, the
-    deferred (qubit, clbit) pairs in circuit order). The gates before its
-    first measure or cond run as one :func:`_prep_state`, whose support is
-    scattered into the dense state the rest of the walk runs on."""
+    terminal measures deferred: (the (clbits, support) branches, each
+    support the (basis indices, amplitudes) of a pure state, the deferred
+    (qubit, clbit) pairs in circuit order, the qubit count). The gates before its first
+    measure or cond run as one :func:`_prep_state`, and each later gate as
+    its own, from its branch's support. A measure splits every support by
+    the measured bit and drops an outcome of zero weight."""
     circuit = compact(circuit)
     instructions = circuit.instructions
+    n = circuit.num_qubits
+    axis = {q: q for q in range(n)}
     terminal = _terminal_measures(instructions)
     first = next((k for k, ins in enumerate(instructions) if ins.gate in ("measure", "cond")),
                  len(instructions))
     prep = [ins for ins in instructions[:first] if ins.gate != "barrier"]
-    idx, amp = _prep_state(prep, {q: q for q in range(circuit.num_qubits)})
-    psi = np.zeros(1 << circuit.num_qubits, dtype=complex)
-    psi[idx] = amp
     deferred = []
 
     def measure(branches, ins):
         if id(ins) in terminal:
             deferred.append((ins.qubits[0], ins.clbit))
             return branches
-        return _split(branches, ins)
+        out = []
+        for bits, (idx, amp) in branches:
+            one = (idx >> (n - 1 - ins.qubits[0]) & 1).astype(bool)
+            for outcome, kept in enumerate((~one, one)):
+                if np.vdot(amp[kept], amp[kept]).real > 1e-24:
+                    out.append((_set_bit(bits, ins.clbit, outcome), (idx[kept], amp[kept])))
+        return out
 
-    rest = instructions[first:]
-    branches = _walk(rest, [((0,) * circuit.num_clbits, psi)], _block_rule(rest), measure)
-    return branches, deferred
+    branches = _walk(instructions[first:], [((0,) * circuit.num_clbits, _prep_state(prep, axis))],
+                     lambda support, ins: _prep_state([ins], axis, start=support), measure)
+    return branches, deferred, n
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +459,10 @@ def _grouped(support, axes, n: int) -> np.ndarray:
     return rows
 
 
-def _prep_state(gates, axis: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The pure state over the axes of ``axis`` after the prep ``gates``,
-    from |0...0>, as the (basis indices, amplitudes) of its support.
+def _prep_state(gates, axis: dict[int, int], start=None) -> tuple[np.ndarray, np.ndarray]:
+    """The pure state over the axes of ``axis`` after the unitary ``gates``,
+    as the (basis indices, amplitudes) of its support, from |0...0> or from
+    the support ``start``, which is left unchanged.
 
     The support is walked in phases. A mixing gate (ry, h, sx) on bit q
     pairs it on q through an ``owner`` table of 2^n entries into two rows
@@ -479,13 +474,16 @@ def _prep_state(gates, axis: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
     2x2 applied before a cx(c, q) swaps the rows of the columns whose key
     has bit c set, and a z or rz elsewhere scales each column by the entry
     its key selects. A cx off q XORs key bits; an x flips a bit of a mask
-    XORed in at the end. Amplitudes are complex only if a gate is (rz, sx)."""
+    XORed in at the end. Amplitudes are complex only if ``start``'s are or
+    a gate is (rz, sx)."""
     bit = {q: len(axis) - 1 - a for q, a in axis.items()}
     kinds = {(ins.gate, ins.angle): ins for ins in gates if ins.gate != "cx"}
-    real = not any(gate in ("rz", "sx") for gate, _ in kinds)
+    real = not any(gate in ("rz", "sx") for gate, _ in kinds) and (
+        start is None or not np.iscomplexobj(start[1]))
     dtype, ext = (float, np.longdouble) if real else (complex, np.clongdouble)
     mats = {k: gate_matrix(ins).real if real else gate_matrix(ins) for k, ins in kinds.items()}
-    keys, rows = np.zeros(1, dtype=np.int64), np.ones((1, 1), dtype=dtype)
+    keys, rows = (np.zeros(1, dtype=np.int64), np.ones((1, 1), dtype=dtype)) if start is None \
+        else (start[0].copy(), start[1].astype(dtype)[None])
     owner = np.empty(1 << len(axis), dtype=np.int32)  # pages are touched only where written
     s, mat, scale, flip = -1, None, None, 0  # paired bit, its 2x2 and column scale; x mask
 
@@ -563,10 +561,10 @@ def _traced(jobs, noise: NoiseModel | None = None) -> list:
     After the Bell cx only one-qubit gates touch a clone, and noise acts on
     a gate's own qubits, so a group sees the prep only through its marginal
     with the port. A prep runs once over every qubit but the message:
-    without ``noise`` as the support of a pure state (:func:`_prep_state`),
-    whose marginals are :func:`_gram` products, and with it as a density
-    matrix over at most ``_DENSITY_QUBIT_CAP`` qubits, whose marginals are
-    partial traces.
+    without ``noise`` (None, or every channel zero) as the support of a
+    pure state (:func:`_prep_state`), whose marginals are :func:`_gram`
+    products, and with it as a density matrix over at most
+    ``_DENSITY_QUBIT_CAP`` qubits, whose marginals are partial traces.
     Circuits whose prep instructions are equal and act on the same axes, as
     the tomography bases of one circuit do, share that run; any other prep
     runs on its own. Each group's tail then runs over (message, port,
@@ -576,6 +574,7 @@ def _traced(jobs, noise: NoiseModel | None = None) -> list:
     (:func:`_cut`). Every density walk of the call shares one dict of
     blocks, so each distinct (instruction, qubit count) is built once."""
     eye = np.eye(2, dtype=complex)
+    noise = noise if noise is not None and noise.any_noise() else None
     tail_noise = NoiseModel() if noise is None else noise
     preps, blocks, out = [], {}, []
     for circuit, groups in jobs:
@@ -630,7 +629,7 @@ def _exact_states(circuit: Circuit, groups) -> list[np.ndarray]:
     """The noiseless state of each group of a protocol circuit that measures
     only its Bell pair: its :func:`_traced` map applied to its message's
     state, or, when it cannot be traced first, the sum of the :func:`_gram`
-    traces of its :func:`_full_walk` branches."""
+    traces of its :func:`_full_walk` branch supports."""
     if sum(ins.gate == "measure" for ins in circuit.instructions) > 2:
         raise SimulationError("circuit lacks the Bell-measurement structure")
     (traced,) = _traced([(circuit, groups)])
@@ -638,9 +637,9 @@ def _exact_states(circuit: Circuit, groups) -> list[np.ndarray]:
         rho = message_state(circuit, NoiseModel())
         return [np.tensordot(rho, r) for r in traced]
     position = _compaction(circuit)
-    walked, _ = _full_walk(circuit)
-    return [sum(_gram((np.arange(psi.size), psi), [position[q] for q in group], len(position))
-                for _, psi in walked) for group in groups]
+    walked, _, n = _full_walk(circuit)
+    return [sum(_gram(support, [position[q] for q in group], n)
+                for _, support in walked) for group in groups]
 
 
 def exact_clone_states(circuit: Circuit):
@@ -689,11 +688,15 @@ def apply_response(response: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def statevector(circuit: Circuit) -> np.ndarray:
-    """Final statevector of a measurement-free circuit."""
+    """Final statevector of a measurement-free circuit, over its compacted
+    qubits: the one support of its :func:`_full_walk`, scattered."""
     _validated(circuit)
     if any(i.gate in ("measure", "cond") for i in circuit.instructions):
         raise SimulationError("statevector requires a measurement-free circuit")
-    return _full_walk(circuit)[0][0][1]
+    ((_, (idx, amp)),), _, n = _full_walk(circuit)
+    psi = np.zeros(1 << n, dtype=complex)
+    psi[idx] = amp
+    return psi
 
 
 # ---------------------------------------------------------------------------
@@ -710,16 +713,16 @@ def _check_int(name: str, value, low: int, stop: float = math.inf) -> None:
 def _outcome_table(circuit: Circuit) -> dict[str, float]:
     """The probability of every string of recorded bits of a valid circuit,
     with no noise: each :func:`_full_walk` branch's bits, with the outcomes
-    of its deferred measures read off the marginal of its state."""
-    branches, deferred = _full_walk(circuit)
-    n = branches[0][1].size.bit_length() - 1
-    axes = [a for a, _ in deferred]
-    others = tuple(a for a in range(n) if a not in axes)
+    of its deferred measures summed off its support by one ``np.bincount``
+    over their bits, the first deferred measure's the most significant."""
+    branches, deferred, n = _full_walk(circuit)
     table: dict[str, float] = {}
-    for bits, psi in branches:
-        probs = (psi.real ** 2 + psi.imag ** 2).reshape((2,) * n)
-        probs = probs.sum(axis=others).transpose([sorted(axes).index(a) for a in axes])
-        for outcome, p in zip(itertools.product((0, 1), repeat=len(axes)), probs.reshape(-1)):
+    for bits, (idx, amp) in branches:
+        outcomes = np.zeros_like(idx)
+        for q, _ in deferred:
+            outcomes = outcomes << 1 | idx >> (n - 1 - q) & 1
+        probs = np.bincount(outcomes, amp.real ** 2 + amp.imag ** 2, 1 << len(deferred))
+        for outcome, p in zip(itertools.product((0, 1), repeat=len(deferred)), probs):
             key = list(bits)
             for (_, c), bit in zip(deferred, outcome):
                 key[c] = bit
@@ -735,8 +738,9 @@ def run_shots(circuit: Circuit, shots: int, seed: int,
 
     Without noise, the counts are one multinomial draw, from the Philox
     stream keyed by ``seed``, over the circuit's exact outcome table
-    (:func:`_outcome_table`), which walks the whole circuit as a pure state
-    and splits it at every measure that a later gate or cond depends on.
+    (:func:`_outcome_table`), which walks the whole circuit as the support
+    of a pure state and splits it at every measure that a later gate or
+    cond depends on.
     Under noise every shot is a Monte Carlo wavefunction trajectory, run in
     blocks of shots (see :func:`_trajectory_counts`).
     """
@@ -966,7 +970,8 @@ def _density_walk(instructions, n: int, num_clbits: int, noise: NoiseModel,
                   rho: np.ndarray, blocks: dict) -> np.ndarray:
     """The state after the density walk of ``instructions`` over ``n``
     qubits from ``rho``, a (2^n, 2^n) array whose trailing axes are a batch,
-    summed over the recorded bits. Each gate runs with its noise as one
+    summed over the recorded bits from the first branch on, so that one
+    branch is returned as walked, its signed zeros kept. Each gate runs with its noise as one
     :func:`_noisy_block`, kept in ``blocks``, which maps a qubit count to the
     blocks built for it under ``noise`` by this or an earlier walk (see
     :func:`_block_rule`); a measure splits every branch on its outcome,
@@ -999,7 +1004,7 @@ def _density_walk(instructions, n: int, num_clbits: int, noise: NoiseModel,
                      _block_rule(instructions, lambda ins: _noisy_block(ins, noise, n),
                                  blocks.setdefault(n, {})),
                      measure)
-    return sum(state for _, state in branches)
+    return sum((state for _, state in branches[1:]), branches[0][1])
 
 
 def noisy_clone_states(circuit: Circuit, noise: NoiseModel):
@@ -1021,17 +1026,16 @@ def noisy_clone_states(circuit: Circuit, noise: NoiseModel):
 def message_state(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
     """The 2 x 2 state of a protocol circuit's message after its own gates
     before its Bell cx (:func:`_split_prefix`), from |0><0|, each gate
-    followed by its noise. Noise acts on a gate's own qubits only, so the
-    rest of the circuit is linear in this state (:func:`compile_response`)."""
+    followed by its noise (:func:`_density_walk`). Noise acts on a gate's
+    own qubits only, so the rest of the circuit is linear in this state
+    (:func:`compile_response`)."""
     split = _split_prefix(circuit, _bell_parts(circuit))
     if split is None:
         raise SimulationError("the clone states of this circuit cannot be traced "
                               "before its feed-forward")
     mq = circuit.roles["message"]
-    rho = np.array([[1, 0], [0, 0]], dtype=complex)
-    for ins in split[0]:
-        _apply_block(rho, _noisy_block(_remap(ins, {mq: 0}), noise, 1))
-    return rho
+    return _density_walk([_remap(ins, {mq: 0}) for ins in split[0]], 1, 0, noise,
+                         _ground(2).reshape(2, 2), {})
 
 
 # ---------------------------------------------------------------------------

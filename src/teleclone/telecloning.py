@@ -127,18 +127,11 @@ def _no_ancilla_prep(m: int, port, clones):
     can hang off the first clone and stay nearest-neighbour.
     """
     c = list(clones)
-    if m == 2:
-        ops = [ry(2 * math.acos(math.sqrt(1 / 2)), port), cx(port, c[0])]
-        ops += cry_instructions(2 * math.acos(math.sqrt(1 / 3)), c[0], c[1])
-        theta = 2 * math.acos(math.sqrt(2 / 3))
-        ops += [x(port)] + cry_instructions(theta, port, c[0]) + [x(port)]
-    else:
-        ops = [ry(2 * math.acos(math.sqrt(2 / 3)), port), cx(port, c[0])]
-        ops += cry_instructions(2 * math.acos(math.sqrt(1 / 2)), c[0], c[1])
-        theta = 2 * math.acos(math.sqrt(3 / 4))
-        ops += [x(port)] + cry_instructions(theta, port, c[0]) + [x(port)]
-    ops += dsu_instructions(c)
-    return ops
+    ops = [ry(2 * math.acos(math.sqrt((m - 1) / m)), port), cx(port, c[0])]
+    ops += cry_instructions(2 * math.acos(math.sqrt((m - 1) / (m + 1))), c[0], c[1])
+    theta = 2 * math.acos(math.sqrt(m / (m + 1)))
+    ops += [x(port)] + cry_instructions(theta, port, c[0]) + [x(port)]
+    return ops + dsu_instructions(c)
 
 
 def _roles(m: int, variant: TelecloningVariant, with_message: bool):

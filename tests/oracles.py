@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from teleclone.simulator import _ground, _split, _walk, gate_matrix
+from teleclone.simulator import gate_matrix
 
 
 def basis_state(n, bits):
@@ -75,11 +75,28 @@ def apply_unitary(psi, ins, n):
 
 def enumerate_branches(circuit):
     """Run all measurement branches of a compacted circuit exactly, gate by
-    gate. Returns a list of (clbits tuple, unnormalized statevector);
-    weights are the norms squared."""
+    gate on dense states, cond bodies included. Returns a list of (clbits
+    tuple, unnormalized statevector); weights are the norms squared, and a
+    branch of zero weight is dropped."""
     n = circuit.num_qubits
-    return _walk(circuit.instructions, [((0,) * circuit.num_clbits, _ground(n))],
-                 lambda psi, ins: apply_unitary(psi, ins, n), _split)
+    branches = [((0,) * circuit.num_clbits, basis_state(n, [0] * n))]
+    for ins in circuit.instructions:
+        if ins.gate == "measure":
+            q, c = ins.qubits[0], ins.clbit
+            split = []
+            for bits, psi in branches:
+                for outcome in (0, 1):
+                    proj = psi.copy()
+                    proj.reshape(1 << q, 2, -1)[:, 1 - outcome, :] = 0.0
+                    if np.vdot(proj, proj).real > 1e-24:
+                        split.append((bits[:c] + (outcome,) + bits[c + 1:], proj))
+            branches = split
+        elif ins.gate != "barrier":
+            for bits, psi in branches:
+                if ins.gate != "cond" or bits[ins.cond_clbit] == ins.cond_value:
+                    for sub in ins.body if ins.gate == "cond" else (ins,):
+                        apply_unitary(psi, sub, n)
+    return branches
 
 
 def embed(op, qubits, n):

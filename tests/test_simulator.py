@@ -210,6 +210,67 @@ def test_prep_whose_gates_cancel_leaves_ground():
     assert idx.tolist() == [0] and abs(amp[0] - 1.0) <= 1e-12
 
 
+def _layout_0_dd(c, m):
+    from teleclone.hardware import enumerate_layouts, insert_dd, transpile_to_native
+    return insert_dd(transpile_to_native(c, enumerate_layouts(m, OPT)[0]))
+
+
+def test_prep_resumes_from_a_support():
+    """A native prep cut in two, at cuts spread over it and at cuts inside
+    a phase (a gate on the qubit that the gate before the cut paired), and
+    resumed from the support of its first part, gives the state of one walk
+    within 1e-14, as the full walk resumes each gate after a measure; the
+    support it resumes from is left as it was."""
+    from teleclone.simulator import _bell_parts, _prep_state, _split_prefix, _validated
+    c = _layout_0_dd(build_protocol_circuit(4, OPT, MessageState(1.1, 0.4)), 4)
+    _, _, gates = _split_prefix(c, _bell_parts(c))
+    mq = c.roles["message"]
+    axis = {q: k for k, q in enumerate(q for q in _validated(c) if q != mq)}
+
+    def dense(support):
+        psi = np.zeros(1 << len(axis), dtype=complex)
+        psi[support[0]] = support[1]
+        return psi
+
+    inside = [k for k in range(1, len(gates)) if gates[k - 1].gate == "sx"
+              and gates[k].qubits[-1] == gates[k - 1].qubits[0]]
+    whole = dense(_prep_state(gates, axis))
+    for k in sorted({*np.linspace(1, len(gates) - 1, 20).astype(int).tolist(), *inside[::7]}):
+        start = _prep_state(gates[:k], axis)
+        kept = [a.copy() for a in start]
+        got = dense(_prep_state(gates[k:], axis, start=start))
+        np.testing.assert_allclose(got, whole, rtol=0, atol=1e-14)
+        assert all(np.array_equal(a, b) for a, b in zip(start, kept))
+
+
+def test_noiseless_shots_hold_no_dense_state():
+    """Noiseless shots of a native M=10 protocol circuit, 21 qubits after
+    compaction, walk its Bell branches on their supports: the traced peak
+    stays under the 32 MiB of one dense 21-qubit state."""
+    import tracemalloc
+    from teleclone.simulator import used_qubits
+    c = _layout_0_dd(build_protocol_circuit(10, OPT, MessageState(1.1, 0.4), tomo_basis="z"),
+                     10)
+    assert len(used_qubits(c)) == 21
+    tracemalloc.start()
+    try:
+        counts = run_shots(c, 10_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(counts.values()) == 10_000
+    assert peak < 32 << 20
+
+
+@pytest.mark.parametrize("m", [4, 5, 8])
+def test_zero_noise_response_is_the_noiseless_one(m):
+    """A noise model whose channels are all zero is no noise: its response
+    is the noiseless one bitwise, past the density cap too (M=5, 8)."""
+    from teleclone.simulator import compile_response
+    c = build_protocol_circuit(m, OPT, MessageState(1.1, 0.4))
+    assert np.array_equal(compile_response([c], NoiseModel()), compile_response([c]))
+
+
 def test_density_cap_names_a_density_matrix():
     """Noisy exact simulation holds a density matrix, and its cap says so."""
     c = build_protocol_circuit(4, OPT, MessageState(0.3, 0.2))

@@ -24,6 +24,17 @@ def test_no_ancilla_limited_to_small_m():
         build_protocol_circuit(5, NOA, MessageState(0.0, 0.0))
 
 
+def test_no_ancilla_prep_angles():
+    """One rule gives the M=2 and M=3 no-ancilla preps: the port's ry and
+    the two controlled ry take 2 acos sqrt((M-1)/M), 2 acos sqrt((M-1)/(M+1))
+    and 2 acos sqrt(M/(M+1)), the constants of each prep bitwise."""
+    for m, fractions in ((2, (1 / 2, 1 / 3, 2 / 3)), (3, (2 / 3, 1 / 2, 3 / 4))):
+        angles = [ins.angle for ins in build_telecloning_state(m, NOA).instructions
+                  if ins.gate == "ry"]
+        a, b, c = (2 * math.acos(math.sqrt(f)) for f in fractions)
+        assert angles[:5] == [a, b / 2, -b / 2, c / 2, -c / 2]
+
+
 def test_full_state_matches_formula_exactly():
     for m in (2, 3, 4):
         circ = build_telecloning_state(m, FULL)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from itertools import repeat
 
 import numpy as np
@@ -38,9 +38,9 @@ from .hardware import (DurationTable, check_capacity, enumerate_layouts, insert_
                        transpile_to_native)
 from .simulator import (_DENSITY_QUBIT_CAP, DEFAULT_QUBIT_CAP, NoiseModel, apply_response,
                         compile_response, message_state)
-from .telecloning import (MessageState, TelecloningVariant, _roles, build_protocol_circuit,
+from .telecloning import (MessageState, TelecloningVariant, build_protocol_circuit,
                           check_variant, with_tomography)
-from .tomography import BASES, basis_p1, sample_tomography, tomography_run
+from .tomography import BASES, _child_seed, basis_p1, sample_tomography, tomography_run
 
 MODES = ("exact", "shots")
 
@@ -98,25 +98,13 @@ class ExperimentConfig:
                               f"prep qubits, past the {_DENSITY_QUBIT_CAP}-qubit cap")
 
     def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "variant": self.variant.value,
-            "n_psi": self.n_psi,
-            "n_phi": self.n_phi,
-            "shots_per_basis": self.shots_per_basis,
-            "seed": self.seed,
-            "layout_index": self.layout_index,
-            "dd": self.dd,
-            "durations": None if self.durations is None
-            else self.durations.to_json_dict(),
-            "noise": None if self.noise is None else {
-                "depolarizing_1q": self.noise.depolarizing_1q,
-                "depolarizing_2q": self.noise.depolarizing_2q,
-                "readout_flip": self.noise.readout_flip,
-                "amplitude_damping_idle": self.noise.amplitude_damping_idle,
-            },
-            "mode": self.mode,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["variant"] = self.variant.value
+        if self.durations is not None:
+            d["durations"] = self.durations.to_json_dict()
+        if self.noise is not None:
+            d["noise"] = asdict(self.noise)
+        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
@@ -130,13 +118,11 @@ class ExperimentConfig:
             raise ConfigError(f"bad variant: {exc}")
         noise = d.get("noise")
         durations = d.get("durations")
-        known = {"m", "variant", "n_psi", "n_phi", "shots_per_basis", "seed",
-                 "layout_index", "dd", "durations", "noise", "mode"}
+        known = {f.name for f in fields(cls)}
         extra = set(d) - known
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
-        kwargs = {k: d[k] for k in known - {"variant", "noise", "durations"}
-                  if k in d}
+        kwargs = {k: d[k] for k in known - {"variant", "noise", "durations"} if k in d}
         return cls(variant=variant,
                    noise=None if noise is None else _noise_model(noise),
                    durations=None if durations is None else _durations(durations),
@@ -144,8 +130,9 @@ class ExperimentConfig:
 
 
 def _prep_qubits(config: ExperimentConfig) -> int:
-    """Qubits of the config's protocol circuits but the message: its prep."""
-    return _roles(config.m, config.variant, with_message=False)[1]
+    """Qubits of the config's protocol circuits but the message: its prep,
+    counted from m so that a huge m is refused without building its roles."""
+    return config.m + (1 if config.variant is TelecloningVariant.NO_ANCILLA else config.m)
 
 
 def _noise(config: ExperimentConfig) -> NoiseModel | None:
@@ -201,10 +188,6 @@ def _transform_for(config: ExperimentConfig):
     return run
 
 
-def _point_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
-
-
 # The message whose circuit compiles a sweep's response: any message gives
 # the same response, since only the message's own gates depend on it.
 _TEMPLATE = MessageState(0.0, 0.0)
@@ -232,7 +215,7 @@ def _run_point(config: ExperimentConfig, transform, response: np.ndarray | None,
                index: int, msg: MessageState) -> dict:
     noise, records = _noise(config), None
     # exact mode draws no seed: that would import numpy.random
-    seed = _point_seed(config.seed, index) if config.mode == "shots" else None
+    seed = _child_seed(config.seed, index) if config.mode == "shots" else None
     if response is None:
         records = tomography_run(config.m, config.variant, msg, config.shots_per_basis,
                                  seed=seed, noise=noise, transform=transform)

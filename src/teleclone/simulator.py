@@ -44,8 +44,9 @@ are equal share one prep run, and all the density walks of the call share
 one dict of blocks. :func:`exact_clone_states` contracts a response with the
 circuit's own message, and noiseless tomography draws each clone's counts
 from its contracted state. Any other circuit, and noiseless
-:func:`run_shots`, is compacted and walked in full from |0...0> on the
-support of each branch (:func:`_full_walk`).
+:func:`run_shots`, is walked in full from |0...0> on the support of each
+branch, its instructions read where they lie and its qubits through their
+compaction map (:func:`_full_walk`).
 
 One kernel, :func:`_apply_block`, applies every gate and channel matrix
 of a density or trajectory walk, as a :func:`_block` built once per
@@ -72,16 +73,15 @@ branch as such a support, which a measure splits by the measured bit; only
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
-from .circuit import Circuit, Instruction, cond, validate
+from .circuit import Circuit, Instruction, _is_int, cond, validate
 from .exceptions import CircuitError, SimulationError
 
 DEFAULT_QUBIT_CAP = 24
@@ -110,15 +110,14 @@ class NoiseModel:
     amplitude_damping_idle: float | None = None
 
     def __post_init__(self):
-        for name in ("depolarizing_1q", "depolarizing_2q", "readout_flip",
-                     "amplitude_damping_idle"):
-            p = getattr(self, name)
-            if p is None and name == "amplitude_damping_idle":
+        for f in fields(self):
+            p = getattr(self, f.name)
+            if p is None and f.default is None:  # a channel that may be left unset
                 continue
             if not isinstance(p, numbers.Real) or isinstance(p, bool):
-                raise SimulationError(f"{name}={p!r} is not a number")
+                raise SimulationError(f"{f.name}={p!r} is not a number")
             if not (0.0 <= p <= 1.0):
-                raise SimulationError(f"{name}={p} outside [0, 1]")
+                raise SimulationError(f"{f.name}={p} outside [0, 1]")
 
     def any_noise(self) -> bool:
         return (self.depolarizing_1q > 0 or self.depolarizing_2q > 0
@@ -344,17 +343,17 @@ def _terminal_measures(instructions):
 
 
 def _full_walk(circuit: Circuit):
-    """Walk a valid circuit, compacted, in full from |0...0> with its
-    terminal measures deferred: (the (clbits, support) branches, each
-    support the (basis indices, amplitudes) of a pure state, the deferred
-    (qubit, clbit) pairs in circuit order, the qubit count). The gates before its first
-    measure or cond run as one :func:`_prep_state`, and each later gate as
-    its own, from its branch's support. A measure splits every support by
-    the measured bit and drops an outcome of zero weight."""
-    circuit = compact(circuit)
+    """Walk a valid circuit in full from |0...0> with its terminal measures
+    deferred, its qubits read through their :func:`_compaction` map: (the
+    (clbits, support) branches, each support the (basis indices, amplitudes)
+    of a pure state over the compacted qubits, the deferred (qubit, clbit)
+    pairs in circuit order, the map). The gates before its first measure or
+    cond run as one :func:`_prep_state`, and each later gate as its own,
+    from its branch's support. A measure splits every support by the
+    measured bit and drops an outcome of zero weight."""
+    position = _compaction(circuit)
     instructions = circuit.instructions
-    n = circuit.num_qubits
-    axis = {q: q for q in range(n)}
+    n = len(position)
     terminal = _terminal_measures(instructions)
     first = next((k for k, ins in enumerate(instructions) if ins.gate in ("measure", "cond")),
                  len(instructions))
@@ -367,71 +366,67 @@ def _full_walk(circuit: Circuit):
             return branches
         out = []
         for bits, (idx, amp) in branches:
-            one = (idx >> (n - 1 - ins.qubits[0]) & 1).astype(bool)
+            one = (idx >> (n - 1 - position[ins.qubits[0]]) & 1).astype(bool)
             for outcome, kept in enumerate((~one, one)):
                 if np.vdot(amp[kept], amp[kept]).real > 1e-24:
                     out.append((_set_bit(bits, ins.clbit, outcome), (idx[kept], amp[kept])))
         return out
 
-    branches = _walk(instructions[first:], [((0,) * circuit.num_clbits, _prep_state(prep, axis))],
-                     lambda support, ins: _prep_state([ins], axis, start=support), measure)
-    return branches, deferred, n
+    start = [((0,) * circuit.num_clbits, _prep_state(prep, position))]
+    branches = _walk(instructions[first:], start,
+                     lambda support, ins: _prep_state([ins], position, start=support), measure)
+    return branches, deferred, position
 
 
 # ---------------------------------------------------------------------------
 # the Bell prefix: the resource state, simulated without the message
 # ---------------------------------------------------------------------------
 
-def _bell_parts(circuit: Circuit):
-    """Split a valid circuit at its Bell measurement, or return None.
+def _protocol_parts(circuit: Circuit):
+    """Split a protocol circuit at its Bell measurement: (pre, post, prep,
+    bell, later) instruction lists, barriers dropped, or None when its
+    clone states cannot be traced before its feed-forward.
 
-    The first two measures must be on the port and the message, in either
-    order, and nothing after the first may touch those two qubits again.
-    Returns (unitary prefix, the two Bell measures, later instructions),
-    barriers dropped.
+    The first two measures (``bell``) must be on the port and the message,
+    in either order, and no instruction after the first may touch those two
+    qubits; a circuit without those roles or that structure is refused.
+    ``pre`` and ``post`` are the message's own instructions before and from
+    its one cx(message, port), each other one a one-qubit gate. Every other
+    instruction before the Bell measures is ``prep``, which runs ahead of
+    that cx, so it may not touch the port after it. Every instruction after
+    the first Bell measure but the second is ``later``; each, cond bodies
+    included, must act on one qubit and each of its measures be terminal.
     """
     roles = circuit.roles
     if "port" not in roles or "message" not in roles:
-        return None
-    pair = {roles["port"], roles["message"]}
-    instrs = [i for i in circuit.instructions if i.gate != "barrier"]
-    at = [k for k, i in enumerate(instrs) if i.gate == "measure"][:2]
-    if len(at) < 2 or {instrs[k].qubits[0] for k in at} != pair:
-        return None
-    suffix = [i for k, i in enumerate(instrs) if k > at[0] and k != at[1]]
-    if any(pair & _touched(i) for i in suffix):
-        return None
-    return instrs[:at[0]], [instrs[k] for k in at], suffix
-
-
-def _split_prefix(circuit: Circuit, parts):
-    """(pre, post, prep) instruction lists of a circuit with
-    :func:`_bell_parts` ``parts``, or None when its clone states cannot be
-    traced before its feed-forward. ``pre`` and ``post`` are the message's
-    own instructions before and from its one cx(message, port), each other
-    one a one-qubit gate. Every other instruction before the Bell measures
-    is ``prep``, which runs ahead of that cx, so it may not touch the port
-    after it. Every instruction after the Bell measures, cond bodies
-    included, must act on one qubit and each of its measures be terminal."""
-    if parts is None:
-        return None
-    prefix, _, suffix = parts
-    if any(len(ins.qubits) != 1 for ins in _ops(suffix)) or not _terminal_measures(
-            suffix) >= {id(ins) for ins in suffix if ins.gate == "measure"}:
-        return None
-    mq, pq = circuit.roles["message"], circuit.roles["port"]
-    pre, post, prep = [], [], []
-    for ins in prefix:
-        if mq in ins.qubits:
+        raise SimulationError("circuit lacks role metadata for the protocol")
+    mq, pq = roles["message"], roles["port"]
+    pre, post, prep, bell, later = [], [], [], [], []
+    traced = True
+    for ins in circuit.instructions:
+        if ins.gate == "barrier":
+            continue
+        if ins.gate == "measure" and len(bell) < 2:
+            bell.append(ins)
+        elif bell:
+            later.append(ins)
+        elif mq in ins.qubits:
             if ins.gate == "cx" and (post or ins.qubits != (mq, pq)) \
                     or ins.gate != "cx" and len(ins.qubits) != 1:
-                return None
+                traced = False
             (post if post or ins.gate == "cx" else pre).append(ins)
         elif post and pq in ins.qubits:
-            return None
+            traced = False
         else:
             prep.append(ins)
-    return (pre, post, prep) if post else None
+    if len(bell) < 2 or {ins.qubits[0] for ins in bell} != {mq, pq} \
+            or any({mq, pq} & _touched(ins) for ins in later):
+        raise SimulationError("circuit lacks the Bell-measurement structure")
+    measures = {id(ins) for ins in later if ins.gate == "measure"}
+    if not (traced and post) or any(len(ins.qubits) != 1 for ins in _ops(later)) \
+            or not _terminal_measures(later) >= measures:
+        return None
+    return pre, post, prep, bell, later
 
 
 def _grouped(support, axes, n: int) -> np.ndarray:
@@ -535,12 +530,11 @@ def _gram(support, keep, n: int) -> np.ndarray:
     return rows.T @ rows.conj()
 
 
-def _cut(suffix, group) -> list[Instruction]:
-    """The instructions of a :func:`_split_prefix` circuit after its Bell
-    measures that act on ``group``, cond bodies cut down to it; its measures,
-    all terminal, are left out."""
+def _cut(later, group) -> list[Instruction]:
+    """The ``later`` instructions of a :func:`_protocol_parts` split that act
+    on ``group``, cond bodies cut down to it, its (terminal) measures left out."""
     out = []
-    for ins in suffix:
+    for ins in later:
         if ins.gate == "cond":
             body = [sub for sub in ins.body if sub.qubits[0] in group]
             if body:
@@ -556,7 +550,7 @@ def _traced(jobs, noise: NoiseModel | None = None) -> list:
     2^k, 2^k) array R, the group being in the state sum_ij rho[i, j] R[i, j]
     when the message's gates before its Bell cx leave it in rho
     (:func:`message_state`). None in place of a circuit's maps when
-    :func:`_split_prefix` cannot split it.
+    :func:`_protocol_parts` finds that they cannot be traced first.
 
     After the Bell cx only one-qubit gates touch a clone, and noise acts on
     a gate's own qubits, so a group sees the prep only through its marginal
@@ -579,11 +573,9 @@ def _traced(jobs, noise: NoiseModel | None = None) -> list:
     preps, blocks, out = [], {}, []
     for circuit, groups in jobs:
         position = _validated(circuit)
-        if any(role not in circuit.roles for role in ("port", "message", "clones")):
+        if "clones" not in circuit.roles:
             raise SimulationError("circuit lacks role metadata for the protocol")
-        parts = _bell_parts(circuit)
-        if parts is None:
-            raise SimulationError("circuit lacks the Bell-measurement structure")
+        parts = _protocol_parts(circuit)
         mq, pq = circuit.roles["message"], circuit.roles["port"]
         gone = sorted({q for group in groups for q in group} - (position.keys() - {mq, pq}))
         if gone:
@@ -592,11 +584,10 @@ def _traced(jobs, noise: NoiseModel | None = None) -> list:
         repeated = sorted({q for group in groups for q in group if group.count(q) > 1})
         if repeated:
             raise SimulationError(f"qubits {repeated} are repeated in a group")
-        split = _split_prefix(circuit, parts)
-        if split is None:
+        if parts is None:
             out.append(None)
             continue
-        _, post, prep = split
+        _, post, prep, bell, later = parts
         axis = {q: k for k, q in enumerate(q for q in position if q != mq)}
         p = len(axis)
         state = next((s for a, g, s in preps if a == axis and g == prep), None)
@@ -616,7 +607,7 @@ def _traced(jobs, noise: NoiseModel | None = None) -> list:
             keep = [axis[q] for q in (pq, *group)]
             marginal = _gram(state, keep, p) if noise is None else partial_trace(state, keep)
             tail_axis = {mq: 0, pq: 1, **{q: 2 + r for r, q in enumerate(group)}}
-            tail = [_remap(ins, tail_axis) for ins in post + parts[1] + _cut(parts[2], group)]
+            tail = [_remap(ins, tail_axis) for ins in post + bell + _cut(later, group)]
             start = np.einsum("ia,jb,xy->ixjyab", eye, eye, marginal, order="C")
             after = _density_walk(tail, n, circuit.num_clbits, tail_noise,
                                   start.reshape(1 << n, 1 << n, 2, 2), blocks)
@@ -636,9 +627,8 @@ def _exact_states(circuit: Circuit, groups) -> list[np.ndarray]:
     if traced is not None:
         rho = message_state(circuit, NoiseModel())
         return [np.tensordot(rho, r) for r in traced]
-    position = _compaction(circuit)
-    walked, _, n = _full_walk(circuit)
-    return [sum(_gram(support, [position[q] for q in group], n)
+    walked, _, position = _full_walk(circuit)
+    return [sum(_gram(support, [position[q] for q in group], len(position))
                 for _, support in walked) for group in groups]
 
 
@@ -668,7 +658,7 @@ def compile_response(circuits, noise: NoiseModel | None = None) -> np.ndarray:
     R stacks each clone's :func:`_traced` map, its terminal measures
     deferred: the state before them. The circuits share one :func:`_traced`
     call, so the tomography bases of one circuit run its prep once. This
-    requires circuits that :func:`_split_prefix` splits and, with
+    requires circuits that :func:`_protocol_parts` can trace first and, with
     ``noise``, preps within the density cap.
     """
     traced = _traced([(c, [(q,) for q in c.roles.get("clones", ())]) for c in circuits], noise)
@@ -693,8 +683,8 @@ def statevector(circuit: Circuit) -> np.ndarray:
     _validated(circuit)
     if any(i.gate in ("measure", "cond") for i in circuit.instructions):
         raise SimulationError("statevector requires a measurement-free circuit")
-    ((_, (idx, amp)),), _, n = _full_walk(circuit)
-    psi = np.zeros(1 << n, dtype=complex)
+    ((_, (idx, amp)),), _, position = _full_walk(circuit)
+    psi = np.zeros(1 << len(position), dtype=complex)
     psi[idx] = amp
     return psi
 
@@ -705,29 +695,30 @@ def statevector(circuit: Circuit) -> np.ndarray:
 
 def _check_int(name: str, value, low: int, stop: float = math.inf) -> None:
     """Refuse ``value`` unless it is an integer (a bool is not) in [low, stop)."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
-            or not low <= value < stop:
+    if not _is_int(value) or not low <= value < stop:
         raise SimulationError(f"{name} must be an integer in [{low}, {stop}), got {value!r}")
 
 
 def _outcome_table(circuit: Circuit) -> dict[str, float]:
-    """The probability of every string of recorded bits of a valid circuit,
-    with no noise: each :func:`_full_walk` branch's bits, with the outcomes
-    of its deferred measures summed off its support by one ``np.bincount``
-    over their bits, the first deferred measure's the most significant."""
-    branches, deferred, n = _full_walk(circuit)
+    """The probability of every string of recorded bits of a valid circuit
+    that can occur, with no noise: each :func:`_full_walk` branch's bits,
+    with the outcomes of its deferred measures summed off its support by one
+    ``np.bincount`` over their bits, the first deferred measure's the most
+    significant. Only the outcomes of nonzero probability are keyed."""
+    branches, deferred, position = _full_walk(circuit)
+    n, last = len(position), len(deferred) - 1
     table: dict[str, float] = {}
     for bits, (idx, amp) in branches:
         outcomes = np.zeros_like(idx)
         for q, _ in deferred:
-            outcomes = outcomes << 1 | idx >> (n - 1 - q) & 1
+            outcomes = outcomes << 1 | idx >> (n - 1 - position[q]) & 1
         probs = np.bincount(outcomes, amp.real ** 2 + amp.imag ** 2, 1 << len(deferred))
-        for outcome, p in zip(itertools.product((0, 1), repeat=len(deferred)), probs):
+        for outcome in np.flatnonzero(probs).tolist():
             key = list(bits)
-            for (_, c), bit in zip(deferred, outcome):
-                key[c] = bit
+            for k, (_, c) in enumerate(deferred):
+                key[c] = outcome >> (last - k) & 1
             key = "".join(map(str, key))
-            table[key] = table.get(key, 0.0) + p
+            table[key] = table.get(key, 0.0) + probs[outcome]
     return table
 
 
@@ -1025,16 +1016,16 @@ def noisy_clone_states(circuit: Circuit, noise: NoiseModel):
 
 def message_state(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
     """The 2 x 2 state of a protocol circuit's message after its own gates
-    before its Bell cx (:func:`_split_prefix`), from |0><0|, each gate
-    followed by its noise (:func:`_density_walk`). Noise acts on a gate's
-    own qubits only, so the rest of the circuit is linear in this state
-    (:func:`compile_response`)."""
-    split = _split_prefix(circuit, _bell_parts(circuit))
-    if split is None:
+    before its Bell cx (``pre`` of :func:`_protocol_parts`), from |0><0|,
+    each gate followed by its noise (:func:`_density_walk`). Noise acts on a
+    gate's own qubits only, so the rest of the circuit is linear in this
+    state (:func:`compile_response`)."""
+    parts = _protocol_parts(circuit)
+    if parts is None:
         raise SimulationError("the clone states of this circuit cannot be traced "
                               "before its feed-forward")
     mq = circuit.roles["message"]
-    return _density_walk([_remap(ins, {mq: 0}) for ins in split[0]], 1, 0, noise,
+    return _density_walk([_remap(ins, {mq: 0}) for ins in parts[0]], 1, 0, noise,
                          _ground(2).reshape(2, 2), {})
 
 

@@ -108,8 +108,9 @@ def mle_fit(counts: dict, shots_per_basis: int) -> np.ndarray:
     return rho_from_bloch(r / np.linalg.norm(r))
 
 
-def _basis_seed(seed: int, basis_index: int) -> int:
-    return int(np.random.SeedSequence((seed, basis_index)).generate_state(1)[0])
+def _child_seed(seed: int, index: int) -> int:
+    """The seed of child ``index`` of ``seed``: a tomography basis or a grid point."""
+    return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
 
 
 def _fitted(counts: list[dict], shots_per_basis: int) -> list[TomographyRecord]:
@@ -150,7 +151,7 @@ def tomography_run(m: int, variant: TelecloningVariant, message: MessageState,
     per_clone: list[dict] = [dict() for _ in range(m)]
     for bi, basis in enumerate(BASES):
         counts = run_shots(transform(with_tomography(none, basis)), shots_per_basis,
-                           seed=_basis_seed(seed, bi), noise=noise)
+                           seed=_child_seed(seed, bi), noise=noise)
         for k in range(m):
             n1 = sum(c for key, c in counts.items() if key[2 + k] == "1")
             per_clone[k][basis] = (shots_per_basis - n1, n1)
@@ -180,7 +181,7 @@ def sample_tomography(p1, shots_per_basis: int, seed: int) -> list[TomographyRec
     p1 = np.asarray(p1, dtype=float)
     per_clone: list[dict] = [dict() for _ in p1]
     for bi, basis in enumerate(BASES):
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(_basis_seed(seed, bi))))
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(_child_seed(seed, bi))))
         for k, n1 in enumerate(rng.binomial(shots_per_basis, p1[:, bi])):
             per_clone[k][basis] = (shots_per_basis - int(n1), int(n1))
     return _fitted(per_clone, shots_per_basis)

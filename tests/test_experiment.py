@@ -102,6 +102,7 @@ def test_any_json_config_gives_config_or_config_error(doc):
     _config_or_config_error(json.loads(json.dumps(doc)))
 
 
+@example(ExperimentConfig(m=2, variant=OPT), "m", 10 ** 12)
 @given(_configs(), st.sampled_from(sorted(ExperimentConfig(m=2, variant=NOA).to_json_dict())),
        _JSON)
 def test_any_json_config_value_gives_config_or_config_error(cfg, key, value):
@@ -282,14 +283,15 @@ def test_noisy_shots_past_the_density_cap_run_trajectories():
     qubits without the message) share no response; each point runs
     tomography_run's trajectories from its own seed."""
     from teleclone import tomography_run
-    from teleclone.experiment import _point_seed, _response_for, _transform_for
+    from teleclone.experiment import _response_for, _transform_for
+    from teleclone.tomography import _child_seed
     cfg = ExperimentConfig(m=5, variant=OPT, n_psi=1, n_phi=1, mode="shots",
                            shots_per_basis=40, seed=2, noise=_ALL_CHANNELS)
     assert _response_for(cfg, _transform_for(cfg)) is None
     fits = ExperimentConfig(m=4, variant=OPT, mode="shots", noise=_ALL_CHANNELS)
     assert _response_for(fits, _transform_for(fits)).shape == (3, 4, 2, 2, 2, 2)
     (point,) = run_experiment(cfg).results
-    records = tomography_run(5, OPT, MessageState(0.0, 0.0), 40, seed=_point_seed(2, 0),
+    records = tomography_run(5, OPT, MessageState(0.0, 0.0), 40, seed=_child_seed(2, 0),
                              noise=_ALL_CHANNELS)
     assert [c["tomography"] for c in point["clones"]] == [r.to_json_dict() for r in records]
 
@@ -665,7 +667,7 @@ def test_noisy_response_matches_each_point_circuit(m, variant, dd, monkeypatch):
 
     from teleclone import build_protocol_circuit, noisy_clone_states, simulator
     from teleclone.experiment import _TEMPLATE, _response_for, _transform_for
-    from teleclone.simulator import _bell_parts, _split_prefix, apply_response, message_state
+    from teleclone.simulator import _protocol_parts, apply_response, message_state
     from teleclone.telecloning import with_tomography
     from teleclone.tomography import BASES
     rng = np.random.default_rng(20 * m + dd)
@@ -674,7 +676,7 @@ def test_noisy_response_matches_each_point_circuit(m, variant, dd, monkeypatch):
     f = _ALL_CHANNELS.readout_flip
 
     def pre(c):
-        return _split_prefix(c, _bell_parts(c))[0]
+        return _protocol_parts(c)[0]
 
     def rest(c):
         prefix = set(map(id, pre(c)))

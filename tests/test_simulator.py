@@ -155,15 +155,14 @@ def test_compiled_prep_matches_gate_walk(m, variant):
     logical circuit, in complex128 for a native one at layouts 0 and 6 with
     decoupling, whose rz/sx are complex."""
     from teleclone.hardware import enumerate_layouts, insert_dd, transpile_to_native
-    from teleclone.simulator import (_bell_parts, _ground, _prep_state, _remap,
-                                     _split_prefix, _validated)
+    from teleclone.simulator import _ground, _prep_state, _protocol_parts, _remap, _validated
     logical = build_protocol_circuit(m, variant, MessageState(1.1, 0.4))
     layouts = enumerate_layouts(m, variant)
     cases = [(logical, np.float64)] + [
         (insert_dd(transpile_to_native(logical, layouts[k])), np.complex128)
         for k in (0, 6)]
     for c, dtype in cases:
-        _, _, gates = _split_prefix(c, _bell_parts(c))
+        _, _, gates, _, _ = _protocol_parts(c)
         mq = c.roles["message"]
         axis = {q: k for k, q in enumerate(q for q in _validated(c) if q != mq)}
         idx, amp = _prep_state(gates, axis)
@@ -182,10 +181,10 @@ def test_prep_is_walked_on_its_support(variant):
     carried on its support alone: 2^(M+1) - 2 basis states for the
     optimized resource and C(2M, M) for the full one, each once, for
     M = 2..10, with norm 1."""
-    from teleclone.simulator import _bell_parts, _prep_state, _split_prefix, _validated
+    from teleclone.simulator import _prep_state, _protocol_parts, _validated
     for m in range(2, 11):
         c = build_protocol_circuit(m, variant, MessageState(1.1, 0.4))
-        _, _, gates = _split_prefix(c, _bell_parts(c))
+        _, _, gates, _, _ = _protocol_parts(c)
         mq = c.roles["message"]
         idx, amp = _prep_state(gates, {q: k for k, q in enumerate(
             q for q in _validated(c) if q != mq)})
@@ -221,9 +220,9 @@ def test_prep_resumes_from_a_support():
     resumed from the support of its first part, gives the state of one walk
     within 1e-14, as the full walk resumes each gate after a measure; the
     support it resumes from is left as it was."""
-    from teleclone.simulator import _bell_parts, _prep_state, _split_prefix, _validated
+    from teleclone.simulator import _prep_state, _protocol_parts, _validated
     c = _layout_0_dd(build_protocol_circuit(4, OPT, MessageState(1.1, 0.4)), 4)
-    _, _, gates = _split_prefix(c, _bell_parts(c))
+    _, _, gates, _, _ = _protocol_parts(c)
     mq = c.roles["message"]
     axis = {q: k for k, q in enumerate(q for q in _validated(c) if q != mq)}
 
@@ -467,6 +466,75 @@ def test_two_qubit_feed_forward_walks_in_full():
     assert np.abs(got[1] - exact_clone_states(c)[1]).max() > 0.05
     with pytest.raises(SimulationError, match="cannot be traced"):
         compile_response([odd])
+
+
+def test_full_walk_reads_its_circuit_in_place(monkeypatch):
+    """Noiseless run_shots, statevector and the exact clone states of a
+    circuit with no response walk the caller's instructions where they lie:
+    with compact made to raise, they give what they gave before, and the
+    clone states are still the gate-by-gate oracle's."""
+    from teleclone import simulator
+    c = build_protocol_circuit(3, OPT, MessageState(0.8, 2.5))
+    a, b = c.roles["clones"][:2]
+    odd = _with_suffix(c, [], [ry(0.6, a), cx(a, b)])
+    first = next(k for k, ins in enumerate(odd.instructions) if ins.gate == "measure")
+    unitary = Circuit(odd.num_qubits, 0, odd.instructions[:first])
+    want = _oracle_states(odd, [(q,) for q in odd.roles["clones"]])
+
+    def calls():
+        return (run_shots(odd, 3000, seed=4), simulator.statevector(unitary),
+                exact_clone_states(odd))
+
+    before = calls()
+
+    def refuse(circuit):
+        raise AssertionError("compact was called")
+
+    monkeypatch.setattr(simulator, "compact", refuse)
+    after = calls()
+    assert after[0] == before[0]
+    assert np.array_equal(after[1], before[1])
+    for g, old, w in zip(after[2], before[2], want, strict=True):
+        assert np.array_equal(g, old)
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+def test_outcome_table_keys_only_outcomes_that_occur():
+    """Deferred measures whose outcomes cannot occur give no key: x on
+    qubit 0 and h on qubit 2, each of three qubits then measured, gives only
+    the two outcomes with qubit 0 at 1 and qubit 1 at 0."""
+    from teleclone.simulator import _outcome_table
+    c = Circuit(3, 3, (x(0), h(2), measure(0, 0), measure(1, 1), measure(2, 2)))
+    table = _outcome_table(c)
+    assert set(table) == {"100", "101"}
+    assert all(abs(p - 0.5) < 1e-15 for p in table.values())
+    assert run_shots(c, 200, seed=1).keys() <= {"100", "101"}
+
+
+def test_protocol_parts_split_a_protocol_circuit():
+    """One scan splits an M=2 protocol circuit: the message's ry and rz
+    before its Bell cx, the message's gates from that cx on, the prep, the
+    two Bell measures and the feed-forward conds after them. A circuit
+    without a port is refused, and one with a gate on the port after the
+    Bell cx cannot be traced first."""
+    from teleclone.simulator import _protocol_parts
+    c = build_protocol_circuit(2, OPT, MessageState(1.1, 0.4))
+    mq, pq = c.roles["message"], c.roles["port"]
+    pre, post, prep, bell, later = _protocol_parts(c)
+    assert [(ins.gate, ins.qubits) for ins in pre] == [("ry", (mq,)), ("rz", (mq,))]
+    assert post[0] == cx(mq, pq) and all(ins.qubits == (mq,) for ins in post[1:])
+    assert prep and all(mq not in ins.qubits for ins in prep)
+    assert [(ins.gate, ins.qubits[0]) for ins in bell] == [("measure", pq), ("measure", mq)]
+    assert later and all(ins.gate == "cond" for ins in later)
+    assert sorted(map(id, pre + post + prep + bell + later)) == sorted(
+        id(ins) for ins in c.instructions if ins.gate != "barrier")
+    roles = {k: v for k, v in c.roles.items() if k != "port"}
+    with pytest.raises(SimulationError, match="role metadata"):
+        _protocol_parts(Circuit(c.num_qubits, c.num_clbits, c.instructions, roles=roles))
+    at = c.instructions.index(cx(mq, pq)) + 1
+    odd = Circuit(c.num_qubits, c.num_clbits,
+                  c.instructions[:at] + (h(pq),) + c.instructions[at:], roles=c.roles)
+    assert _protocol_parts(odd) is None
 
 
 def test_compile_response_needs_circuits_of_one_clone_count():

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Depolarizing-noise sweep: mean clone fidelity vs error probability, for
 the M=2 ancilla-free circuit (density-matrix evolution, no sampling noise).
-Each noise level compiles one noisy clone response, contracted per message.
+Each noise level is one exact-mode ``run_experiment`` sweep over a grid of
+messages, whose record gives the means.
 
-Usage: python scripts/noise_sweep.py [--out sweep.csv]
+Usage: python scripts/noise_sweep.py [--out sweep.csv] [--grid N]
 """
 
 import argparse
@@ -11,9 +12,8 @@ import sys
 
 import numpy as np
 
-from teleclone import (MessageState, NoiseModel, TelecloningVariant,
-                       build_protocol_circuit, clone_metrics)
-from teleclone.simulator import apply_response, compile_response, message_state
+from teleclone import NoiseModel, TelecloningVariant
+from teleclone.experiment import ExperimentConfig, run_experiment
 
 PROBS = [0.0, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5]
 
@@ -24,23 +24,16 @@ def main():
     ap.add_argument("--grid", type=int, default=4, help="message grid side")
     args = ap.parse_args()
 
-    messages = [MessageState(p, f)
-                for p in np.linspace(0, np.pi, args.grid)
-                for f in np.linspace(0, 2 * np.pi, args.grid)]
     lines = ["p,mean_fidelity,mean_bloch_magnitude"]
     for p in PROBS:
-        noise = NoiseModel(depolarizing_1q=p, depolarizing_2q=p)
-        fids, mags = [], []
-        circuits = [build_protocol_circuit(2, TelecloningVariant.NO_ANCILLA, msg)
-                    for msg in messages]
-        (response,) = compile_response(circuits[:1], noise)
-        for msg, circ in zip(messages, circuits):
-            for rho in apply_response(response, message_state(circ, noise)):
-                met = clone_metrics(rho, msg.bloch())
-                fids.append(met.fidelity_to_message)
-                mags.append(met.bloch_magnitude)
-        lines.append(f"{p},{np.mean(fids):.6f},{np.mean(mags):.6f}")
-        print(f"p={p:<6} mean fidelity {np.mean(fids):.4f}", file=sys.stderr)
+        record = run_experiment(ExperimentConfig(
+            m=2, variant=TelecloningVariant.NO_ANCILLA, n_psi=args.grid, n_phi=args.grid,
+            noise=NoiseModel(depolarizing_1q=p, depolarizing_2q=p)))
+        fid = record.aggregate["overall_mean_fidelity"]
+        mag = np.mean([c["bloch_magnitude"] for point in record.results
+                       for c in point["clones"]])
+        lines.append(f"{p},{fid:.6f},{mag:.6f}")
+        print(f"p={p:<6} mean fidelity {fid:.4f}", file=sys.stderr)
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

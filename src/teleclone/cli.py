@@ -15,9 +15,8 @@ from pathlib import Path
 from . import __version__
 from .circuit import from_json, to_json
 from .exceptions import ConfigError, TelecloneError
-from .experiment import (ExperimentConfig, ExperimentRecord, emit_bloch,
-                         emit_heatmap, run_experiment)
-from .hardware import DurationTable, enumerate_layouts, insert_dd, transpile_to_native
+from .experiment import (ExperimentConfig, ExperimentRecord, _durations, _transform_for,
+                         emit_bloch, emit_heatmap, run_experiment)
 from .qasm import export_extensions, export_qasm
 from .telecloning import (BASIS_CHOICES, MessageState, TelecloningVariant,
                           build_protocol_circuit, with_tomography)
@@ -44,20 +43,13 @@ def _add_build(sub):
 
 
 def _cmd_build(args) -> int:
-    circuit = build_protocol_circuit(args.m, _VARIANTS[args.variant],
-                                     MessageState(args.psi, args.phi),
-                                     tomo_basis=args.basis)
-    if args.layout_index is not None:
-        if not 0 <= args.layout_index <= 6:
-            raise ConfigError(f"--layout-index must be in 0..6, got {args.layout_index}")
-        layout = enumerate_layouts(args.m, _VARIANTS[args.variant])[args.layout_index]
-        circuit = transpile_to_native(circuit, layout)
-        if args.dd == "on":
-            durations = (DurationTable.from_json_dict(json.loads(args.durations.read_text()))
-                         if args.durations else DurationTable())
-            circuit = insert_dd(circuit, durations)
-    elif args.dd == "on":
-        raise ConfigError("--dd on requires --layout-index")
+    durations = None if args.durations is None else _durations(
+        json.loads(args.durations.read_text()))
+    config = ExperimentConfig(m=args.m, variant=_VARIANTS[args.variant],
+                              layout_index=args.layout_index, dd=args.dd == "on",
+                              durations=durations)
+    circuit = _transform_for(config)(build_protocol_circuit(
+        config.m, config.variant, MessageState(args.psi, args.phi), tomo_basis=args.basis))
     text = to_json(circuit)
     if args.out:
         args.out.write_text(text + "\n")
@@ -185,7 +177,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (TelecloneError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (TelecloneError, OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -71,8 +71,6 @@ class ExperimentConfig:
             raise ConfigError(f"dd must be true or false, got {self.dd!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed must be in [0, 2^64), got {self.seed}")
-        if self.m < 2:
-            raise ConfigError("m must be >= 2")
         if self.n_psi < 1 or self.n_phi < 1:
             raise ConfigError("grid counts must be >= 1")
         if self.shots_per_basis < 1:
@@ -177,12 +175,11 @@ def _transform_for(config: ExperimentConfig):
     if config.layout_index is None:
         return lambda circuit: circuit
     layout = enumerate_layouts(config.m, config.variant)[config.layout_index]
-    durations = config.durations or DurationTable()
 
     def run(circuit: Circuit) -> Circuit:
         native = transpile_to_native(circuit, layout)
         if config.dd:
-            native = insert_dd(native, durations)
+            native = insert_dd(native, config.durations)
         return native
 
     return run

@@ -342,16 +342,15 @@ def _terminal_measures(instructions):
     return terminal
 
 
-def _full_walk(circuit: Circuit):
+def _full_walk(circuit: Circuit, position: dict[int, int]):
     """Walk a valid circuit in full from |0...0> with its terminal measures
-    deferred, its qubits read through their :func:`_compaction` map: (the
-    (clbits, support) branches, each support the (basis indices, amplitudes)
-    of a pure state over the compacted qubits, the deferred (qubit, clbit)
-    pairs in circuit order, the map). The gates before its first measure or
-    cond run as one :func:`_prep_state`, and each later gate as its own,
-    from its branch's support. A measure splits every support by the
-    measured bit and drops an outcome of zero weight."""
-    position = _compaction(circuit)
+    deferred, its qubits read through their :func:`_compaction` ``position``:
+    (the (clbits, support) branches, each support the (basis indices,
+    amplitudes) of a pure state over the compacted qubits, and the deferred
+    (qubit, clbit) pairs in circuit order). The gates before its first
+    measure or cond run as one :func:`_prep_state`, and each later gate as
+    its own, from its branch's support. A measure splits every support by
+    the measured bit and drops an outcome of zero weight."""
     instructions = circuit.instructions
     n = len(position)
     terminal = _terminal_measures(instructions)
@@ -375,7 +374,7 @@ def _full_walk(circuit: Circuit):
     start = [((0,) * circuit.num_clbits, _prep_state(prep, position))]
     branches = _walk(instructions[first:], start,
                      lambda support, ins: _prep_state([ins], position, start=support), measure)
-    return branches, deferred, position
+    return branches, deferred
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +626,8 @@ def _exact_states(circuit: Circuit, groups) -> list[np.ndarray]:
     if traced is not None:
         rho = message_state(circuit, NoiseModel())
         return [np.tensordot(rho, r) for r in traced]
-    walked, _, position = _full_walk(circuit)
+    position = _compaction(circuit)
+    walked, _ = _full_walk(circuit, position)
     return [sum(_gram(support, [position[q] for q in group], len(position))
                 for _, support in walked) for group in groups]
 
@@ -680,10 +680,10 @@ def apply_response(response: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def statevector(circuit: Circuit) -> np.ndarray:
     """Final statevector of a measurement-free circuit, over its compacted
     qubits: the one support of its :func:`_full_walk`, scattered."""
-    _validated(circuit)
+    position = _validated(circuit)
     if any(i.gate in ("measure", "cond") for i in circuit.instructions):
         raise SimulationError("statevector requires a measurement-free circuit")
-    ((_, (idx, amp)),), _, position = _full_walk(circuit)
+    ((_, (idx, amp)),), _ = _full_walk(circuit, position)
     psi = np.zeros(1 << len(position), dtype=complex)
     psi[idx] = amp
     return psi
@@ -699,26 +699,29 @@ def _check_int(name: str, value, low: int, stop: float = math.inf) -> None:
         raise SimulationError(f"{name} must be an integer in [{low}, {stop}), got {value!r}")
 
 
-def _outcome_table(circuit: Circuit) -> dict[str, float]:
+def _outcome_table(circuit: Circuit, position: dict[int, int]) -> dict[str, float]:
     """The probability of every string of recorded bits of a valid circuit
     that can occur, with no noise: each :func:`_full_walk` branch's bits,
     with the outcomes of its deferred measures summed off its support by one
-    ``np.bincount`` over their bits, the first deferred measure's the most
-    significant. Only the outcomes of nonzero probability are keyed."""
-    branches, deferred, position = _full_walk(circuit)
-    n, last = len(position), len(deferred) - 1
+    ``np.bincount`` over their bits (the first deferred measure's the most
+    significant) and keyed as the rows of one array of digits. Only nonzero
+    outcomes are keyed, in branch, then outcome order."""
+    branches, deferred = _full_walk(circuit, position)
+    n, last, width = len(position), len(deferred) - 1, circuit.num_clbits
     table: dict[str, float] = {}
     for bits, (idx, amp) in branches:
         outcomes = np.zeros_like(idx)
         for q, _ in deferred:
             outcomes = outcomes << 1 | idx >> (n - 1 - position[q]) & 1
         probs = np.bincount(outcomes, amp.real ** 2 + amp.imag ** 2, 1 << len(deferred))
-        for outcome in np.flatnonzero(probs).tolist():
-            key = list(bits)
-            for k, (_, c) in enumerate(deferred):
-                key[c] = outcome >> (last - k) & 1
-            key = "".join(map(str, key))
-            table[key] = table.get(key, 0.0) + probs[outcome]
+        kept = np.flatnonzero(probs)
+        keys = np.tile(np.array(bits, dtype=np.uint8) + ord("0"), (kept.size, 1))
+        for k, (_, c) in enumerate(deferred):
+            keys[:, c] = (kept >> (last - k) & 1) + ord("0")
+        text = keys.tobytes().decode()
+        for row, p in enumerate(probs[kept].tolist()):
+            key = text[row * width:(row + 1) * width]
+            table[key] = table.get(key, 0.0) + p
     return table
 
 
@@ -737,11 +740,11 @@ def run_shots(circuit: Circuit, shots: int, seed: int,
     """
     _check_int("shots", shots, 1)
     _check_int("seed", seed, 0, 1 << 64)
-    _validated(circuit)
+    position = _validated(circuit)
     if noise is not None and noise.any_noise():
         counts = _trajectory_counts(compact(circuit), noise, seed, 0, shots)
         return dict(sorted(counts.items()))
-    table = _outcome_table(circuit)
+    table = _outcome_table(circuit, position)
     probs = np.array(list(table.values()))
     drawn = np.random.Generator(np.random.Philox(key=np.uint64(seed))).multinomial(
         shots, probs / probs.sum())

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -332,6 +333,90 @@ def _cli(*argv, cwd=None):
                           capture_output=True, text=True, cwd=cwd)
 
 
+def test_cli_build_refuses_a_huge_m_at_the_boundary():
+    """A clone count whose circuit could never be simulated is a config
+    error before any of its circuit is built: no MemoryError, no traceback."""
+    start = time.perf_counter()
+    r = _cli("build", "--m", "1000000000000", "--variant", "with-ancilla-optimized")
+    assert time.perf_counter() - start < 5
+    assert r.returncode == 1
+    assert "config error" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("m,variant,basis", [(2, NOA, "z"), (5, OPT, "x")])
+def test_cli_build_is_the_sweeps_transform(tmp_path, m, variant, basis):
+    """build writes the circuit that a sweep of its flags simulates: its
+    config's transform of the protocol circuit, at every layout with and
+    without DD, and with a durations file carrying cx overrides."""
+    from teleclone import build_protocol_circuit
+    from teleclone.circuit import to_json
+    from teleclone.cli import main
+    from teleclone.experiment import _transform_for
+    durations = {"cx": 400.0, "cx_overrides": {"0-1": 800.0, "1-2": 123.5}}
+    (tmp_path / "durations.json").write_text(json.dumps(durations))
+    msg = MessageState(0.7, 1.9)
+    runs = [(layout, dd, None) for layout in range(7) for dd in (False, True)]
+    runs.append((1, True, durations))
+    for layout, dd, table in runs:
+        out = tmp_path / "circuit.json"
+        argv = ["build", "--m", str(m), "--variant", variant.value, "--basis", basis,
+                "--psi", "0.7", "--phi", "1.9", "--layout-index", str(layout),
+                "--dd", "on" if dd else "off", "--out", str(out)]
+        if table is not None:
+            argv += ["--durations", str(tmp_path / "durations.json")]
+        assert main(argv) == 0
+        cfg = ExperimentConfig(m=m, variant=variant, layout_index=layout, dd=dd,
+                               durations=table and DurationTable.from_json_dict(table))
+        circuit = build_protocol_circuit(m, variant, msg, tomo_basis=basis)
+        assert out.read_text() == to_json(_transform_for(cfg)(circuit)) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--m", "2", "--variant", "no-ancilla", "--dd", "on"],
+    ["--m", "2", "--variant", "no-ancilla", "--layout-index", "0", "--dd", "on",
+     "--durations", "{durations}"],
+    ["--m", "2", "--variant", "no-ancilla", "--durations", "{durations}"],
+    ["--m", "12", "--variant", "with-ancilla-full"],
+], ids=["dd-without-layout", "bad-durations-dd", "bad-durations-no-dd", "past-qubit-cap"])
+def test_cli_build_refuses_what_a_config_refuses(tmp_path, capsys, argv):
+    """build checks its flags as a run config is checked: DD without a
+    layout, a malformed durations file (used or not) and a circuit past the
+    statevector cap are config errors, and nothing is written."""
+    from teleclone.cli import main
+    bad = tmp_path / "durations.json"
+    bad.write_text(json.dumps({"sx": -3}))
+    out = tmp_path / "circuit.json"
+    argv = [a.format(durations=bad) for a in argv]
+    assert main(["build", *argv, "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_undecodable_input_file_is_an_error(tmp_path, capsys):
+    """An input file that is not UTF-8 text is an input error, exit 1, for
+    build's durations and run's config alike."""
+    from teleclone.cli import main
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    for argv in (["build", "--m", "2", "--variant", "no-ancilla", "--durations", str(binary)],
+                 ["run", "--config", str(binary), "--out-dir", str(tmp_path / "runs")]):
+        assert main(argv) == 1
+        assert "error" in capsys.readouterr().err
+
+
+def test_cli_import_loads_every_traced_layer():
+    """Importing the CLI loads every module whose functions the traced
+    benchmark wraps, so none of them is loaded after the wrapping and
+    missed."""
+    layers = ["telecloning", "hardware", "circuit", "simulator", "tomography",
+              "analysis", "experiment"]
+    code = ("import sys, teleclone.cli; "
+            f"print([m for m in {layers!r} if 'teleclone.' + m not in sys.modules])")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       check=True)
+    assert r.stdout.strip() == "[]"
+
+
 def test_cli_build_and_export(tmp_path):
     out = tmp_path / "circuit.json"
     r = _cli("build", "--m", "3", "--variant", "no-ancilla", "--psi", "0.6283",
@@ -608,8 +693,8 @@ def _non_message(c):
 def _clone_p1(c, m):
     """Each clone's P(1) in a basis circuit: the marginal of the exact
     outcome table that run_shots samples from."""
-    from teleclone.simulator import _outcome_table
-    table = _outcome_table(c)
+    from teleclone.simulator import _compaction, _outcome_table
+    table = _outcome_table(c, _compaction(c))
     return np.array([sum(p for key, p in table.items() if key[2 + k] == "1")
                      for k in range(m)])
 

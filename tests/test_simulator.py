@@ -108,8 +108,8 @@ def _oracle_table(c):
 
 
 def _assert_same_table(c):
-    from teleclone.simulator import _outcome_table
-    got, want = _outcome_table(c), _oracle_table(c)
+    from teleclone.simulator import _compaction, _outcome_table
+    got, want = _outcome_table(c, _compaction(c)), _oracle_table(c)
     assert abs(sum(got.values()) - 1.0) < 1e-12
     for key in set(got) | set(want):
         assert abs(got.get(key, 0.0) - want.get(key, 0.0)) < 1e-12, key
@@ -503,12 +503,36 @@ def test_outcome_table_keys_only_outcomes_that_occur():
     """Deferred measures whose outcomes cannot occur give no key: x on
     qubit 0 and h on qubit 2, each of three qubits then measured, gives only
     the two outcomes with qubit 0 at 1 and qubit 1 at 0."""
-    from teleclone.simulator import _outcome_table
+    from teleclone.simulator import _compaction, _outcome_table
     c = Circuit(3, 3, (x(0), h(2), measure(0, 0), measure(1, 1), measure(2, 2)))
-    table = _outcome_table(c)
+    table = _outcome_table(c, _compaction(c))
     assert set(table) == {"100", "101"}
     assert all(abs(p - 0.5) < 1e-15 for p in table.values())
     assert run_shots(c, 200, seed=1).keys() <= {"100", "101"}
+
+
+def test_outcome_table_of_a_circuit_without_clbits():
+    """A circuit that records no bit has one outcome, the empty string."""
+    from teleclone.simulator import _compaction, _outcome_table
+    c = Circuit(2, 0, (h(0), cx(0, 1)))
+    assert _outcome_table(c, _compaction(c)) == {"": pytest.approx(1.0, abs=1e-15)}
+    assert run_shots(c, 50, seed=3) == {"": 50}
+
+
+def test_noiseless_run_shots_computes_the_compaction_once(monkeypatch):
+    """_validated's compaction map is the one the full walk reads."""
+    from teleclone import simulator
+    calls = []
+
+    def counted(circuit):
+        calls.append(circuit)
+        return compaction(circuit)
+
+    compaction = simulator._compaction
+    monkeypatch.setattr(simulator, "_compaction", counted)
+    c = build_protocol_circuit(3, OPT, MessageState(0.8, 2.5), tomo_basis="z")
+    run_shots(c, 100, seed=0)
+    assert len(calls) == 1
 
 
 def test_protocol_parts_split_a_protocol_circuit():

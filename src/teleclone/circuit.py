@@ -12,6 +12,8 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
+from .exceptions import CircuitError
+
 ONE_QUBIT_GATES = ("ry", "rz", "h", "x", "z", "sx")
 UNITARY_GATES = ONE_QUBIT_GATES + ("cx",)
 PARAM_GATES = ("ry", "rz")
@@ -163,12 +165,17 @@ def validate(circuit: Circuit) -> list[str]:
     return errors
 
 
+def check(circuit: Circuit) -> None:
+    """Raise :class:`CircuitError` naming every :func:`validate` error, if any."""
+    errors = validate(circuit)
+    if errors:
+        raise CircuitError("; ".join(errors))
+
+
 def stats(circuit: Circuit) -> CircuitStats:
     """Gate counts and dependency depth. Barriers are ignored entirely;
     cond body gates count once; the cond's classical bit acts as a wire."""
-    errors = validate(circuit)
-    if errors:
-        raise _circuit_error(errors)
+    check(circuit)
     two_qubit = 0
     total = 0
     qlevel = [0] * circuit.num_qubits
@@ -205,11 +212,6 @@ def stats(circuit: Circuit) -> CircuitStats:
         bump(ins.qubits, clbits, lv)
     depth = max(qlevel + clevel, default=0)
     return CircuitStats(two_qubit, total, depth)
-
-
-def _circuit_error(errors):
-    from .exceptions import CircuitError
-    return CircuitError("; ".join(errors))
 
 
 def _instruction_to_dict(ins: Instruction) -> dict:
@@ -257,10 +259,8 @@ def from_json(text: str) -> Circuit:
             roles=_roles_from_json(d.get("roles", {})),
         )
     except (TypeError, KeyError, AttributeError) as exc:
-        raise _circuit_error([f"malformed circuit JSON ({type(exc).__name__}: {exc})"])
-    errors = validate(circuit)
-    if errors:
-        raise _circuit_error(errors)
+        raise CircuitError(f"malformed circuit JSON ({type(exc).__name__}: {exc})")
+    check(circuit)
     return circuit
 
 

@@ -10,15 +10,14 @@ chunk). Every clone state is linear in the message's one-qubit state, so
 each chunk compiles one clone response (``simulator.compile_response``)
 from a template message, and a point contracts it with its message state:
 exact mode records the contracted states, and shots mode draws each
-clone's counts from them (``tomography.sample_tomography``). Noiseless
-points build no circuit. Under noise the response holds the prep as a
-density matrix, which must fit the density cap without the message (M <= 4
-with ancillas); shots mode compiles the x, y and z responses in one call,
-which walks their common prep once, and each point builds and transpiles
-its own circuit only to evolve its message's noisy state
-(``simulator.message_state``). Noisy shots whose prep is past the cap
-share no response; their points run trajectories
-(``tomography.tomography_run``).
+clone's counts from them (``tomography.sample_tomography``). No point
+builds a circuit. Under noise the response holds the prep as a density
+matrix, which must fit the density cap without the message (M <= 4 with
+ancillas); shots mode compiles the x, y and z responses in one call, which
+walks their common prep once, and each point walks its message's own gates
+(``_message_gates``) to its noisy state (``simulator.message_state``).
+Noisy shots whose prep is past the cap share no response; their points run
+trajectories (``tomography.tomography_run``).
 """
 
 from __future__ import annotations
@@ -34,12 +33,12 @@ import numpy as np
 from .analysis import CloneMetrics, clone_metrics
 from .circuit import Circuit, _is_int
 from .exceptions import ConfigError, SimulationError, TelecloneError, TranspileError
-from .hardware import (DurationTable, check_capacity, enumerate_layouts, insert_dd,
-                       transpile_to_native)
+from .hardware import (DurationTable, _native_1q, check_capacity, enumerate_layouts,
+                       insert_dd, transpile_to_native)
 from .simulator import (_DENSITY_QUBIT_CAP, DEFAULT_QUBIT_CAP, NoiseModel, apply_response,
                         compile_response, message_state)
 from .telecloning import (MessageState, TelecloningVariant, build_protocol_circuit,
-                          check_variant, with_tomography)
+                          check_variant, message_prep, with_tomography)
 from .tomography import BASES, _child_seed, basis_p1, sample_tomography, tomography_run
 
 MODES = ("exact", "shots")
@@ -185,21 +184,30 @@ def _transform_for(config: ExperimentConfig):
     return run
 
 
+def _message_gates(config: ExperimentConfig, msg: MessageState) -> list:
+    """The message's gates before its Bell cx, on qubit 0: :func:`message_prep`,
+    native on a layout. Decoupling adds none: the ALAP schedule and the barrier
+    after the prep leave the message no idle window before its Bell cx."""
+    gates = message_prep(msg)
+    if config.layout_index is None:
+        return gates
+    return [out for ins in gates for out in _native_1q(ins, 0)]
+
+
 # The message whose circuit compiles a sweep's response: any message gives
 # the same response, since only the message's own gates depend on it.
 _TEMPLATE = MessageState(0.0, 0.0)
 
 
-def _response_for(config: ExperimentConfig, transform) -> np.ndarray | None:
+def _response_for(config: ExperimentConfig) -> np.ndarray | None:
     """The clone response that every point of a sweep chunk shares, from one
-    :func:`compile_response` call: of the "none" circuit in exact mode and
-    without noise, and in noisy shots mode of the x, y and z circuits,
-    stacked, whose one prep is walked once. None for noisy shots whose prep,
-    every qubit but the message, is past the density cap: each point then
-    runs its own trajectories."""
-    noise = _noise(config)
-    circuit = build_protocol_circuit(config.m, config.variant, _TEMPLATE,
-                                     tomo_basis="none")
+    :func:`compile_response` call on the config's transformed circuits: of
+    the "none" circuit in exact mode and without noise, and in noisy shots
+    mode of the x, y and z circuits, stacked, whose one prep is walked once.
+    None for noisy shots whose prep, every qubit but the message, is past
+    the density cap: each point then runs its own trajectories."""
+    noise, transform = _noise(config), _transform_for(config)
+    circuit = build_protocol_circuit(config.m, config.variant, _TEMPLATE)
     if noise is None or config.mode == "exact":
         return compile_response([transform(circuit)], noise)[0]
     if _prep_qubits(config) > _DENSITY_QUBIT_CAP:
@@ -208,14 +216,16 @@ def _response_for(config: ExperimentConfig, transform) -> np.ndarray | None:
                             noise)
 
 
-def _run_point(config: ExperimentConfig, transform, response: np.ndarray | None,
+def _run_point(config: ExperimentConfig, response: np.ndarray | None, blocks: dict,
                index: int, msg: MessageState) -> dict:
+    """Point ``index``'s outcome: ``response`` contracted with its message's
+    state (under noise, from its :func:`_message_gates` with ``blocks``)."""
     noise, records = _noise(config), None
     # exact mode draws no seed: that would import numpy.random
     seed = _child_seed(config.seed, index) if config.mode == "shots" else None
     if response is None:
         records = tomography_run(config.m, config.variant, msg, config.shots_per_basis,
-                                 seed=seed, noise=noise, transform=transform)
+                                 seed=seed, noise=noise, transform=_transform_for(config))
     elif noise is None:
         # transpiling changes the message's gates only by a global phase,
         # and decoupling pulses multiply to the identity
@@ -225,8 +235,7 @@ def _run_point(config: ExperimentConfig, transform, response: np.ndarray | None,
             records = sample_tomography([basis_p1(rho) for rho in rhos],
                                         config.shots_per_basis, seed)
     else:
-        circuit = build_protocol_circuit(config.m, config.variant, msg, tomo_basis="none")
-        rho = message_state(transform(circuit), noise)
+        rho = message_state(_message_gates(config, msg), noise, blocks)
         if config.mode == "exact":
             rhos = apply_response(response, rho)
         else:
@@ -311,19 +320,18 @@ def _failure(exc: Exception) -> dict:
 
 def _run_chunk(config: ExperimentConfig, points) -> list[dict]:
     """Outcomes of a run of (index, message) grid points, each one's failure
-    marker on an exception; the points share one layout transform and one
-    :func:`_response_for`. When either cannot be made, every point carries
-    its error."""
+    marker on an exception; the points share one :func:`_response_for`, and
+    their message walks one dict of blocks. When the response cannot be
+    made, every point carries its error."""
     try:
-        transform = _transform_for(config)
-        response = _response_for(config, transform)
+        response = _response_for(config)
     except Exception as exc:
         error = _failure(exc)["error"]
         return [{"clones": [], "error": error} for _ in points]
-    outcomes = []
+    outcomes, blocks = [], {}
     for index, msg in points:
         try:
-            outcomes.append(_run_point(config, transform, response, index, msg))
+            outcomes.append(_run_point(config, response, blocks, index, msg))
         except Exception as exc:
             outcomes.append(_failure(exc))
     return outcomes

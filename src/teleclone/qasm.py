@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .circuit import Circuit, Instruction, validate
+from .circuit import Circuit, Instruction, check
 from .exceptions import CircuitError
 
 _EXPORTABLE = {"ry", "rz", "h", "x", "z", "sx", "cx", "barrier", "measure", "cond"}
@@ -13,12 +13,6 @@ def _gate_line(ins: Instruction) -> str:
     if ins.gate in ("ry", "rz"):
         return f"{ins.gate}({ins.angle!r}) {qs};"
     return f"{ins.gate} {qs};"
-
-
-def _checked(circuit: Circuit) -> None:
-    errors = validate(circuit)
-    if errors:
-        raise CircuitError("; ".join(errors))
 
 
 def _body(instructions) -> str:
@@ -56,7 +50,7 @@ def export_extensions(circuit: Circuit, extended) -> list[str]:
     as its tomography circuits do. ``circuit`` is validated and rendered
     once; each text adds its own header and further instructions, which
     are validated after the measures of ``circuit``."""
-    _checked(circuit)
+    check(circuit)
     body = _body(circuit.instructions)
     written = tuple(ins for ins in circuit.instructions if ins.gate == "measure")
     k = len(circuit.instructions)
@@ -64,7 +58,7 @@ def export_extensions(circuit: Circuit, extended) -> list[str]:
     for c in extended:
         if c.num_qubits != circuit.num_qubits or c.instructions[:k] != circuit.instructions:
             raise CircuitError("circuit does not extend the rendered circuit")
-        _checked(Circuit(c.num_qubits, c.num_clbits, written + c.instructions[k:]))
+        check(Circuit(c.num_qubits, c.num_clbits, written + c.instructions[k:]))
         header = (f'OPENQASM 3.0;\ninclude "stdgates.inc";\n'
                   f"qubit[{c.num_qubits}] q;\nbit[{c.num_clbits}] c;\n")
         texts.append(header + body + _body(c.instructions[k:]))

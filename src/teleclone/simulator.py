@@ -37,8 +37,8 @@ marginal with the port and runs a small tail over (message, port, group):
 the message's gates from its Bell cx on, the Bell measures and the group's
 own later gates, with the four message inputs |i><j| as a batch. Noise
 acts on a gate's own qubits only, so every clone state is linear in the
-message's state after its own gates (:func:`message_state`), and one
-:func:`compile_response` call serves every message of a sweep
+message's state after its own gates (:func:`message_state` walks them
+alone), and one :func:`compile_response` call serves every message of a sweep
 (:func:`apply_response`) and every tomography basis: circuits whose preps
 are equal share one prep run, and all the density walks of the call share
 one dict of blocks. :func:`exact_clone_states` contracts a response with the
@@ -81,8 +81,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import Circuit, Instruction, _is_int, cond, validate
-from .exceptions import CircuitError, SimulationError
+from .circuit import Circuit, Instruction, _is_int, check, cond
+from .exceptions import SimulationError
 
 DEFAULT_QUBIT_CAP = 24
 _DENSITY_QUBIT_CAP = 8  # qubits of a walked density matrix: a noisy prep or an oracle
@@ -277,9 +277,7 @@ def _validated(circuit: Circuit, cap: int = DEFAULT_QUBIT_CAP,
                state: str = "a statevector") -> dict[int, int]:
     """The :func:`_compaction` of a valid circuit whose ``state`` fits the
     qubit cap."""
-    errors = validate(circuit)
-    if errors:
-        raise CircuitError("; ".join(errors))
+    check(circuit)
     position = _compaction(circuit)
     if len(position) > cap:
         raise SimulationError(f"{state} over {len(position)} qubits exceeds "
@@ -624,7 +622,9 @@ def _exact_states(circuit: Circuit, groups) -> list[np.ndarray]:
         raise SimulationError("circuit lacks the Bell-measurement structure")
     (traced,) = _traced([(circuit, groups)])
     if traced is not None:
-        rho = message_state(circuit, NoiseModel())
+        mq = circuit.roles["message"]
+        pre = [_remap(ins, {mq: 0}) for ins in _protocol_parts(circuit)[0]]
+        rho = message_state(pre, NoiseModel(), {})
         return [np.tensordot(rho, r) for r in traced]
     position = _compaction(circuit)
     walked, _ = _full_walk(circuit, position)
@@ -651,9 +651,9 @@ def compile_response(circuits, noise: NoiseModel | None = None) -> np.ndarray:
     count M: a (len(circuits), M, 2, 2, 2, 2) array R, clone k of circuit c
     being in the state sum_ij rho[i, j] R[c, k, i, j] when the message's own
     gates before the Bell cx leave it in the state rho
-    (:func:`message_state`). No other gate depends on the message, so one
-    response serves every message of the same (m, variant, layout, dd,
-    tomography basis).
+    (:func:`message_state` of those gates). No other gate depends on the
+    message, so one response serves every message of the same (m, variant,
+    layout, dd, tomography basis).
 
     R stacks each clone's :func:`_traced` map, its terminal measures
     deferred: the state before them. The circuits share one :func:`_traced`
@@ -1017,19 +1017,14 @@ def noisy_clone_states(circuit: Circuit, noise: NoiseModel):
     return [partial_trace(rho, [q]) for q in circuit.roles["clones"]]
 
 
-def message_state(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
-    """The 2 x 2 state of a protocol circuit's message after its own gates
-    before its Bell cx (``pre`` of :func:`_protocol_parts`), from |0><0|,
-    each gate followed by its noise (:func:`_density_walk`). Noise acts on a
-    gate's own qubits only, so the rest of the circuit is linear in this
-    state (:func:`compile_response`)."""
-    parts = _protocol_parts(circuit)
-    if parts is None:
-        raise SimulationError("the clone states of this circuit cannot be traced "
-                              "before its feed-forward")
-    mq = circuit.roles["message"]
-    return _density_walk([_remap(ins, {mq: 0}) for ins in parts[0]], 1, 0, noise,
-                         _ground(2).reshape(2, 2), {})
+def message_state(gates, noise: NoiseModel, blocks: dict) -> np.ndarray:
+    """The 2 x 2 state of a protocol circuit's message after ``gates``, its
+    own one-qubit gates before its Bell cx (``pre`` of
+    :func:`_protocol_parts`) moved to qubit 0, from |0><0|, each gate
+    followed by its noise (:func:`_density_walk`, which keeps its blocks in
+    ``blocks``). Noise acts on a gate's own qubits only, so the rest of the
+    circuit is linear in this state (:func:`compile_response`)."""
+    return _density_walk(gates, 1, 0, noise, _ground(2).reshape(2, 2), blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,11 @@ def _basis_change(basis: str, qubit: int) -> list[Instruction]:
     return []
 
 
+def message_prep(message: MessageState) -> list[Instruction]:
+    """The gates that take qubit 0 from |0> to ``message``: RY(psi), RZ(phi)."""
+    return [ry(message.psi, 0), rz(message.phi, 0)]
+
+
 def build_protocol_circuit(m: int, variant: TelecloningVariant,
                            message: MessageState,
                            tomo_basis: str = "none") -> Circuit:
@@ -200,8 +205,7 @@ def build_protocol_circuit(m: int, variant: TelecloningVariant,
     roles, n = _roles(m, variant, with_message=True)
     port, clones = roles["port"], roles["clones"]
 
-    ops = [ry(message.psi, 0), rz(message.phi, 0), *_resource_prep(m, variant, roles),
-           barrier()]
+    ops = [*message_prep(message), *_resource_prep(m, variant, roles), barrier()]
 
     ops += [cx(0, port), h(0)]
     ops.append(barrier())

@@ -9,8 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SimulationError
-from .simulator import (_X, _Y, _Z, NoiseModel, _check_int, apply_response, compile_response,
-                        message_state, run_shots)
+from .simulator import _X, _Y, _Z, NoiseModel, _check_int, exact_clone_states, run_shots
 from .telecloning import (MessageState, TelecloningVariant, build_protocol_circuit,
                           with_tomography)
 
@@ -132,22 +131,19 @@ def tomography_run(m: int, variant: TelecloningVariant, message: MessageState,
 
     ``transform`` optionally rewrites each basis circuit before execution
     (layout mapping, decoupling passes); it must preserve clone bit order.
-    Without noise (None or all zero) one :func:`compile_response` of the
-    transformed "none" circuit, contracted with its message, gives every
-    clone's state, so the prep runs once for the three bases, and
-    :func:`sample_tomography` draws the counts from it, as a noiseless
-    sweep point does. Under noise each basis circuit samples joint counts
-    with :func:`run_shots` from its own child of ``seed``: sweeps reach this
-    only with noise past the density cap.
+    Without noise (None or all zero) :func:`exact_clone_states` of the
+    transformed "none" circuit gives every clone's state, so the prep runs
+    once for the three bases, and :func:`sample_tomography` draws the counts
+    from them, as a noiseless sweep point does. Under noise each basis
+    circuit samples joint counts with :func:`run_shots` from its own child
+    of ``seed``: sweeps reach this only with noise past the density cap.
     """
     _check_int("shots_per_basis", shots_per_basis, 1)
     transform = transform or (lambda circuit: circuit)
     none = build_protocol_circuit(m, variant, message)
     if noise is None or not noise.any_noise():
-        circuit = transform(none)
-        rhos = apply_response(compile_response([circuit])[0],
-                              message_state(circuit, NoiseModel()))
-        return sample_tomography([basis_p1(rho) for rho in rhos], shots_per_basis, seed)
+        return sample_tomography([basis_p1(rho) for rho in exact_clone_states(transform(none))],
+                                 shots_per_basis, seed)
     per_clone: list[dict] = [dict() for _ in range(m)]
     for bi, basis in enumerate(BASES):
         counts = run_shots(transform(with_tomography(none, basis)), shots_per_basis,

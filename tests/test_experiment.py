@@ -248,10 +248,10 @@ from teleclone import experiment
 from teleclone.exceptions import SimulationError
 run_point = experiment._run_point
 
-def failing(config, transform, response, index, msg):
+def failing(config, response, blocks, index, msg):
     if index in (1, 2):
         raise SimulationError(f"point {index} failed")
-    return run_point(config, transform, response, index, msg)
+    return run_point(config, response, blocks, index, msg)
 """
 
 
@@ -284,13 +284,13 @@ def test_noisy_shots_past_the_density_cap_run_trajectories():
     qubits without the message) share no response; each point runs
     tomography_run's trajectories from its own seed."""
     from teleclone import tomography_run
-    from teleclone.experiment import _response_for, _transform_for
+    from teleclone.experiment import _response_for
     from teleclone.tomography import _child_seed
     cfg = ExperimentConfig(m=5, variant=OPT, n_psi=1, n_phi=1, mode="shots",
                            shots_per_basis=40, seed=2, noise=_ALL_CHANNELS)
-    assert _response_for(cfg, _transform_for(cfg)) is None
+    assert _response_for(cfg) is None
     fits = ExperimentConfig(m=4, variant=OPT, mode="shots", noise=_ALL_CHANNELS)
-    assert _response_for(fits, _transform_for(fits)).shape == (3, 4, 2, 2, 2, 2)
+    assert _response_for(fits).shape == (3, 4, 2, 2, 2, 2)
     (point,) = run_experiment(cfg).results
     records = tomography_run(5, OPT, MessageState(0.0, 0.0), 40, seed=_child_seed(2, 0),
                              noise=_ALL_CHANNELS)
@@ -341,6 +341,26 @@ def test_cli_build_refuses_a_huge_m_at_the_boundary():
     assert time.perf_counter() - start < 5
     assert r.returncode == 1
     assert "config error" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_cli_reports_an_unallocatable_grid_as_an_error(tmp_path):
+    """A grid too large to allocate is an error line and exit 1, not a
+    MemoryError traceback. The child's address space is capped at 2 GiB, so
+    the grid is never really allocated; one BLAS thread keeps its buffers
+    within that cap."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": 2, "variant": "no-ancilla", "n_psi": 10 ** 12, "n_phi": 1}))
+    r = subprocess.run([sys.executable, "-m", "teleclone.cli", "run", "--config", str(cfg),
+                        "--out-dir", str(tmp_path / "runs")],
+                       capture_output=True, text=True, preexec_fn=cap,
+                       env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert r.returncode == 1
+    assert "error" in r.stderr and "Traceback" not in r.stderr
 
 
 @pytest.mark.parametrize("m,variant,basis", [(2, NOA, "z"), (5, OPT, "x")])
@@ -415,6 +435,28 @@ def test_cli_import_loads_every_traced_layer():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        check=True)
     assert r.stdout.strip() == "[]"
+
+
+def test_traced_benchmark_cli_runs_a_noisy_sweep(tmp_path):
+    """bench/traced_cli.py wraps every layer it names, which fails on a name
+    the package no longer has, and runs a small noisy shots sweep (M=2
+    without ancillas, layout 0 with decoupling) to a trace that holds the
+    spans of the layers it passes through."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": 2, "variant": "no-ancilla", "n_psi": 2, "n_phi": 1,
+                               "shots_per_basis": 20, "layout_index": 0, "dd": True,
+                               "mode": "shots", "noise": {"depolarizing_1q": 0.001,
+                                                          "depolarizing_2q": 0.01}}))
+    trace = tmp_path / "trace.json"
+    r = subprocess.run([sys.executable, os.path.join(root, "bench", "traced_cli.py"), str(trace),
+                        "run", "--config", str(cfg), "--out-dir", str(tmp_path / "runs")],
+                       capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": os.path.join(root, "src")})
+    assert r.returncode == 0, r.stderr
+    names = {span[0] for span in json.loads(trace.read_text())["spans"]}
+    assert {"experiment.run_experiment", "telecloning.build_protocol_circuit",
+            "hardware.insert_dd", "tomography.mle_fit"} <= names
 
 
 def test_cli_build_and_export(tmp_path):
@@ -503,10 +545,10 @@ def test_point_raising_any_exception_is_marked_not_fatal(tmp_path, monkeypatch, 
     from teleclone import cli, experiment
     run_point = experiment._run_point
 
-    def flaky(config, transform, response, index, msg):
+    def flaky(config, response, blocks, index, msg):
         if index == 1:
             raise ValueError("bad point")
-        return run_point(config, transform, response, index, msg)
+        return run_point(config, response, blocks, index, msg)
 
     monkeypatch.delenv("TELECLONE_WORKERS", raising=False)
     monkeypatch.setattr(experiment, "_run_point", flaky)
@@ -719,7 +761,7 @@ def test_response_matches_each_point_circuit(m, variant, dd):
         cfg = ExperimentConfig(m=m, variant=variant, layout_index=layout,
                                dd=dd, mode="shots")
         transform = _transform_for(cfg)
-        response = _response_for(cfg, transform)
+        response = _response_for(cfg)
         template = transform(build_protocol_circuit(m, variant, _TEMPLATE))
         for msg in msgs:
             circuit = transform(build_protocol_circuit(m, variant, msg))
@@ -733,6 +775,66 @@ def test_response_matches_each_point_circuit(m, variant, dd):
             for bi, basis in enumerate(BASES):
                 c = transform(build_protocol_circuit(m, variant, msg, tomo_basis=basis))
                 np.testing.assert_allclose(p1[:, bi], _clone_p1(c, m), rtol=0, atol=1e-12)
+
+
+def test_message_gates_are_each_point_circuits_own():
+    """A point's message gates, from which its noisy message state is
+    walked, are its own circuit's gates before its Bell cx, moved to qubit
+    0, gate for gate: on a 20x20 grid at M=2 without ancillas on layout 0
+    with decoupling, and on 3x3 grids for each variant, logical and on
+    layouts 0-6 with and without decoupling, and with a durations table
+    that sets cx overrides and a zero sx duration."""
+    from teleclone import build_protocol_circuit
+    from teleclone.experiment import _message_gates, _transform_for
+    from teleclone.simulator import _protocol_parts, _remap
+    overrides = DurationTable(sx=0.0, cx_overrides={(0, 1): 250.0, (1, 4): 900.0})
+    cases = [(2, NOA, 0, True, None, 20), (3, FULL, 1, True, overrides, 3)]
+    for m, variant in [(2, NOA), (3, NOA), (2, OPT), (3, FULL), (5, OPT)]:
+        cases += [(m, variant, None, False, None, 3)]
+        cases += [(m, variant, layout, dd, None, 3) for layout in range(7) for dd in (False, True)]
+    for m, variant, layout, dd, durations, side in cases:
+        cfg = ExperimentConfig(m=m, variant=variant, layout_index=layout, dd=dd,
+                               durations=durations)
+        transform = _transform_for(cfg)
+        for msg in angle_grid(side, side):
+            c = transform(build_protocol_circuit(m, variant, msg))
+            pre = [_remap(ins, {c.roles["message"]: 0}) for ins in _protocol_parts(c)[0]]
+            assert _message_gates(cfg, msg) == pre, (m, variant, layout, dd, msg)
+
+
+@pytest.mark.parametrize("mode", ["exact", "shots"])
+def test_no_grid_point_builds_a_circuit(mode, monkeypatch):
+    """Within the density cap a noisy sweep builds, transforms and splits
+    circuits only for the response its points share: a 1x1 grid and a 4x4
+    grid, at layout 0 with decoupling, make the same calls."""
+    from collections import Counter
+
+    from teleclone import experiment, hardware, simulator, telecloning, tomography
+    calls = Counter()
+    for module, name in [(telecloning, "build_protocol_circuit"),
+                         (hardware, "transpile_to_native"), (hardware, "insert_dd"),
+                         (simulator, "_protocol_parts")]:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for owner in (experiment, hardware, simulator, telecloning, tomography):
+            if getattr(owner, name, None) is original:
+                monkeypatch.setattr(owner, name, counted)
+    monkeypatch.delenv("TELECLONE_WORKERS", raising=False)
+    seen = []
+    for side in (1, 4):
+        calls.clear()
+        rec = run_experiment(ExperimentConfig(m=2, variant=NOA, n_psi=side, n_phi=side,
+                                              shots_per_basis=50, layout_index=0, dd=True,
+                                              mode=mode, noise=_ALL_CHANNELS))
+        assert rec.aggregate["n_failed"] == 0
+        seen.append(dict(calls))
+    assert seen[0] == seen[1]
+    assert set(seen[0]) == {"build_protocol_circuit", "transpile_to_native", "insert_dd",
+                            "_protocol_parts"}
 
 
 @pytest.mark.parametrize("dd", [False, True], ids=["no-dd", "dd"])
@@ -752,7 +854,7 @@ def test_noisy_response_matches_each_point_circuit(m, variant, dd, monkeypatch):
 
     from teleclone import build_protocol_circuit, noisy_clone_states, simulator
     from teleclone.experiment import _TEMPLATE, _response_for, _transform_for
-    from teleclone.simulator import _protocol_parts, apply_response, message_state
+    from teleclone.simulator import _protocol_parts, _remap, apply_response, message_state
     from teleclone.telecloning import with_tomography
     from teleclone.tomography import BASES
     rng = np.random.default_rng(20 * m + dd)
@@ -773,8 +875,8 @@ def test_noisy_response_matches_each_point_circuit(m, variant, dd, monkeypatch):
                                  noise=_ALL_CHANNELS)
         shots = replace(exact, mode="shots")
         transform = _transform_for(exact)
-        response = _response_for(exact, transform)
-        per_basis = _response_for(shots, transform)
+        response = _response_for(exact)
+        per_basis = _response_for(shots)
         if m == 4:
             monkeypatch.setattr(simulator, "_DENSITY_QUBIT_CAP", 9)
         template = build_protocol_circuit(m, variant, _TEMPLATE)
@@ -784,7 +886,9 @@ def test_noisy_response_matches_each_point_circuit(m, variant, dd, monkeypatch):
                 circuit = transform(with_tomography(none, basis))
                 assert rest(circuit) == rest(transform(with_tomography(template, basis)))
                 assert pre(circuit) == pre(transform(none))
-            rho = message_state(transform(none), _ALL_CHANNELS)
+            mq = transform(none).roles["message"]
+            rho = message_state([_remap(i, {mq: 0}) for i in pre(transform(none))],
+                                _ALL_CHANNELS, {})
             for got, want in zip(apply_response(response, rho),
                                  noisy_clone_states(transform(none), _ALL_CHANNELS),
                                  strict=True):
@@ -824,7 +928,7 @@ def test_noisy_shots_walk_the_prep_once_for_all_bases(m, variant, monkeypatch):
     transform = _transform_for(cfg)
     prep = len(used_qubits(transform(build_protocol_circuit(m, variant, MessageState(0, 0))))) - 1
     walks = _prep_walks(monkeypatch)
-    assert _response_for(cfg, transform).shape == (3, m, 2, 2, 2, 2)
+    assert _response_for(cfg).shape == (3, m, 2, 2, 2, 2)
     assert walks == [prep]
 
 

@@ -421,6 +421,7 @@ def test_trace_first_turns_by_non_hermitian_feed_forward():
     whole-circuit density oracle's states."""
     from teleclone import cond
     from teleclone.simulator import apply_response, compile_response, message_state
+    from teleclone.telecloning import message_prep
     for m, variant in [(2, NOA), (3, OPT), (3, FULL)]:
         msg = MessageState(1.1, 0.4)
         c = build_protocol_circuit(m, variant, msg)
@@ -431,7 +432,7 @@ def test_trace_first_turns_by_non_hermitian_feed_forward():
         odd = _with_suffix(c, mid, tail)
         _assert_traced_first(odd, msg)
         got = apply_response(compile_response([odd], _ALL_CHANNELS)[0],
-                             message_state(odd, _ALL_CHANNELS))
+                             message_state(message_prep(msg), _ALL_CHANNELS, {}))
         for g, w in zip(got, noisy_clone_states(odd, _ALL_CHANNELS), strict=True):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
 

@@ -18,6 +18,10 @@ walks their common prep once, and each point walks its message's own gates
 (``_message_gates``) to its noisy state (``simulator.message_state``).
 Noisy shots whose prep is past the cap share no response; their points run
 trajectories (``tomography.tomography_run``).
+
+Configs and records are built, checked and serialized without numpy; the
+functions that simulate and aggregate import ``simulator``, ``tomography``,
+``analysis`` and numpy when they run.
 """
 
 from __future__ import annotations
@@ -28,18 +32,13 @@ import os
 from dataclasses import asdict, dataclass, field, fields
 from itertools import repeat
 
-import numpy as np
-
-from .analysis import CloneMetrics, clone_metrics
 from .circuit import Circuit, _is_int
 from .exceptions import ConfigError, SimulationError, TelecloneError, TranspileError
-from .hardware import (DurationTable, _native_1q, check_capacity, enumerate_layouts,
-                       insert_dd, transpile_to_native)
-from .simulator import (_DENSITY_QUBIT_CAP, DEFAULT_QUBIT_CAP, NoiseModel, apply_response,
-                        compile_response, message_state)
+from .hardware import (_DENSITY_QUBIT_CAP, DEFAULT_QUBIT_CAP, DurationTable, NoiseModel,
+                       _native_1q, check_capacity, enumerate_layouts, insert_dd,
+                       transpile_to_native)
 from .telecloning import (MessageState, TelecloningVariant, build_protocol_circuit,
                           check_variant, message_prep, with_tomography)
-from .tomography import BASES, _child_seed, basis_p1, sample_tomography, tomography_run
 
 MODES = ("exact", "shots")
 
@@ -165,6 +164,7 @@ def angle_grid(n_psi: int, n_phi: int) -> list[MessageState]:
     state and are kept for grid regularity)."""
     if n_psi < 1 or n_phi < 1:
         raise ConfigError("grid counts must be >= 1")
+    import numpy as np  # a grid too large to allocate fails here at once
     psis = np.linspace(0.0, math.pi, n_psi) if n_psi > 1 else np.array([0.0])
     phis = np.linspace(0.0, 2 * math.pi, n_phi) if n_phi > 1 else np.array([0.0])
     return [MessageState(float(p), float(f)) for p in psis for f in phis]
@@ -199,13 +199,15 @@ def _message_gates(config: ExperimentConfig, msg: MessageState) -> list:
 _TEMPLATE = MessageState(0.0, 0.0)
 
 
-def _response_for(config: ExperimentConfig) -> np.ndarray | None:
+def _response_for(config: ExperimentConfig):
     """The clone response that every point of a sweep chunk shares, from one
     :func:`compile_response` call on the config's transformed circuits: of
     the "none" circuit in exact mode and without noise, and in noisy shots
     mode of the x, y and z circuits, stacked, whose one prep is walked once.
     None for noisy shots whose prep, every qubit but the message, is past
     the density cap: each point then runs its own trajectories."""
+    from .simulator import compile_response
+    from .tomography import BASES
     noise, transform = _noise(config), _transform_for(config)
     circuit = build_protocol_circuit(config.m, config.variant, _TEMPLATE)
     if noise is None or config.mode == "exact":
@@ -216,10 +218,14 @@ def _response_for(config: ExperimentConfig) -> np.ndarray | None:
                             noise)
 
 
-def _run_point(config: ExperimentConfig, response: np.ndarray | None, blocks: dict,
-               index: int, msg: MessageState) -> dict:
+def _run_point(config: ExperimentConfig, response, blocks: dict, index: int,
+               msg: MessageState) -> dict:
     """Point ``index``'s outcome: ``response`` contracted with its message's
     state (under noise, from its :func:`_message_gates` with ``blocks``)."""
+    import numpy as np
+    from .analysis import clone_metrics
+    from .simulator import apply_response, message_state
+    from .tomography import _child_seed, basis_p1, sample_tomography, tomography_run
     noise, records = _noise(config), None
     # exact mode draws no seed: that would import numpy.random
     seed = _child_seed(config.seed, index) if config.mode == "shots" else None
@@ -287,6 +293,7 @@ class ExperimentRecord:
 
 
 def _aggregate(config: ExperimentConfig, results: list) -> dict:
+    import numpy as np  # its pairwise sums are in the records
     per_clone = [[] for _ in range(config.m)]
     failed = 0
     for point in results:
@@ -387,12 +394,12 @@ def emit_heatmap(record: ExperimentRecord, clone_index: int) -> str:
     cfg = record.config
     if not (0 <= clone_index < cfg.m):
         raise ConfigError(f"clone index {clone_index} out of range for m={cfg.m}")
-    grid = np.full((cfg.n_psi, cfg.n_phi), math.nan)
+    grid = [[math.nan] * cfg.n_phi for _ in range(cfg.n_psi)]
     for point in record.results:
         if point["error"] is not None:
             continue
         row, col = point["psi_index"], point["phi_index"]
-        grid[row, col] = point["clones"][clone_index]["fidelity"]
+        grid[row][col] = point["clones"][clone_index]["fidelity"]
     lines = [",".join(repr(float(v)) for v in row) for row in grid]
     return "\n".join(lines) + "\n"
 

@@ -1,5 +1,7 @@
 """Device model: 27-qubit heavy-hex coupling graph, the seven caterpillar
-layouts, native-gateset transpilation and the X-X decoupling pass.
+layouts, gate durations and noise, the simulators' qubit caps,
+native-gateset transpilation and the X-X decoupling pass. Nothing here
+needs numpy, so a config is checked without loading the numeric layers.
 
 A layout places the protocol's hardware line onto the lattice: the ancilla
 arm and clone arm are nearest-neighbour paths meeting at the port, with the
@@ -14,15 +16,17 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache
 from importlib import resources
 
 from .circuit import Circuit, Instruction, rz, sx, x
-from .exceptions import CapacityError, CircuitError, TranspileError
+from .exceptions import CapacityError, SimulationError, TranspileError
 from .telecloning import TelecloningVariant
 
 _NATIVE_GATES = ("rz", "sx", "x", "cx")
+DEFAULT_QUBIT_CAP = 24
+_DENSITY_QUBIT_CAP = 8  # qubits of a walked density matrix: a noisy prep or an oracle
 
 
 @dataclass(frozen=True)
@@ -185,6 +189,31 @@ class DurationTable:
         return cls(cx_overrides=overrides, **kwargs)
 
 
+@dataclass(frozen=True)
+class NoiseModel:
+    """Static gate-level noise. Probabilities are per instruction; rz is
+    treated as virtual (error-free) and barriers carry no noise."""
+
+    depolarizing_1q: float = 0.0
+    depolarizing_2q: float = 0.0
+    readout_flip: float = 0.0
+    amplitude_damping_idle: float | None = None
+
+    def __post_init__(self):
+        for f in fields(self):
+            p = getattr(self, f.name)
+            if p is None and f.default is None:  # a channel that may be left unset
+                continue
+            if not isinstance(p, numbers.Real) or isinstance(p, bool):
+                raise SimulationError(f"{f.name}={p!r} is not a number")
+            if not (0.0 <= p <= 1.0):
+                raise SimulationError(f"{f.name}={p} outside [0, 1]")
+
+    def any_noise(self) -> bool:
+        return (self.depolarizing_1q > 0 or self.depolarizing_2q > 0
+                or self.readout_flip > 0 or bool(self.amplitude_damping_idle))
+
+
 # ---------------------------------------------------------------------------
 # native-gateset translation
 # ---------------------------------------------------------------------------
@@ -315,8 +344,11 @@ def insert_dd(circuit: Circuit, durations: DurationTable | None = None) -> Circu
     Only native-gateset circuits are schedulable. Windows overlapping the
     feed-forward region (from the first conditional's classical wait to the
     last conditional's end) receive no pulses, and nothing is ever inserted
-    inside a conditional body. Semantics are unchanged: X pairs multiply to
-    the identity.
+    inside a conditional body. Nor is a window of zero length padded, or
+    one that ends at a measure whose bit a conditional reads: pulses there
+    would split the Bell measurement that the feed-forward reads, which the
+    simulator traces as one step. Semantics are unchanged: X pairs multiply
+    to the identity.
     """
     durations = durations or DurationTable()
     for ins in circuit.instructions:
@@ -331,6 +363,7 @@ def insert_dd(circuit: Circuit, durations: DurationTable | None = None) -> Circu
                   if ins.gate == "cond"]
     epoch = (min(s for s, _ in cond_spans), max(e for _, e in cond_spans)) \
         if cond_spans else None
+    read = {ins.cond_clbit for ins in circuit.instructions if ins.gate == "cond"}
 
     # per-qubit op intervals in time order
     per_qubit: dict[int, list] = {}
@@ -347,7 +380,10 @@ def insert_dd(circuit: Circuit, durations: DurationTable | None = None) -> Circu
             lo, hi = e0, s1
             if epoch is not None and lo < epoch[1] and hi > epoch[0]:
                 hi = min(hi, epoch[0])  # keep out of the feed-forward region
-            if hi - lo >= 2 * xdur:
+            end = circuit.instructions[idx1]
+            if end.gate == "measure" and end.clbit in read:
+                continue
+            if hi > lo and hi - lo >= 2 * xdur:
                 insertions.setdefault(idx1, []).append(q)
 
     out: list[Instruction] = []

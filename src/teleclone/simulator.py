@@ -76,16 +76,14 @@ from __future__ import annotations
 import math
 import numbers
 from collections import Counter
-from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
 from .circuit import Circuit, Instruction, _is_int, check, cond
 from .exceptions import SimulationError
+from .hardware import _DENSITY_QUBIT_CAP, DEFAULT_QUBIT_CAP, NoiseModel
 
-DEFAULT_QUBIT_CAP = 24
-_DENSITY_QUBIT_CAP = 8  # qubits of a walked density matrix: a noisy prep or an oracle
 _BRANCH_CAP = 4096
 _BLOCK_AMPLITUDES = 1 << 18  # shots x 2^n of one block of noisy trajectories
 _FLOOR = 1e-14  # prep amplitudes at or below this are rounding residue, dropped
@@ -97,31 +95,6 @@ _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SQRT_X = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex)
 _CX = np.eye(4, dtype=complex)[[0, 1, 3, 2]]  # over (control, target)
 _PAULIS_1Q = (np.eye(2, dtype=complex), _X, _Y, _Z)
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Static gate-level noise. Probabilities are per instruction; rz is
-    treated as virtual (error-free) and barriers carry no noise."""
-
-    depolarizing_1q: float = 0.0
-    depolarizing_2q: float = 0.0
-    readout_flip: float = 0.0
-    amplitude_damping_idle: float | None = None
-
-    def __post_init__(self):
-        for f in fields(self):
-            p = getattr(self, f.name)
-            if p is None and f.default is None:  # a channel that may be left unset
-                continue
-            if not isinstance(p, numbers.Real) or isinstance(p, bool):
-                raise SimulationError(f"{f.name}={p!r} is not a number")
-            if not (0.0 <= p <= 1.0):
-                raise SimulationError(f"{f.name}={p} outside [0, 1]")
-
-    def any_noise(self) -> bool:
-        return (self.depolarizing_1q > 0 or self.depolarizing_2q > 0
-                or self.readout_flip > 0 or bool(self.amplitude_damping_idle))
 
 
 def gate_matrix(ins: Instruction) -> np.ndarray:

@@ -151,6 +151,25 @@ def test_heatmap_shape_and_uniformity():
         emit_heatmap(rec, 2)
 
 
+def test_heatmap_renders_a_failed_point_as_nan():
+    """The heatmap of a record with a failed point, against the grid filled
+    as a numpy array of nan."""
+    cfg = ExperimentConfig(m=2, variant=NOA, n_psi=2, n_phi=3)
+    fids = [1 / 3, 0.1, 5 / 6, None, 0.7 + 1e-12, 1.0]
+    results = [{"psi_index": i // 3, "phi_index": i % 3,
+                "clones": [] if f is None else [{"fidelity": f}, {"fidelity": 1 - f}],
+                "error": "failed" if f is None else None} for i, f in enumerate(fids)]
+    rec = ExperimentRecord(config=cfg, results=results)
+    for k in range(2):
+        grid = np.full((2, 3), math.nan)
+        for point in results:
+            if point["error"] is None:
+                grid[point["psi_index"], point["phi_index"]] = point["clones"][k]["fidelity"]
+        want = "\n".join(",".join(repr(float(v)) for v in row) for row in grid) + "\n"
+        assert emit_heatmap(rec, k) == want
+    assert emit_heatmap(rec, 0).splitlines()[1].startswith("nan,")
+
+
 def test_bloch_output_shrinks_message():
     cfg = ExperimentConfig(m=2, variant=NOA, n_psi=3, n_phi=3, mode="exact")
     rec = run_experiment(cfg)
@@ -176,6 +195,20 @@ def test_transpiled_dd_run_matches_theory():
     rec = run_experiment(cfg)
     assert rec.aggregate["n_failed"] == 0
     assert abs(rec.aggregate["overall_mean_fidelity"] - 5 / 6) < 1e-9
+
+
+@pytest.mark.parametrize("m,variant", [(2, NOA), (3, OPT), (2, FULL)])
+@pytest.mark.parametrize("xdur", [0, 1, 10])
+def test_dd_with_short_x_pulses_runs_every_point(m, variant, xdur):
+    """X pulses shorter than half the port's window between its Bell cx and
+    its measure, or of no length at all, leave the Bell measurement whole:
+    no pair pads that window or a zero-length one, and every point meets
+    the theory bound."""
+    cfg = ExperimentConfig(m=m, variant=variant, n_psi=2, n_phi=2, layout_index=0, dd=True,
+                           durations=DurationTable(x=xdur))
+    rec = run_experiment(cfg)
+    assert rec.aggregate["n_failed"] == 0
+    assert abs(rec.aggregate["overall_mean_fidelity"] - theoretical_fidelity(1, m)) < 1e-9
 
 
 def test_noise_floor_heavy_depolarizing():
@@ -347,7 +380,8 @@ def test_cli_reports_an_unallocatable_grid_as_an_error(tmp_path):
     """A grid too large to allocate is an error line and exit 1, not a
     MemoryError traceback. The child's address space is capped at 2 GiB, so
     the grid is never really allocated; one BLAS thread keeps its buffers
-    within that cap."""
+    within that cap. The error comes at once, not after the grid has been
+    built value by value up to the cap."""
     import resource
 
     def cap():
@@ -355,10 +389,12 @@ def test_cli_reports_an_unallocatable_grid_as_an_error(tmp_path):
 
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"m": 2, "variant": "no-ancilla", "n_psi": 10 ** 12, "n_phi": 1}))
+    start = time.perf_counter()
     r = subprocess.run([sys.executable, "-m", "teleclone.cli", "run", "--config", str(cfg),
                         "--out-dir", str(tmp_path / "runs")],
                        capture_output=True, text=True, preexec_fn=cap,
                        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert time.perf_counter() - start < 3  # about 0.3 s; 5 s built value by value
     assert r.returncode == 1
     assert "error" in r.stderr and "Traceback" not in r.stderr
 
@@ -435,6 +471,43 @@ def test_cli_import_loads_every_traced_layer():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        check=True)
     assert r.stdout.strip() == "[]"
+
+
+def test_config_record_circuit_and_qasm_load_no_numpy():
+    """Importing the package, reading a noisy layout + DD config and a
+    record, building a circuit and exporting it to QASM load no numpy; each
+    public name loads its home module's object on first access, and each
+    submodule that the package used to import eagerly is an attribute."""
+    import teleclone
+    config = {"m": 2, "variant": "no-ancilla", "layout_index": 0, "dd": True,
+              "durations": {"x": 40.0}, "mode": "shots",
+              "noise": {"depolarizing_1q": 0.01, "readout_flip": 0.02}}
+    record = {"config": config, "aggregate": {"n_points": 1, "n_failed": 1},
+              "results": [{"index": 0, "psi_index": 0, "phi_index": 0, "psi": 0.0,
+                           "phi": 0.0, "clones": [], "error": "failed"}]}
+    code = f"""
+import sys
+import teleclone
+from teleclone.experiment import ExperimentConfig, ExperimentRecord
+ExperimentConfig.from_json_dict({config!r})
+ExperimentRecord.from_json({json.dumps(record)!r})
+from teleclone import MessageState, TelecloningVariant, build_protocol_circuit, export_qasm
+export_qasm(build_protocol_circuit(2, TelecloningVariant.NO_ANCILLA, MessageState(0.3, 0.4)))
+print(sorted(m for m in ("numpy", "teleclone.simulator") if m in sys.modules))
+assert teleclone.simulator.run_shots and teleclone.exceptions.ConfigError
+"""
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       check=True)
+    assert r.stdout.strip() == "[]"
+    for name in teleclone.__all__:
+        value = getattr(teleclone, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+    star = {}
+    exec("from teleclone import *", star)
+    assert set(teleclone.__all__) <= set(star)
+    assert "__all__" in dir(teleclone) and "NoiseModel" in dir(teleclone)
+    with pytest.raises(AttributeError):
+        getattr(teleclone, "no_such_name")
 
 
 def test_traced_benchmark_cli_runs_a_noisy_sweep(tmp_path):

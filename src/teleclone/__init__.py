@@ -13,8 +13,8 @@ _HOMES = {
     "telecloning": ("MessageState", "TelecloningVariant", "build_protocol_circuit",
                     "build_telecloning_state"),
     "hardware": ("NoiseModel",),
-    "simulator": ("apply_noise_channel", "exact_clone_states", "exact_subsystem_state",
-                  "noisy_clone_states", "partial_trace", "run_shots", "statevector"),
+    "simulator": ("exact_clone_states", "exact_subsystem_state", "noisy_clone_states",
+                  "partial_trace", "run_shots", "statevector"),
     "tomography": ("TomographyRecord", "linear_inversion", "mle_fit", "tomography_run"),
     "analysis": ("CloneMetrics", "bloch_vector", "clone_metrics", "concurrence", "fidelity",
                  "fidelity_general", "negativity", "shrinking_factor",

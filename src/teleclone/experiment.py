@@ -11,13 +11,15 @@ each chunk compiles one clone response (``simulator.compile_response``)
 from a template message, and a point contracts it with its message state:
 exact mode records the contracted states, and shots mode draws each
 clone's counts from them (``tomography.sample_tomography``). No point
-builds a circuit. Under noise the response holds the prep as a density
-matrix, which must fit the density cap without the message (M <= 4 with
-ancillas); shots mode compiles the x, y and z responses in one call, which
-walks their common prep once, and each point walks its message's own gates
-(``_message_gates``) to its noisy state (``simulator.message_state``).
-Noisy shots whose prep is past the cap share no response; their points run
-trajectories (``tomography.tomography_run``).
+builds a circuit. Under gate noise the response holds the prep as a
+density matrix, which must fit the density cap without the message (M <= 4
+with ancillas); a readout flip alone acts on measures only and leaves the
+prep pure at every M. Shots mode compiles the x, y and z responses in one
+call, which walks their common prep once, and each point walks its
+message's own gates (``_message_gates``) to its noisy state
+(``simulator.message_state``). Shots under gate noise whose prep is past
+the cap share no response; their points run trajectories
+(``tomography.tomography_run``).
 
 Configs and records are built, checked and serialized without numpy; the
 functions that simulate and aggregate import ``simulator``, ``tomography``,
@@ -89,9 +91,10 @@ class ExperimentConfig:
         if prep + 1 > DEFAULT_QUBIT_CAP:
             raise ConfigError(f"the protocol circuit's {prep + 1} qubits exceed the "
                               f"{DEFAULT_QUBIT_CAP}-qubit statevector cap")
-        if self.mode == "exact" and _noise(self) is not None and prep > _DENSITY_QUBIT_CAP:
-            raise ConfigError(f"noisy exact mode needs a density matrix over the {prep} "
-                              f"prep qubits, past the {_DENSITY_QUBIT_CAP}-qubit cap")
+        if self.mode == "exact" and self.noise is not None and self.noise.any_gate_noise() \
+                and prep > _DENSITY_QUBIT_CAP:
+            raise ConfigError(f"gate noise in exact mode needs a density matrix over the "
+                              f"{prep} prep qubits, past the {_DENSITY_QUBIT_CAP}-qubit cap")
 
     def to_json_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -204,15 +207,16 @@ def _response_for(config: ExperimentConfig):
     :func:`compile_response` call on the config's transformed circuits: of
     the "none" circuit in exact mode and without noise, and in noisy shots
     mode of the x, y and z circuits, stacked, whose one prep is walked once.
-    None for noisy shots whose prep, every qubit but the message, is past
-    the density cap: each point then runs its own trajectories."""
+    None for shots under gate noise whose prep, every qubit but the
+    message, is past the density cap: each point then runs its own
+    trajectories."""
     from .simulator import compile_response
     from .tomography import BASES
     noise, transform = _noise(config), _transform_for(config)
     circuit = build_protocol_circuit(config.m, config.variant, _TEMPLATE)
     if noise is None or config.mode == "exact":
         return compile_response([transform(circuit)], noise)[0]
-    if _prep_qubits(config) > _DENSITY_QUBIT_CAP:
+    if noise.any_gate_noise() and _prep_qubits(config) > _DENSITY_QUBIT_CAP:
         return None
     return compile_response([transform(with_tomography(circuit, basis)) for basis in BASES],
                             noise)

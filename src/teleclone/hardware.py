@@ -192,7 +192,12 @@ class DurationTable:
 @dataclass(frozen=True)
 class NoiseModel:
     """Static gate-level noise. Probabilities are per instruction; rz is
-    treated as virtual (error-free) and barriers carry no noise."""
+    treated as virtual (error-free) and barriers carry no noise. Every other
+    gate is followed by depolarizing (``depolarizing_2q`` jointly after a
+    cx, ``depolarizing_1q`` otherwise) and then by amplitude damping with
+    gamma ``amplitude_damping_idle`` on each of its qubits: despite its name,
+    damping acts after gates, not in idle windows. ``readout_flip`` flips
+    each recorded measurement outcome."""
 
     depolarizing_1q: float = 0.0
     depolarizing_2q: float = 0.0
@@ -209,9 +214,14 @@ class NoiseModel:
             if not (0.0 <= p <= 1.0):
                 raise SimulationError(f"{f.name}={p} outside [0, 1]")
 
-    def any_noise(self) -> bool:
+    def any_gate_noise(self) -> bool:
+        """Whether a channel follows some gate: without one, a state before
+        the first measurement stays pure."""
         return (self.depolarizing_1q > 0 or self.depolarizing_2q > 0
-                or self.readout_flip > 0 or bool(self.amplitude_damping_idle))
+                or bool(self.amplitude_damping_idle))
+
+    def any_noise(self) -> bool:
+        return self.any_gate_noise() or self.readout_flip > 0
 
 
 # ---------------------------------------------------------------------------

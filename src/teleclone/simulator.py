@@ -16,8 +16,8 @@ terminal measurements to the final distribution, the density walk
 defers them too and splits and merges readout-flip branches, and the
 trajectory mode samples every shot's outcome and splits its shots by the
 recorded bit.
-:func:`_noise_after` is the one rule for which noise follows a gate, read
-by both noisy modes.
+:func:`_channels` is the one rule for which noise follows a gate: the
+list of channels, in order, that both noisy modes read.
 
 The trajectory mode runs the shots in blocks, each one (2^n, shots) array
 with a shot's state in each column, capped at ``_BLOCK_AMPLITUDES``
@@ -32,18 +32,19 @@ The resource state does not depend on the message, and after the Bell cx
 only one-qubit gates touch a clone, so a protocol circuit's clone states
 are traced before its feed-forward (Murao et al., PRA 59, 156 (1999)).
 :func:`_traced` runs the prep once over every qubit but the message, a pure
-state without noise and a density matrix with it, takes each group's
-marginal with the port and runs a small tail over (message, port, group):
-the message's gates from its Bell cx on, the Bell measures and the group's
-own later gates, with the four message inputs |i><j| as a batch. Noise
-acts on a gate's own qubits only, so every clone state is linear in the
-message's state after its own gates (:func:`message_state` walks them
-alone), and one :func:`compile_response` call serves every message of a sweep
-(:func:`apply_response`) and every tomography basis: circuits whose preps
-are equal share one prep run, and all the density walks of the call share
-one dict of blocks. :func:`exact_clone_states` contracts a response with the
-circuit's own message, and noiseless tomography draws each clone's counts
-from its contracted state. Any other circuit, and noiseless
+state when no channel follows its gates and a density matrix otherwise,
+takes each group's marginal with the port and runs a small tail over
+(message, port, group): the message's gates from its Bell cx on, the Bell
+measures and the group's own later gates, with the four message inputs
+|i><j| as a batch. Noise acts on a gate's own qubits only, so every clone
+state is linear in the message's state after its own gates
+(:func:`message_state` walks them alone), and one :func:`compile_response`
+call serves every message of a sweep (:func:`apply_response`) and every
+tomography basis: circuits whose preps are equal share one prep run, and
+all the density walks of the call share one dict of blocks.
+:func:`exact_clone_states` contracts a response with the circuit's own
+message, and noiseless tomography draws each clone's counts from its
+contracted state. Any other circuit, and noiseless
 :func:`run_shots`, is walked in full from |0...0> on the support of each
 branch, its instructions read where they lie and its qubits through their
 compaction map (:func:`_full_walk`).
@@ -74,7 +75,6 @@ branch as such a support, which a measure splits by the measured bit; only
 from __future__ import annotations
 
 import math
-import numbers
 from collections import Counter
 from functools import lru_cache
 
@@ -524,11 +524,12 @@ def _traced(jobs, noise: NoiseModel | None = None) -> list:
 
     After the Bell cx only one-qubit gates touch a clone, and noise acts on
     a gate's own qubits, so a group sees the prep only through its marginal
-    with the port. A prep runs once over every qubit but the message:
-    without ``noise`` (None, or every channel zero) as the support of a
-    pure state (:func:`_prep_state`), whose marginals are :func:`_gram`
-    products, and with it as a density matrix over at most
-    ``_DENSITY_QUBIT_CAP`` qubits, whose marginals are partial traces.
+    with the port. A prep runs once over every qubit but the message: when
+    none of its gates is followed by a channel (:func:`_channels`; the
+    readout flip acts on measures only) as the support of a pure state
+    (:func:`_prep_state`), whose marginals are :func:`_gram` products, and
+    otherwise as a density matrix over at most ``_DENSITY_QUBIT_CAP``
+    qubits, whose marginals are partial traces.
     Circuits whose prep instructions are equal and act on the same axes, as
     the tomography bases of one circuit do, share that run; any other prep
     runs on its own. Each group's tail then runs over (message, port,
@@ -538,8 +539,7 @@ def _traced(jobs, noise: NoiseModel | None = None) -> list:
     (:func:`_cut`). Every density walk of the call shares one dict of
     blocks, so each distinct (instruction, qubit count) is built once."""
     eye = np.eye(2, dtype=complex)
-    noise = noise if noise is not None and noise.any_noise() else None
-    tail_noise = NoiseModel() if noise is None else noise
+    noise = NoiseModel() if noise is None else noise
     preps, blocks, out = [], {}, []
     for circuit, groups in jobs:
         position = _validated(circuit)
@@ -562,7 +562,7 @@ def _traced(jobs, noise: NoiseModel | None = None) -> list:
         p = len(axis)
         state = next((s for a, g, s in preps if a == axis and g == prep), None)
         if state is None:
-            if noise is None:
+            if not noise.any_gate_noise() or not any(_channels(ins, noise) for ins in prep):
                 state = _prep_state(prep, axis)
             elif p > _DENSITY_QUBIT_CAP:
                 raise SimulationError(f"a density matrix over {p} qubits exceeds the "
@@ -575,11 +575,12 @@ def _traced(jobs, noise: NoiseModel | None = None) -> list:
         for group in groups:
             n, k = 2 + len(group), 1 << len(group)
             keep = [axis[q] for q in (pq, *group)]
-            marginal = _gram(state, keep, p) if noise is None else partial_trace(state, keep)
+            marginal = _gram(state, keep, p) if isinstance(state, tuple) \
+                else partial_trace(state, keep)
             tail_axis = {mq: 0, pq: 1, **{q: 2 + r for r, q in enumerate(group)}}
             tail = [_remap(ins, tail_axis) for ins in post + bell + _cut(later, group)]
             start = np.einsum("ia,jb,xy->ixjyab", eye, eye, marginal, order="C")
-            after = _density_walk(tail, n, circuit.num_clbits, tail_noise,
+            after = _density_walk(tail, n, circuit.num_clbits, noise,
                                   start.reshape(1 << n, 1 << n, 2, 2), blocks)
             maps.append(np.einsum("axay...->...xy", after.reshape(4, k, 4, k, 2, 2)))
         out.append(maps)
@@ -728,21 +729,19 @@ def run_shots(circuit: Circuit, shots: int, seed: int,
 # noise: one placement rule, sampled per shot or evolved exactly
 # ---------------------------------------------------------------------------
 
-def _noise_after(ins: Instruction, noise: NoiseModel) -> tuple[float, float]:
-    """(depolarizing probability, amplitude-damping gamma) that follow one
-    gate. ``rz`` is virtual and noise-free; ``cx`` depolarizes its two
-    qubits jointly and every other gate its one qubit; idle amplitude
-    damping then acts on each qubit of the gate."""
+def _channels(ins: Instruction, noise: NoiseModel) -> list[tuple]:
+    """The channels that follow one gate, in the order they act, each a
+    (kind, qubits, parameter) entry: none after the virtual ``rz``; after any
+    other gate ("depolarizing", its qubits, p) when p > 0, p being
+    depolarizing_2q after ``cx`` (its two qubits jointly) and depolarizing_1q
+    otherwise, then ("damping", (q,), gamma) on each of its qubits q when
+    amplitude_damping_idle is set."""
     if ins.gate == "rz":
-        return 0.0, 0.0
+        return []
     p = noise.depolarizing_2q if ins.gate == "cx" else noise.depolarizing_1q
-    return p, noise.amplitude_damping_idle or 0.0
-
-
-def _superop(kraus) -> np.ndarray:
-    """sum_K K (x) K*: the channel on a density matrix read as a vector,
-    its row qubits before its column qubits."""
-    return sum(np.kron(K, K.conj()) for K in kraus)
+    gamma = noise.amplitude_damping_idle
+    channels = [("depolarizing", ins.qubits, p)] if p > 0 else []
+    return channels + [("damping", (q,), gamma) for q in ins.qubits if gamma]
 
 
 def _damping(gamma: float) -> np.ndarray:
@@ -760,42 +759,36 @@ def _depolarizing(p: float, k: int) -> np.ndarray:
     return (1 - p) * np.eye(1 << 2 * k) + p / (1 << k) * np.outer(eye, eye)
 
 
-def _channel_block(superop: np.ndarray, qubits, n: int) -> tuple:
-    """The block of a :func:`_superop` on ``qubits`` of a density matrix
-    over ``n`` qubits, read as a vector over 2n."""
-    return _block(superop, [*qubits, *(q + n for q in qubits)])
-
-
 def _noisy_block(ins: Instruction, noise: NoiseModel, n: int) -> tuple:
-    """One gate of the density walk with the noise that follows it
-    (:func:`_noise_after`): the gate, depolarizing on its qubits jointly,
-    then amplitude damping on each of its qubits in turn."""
-    k = len(ins.qubits)
-    p, gamma = _noise_after(ins, noise)
-    superop = _superop([gate_matrix(ins)])
-    if p > 0:
-        superop = _depolarizing(p, k) @ superop
-    for b in range(k if gamma else 0):  # on superop's rows, its columns a batch axis
-        _apply_block(superop, _block(_damping(gamma), [b, k + b]))
-    return _channel_block(superop, ins.qubits, n)
+    """One gate of the density walk with the :func:`_channels` that follow
+    it, on a density matrix over ``n`` qubits read as a vector over 2n: the
+    superoperator U (x) U* of the gate, then each channel's in turn."""
+    k, u = len(ins.qubits), gate_matrix(ins)
+    superop = np.kron(u, u.conj()) + 0  # + 0 turns its -0.0 entries into the blocks' 0.0
+    for kind, qubits, param in _channels(ins, noise):
+        if kind == "depolarizing":
+            superop = _depolarizing(param, k) @ superop
+        else:  # on superop's rows, its columns a batch axis
+            b = ins.qubits.index(qubits[0])
+            _apply_block(superop, _block(_damping(param), [b, k + b]))
+    return _block(superop, [*ins.qubits, *(q + n for q in ins.qubits)])
 
 
 def _slot_schedule(instructions, noise: NoiseModel):
     """Offset of every instruction's first uniform in a shot's row, keyed by
     ``id`` (cond bodies included; :func:`compact` makes every instruction
     its own object), and the row width. A measurement reads one uniform for
-    its outcome and one for its readout flip; a gate, one for its
-    depolarizing Pauli and one per qubit for amplitude damping. A shot that
-    skips a cond body leaves the body's slots unread, so every shot reads
-    the same slot for the same instruction whatever its branch."""
+    its outcome and one for its readout flip; a gate, one per channel of its
+    :func:`_channels`, in their order. A shot that skips a cond body leaves
+    the body's slots unread, so every shot reads the same slot for the same
+    instruction whatever its branch."""
     slots, width = {}, 0
     for ins in _ops(instructions):
         slots[id(ins)] = width
         if ins.gate == "measure":
             width += 1 + (noise.readout_flip > 0)
         elif ins.gate != "barrier":
-            p, gamma = _noise_after(ins, noise)
-            width += (p > 0) + (len(ins.qubits) if gamma else 0)
+            width += len(_channels(ins, noise))
     return slots, width
 
 
@@ -851,32 +844,29 @@ def _trajectory_rules(noise: NoiseModel, slots: dict, gate, paulis, u: np.ndarra
     A branch's state is (block, shots): a (2^n, k) block holding the
     normalized states of k shots, one per column (so a gate's inner loops
     run along the shots), and those shots' positions in the block, which
-    index the columns of ``u`` (one row per slot). Depolarizing with
-    probability p replaces the state by I/2 (I/4 for cx), so after a 1q gate
-    a shot takes X, Y or Z with probability p/4 each, and after a cx one of
-    the 16 two-qubit Paulis with probability p/16 each.
+    index the columns of ``u`` (one row per slot). After the gate, channel j
+    of its :func:`_channels` draws from slot ``slots[id(ins)] + j``.
+    Depolarizing with probability p replaces the state by I/2 (I/4 jointly
+    on two qubits), so on one qubit a shot takes X, Y or Z with probability
+    p/4 each, and on two one of the 16 two-qubit Paulis with probability
+    p/16 each; damping is :func:`_damp_columns`.
     """
     flip = noise.readout_flip
 
     def apply(state, ins):
         psi, shots = state
         gate(psi, ins)
-        p, gamma = _noise_after(ins, noise)
-        k = slots[id(ins)]
-        if p > 0:
+        for k, (kind, qubits, param) in enumerate(_channels(ins, noise), slots[id(ins)]):
             draw = u[k][shots]
-            k += 1
-            if ins.gate == "cx":
-                which = np.where(draw < p, np.minimum(draw * (16 / p), 15), 0).astype(int)
-                _pauli_columns(psi, which >> 2, paulis[ins.qubits[0]])
-                _pauli_columns(psi, which & 3, paulis[ins.qubits[1]])
+            if kind == "damping":
+                _damp_columns(psi, qubits[0], param, draw)
+            elif len(qubits) == 2:
+                which = np.where(draw < param, np.minimum(draw * (16 / param), 15), 0).astype(int)
+                _pauli_columns(psi, which >> 2, paulis[qubits[0]])
+                _pauli_columns(psi, which & 3, paulis[qubits[1]])
             else:
-                which = np.where(draw < 0.75 * p, np.minimum(draw * (4 / p), 2) + 1, 0)
-                _pauli_columns(psi, which.astype(int), paulis[ins.qubits[0]])
-        if gamma:
-            for q in ins.qubits:
-                _damp_columns(psi, q, gamma, u[k][shots])
-                k += 1
+                which = np.where(draw < 0.75 * param, np.minimum(draw * (4 / param), 2) + 1, 0)
+                _pauli_columns(psi, which.astype(int), paulis[qubits[0]])
         return state
 
     def measure(branches, ins):
@@ -1001,25 +991,19 @@ def message_state(gates, noise: NoiseModel, blocks: dict) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# channels and partial trace
+# partial trace
 # ---------------------------------------------------------------------------
 
-def _checked_qubits(rho: np.ndarray, qubits) -> tuple[int, list]:
-    """The qubit count of a square density matrix whose side is a power of
-    two, and ``qubits`` as a list of distinct qubits in range."""
+def partial_trace(rho: np.ndarray, keep, num_qubits: int | None = None) -> np.ndarray:
+    """Standard partial trace of a square density matrix, whose side is a
+    power of two, onto the ordered list ``keep`` of distinct qubits."""
     dim = rho.shape[0] if rho.ndim == 2 else 0
     if dim < 1 or dim & (dim - 1) or rho.shape != (dim, dim):
         raise SimulationError(f"density matrix of shape {rho.shape} is not square "
                               "with a power of two side")
-    n, qubits = dim.bit_length() - 1, list(qubits)
-    if any(q not in range(n) for q in qubits) or len(set(qubits)) < len(qubits):
-        raise SimulationError(f"qubits {qubits} out of range or repeated for {n} qubits")
-    return n, qubits
-
-
-def partial_trace(rho: np.ndarray, keep, num_qubits: int | None = None) -> np.ndarray:
-    """Standard partial trace onto the ordered qubit list ``keep``."""
-    n, keep = _checked_qubits(rho, keep)
+    n, keep = dim.bit_length() - 1, list(keep)
+    if any(q not in range(n) for q in keep) or len(set(keep)) < len(keep):
+        raise SimulationError(f"qubits {keep} out of range or repeated for {n} qubits")
     if not keep or num_qubits not in (None, n):
         raise SimulationError(f"keep set {keep} is empty, or the state is over {n} "
                               f"qubits, not {num_qubits}")
@@ -1030,27 +1014,3 @@ def partial_trace(rho: np.ndarray, keep, num_qubits: int | None = None) -> np.nd
     k = len(keep)
     tensor = tensor.reshape(1 << k, 1 << (n - k), 1 << k, 1 << (n - k))
     return np.einsum("ajbj->ab", tensor)
-
-
-def apply_noise_channel(rho: np.ndarray, channel: tuple, qubits) -> np.ndarray:
-    """Apply a named single-qubit CPTP channel to each listed qubit (or a
-    joint two-qubit depolarizing when two qubits are given)."""
-    if not (isinstance(channel, (tuple, list)) and len(channel) == 2
-            and isinstance(channel[1], numbers.Real) and not isinstance(channel[1], bool)
-            and 0.0 <= channel[1] <= 1.0):
-        raise SimulationError(f"channel {channel!r} is not a (name, number in [0, 1]) pair")
-    name, param = channel
-    n, qubits = _checked_qubits(rho, qubits)
-    joint = name == "depolarizing" and len(qubits) == 2
-    if name == "depolarizing":
-        superop = _depolarizing(param, 2 if joint else 1)
-    elif name == "bit_flip":
-        superop = _superop([math.sqrt(1 - param) * _PAULIS_1Q[0], math.sqrt(param) * _X])
-    elif name == "amplitude_damping":
-        superop = _damping(param)
-    else:
-        raise SimulationError(f"unknown channel '{name}'")
-    out = rho.astype(complex, order="C")
-    for group in [qubits] if joint else [[q] for q in qubits]:
-        _apply_block(out, _channel_block(superop, group, n))
-    return out

@@ -136,7 +136,8 @@ def tomography_run(m: int, variant: TelecloningVariant, message: MessageState,
     once for the three bases, and :func:`sample_tomography` draws the counts
     from them, as a noiseless sweep point does. Under noise each basis
     circuit samples joint counts with :func:`run_shots` from its own child
-    of ``seed``: sweeps reach this only with noise past the density cap.
+    of ``seed``: sweeps reach this only with gate noise past the density
+    cap.
     """
     _check_int("shots_per_basis", shots_per_basis, 1)
     transform = transform or (lambda circuit: circuit)

@@ -67,8 +67,9 @@ def _configs(draw):
                                        depolarizing_2q=_UNIT, readout_flip=_UNIT,
                                        amplitude_damping_idle=st.none() | _UNIT))
     mode = draw(st.sampled_from(["exact", "shots"]))
-    # noisy exact mode holds a density matrix: at most 8 qubits, M=3 with ancillas
-    small = variant is NOA or (mode == "exact" and noise is not None and noise.any_noise())
+    # gate noise in exact mode holds a density matrix: at most 8 qubits, M=3 with ancillas
+    small = variant is NOA or (mode == "exact" and noise is not None
+                               and noise.any_gate_noise())
     return ExperimentConfig(
         m=draw(st.integers(2, 3) if small else st.integers(2, 10)),
         variant=variant, n_psi=draw(st.integers(1, 50)), n_phi=draw(st.integers(1, 50)),
@@ -510,6 +511,27 @@ assert teleclone.simulator.run_shots and teleclone.exceptions.ConfigError
         getattr(teleclone, "no_such_name")
 
 
+def test_density_cap_check_of_a_config_loads_no_numpy():
+    """An exact config past the density cap is accepted under readout-only
+    noise and refused under gate noise, and neither check loads numpy."""
+    code = """
+import sys
+from teleclone.exceptions import ConfigError
+from teleclone.experiment import ExperimentConfig
+base = {"m": 10, "variant": "with-ancilla-optimized", "mode": "exact"}
+ExperimentConfig.from_json_dict({**base, "noise": {"readout_flip": 0.02}})
+try:
+    ExperimentConfig.from_json_dict({**base, "noise": {"depolarizing_1q": 0.01}})
+    print("accepted")
+except ConfigError as e:
+    print("density matrix" in str(e))
+print("numpy" in sys.modules)
+"""
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       check=True)
+    assert r.stdout.split() == ["True", "False"]
+
+
 def test_traced_benchmark_cli_runs_a_noisy_sweep(tmp_path):
     """bench/traced_cli.py wraps every layer it names, which fails on a name
     the package no longer has, and runs a small noisy shots sweep (M=2
@@ -692,6 +714,7 @@ def test_cli_rejects_bad_worker_count(tmp_path, monkeypatch, value):
 
 @pytest.mark.parametrize("entry", [
     {"noise": {"readout_flip": "0.1"}},
+    {"noise": {"depolarizing_1q": 1.5}},
     {"noise": {"bogus": 0.1}},
     {"noise": [0.1]},
     {"n_psi": "3"},
@@ -707,7 +730,7 @@ def test_cli_rejects_bad_worker_count(tmp_path, monkeypatch, value):
     {"m": 5, "variant": "with-ancilla-optimized", "mode": "exact",
      "noise": {"depolarizing_1q": 0.1}},
     {"m": 12, "variant": "with-ancilla-optimized", "n_psi": 2, "n_phi": 2, "mode": "exact"},
-], ids=["noise-string", "noise-unknown-key", "noise-list", "n_psi-string",
+], ids=["noise-string", "noise-out-of-range", "noise-unknown-key", "noise-list", "n_psi-string",
         "dd-string", "seed-negative", "seed-too-large", "seed-float",
         "durations-string", "durations-number", "cx-override-string",
         "no-ancilla-m4", "layout-m11", "noisy-exact-past-density-cap",
@@ -1003,6 +1026,53 @@ def test_noisy_shots_walk_the_prep_once_for_all_bases(m, variant, monkeypatch):
     walks = _prep_walks(monkeypatch)
     assert _response_for(cfg).shape == (3, m, 2, 2, 2, 2)
     assert walks == [prep]
+
+
+_READOUT_ONLY = NoiseModel(readout_flip=0.1)
+
+
+@pytest.mark.parametrize("m,variant", [(2, NOA), (3, OPT)])
+def test_readout_only_response_walks_a_pure_prep(m, variant, monkeypatch):
+    """A readout flip acts on measures only, so the prep of a readout-only
+    sweep is walked as a pure support, with no density walk, and its
+    responses, at layout 0 with decoupling, still give the point circuit's
+    noisy_clone_states in exact mode and the density oracle's P(1) of each
+    clone and basis in shots mode."""
+    from dataclasses import replace
+
+    from teleclone import build_protocol_circuit, noisy_clone_states
+    from teleclone.experiment import _message_gates, _response_for, _transform_for
+    from teleclone.simulator import apply_response, message_state
+    exact = ExperimentConfig(m=m, variant=variant, layout_index=0, dd=True,
+                             noise=_READOUT_ONLY)
+    shots = replace(exact, mode="shots")
+    walks = _prep_walks(monkeypatch)
+    response, per_basis = _response_for(exact), _response_for(shots)
+    assert walks == []
+    msg = MessageState(1.1, 4.2)
+    rho = message_state(_message_gates(exact, msg), _READOUT_ONLY, {})
+    want = noisy_clone_states(_transform_for(exact)(build_protocol_circuit(m, variant, msg)),
+                              _READOUT_ONLY)
+    for got, clone in zip(apply_response(response, rho), want, strict=True):
+        np.testing.assert_allclose(got, clone, rtol=0, atol=1e-12)
+    f = _READOUT_ONLY.readout_flip
+    p1 = [[(1 - f) * s[1, 1].real + f * s[0, 0].real
+           for s in apply_response(r, rho)] for r in per_basis]
+    np.testing.assert_allclose(np.transpose(p1), _density_p1(shots, msg), rtol=0, atol=1e-12)
+
+
+def test_readout_only_noise_runs_past_the_density_cap():
+    """Readout-only noise needs no density matrix, so it runs at every M: an
+    M=10 exact sweep with ancillas fails no point and its flipped Bell bits
+    lower the fidelity below the noiseless optimum, and M=5 shots share one
+    response instead of running trajectories."""
+    from teleclone.experiment import _response_for
+    cfg = ExperimentConfig(m=10, variant=OPT, n_psi=2, n_phi=1, noise=_READOUT_ONLY)
+    rec = run_experiment(cfg)
+    assert rec.aggregate["n_failed"] == 0
+    assert 0.5 < rec.aggregate["overall_mean_fidelity"] < 0.7 - 1e-3
+    shots = ExperimentConfig(m=5, variant=OPT, mode="shots", noise=_READOUT_ONLY)
+    assert _response_for(shots).shape == (3, 5, 2, 2, 2, 2)
 
 
 def test_a_different_prep_is_walked_on_its_own(monkeypatch):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from teleclone import (Circuit, MessageState, TelecloningVariant,
+from teleclone import (Circuit, MessageState, NoiseModel, TelecloningVariant,
                        build_protocol_circuit, exact_clone_states, h, ry, rz,
                        stats, validate, x)
 from teleclone.exceptions import CapacityError, TranspileError
@@ -216,3 +216,19 @@ def test_duration_table_roundtrip_and_validation():
         DurationTable(rz=5.0)
     with pytest.raises(TranspileError):
         DurationTable(sx=-1.0)
+
+
+@pytest.mark.parametrize("kwargs,gate,any_", [
+    ({}, False, False),
+    ({"readout_flip": 0.2}, False, True),
+    ({"amplitude_damping_idle": 0.0, "depolarizing_1q": 0.0}, False, False),
+    ({"depolarizing_1q": 0.01}, True, True),
+    ({"depolarizing_2q": 0.01}, True, True),
+    ({"amplitude_damping_idle": 0.01, "readout_flip": 0.2}, True, True),
+], ids=["none", "readout-only", "zeros", "depolarizing_1q", "depolarizing_2q", "damping"])
+def test_noise_model_tells_gate_noise_from_readout(kwargs, gate, any_):
+    """A readout flip is noise but no gate channel; a channel set to zero is
+    neither."""
+    noise = NoiseModel(**kwargs)
+    assert noise.any_gate_noise() is gate
+    assert noise.any_noise() is any_

@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 from teleclone import (Circuit, MessageState, NoiseModel, TelecloningVariant,
-                       apply_noise_channel, build_protocol_circuit, cond, cx,
-                       exact_clone_states, exact_subsystem_state, h, measure,
-                       noisy_clone_states, partial_trace, run_shots, ry, rz, sx, x, z)
+                       build_protocol_circuit, cond, cx, exact_clone_states,
+                       exact_subsystem_state, h, measure, noisy_clone_states,
+                       partial_trace, run_shots, ry, rz, sx, x, z)
 from teleclone.exceptions import SimulationError
 from teleclone.simulator import _apply_block, _block, compact, gate_matrix
 
-from .oracles import (PAULIS, apply_1q, apply_unitary, damp, depolarize, embed,
-                      enumerate_branches, ideal_clone_rho, kraus_apply,
-                      noisy_gate, ptrace_pure, random_density_matrix)
+from .oracles import (PAULIS, apply_1q, apply_unitary, embed, enumerate_branches,
+                      ideal_clone_rho, noisy_gate, ptrace_pure, random_density_matrix)
 
 NOA = TelecloningVariant.NO_ANCILLA
 OPT = TelecloningVariant.WITH_ANCILLA_OPTIMIZED
@@ -617,6 +616,23 @@ def test_partial_trace_product_and_bell():
         partial_trace(rho_b, [5])
 
 
+def test_partial_trace_rejects_a_matrix_that_is_not_a_density_matrix():
+    for rho in (np.eye(3) / 3, np.eye(4)[:, :2], np.ones(4)):
+        with pytest.raises(SimulationError, match="power of two"):
+            partial_trace(rho, [0])
+
+
+def test_partial_trace_rejects_a_qubit_out_of_range():
+    for keep in ([5], [-1], [0, 2]):
+        with pytest.raises(SimulationError, match="out of range"):
+            partial_trace(np.eye(4) / 4, keep)
+
+
+def test_partial_trace_rejects_a_repeated_qubit():
+    with pytest.raises(SimulationError, match="repeated"):
+        partial_trace(np.eye(4) / 4, [0, 0])
+
+
 def test_partial_trace_ancilla_equivalence_m3():
     from teleclone import build_telecloning_state, statevector
     full = build_telecloning_state(3, FULL)
@@ -643,6 +659,10 @@ _ONE_CHANNEL = {
     "amplitude_damping": NoiseModel(amplitude_damping_idle=0.35),
     "all-four": NoiseModel(depolarizing_1q=0.3, depolarizing_2q=0.4, readout_flip=0.2,
                            amplitude_damping_idle=0.35),
+    "depolarizing-p0": NoiseModel(depolarizing_1q=0.0, depolarizing_2q=0.0,
+                                  amplitude_damping_idle=0.0),
+    "depolarizing-p1": NoiseModel(depolarizing_1q=1.0, depolarizing_2q=1.0),
+    "damping-gamma1": NoiseModel(amplitude_damping_idle=1.0),
 }
 
 
@@ -659,37 +679,44 @@ def test_density_walk_gate_matches_full_matrices(noise, n):
         np.testing.assert_allclose(got, noisy_gate(rho, ins, noise, n), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_noise_channels_match_full_matrices(n):
-    """apply_noise_channel on each qubit, on a qubit list, and as a joint
-    depolarizing on a reversed qubit pair, against full 2^n matrices."""
-    rho = random_density_matrix(np.random.default_rng(10 + n), 1 << n)
-    p = 0.3
-    flip = [math.sqrt(1 - p) * PAULIS[0], math.sqrt(p) * PAULIS[1]]
-    for q in range(n):
-        for name, want in (("depolarizing", depolarize(rho, p, [q], n)),
-                           ("bit_flip", kraus_apply(rho, flip, [q], n)),
-                           ("amplitude_damping", damp(rho, p, q, n))):
-            np.testing.assert_allclose(apply_noise_channel(rho, (name, p), [q]), want,
-                                       rtol=0, atol=1e-12)
-    np.testing.assert_allclose(apply_noise_channel(rho, ("amplitude_damping", p), [n - 1, 0]),
-                               damp(damp(rho, p, n - 1, n), p, 0, n), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(apply_noise_channel(rho, ("depolarizing", p), [n - 1, 0]),
-                               depolarize(rho, p, [n - 1, 0], n), rtol=0, atol=1e-12)
+_CHANNELS_AFTER = {
+    "rz": (rz(0.7, 1), []),
+    "h": (h(2), [("depolarizing", (2,), 0.3), ("damping", (2,), 0.35)]),
+    "cx": (cx(2, 0), [("depolarizing", (2, 0), 0.4), ("damping", (2,), 0.35),
+                      ("damping", (0,), 0.35)]),
+}
+
+
+@pytest.mark.parametrize("ins,want", list(_CHANNELS_AFTER.values()), ids=list(_CHANNELS_AFTER))
+def test_channels_follow_a_gate_in_order(ins, want):
+    """Under all four channels a gate is followed by depolarizing on its
+    qubits (depolarizing_2q jointly after a cx, in the cx's own qubit
+    order), then damping on each of its qubits in turn, and rz by nothing; a
+    zero channel is left out, and the readout flip follows no gate."""
+    from teleclone.simulator import _channels
+    assert _channels(ins, _ONE_CHANNEL["all-four"]) == want
+    assert _channels(ins, _ONE_CHANNEL["amplitude_damping"]) == \
+        [c for c in want if c[0] == "damping"]
+    assert _channels(ins, _ONE_CHANNEL["readout_flip"]) == []
+    assert _channels(ins, _ONE_CHANNEL["depolarizing-p0"]) == []
 
 
 def test_trajectory_step_matches_oracle():
     """A trajectory step applies the gate to every column of a block, then
-    each column's drawn Pauli: after a 1q gate X, Y or Z with probability
-    p/4 each, after a cx one of the 16 two-qubit Paulis with p/16 each, and
-    none after the virtual rz. The oracle does the same column by column,
-    gate by gate, to 1e-12."""
-    from teleclone.simulator import (_PAULIS_1Q, _block, _block_rule, _slot_schedule,
-                                     _trajectory_rules)
-    n, cols, p = 3, 64, 0.9
-    noise = NoiseModel(depolarizing_1q=p, depolarizing_2q=p)
+    each column's draw of every channel that follows it: none after the
+    virtual rz; after a 1q gate X, Y or Z with probability p/4 each, after a
+    cx one of the 16 two-qubit Paulis with p/16 each; then on each qubit of
+    the gate the damping jump |1> -> |0> where the draw is below gamma P(1),
+    else the renormalized no-jump. The oracle does the same column by
+    column, gate by gate, channel j reading slot ``slots[id(ins)] + j``, to
+    1e-12."""
+    from teleclone.simulator import (_PAULIS_1Q, _block, _block_rule, _channels,
+                                     _slot_schedule, _trajectory_rules)
+    n, cols, p, gamma = 3, 64, 0.9, 0.6
+    noise = NoiseModel(depolarizing_1q=p, depolarizing_2q=p, amplitude_damping_idle=gamma)
     gates = _oracle_gates(n)
     slots, width = _slot_schedule(gates, noise)
+    assert width == sum(len(_channels(ins, noise)) for ins in gates)
     rng = np.random.default_rng(3)
     u = rng.random((width, cols))
     psi = rng.normal(size=(1 << n, cols)) + 1j * rng.normal(size=(1 << n, cols))
@@ -698,66 +725,34 @@ def test_trajectory_step_matches_oracle():
     apply, _ = _trajectory_rules(noise, slots, _block_rule(gates),
                                  [[_block(P, (q,)) for P in _PAULIS_1Q] for q in range(n)], u)
     state = (psi, np.arange(cols))
+    read, jumps = 0, []
     for ins in gates:
         state = apply(state, ins)
+        first = slots[id(ins)]
         for c, col in enumerate(want):
             apply_unitary(col, ins, n)
-            draw = u[slots[id(ins)], c]
             if ins.gate == "rz":
                 continue
+            draw = u[first, c]
             if ins.gate == "cx":
                 pair = int(min(draw * (16 / p), 15)) if draw < p else 0
                 apply_1q(col, PAULIS[pair >> 2], ins.qubits[0], n)
                 apply_1q(col, PAULIS[pair & 3], ins.qubits[1], n)
             elif draw < 0.75 * p:
                 apply_1q(col, PAULIS[int(min(draw * (4 / p), 2)) + 1], ins.qubits[0], n)
+            for j, q in enumerate(ins.qubits, 1):
+                one = col.reshape(1 << q, 2, -1)[:, 1]
+                p1 = np.vdot(one, one).real
+                jumps.append(u[first + j, c] < gamma * p1)
+                if jumps[-1]:
+                    apply_1q(col, np.array([[0, 1], [0, 0]]) / math.sqrt(p1), q, n)
+                else:
+                    no_jump = np.diag([1, math.sqrt(1 - gamma)]) / math.sqrt(1 - gamma * p1)
+                    apply_1q(col, no_jump, q, n)
+        read += 0 if ins.gate == "rz" else 1 + len(ins.qubits)
+    assert read == width and 0 < sum(jumps) < len(jumps)
     assert state[0] is psi
     np.testing.assert_allclose(psi, np.transpose(want), rtol=0, atol=1e-12)
-
-
-def test_noise_channels_basic():
-    rho0 = np.diag([1.0, 0.0]).astype(complex)
-    np.testing.assert_allclose(apply_noise_channel(rho0, ("depolarizing", 0.0), [0]),
-                               rho0, atol=1e-12)
-    np.testing.assert_allclose(apply_noise_channel(rho0, ("depolarizing", 1.0), [0]),
-                               np.eye(2) / 2, atol=1e-12)
-    rho1 = np.diag([0.0, 1.0]).astype(complex)
-    np.testing.assert_allclose(
-        apply_noise_channel(rho1, ("amplitude_damping", 1.0), [0]), rho0, atol=1e-12)
-    with pytest.raises(SimulationError):
-        apply_noise_channel(rho0, ("depolarizing", 1.5), [0])
-    # trace preserved
-    out = apply_noise_channel(rho0, ("bit_flip", 0.3), [0])
-    assert abs(np.trace(out).real - 1.0) < 1e-10
-
-
-def test_noise_channel_rejects_a_matrix_that_is_not_a_density_matrix():
-    for rho in (np.eye(3) / 3, np.eye(4)[:, :2], np.ones(4)):
-        with pytest.raises(SimulationError, match="power of two"):
-            apply_noise_channel(rho, ("depolarizing", 0.1), [0])
-
-
-def test_noise_channel_rejects_a_qubit_out_of_range():
-    for qubits in ([5], [-1], [0, 2]):
-        with pytest.raises(SimulationError, match="out of range"):
-            apply_noise_channel(np.eye(4) / 4, ("bit_flip", 0.1), qubits)
-
-
-@pytest.mark.parametrize("channel", ["depolarizing", ("depolarizing",),
-                                     ("depolarizing", 0.1, 2), None,
-                                     ("depolarizing", "0.1"), ("bit_flip", True),
-                                     ("bit_flip", None), ("bit_flip", float("nan"))],
-                         ids=["name-only", "one-tuple", "three-tuple", "none",
-                              "string-param", "bool-param", "none-param", "nan-param"])
-def test_noise_channel_rejects_a_channel_that_is_not_a_name_and_number(channel):
-    with pytest.raises(SimulationError, match="channel"):
-        apply_noise_channel(np.eye(2) / 2, channel, [0])
-
-
-def test_noise_channel_rejects_a_repeated_qubit():
-    for name in ("depolarizing", "amplitude_damping"):
-        with pytest.raises(SimulationError, match="repeated"):
-            apply_noise_channel(np.eye(4) / 4, (name, 0.1), [0, 0])
 
 
 def _phased_preps(rng, count: int):

@@ -12,14 +12,15 @@ from a template message, and a point contracts it with its message state:
 exact mode records the contracted states, and shots mode draws each
 clone's counts from them (``tomography.sample_tomography``). No point
 builds a circuit. Under gate noise the response holds the prep as a
-density matrix, which must fit the density cap without the message (M <= 4
-with ancillas); a readout flip alone acts on measures only and leaves the
-prep pure at every M. Shots mode compiles the x, y and z responses in one
-call, which walks their common prep once, and each point walks its
-message's own gates (``_message_gates``) to its noisy state
-(``simulator.message_state``). Shots under gate noise whose prep is past
-the cap share no response; their points run trajectories
-(``tomography.tomography_run``).
+density matrix within the density cap without the message (M <= 4 with
+ancillas), and past it as the mean of ``simulator._TRAJECTORIES`` prep
+trajectories keyed by the config's seed; a readout flip alone acts on
+measures only and leaves the prep pure at every M. Shots mode compiles the
+x, y and z responses in one call, which walks their common prep once, and
+each point walks its message's own gates (``_message_gates``) to its noisy
+state (``simulator.message_state``). A record whose response came from
+trajectories also carries, per clone, the standard error of its mean
+fidelity over the trajectories.
 
 Configs and records are built, checked and serialized without numpy; the
 functions that simulate and aggregate import ``simulator``, ``tomography``,
@@ -36,9 +37,8 @@ from itertools import repeat
 
 from .circuit import Circuit, _is_int
 from .exceptions import ConfigError, SimulationError, TelecloneError, TranspileError
-from .hardware import (_DENSITY_QUBIT_CAP, DEFAULT_QUBIT_CAP, DurationTable, NoiseModel,
-                       _native_1q, check_capacity, enumerate_layouts, insert_dd,
-                       transpile_to_native)
+from .hardware import (DEFAULT_QUBIT_CAP, DurationTable, NoiseModel, _native_1q,
+                       check_capacity, enumerate_layouts, insert_dd, transpile_to_native)
 from .telecloning import (MessageState, TelecloningVariant, build_protocol_circuit,
                           check_variant, message_prep, with_tomography)
 
@@ -91,10 +91,6 @@ class ExperimentConfig:
         if prep + 1 > DEFAULT_QUBIT_CAP:
             raise ConfigError(f"the protocol circuit's {prep + 1} qubits exceed the "
                               f"{DEFAULT_QUBIT_CAP}-qubit statevector cap")
-        if self.mode == "exact" and self.noise is not None and self.noise.any_gate_noise() \
-                and prep > _DENSITY_QUBIT_CAP:
-            raise ConfigError(f"gate noise in exact mode needs a density matrix over the "
-                              f"{prep} prep qubits, past the {_DENSITY_QUBIT_CAP}-qubit cap")
 
     def to_json_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -204,39 +200,38 @@ _TEMPLATE = MessageState(0.0, 0.0)
 
 def _response_for(config: ExperimentConfig):
     """The clone response that every point of a sweep chunk shares, from one
-    :func:`compile_response` call on the config's transformed circuits: of
+    ``simulator._compiled`` call on the config's transformed circuits: of
     the "none" circuit in exact mode and without noise, and in noisy shots
-    mode of the x, y and z circuits, stacked, whose one prep is walked once.
-    None for shots under gate noise whose prep, every qubit but the
-    message, is past the density cap: each point then runs its own
-    trajectories."""
-    from .simulator import compile_response
+    mode of the x, y and z circuits, stacked, whose one prep is walked once;
+    paired with its trajectories' responses when its prep ran as
+    trajectories (keyed by the config's seed), else with None."""
+    from .simulator import _compiled
     from .tomography import BASES
     noise, transform = _noise(config), _transform_for(config)
     circuit = build_protocol_circuit(config.m, config.variant, _TEMPLATE)
     if noise is None or config.mode == "exact":
-        return compile_response([transform(circuit)], noise)[0]
-    if noise.any_gate_noise() and _prep_qubits(config) > _DENSITY_QUBIT_CAP:
-        return None
-    return compile_response([transform(with_tomography(circuit, basis)) for basis in BASES],
-                            noise)
+        response, samples = _compiled([transform(circuit)], noise, config.seed)
+        return response[0], None if samples is None else samples[0]
+    return _compiled([transform(with_tomography(circuit, basis)) for basis in BASES],
+                     noise, config.seed)
 
 
 def _run_point(config: ExperimentConfig, response, blocks: dict, index: int,
                msg: MessageState) -> dict:
-    """Point ``index``'s outcome: ``response`` contracted with its message's
-    state (under noise, from its :func:`_message_gates` with ``blocks``)."""
+    """Point ``index``'s outcome: the :func:`_response_for` pair's response
+    contracted with its message's state (under noise, from its
+    :func:`_message_gates` with ``blocks``), and, with trajectories, each
+    clone's fidelity under each trajectory's response, an (M, trajectories)
+    array: the exact state's in exact mode, and the linear inversion of the
+    exact P(1)s in shots mode."""
     import numpy as np
     from .analysis import clone_metrics
     from .simulator import apply_response, message_state
-    from .tomography import _child_seed, basis_p1, sample_tomography, tomography_run
-    noise, records = _noise(config), None
+    from .tomography import _child_seed, basis_p1, sample_response, sample_tomography
+    noise, records, (response, samples) = _noise(config), None, response
     # exact mode draws no seed: that would import numpy.random
     seed = _child_seed(config.seed, index) if config.mode == "shots" else None
-    if response is None:
-        records = tomography_run(config.m, config.variant, msg, config.shots_per_basis,
-                                 seed=seed, noise=noise, transform=_transform_for(config))
-    elif noise is None:
+    if noise is None:
         # transpiling changes the message's gates only by a global phase,
         # and decoupling pulses multiply to the identity
         a = np.array(msg.amplitudes())
@@ -249,26 +244,32 @@ def _run_point(config: ExperimentConfig, response, blocks: dict, index: int,
         if config.mode == "exact":
             rhos = apply_response(response, rho)
         else:
-            f = noise.readout_flip
-            p1 = [[(1 - f) * s[1, 1].real + f * s[0, 0].real
-                   for s in apply_response(per_basis, rho)] for per_basis in response]
-            records = sample_tomography(np.clip(np.transpose(p1), 0.0, 1.0),
-                                        config.shots_per_basis, seed)
+            records = sample_response(response, rho, noise, config.shots_per_basis, seed)
     if records is not None:
         rhos = [rec.reconstructed for rec in records]
     clones = []
-    for k, rho in enumerate(rhos):
-        met = clone_metrics(rho, msg.bloch())
+    for k, state in enumerate(rhos):
+        met = clone_metrics(state, msg.bloch())
         clones.append({
             "clone_index": k,
             "fidelity": met.fidelity_to_message,
             "bloch": list(met.bloch),
             "bloch_angle_error": met.bloch_angle_error,
             "bloch_magnitude": met.bloch_magnitude,
-            "rho": [[[float(v.real), float(v.imag)] for v in row] for row in rho],
+            "rho": [[[float(v.real), float(v.imag)] for v in row] for row in state],
             "tomography": None if records is None else records[k].to_json_dict(),
         })
-    return {"clones": clones, "error": None}
+    if samples is None:
+        return {"clones": clones, "error": None}
+    if config.mode == "exact":
+        a = np.array(msg.amplitudes())
+        fid = np.einsum("ij,tkijxy,x,y->kt", rho, samples, a.conj(), a).real
+    else:
+        f = noise.readout_flip
+        d = np.einsum("ij,btkijxx->btkx", rho, samples).real
+        bloch = 1 - 2 * ((1 - f) * d[..., 1] + f * d[..., 0])
+        fid = 0.5 * (1 + np.einsum("btk,b->kt", bloch, msg.bloch()))
+    return {"clones": clones, "error": None, "trajectory_fidelity": fid}
 
 
 @dataclass
@@ -292,11 +293,44 @@ class ExperimentRecord:
                 and isinstance(d.get("aggregate"), dict)):
             raise ConfigError("a record must be an object with a 'config', a 'results' "
                               "list and an 'aggregate' object")
+        _check_record(d["results"], d["aggregate"])
         return cls(config=ExperimentConfig.from_json_dict(d["config"]),
                    results=d["results"], aggregate=d["aggregate"])
 
 
-def _aggregate(config: ExperimentConfig, results: list) -> dict:
+def _check_record(results: list, aggregate: dict) -> None:
+    """Refuse, naming the field, a record whose ``results`` or ``aggregate``
+    lack a field that a summary of it reads, or hold one of the wrong type."""
+    def field_of(d, key, path, kinds, none=False):
+        if not isinstance(d, dict):
+            raise ConfigError(f"record field {path} is not an object")
+        value = d.get(key)
+        if none and key in d and value is None:
+            return None
+        if not isinstance(value, kinds) or isinstance(value, bool):
+            raise ConfigError(f"record field {path}[{key!r}] is missing or not "
+                              f"{' or '.join(k.__name__ for k in kinds)}")
+        return value
+
+    for key in ("n_points", "n_failed"):
+        field_of(aggregate, key, "aggregate", (int,))
+    mean = field_of(aggregate, "overall_mean_fidelity", "aggregate", (int, float), none=True)
+    if mean is not None:
+        field_of(aggregate, "overall_std_fidelity", "aggregate", (int, float))
+        for k, row in enumerate(field_of(aggregate, "per_clone", "aggregate", (list,))):
+            field_of(row, "mean_fidelity", f"aggregate['per_clone'][{k}]", (int, float))
+    for i, point in enumerate(results):
+        for k, clone in enumerate(field_of(point, "clones", f"results[{i}]", (list,))):
+            for key in ("bloch_magnitude", "bloch_angle_error"):
+                field_of(clone, key, f"results[{i}]['clones'][{k}]", (int, float))
+
+
+def _aggregate(config: ExperimentConfig, results: list, trajectories: list) -> dict:
+    """The record's aggregate of ``results``. With the (M, K) trajectory
+    fidelities of each point that ran, in point order, it adds K as
+    ``trajectories`` and each clone's ``mean_fidelity_se``: the standard
+    error, over the K trajectories, of the clone's mean fidelity over those
+    points."""
     import numpy as np  # its pairwise sums are in the records
     per_clone = [[] for _ in range(config.m)]
     failed = 0
@@ -307,7 +341,7 @@ def _aggregate(config: ExperimentConfig, results: list) -> dict:
         for clone in point["clones"]:
             per_clone[clone["clone_index"]].append(clone["fidelity"])
     alls = [f for fs in per_clone for f in fs]
-    return {
+    aggregate = {
         "per_clone": [{"mean_fidelity": float(np.mean(fs)) if fs else None,
                        "std_fidelity": float(np.std(fs)) if fs else None}
                       for fs in per_clone],
@@ -316,6 +350,12 @@ def _aggregate(config: ExperimentConfig, results: list) -> dict:
         "n_points": len(results),
         "n_failed": failed,
     }
+    if trajectories:
+        means = np.mean(trajectories, axis=0)  # each trajectory's mean over the points
+        aggregate["trajectories"] = means.shape[1]
+        for row, per_run in zip(aggregate["per_clone"], means):
+            row["mean_fidelity_se"] = float(np.std(per_run, ddof=1) / math.sqrt(per_run.size))
+    return aggregate
 
 
 def _failure(exc: Exception) -> dict:
@@ -381,6 +421,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     else:
         done = list(map(_run_chunk, *jobs))
     outcomes = [outcome for chunk in done for outcome in chunk]
+    trajectories = [o.pop("trajectory_fidelity") for o in outcomes if "trajectory_fidelity" in o]
     results = [{"index": i,
                 "psi_index": i // config.n_phi,
                 "phi_index": i % config.n_phi,
@@ -389,7 +430,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
                 **outcome}
                for i, (msg, outcome) in enumerate(zip(states, outcomes))]
     return ExperimentRecord(config=config, results=results,
-                            aggregate=_aggregate(config, results))
+                            aggregate=_aggregate(config, results, trajectories))
 
 
 def emit_heatmap(record: ExperimentRecord, clone_index: int) -> str:

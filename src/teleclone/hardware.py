@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 from functools import cache
 from importlib import resources
 
-from .circuit import Circuit, Instruction, rz, sx, x
+from .circuit import Circuit, Instruction, _is_int, rz, sx, x
 from .exceptions import CapacityError, SimulationError, TranspileError
 from .telecloning import TelecloningVariant
 
@@ -133,6 +133,19 @@ def _check_duration(name: str, value) -> None:
                              f"got {value!r}")
 
 
+def _cx_pair(pair, seen) -> tuple[int, int]:
+    """A cx_overrides key as the (min, max) pair that :meth:`DurationTable.gate`
+    looks up: a cx keys its two qubits in either order. Refused when it is not
+    two distinct qubits or when ``seen`` already holds its pair."""
+    if not (isinstance(pair, tuple) and len(pair) == 2 and all(map(_is_int, pair))
+            and pair[0] != pair[1]):
+        raise TranspileError(f"cx_overrides key {pair!r} is not a pair of two qubits")
+    key = (min(pair), max(pair))
+    if key in seen:
+        raise TranspileError(f"two cx_overrides keys name the qubit pair {key}")
+    return key
+
+
 @dataclass(frozen=True)
 class DurationTable:
     """Gate durations in nanoseconds. rz is virtual and must stay at 0."""
@@ -150,8 +163,11 @@ class DurationTable:
             raise TranspileError("rz is virtual; its duration must be 0")
         for name in ("sx", "x", "cx", "measure", "feedforward_latency"):
             _check_duration(name, getattr(self, name))
+        pairs = {}
         for pair, value in self.cx_overrides.items():
             _check_duration(f"cx_overrides {pair}", value)
+            pairs[_cx_pair(pair, pairs)] = value
+        object.__setattr__(self, "cx_overrides", pairs)
 
     def gate(self, ins: Instruction) -> float:
         if ins.gate == "cx":
@@ -182,7 +198,7 @@ class DurationTable:
             if len(pair) != 2 or not all(p.isdecimal() for p in pair):
                 raise TranspileError(f"cx_overrides key {key!r} is not 'a-b'")
             _check_duration(f"cx_overrides {key}", v)
-            overrides[(int(pair[0]), int(pair[1]))] = float(v)
+            overrides[_cx_pair((int(pair[0]), int(pair[1])), overrides)] = float(v)
         kwargs = {k: d[k] for k in
                   ("rz", "sx", "x", "cx", "measure", "feedforward_latency")
                   if k in d}

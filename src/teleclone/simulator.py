@@ -2,80 +2,39 @@
 measurement, feed-forward, seeded shot sampling and configurable noise.
 
 Conventions: qubit 0 is the most significant bit of the state index; counts
-keys list classical bits ascending left-to-right. A pure state is strictly
-noiseless and carried on its sparse support; noise runs either as
-stochastic Kraus unravelling (Monte Carlo wavefunction trajectories, one
-per shot, on dense blocks) or as exact density-matrix evolution.
+keys list classical bits ascending left-to-right.
 
-One interpreter, :func:`_walk`, runs every mode. It carries a list of
-(classical bits, state) branches through the instructions and runs each
-cond body only on the branches whose bit matches. Each mode supplies how a
-gate acts on its state and how a measurement changes the branch list: the
-pure walk splits every branch's support into both outcomes and defers
-terminal measurements to the final distribution, the density walk
-defers them too and splits and merges readout-flip branches, and the
-trajectory mode samples every shot's outcome and splits its shots by the
-recorded bit.
-:func:`_channels` is the one rule for which noise follows a gate: the
-list of channels, in order, that both noisy modes read.
+One interpreter, :func:`_walk`, carries (classical bits, state) branches
+through the instructions and runs each cond body only on the branches whose
+bit matches; each mode supplies how a gate acts and how a measure changes
+the branches. A pure state is never walked dense: it is the (basis indices,
+amplitudes) of its support (:func:`_prep_state`, :func:`_full_walk`), and
+only :func:`statevector` scatters one. Noise follows each gate as
+:func:`_channels` lists it, and is evolved exactly as a density matrix
+within ``_DENSITY_QUBIT_CAP`` qubits (:func:`_density_branches`), each gate
+with its channels one superoperator applied by the :func:`_apply_block`
+kernel.
 
-The trajectory mode runs the shots in blocks, each one (2^n, shots) array
-with a shot's state in each column, capped at ``_BLOCK_AMPLITUDES``
-amplitudes. A branch is the group of a block's shots that recorded the same
-classical bits so far, with their states; a gate acts on the whole group
-at once, and its depolarizing Pauli and amplitude-damping jump act on the
-columns whose uniforms select them. Each shot reads its uniforms from a
-fixed slot schedule (:func:`_slot_schedule`) in its own counter-based
-Philox row (:func:`_shot_uniforms`), so counts do not depend on the blocks.
-
-The resource state does not depend on the message, and after the Bell cx
-only one-qubit gates touch a clone, so a protocol circuit's clone states
-are traced before its feed-forward (Murao et al., PRA 59, 156 (1999)).
-:func:`_traced` runs the prep once over every qubit but the message, a pure
-state when no channel follows its gates and a density matrix otherwise,
-takes each group's marginal with the port and runs a small tail over
-(message, port, group): the message's gates from its Bell cx on, the Bell
-measures and the group's own later gates, with the four message inputs
-|i><j| as a batch. Noise acts on a gate's own qubits only, so every clone
-state is linear in the message's state after its own gates
-(:func:`message_state` walks them alone), and one :func:`compile_response`
-call serves every message of a sweep (:func:`apply_response`) and every
-tomography basis: circuits whose preps are equal share one prep run, and
-all the density walks of the call share one dict of blocks.
-:func:`exact_clone_states` contracts a response with the circuit's own
-message, and noiseless tomography draws each clone's counts from its
-contracted state. Any other circuit, and noiseless
-:func:`run_shots`, is walked in full from |0...0> on the support of each
-branch, its instructions read where they lie and its qubits through their
-compaction map (:func:`_full_walk`).
-
-One kernel, :func:`_apply_block`, applies every gate and channel matrix
-of a density or trajectory walk, as a :func:`_block` built once per
-distinct instruction of a circuit (:func:`_block_rule`): only the slices of
-its non-identity rows are written, each from the slices its nonzero entries
-name, so an X is a half swap, a Z a sign flip and a controlled gate touches
-only the half where its control is set. Trailing axes are batch axes, so
-one block serves a trajectory block's shots in its columns and a density
-matrix read as a vector over 2n qubits, where a gate with its noise is one
-superoperator block sum_K K (x) K* on the axes (q..., q+n...).
-
-A pure state is never walked dense. A resource prep is a sum of
-Dicke-state products (Bärtschi and Eidenbenz, FCT 2019), nonzero on a
-sliver of the 2^n basis states: 2^(M+1) - 2 of them for the optimized
-resource, C(2M, M) for the full one. :func:`_prep_state` carries the state
-as the (basis indices, amplitudes) of its support and walks it in phases,
-each one pairing of the entries on a qubit, which lasts through a
-split-and-cyclic-shift block (rotations and cx on one target). A traced
-marginal is a Gram product of the amplitudes grouped by their index bits
-off its axes (:func:`_grouped`, :func:`_gram`). A full walk keeps each
-branch as such a support, which a measure splits by the measured bit; only
-:func:`statevector` scatters one into a dense state.
+A protocol circuit's clone states are traced before its feed-forward
+(Murao et al., PRA 59, 156 (1999)): the resource prep does not depend on
+the message, and after the Bell cx only one-qubit gates touch a clone, so
+:func:`_traced` runs the prep once over every qubit but the message, takes
+each clone's marginal with the port and runs a small density tail over
+(message, port, clone) for the four message inputs |i><j| at once. Noise
+acts on a gate's own qubits only, so the result is linear in the message's
+state after its own gates (:func:`message_state`), and one
+:func:`compile_response` serves every message of a sweep and every
+tomography basis (:func:`apply_response`). Under gate noise past the cap
+the prep runs as Monte Carlo wavefunction trajectories on its support
+(:func:`_trajectories`): each Pauli and each amplitude-damping Kraus
+operator maps a basis state to at most one basis state. :func:`run_shots`
+draws its counts from the exact outcome table of a walk of the whole
+circuit, pure without gate noise and a density matrix under it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -85,8 +44,13 @@ from .exceptions import SimulationError
 from .hardware import _DENSITY_QUBIT_CAP, DEFAULT_QUBIT_CAP, NoiseModel
 
 _BRANCH_CAP = 4096
-_BLOCK_AMPLITUDES = 1 << 18  # shots x 2^n of one block of noisy trajectories
+_TRAJECTORIES = 200  # of a noisy prep past the density cap, whose marginals are their mean
+_PAULI_GATES = ((), ("x",), ("z", "x"), ("z",))  # I, X, Y = iXZ and Z as the gates of a walk
 _FLOOR = 1e-14  # prep amplitudes at or below this are rounding residue, dropped
+# A trajectory's no-jump steps spoil the prep's cancellations into a wide tail
+# of tiny amplitudes (490k entries at M=10, damping 0.002; 12k above this
+# floor, which moves no (port, clone) marginal entry by 1e-4)
+_TRAJECTORY_FLOOR = 1e-5
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -94,7 +58,6 @@ _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SQRT_X = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex)
 _CX = np.eye(4, dtype=complex)[[0, 1, 3, 2]]  # over (control, target)
-_PAULIS_1Q = (np.eye(2, dtype=complex), _X, _Y, _Z)
 
 
 def gate_matrix(ins: Instruction) -> np.ndarray:
@@ -125,8 +88,7 @@ def _block(mat: np.ndarray, axes) -> tuple:
     each slice j where those axes read j, and each row i that is not a row
     of the identity as (i, whether slice i is copied before it is written
     because a later row reads it, its nonzero (column, entry) pairs, the
-    diagonal one first)). The entries keep the dtype of ``mat``: a complex
-    state multiplies fastest by complex scalars."""
+    diagonal one first)), the entries in the dtype of ``mat``."""
     k = len(axes)
     order = sorted(range(k), key=axes.__getitem__)
     if order != list(range(k)):
@@ -182,15 +144,11 @@ def _ops(instructions):
         yield from ins.body if ins.gate == "cond" else (ins,)
 
 
-def _block_rule(instructions, build=lambda ins: _block(gate_matrix(ins), ins.qubits),
-                built=None):
+def _block_rule(instructions, build, built: dict):
     """``apply`` of a :func:`_walk` of ``instructions``, whose qubits are
     state axes: each gate, cond bodies included, runs as the block that
-    ``build`` makes of it (by default its own matrix), built once per
-    distinct instruction into ``built`` (a new dict unless one is given), so
-    repeated decoupling pulses share one, and so do the walks that share
-    ``built``."""
-    built = {} if built is None else built
+    ``build`` makes of it, built once per distinct instruction into
+    ``built``, which repeated pulses and later walks share."""
     blocks = {}
     for ins in _ops(instructions):
         if ins.gate not in ("barrier", "measure"):
@@ -273,12 +231,10 @@ def _set_bit(bits: tuple, clbit: int, value: int) -> tuple:
 
 
 def _walk(instructions, branches, apply, measure):
-    """Run (clbits tuple, state) ``branches`` through ``instructions``.
-
+    """Run (clbits tuple, state) ``branches`` through ``instructions``:
     ``apply(state, ins)`` returns the state after one gate and
     ``measure(branches, ins)`` the branch list after one measurement. A cond
-    body runs only on the branches whose bit holds the cond value.
-    """
+    body runs only on the branches whose bit holds the cond value."""
     for ins in instructions:
         if ins.gate == "barrier":
             continue
@@ -313,15 +269,16 @@ def _terminal_measures(instructions):
     return terminal
 
 
-def _full_walk(circuit: Circuit, position: dict[int, int]):
+def _full_walk(circuit: Circuit, position: dict[int, int], flip: float = 0.0):
     """Walk a valid circuit in full from |0...0> with its terminal measures
     deferred, its qubits read through their :func:`_compaction` ``position``:
     (the (clbits, support) branches, each support the (basis indices,
     amplitudes) of a pure state over the compacted qubits, and the deferred
     (qubit, clbit) pairs in circuit order). The gates before its first
-    measure or cond run as one :func:`_prep_state`, and each later gate as
-    its own, from its branch's support. A measure splits every support by
-    the measured bit and drops an outcome of zero weight."""
+    measure or cond run as one :func:`_prep_state`, each later one on its
+    own. A measure splits every support by the measured bit, drops an
+    outcome of zero weight and records the bit flipped with probability
+    ``flip`` as a branch of its own scaled by sqrt(flip), read by the conds."""
     instructions = circuit.instructions
     n = len(position)
     terminal = _terminal_measures(instructions)
@@ -339,7 +296,10 @@ def _full_walk(circuit: Circuit, position: dict[int, int]):
             one = (idx >> (n - 1 - position[ins.qubits[0]]) & 1).astype(bool)
             for outcome, kept in enumerate((~one, one)):
                 if np.vdot(amp[kept], amp[kept]).real > 1e-24:
-                    out.append((_set_bit(bits, ins.clbit, outcome), (idx[kept], amp[kept])))
+                    for recorded, p in ((outcome, 1 - flip), (1 - outcome, flip)):
+                        if p > 0:
+                            out.append((_set_bit(bits, ins.clbit, recorded),
+                                        (idx[kept], amp[kept] * math.sqrt(p))))
         return out
 
     start = [((0,) * circuit.num_clbits, _prep_state(prep, position))]
@@ -365,8 +325,7 @@ def _protocol_parts(circuit: Circuit):
     instruction before the Bell measures is ``prep``, which runs ahead of
     that cx, so it may not touch the port after it. Every instruction after
     the first Bell measure but the second is ``later``; each, cond bodies
-    included, must act on one qubit and each of its measures be terminal.
-    """
+    included, must act on one qubit and each of its measures be terminal."""
     roles = circuit.roles
     if "port" not in roles or "message" not in roles:
         raise SimulationError("circuit lacks role metadata for the protocol")
@@ -412,9 +371,8 @@ def _grouped(support, axes, n: int) -> np.ndarray:
     rest = idx  # its bits off the axes, packed into n - k bits
     for s in sorted((n - 1 - a for a in axes), reverse=True):
         rest = rest >> (s + 1) << s | rest & ((1 << s) - 1)
-    # Number the groups in time linear in the support, with no sort: one
-    # entry of each group wins the write of its position into ``owner``, and
-    # the winners, in support order, are the groups.
+    # Number the groups with no sort: one entry of each group wins the write
+    # of its position into ``owner``; the winners, in support order, are the groups.
     owner = np.empty(1 << (n - k), dtype=np.int64)
     owner[rest] = np.arange(idx.size)
     first = np.flatnonzero(owner[rest] == np.arange(idx.size))
@@ -424,42 +382,62 @@ def _grouped(support, axes, n: int) -> np.ndarray:
     return rows
 
 
-def _prep_state(gates, axis: dict[int, int], start=None) -> tuple[np.ndarray, np.ndarray]:
+def _prep_state(gates, axis: dict[int, int], start=None, draw=None,
+                floor: float = _FLOOR) -> tuple[np.ndarray, np.ndarray]:
     """The pure state over the axes of ``axis`` after the unitary ``gates``,
     as the (basis indices, amplitudes) of its support, from |0...0> or from
     the support ``start``, which is left unchanged.
 
     The support is walked in phases. A mixing gate (ry, h, sx) on bit q
     pairs it on q through an ``owner`` table of 2^n entries into two rows
-    (bit q = 0, 1), a column per entry keyed by its index with bit q clear:
-    a pair shares the column of the entry that wins the write at its key,
-    the other columns stay zero. Until a mixing gate on another bit or a cx
-    controlled by q unpairs them, dropping rounding residue at or below
-    ``_FLOOR``, the gates on q multiply, in extended precision, into one
-    2x2 applied before a cx(c, q) swaps the rows of the columns whose key
-    has bit c set, and a z or rz elsewhere scales each column by the entry
-    its key selects. A cx off q XORs key bits; an x flips a bit of a mask
-    XORed in at the end. Amplitudes are complex only if ``start``'s are or
-    a gate is (rz, sx)."""
+    (bit q = 0, 1), a column per entry keyed by its index with bit q clear.
+    Until a mixing gate on another bit or a cx controlled by q unpairs them,
+    dropping amplitudes at or below ``floor``, the gates on q multiply, in
+    extended precision, into one 2x2 applied before a cx(c, q) swaps the
+    rows of the columns whose key has bit c set, and a z or rz elsewhere
+    scales each column by the entry its key selects. A cx off q XORs key
+    bits; an x flips a bit of a mask XORed in at the end. Amplitudes are
+    complex only if ``start``'s are or a gate is (rz, sx).
+
+    A trajectory's ``damping`` (:func:`_trajectories`) is the no-jump Kraus
+    operator diag(1, sqrt(1 - gamma)), gamma its angle, held off the paired
+    bit until a gate changes what its bit reads. By the jump rule the walk
+    draws r from ``draw`` and, at the damping where the squared norm falls
+    below r, applies |0><1| there, renormalizes and draws again; the norm is
+    summed only where its bound, a factor 1 - gamma per damping, is below r."""
     bit = {q: len(axis) - 1 - a for q, a in axis.items()}
     kinds = {(ins.gate, ins.angle): ins for ins in gates if ins.gate != "cx"}
     real = not any(gate in ("rz", "sx") for gate, _ in kinds) and (
         start is None or not np.iscomplexobj(start[1]))
     dtype, ext = (float, np.longdouble) if real else (complex, np.clongdouble)
-    mats = {k: gate_matrix(ins).real if real else gate_matrix(ins) for k, ins in kinds.items()}
+    mats = {k: np.diag([1.0, math.sqrt(1 - k[1])]) if k[0] == "damping"
+            else gate_matrix(ins).real if real else gate_matrix(ins) for k, ins in kinds.items()}
     keys, rows = (np.zeros(1, dtype=np.int64), np.ones((1, 1), dtype=dtype)) if start is None \
         else (start[0].copy(), start[1].astype(dtype)[None])
     owner = np.empty(1 << len(axis), dtype=np.int32)  # pages are touched only where written
     s, mat, scale, flip = -1, None, None, 0  # paired bit, its 2x2 and column scale; x mask
+    bound, r = 1.0, draw() if draw else 0.0  # a lower bound of the squared norm; the jump's r
+    lazy = {}  # unpaired bit -> the factors of its dampings where it reads 0 and 1, unapplied
+
+    def settle(bits):
+        nonlocal rows
+        for b in [b for b in bits if b in lazy]:
+            a0, a1 = lazy.pop(b)
+            rows = rows * (a0 if a0 == a1 else np.where((keys ^ flip) >> b & 1, a1, a0))
+
+    def amplitudes():
+        amps = rows if mat is None else mat.astype(dtype) @ rows
+        return amps if scale is None else amps * scale
 
     def unpair():
-        amps = rows if mat is None else mat.astype(dtype) @ rows
-        amps = (amps if scale is None else amps * scale).reshape(-1)
-        keep = np.flatnonzero(np.abs(amps) > _FLOOR)
+        amps = amplitudes().reshape(-1)
+        keep = np.flatnonzero(np.abs(amps) > floor)
         return np.concatenate([keys, keys | 1 << s])[keep], amps[None, keep]
 
     for ins in gates:
         gate, c, t = ins.gate, bit[ins.qubits[0]], bit[ins.qubits[-1]]
+        if t in lazy and gate in ("cx", "ry", "h", "sx"):  # gates that change what bit t reads
+            settle((t,))
         if s >= 0 and (gate == "cx" and c == s or gate in ("ry", "h", "sx") and t != s):
             (keys, rows), s, mat, scale = unpair(), -1, None, None
         if gate == "cx" and t == s:
@@ -470,6 +448,10 @@ def _prep_state(gates, axis: dict[int, int], start=None) -> tuple[np.ndarray, np
             flip ^= (flip >> c & 1) << t
         elif gate == "x" and t != s:
             flip ^= 1 << t
+            if t in lazy:
+                lazy[t].reverse()
+        elif gate == "damping" and t != s:
+            lazy.setdefault(t, [1.0, 1.0])[1] *= math.sqrt(1 - ins.angle)
         else:
             m = mats[gate, ins.angle]
             if t == s:
@@ -484,7 +466,22 @@ def _prep_state(gates, axis: dict[int, int], start=None) -> tuple[np.ndarray, np
                 owner[paired] = np.arange(keys.size, dtype=np.int32)
                 new.reshape(-1)[(keys >> t & 1) * keys.size + owner[paired]] = rows[0]
                 keys, rows = paired, new
+        if gate == "damping":
+            bound *= 1 - ins.angle
+            if bound < r:
+                settle(list(lazy))
+                amps = amplitudes()
+                bound = np.vdot(amps, amps).real
+            if bound < r:
+                if s >= 0:
+                    (keys, rows), s, mat, scale = unpair(), -1, None, None
+                one = np.flatnonzero((keys ^ flip) >> t & 1)
+                keys, rows = keys[one] ^ 1 << t, rows[:, one]
+                rows, bound, r = rows / math.sqrt(np.vdot(rows, rows).real), 1.0, draw()
+    settle(list(lazy))
     keys, rows = unpair() if s >= 0 else (keys, rows)
+    if any(gate == "damping" for gate, _ in kinds):
+        rows = rows / math.sqrt(np.vdot(rows, rows).real)
     return keys ^ flip, rows[0]
 
 
@@ -514,33 +511,62 @@ def _cut(later, group) -> list[Instruction]:
     return out
 
 
-def _traced(jobs, noise: NoiseModel | None = None) -> list:
+def _trajectories(prep, axis: dict[int, int], noise: NoiseModel, seed: int, count: int):
+    """The first ``count`` trajectories of the noisy ``prep`` over the axes
+    of ``axis``, Monte Carlo wavefunctions (Dalibard, Castin and Mølmer, PRL
+    68, 580 (1992)) on its support: :func:`_prep_state` of the prep's gates,
+    each followed by its :func:`_channels` as trajectory t draws them from
+    the Philox stream keyed by (``seed``, t). Depolarizing with probability
+    p takes each of the 4^k Paulis on its k qubits with probability p/4^k,
+    inserted as z and x (Y = iXZ), from one uniform per channel drawn first;
+    damping is a ``damping`` instruction, applied by the walk's jump rule.
+    Their mean |psi><psi| is the noisy prep's state, without bias but for
+    the amplitudes at or below ``_TRAJECTORY_FLOOR`` that the walk drops."""
+    gates, channels = [], []  # the prep with its dampings; each depolarizing (place, qubits, p)
+    for ins in prep:
+        gates.append(ins)
+        for kind, qubits, p in _channels(ins, noise):
+            if kind == "damping":
+                gates.append(Instruction("damping", qubits, angle=p))
+            else:
+                channels.append((len(gates), qubits, p))
+    probs = np.array([p for _, _, p in channels])
+    for t in range(count):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, t], dtype=np.uint64)))
+        u = rng.random(len(channels))
+        walked, done = [], 0
+        for k in np.flatnonzero(u < probs).tolist():
+            place, qubits, p = channels[k]
+            pauli = min(int(u[k] * 4 ** len(qubits) / p), 4 ** len(qubits) - 1)
+            walked += gates[done:place]
+            done = place
+            for q, a in zip(qubits, divmod(pauli, 4)[2 - len(qubits):]):  # first qubit leads
+                walked += [Instruction(g, (q,)) for g in _PAULI_GATES[a]]
+        yield _prep_state(walked + gates[done:], axis, draw=rng.random, floor=_TRAJECTORY_FLOOR)
+
+
+def _traced(jobs, noise: NoiseModel | None = None, seed: int = 0) -> list:
     """For each (protocol circuit, groups) pair of ``jobs``, each ordered
     qubit tuple in its ``groups`` as a linear map of its message: a (2, 2,
     2^k, 2^k) array R, the group being in the state sum_ij rho[i, j] R[i, j]
-    when the message's gates before its Bell cx leave it in rho
-    (:func:`message_state`). None in place of a circuit's maps when
+    when the message's gates before its Bell cx leave it in rho, with a
+    leading trajectory axis when its prep ran as trajectories; None when
     :func:`_protocol_parts` finds that they cannot be traced first.
 
-    After the Bell cx only one-qubit gates touch a clone, and noise acts on
-    a gate's own qubits, so a group sees the prep only through its marginal
-    with the port. A prep runs once over every qubit but the message: when
-    none of its gates is followed by a channel (:func:`_channels`; the
-    readout flip acts on measures only) as the support of a pure state
-    (:func:`_prep_state`), whose marginals are :func:`_gram` products, and
-    otherwise as a density matrix over at most ``_DENSITY_QUBIT_CAP``
-    qubits, whose marginals are partial traces.
-    Circuits whose prep instructions are equal and act on the same axes, as
-    the tomography bases of one circuit do, share that run; any other prep
-    runs on its own. Each group's tail then runs over (message, port,
-    group), from |i><j| (x) the marginal with the four message inputs as a
-    batch, through :func:`_density_walk`: the message's instructions from
-    its Bell cx on, the Bell measures and the group's own later instructions
-    (:func:`_cut`). Every density walk of the call shares one dict of
-    blocks, so each distinct (instruction, qubit count) is built once."""
+    A group sees the prep only through its marginal with the port. A prep
+    runs once over every qubit but the message, for all the circuits whose
+    prep is equal on the same axes (the tomography bases of one circuit): as
+    a pure support (:func:`_prep_state`) when no :func:`_channels` entry
+    follows its gates, as a density matrix within ``_DENSITY_QUBIT_CAP``
+    qubits, and past it as trajectories keyed by ``seed``
+    (:func:`_trajectories`). Each group's tail (the message's instructions
+    from its Bell cx on, the Bell measures and the group's own later ones,
+    :func:`_cut`) runs over (message, port, group) from |i><j| (x) the
+    marginal, the four inputs and the trajectories a batch, through
+    :func:`_density_walk`, whose blocks the call's walks share."""
     eye = np.eye(2, dtype=complex)
     noise = NoiseModel() if noise is None else noise
-    preps, blocks, out = [], {}, []
+    preps, blocks, parsed = [], {}, []
     for circuit, groups in jobs:
         position = _validated(circuit)
         if "clones" not in circuit.roles:
@@ -555,34 +581,51 @@ def _traced(jobs, noise: NoiseModel | None = None) -> list:
         if repeated:
             raise SimulationError(f"qubits {repeated} are repeated in a group")
         if parts is None:
+            parsed.append(None)
+            continue
+        axis = {q: k for k, q in enumerate(q for q in position if q != mq)}
+        keeps = [tuple(axis[q] for q in (pq, *group)) for group in groups]
+        shared = next((run for run in preps if run[0] == axis and run[1] == parts[2]), None)
+        if shared is None:
+            shared = (axis, parts[2], {})
+            preps.append(shared)
+        shared[2].update(dict.fromkeys(keeps))
+        parsed.append((circuit, parts, groups, keeps, shared[2]))
+    for axis, prep, marginals in preps:  # each prep's marginal on every axis tuple it is asked for
+        p = len(axis)
+        if not noise.any_gate_noise() or not any(_channels(ins, noise) for ins in prep):
+            state = _prep_state(prep, axis)
+            marginals.update({keep: _gram(state, keep, p) for keep in marginals})
+        elif p <= _DENSITY_QUBIT_CAP:
+            rho = _density_walk([_remap(ins, axis) for ins in prep], p, 0, noise,
+                                _ground(2 * p).reshape(1 << p, 1 << p), blocks)
+            marginals.update({keep: partial_trace(rho, keep) for keep in marginals})
+        else:
+            per = [[_gram(state, keep, p) for keep in marginals]
+                   for state in _trajectories(prep, axis, noise, seed, _TRAJECTORIES)]
+            marginals.update(zip(list(marginals), map(np.stack, zip(*per))))
+
+    def tail(instructions, n, k, num_clbits, marginal):  # marginal: ([trajectory,] x, y)
+        batch = marginal.shape[:-2]
+        start = np.einsum("ia,jb,...xy->ixjyab...", eye, eye, marginal, order="C")
+        after = _density_walk(instructions, n, num_clbits, noise,
+                              start.reshape(1 << n, 1 << n, 2, 2, *batch), blocks)
+        maps = np.einsum("axay...->...xy", after.reshape(4, k, 4, k, 2, 2, *batch))
+        return np.moveaxis(maps, (0, 1), (-4, -3))
+
+    out = []
+    for job in parsed:
+        if job is None:
             out.append(None)
             continue
-        _, post, prep, bell, later = parts
-        axis = {q: k for k, q in enumerate(q for q in position if q != mq)}
-        p = len(axis)
-        state = next((s for a, g, s in preps if a == axis and g == prep), None)
-        if state is None:
-            if not noise.any_gate_noise() or not any(_channels(ins, noise) for ins in prep):
-                state = _prep_state(prep, axis)
-            elif p > _DENSITY_QUBIT_CAP:
-                raise SimulationError(f"a density matrix over {p} qubits exceeds the "
-                                      f"{_DENSITY_QUBIT_CAP}-qubit cap")
-            else:
-                state = _density_walk([_remap(ins, axis) for ins in prep], p, 0, noise,
-                                      _ground(2 * p).reshape(1 << p, 1 << p), blocks)
-            preps.append((axis, prep, state))
+        circuit, (_, post, _, bell, later), groups, keeps, marginals = job
+        mq, pq = circuit.roles["message"], circuit.roles["port"]
         maps = []
-        for group in groups:
+        for group, keep in zip(groups, keeps):
             n, k = 2 + len(group), 1 << len(group)
-            keep = [axis[q] for q in (pq, *group)]
-            marginal = _gram(state, keep, p) if isinstance(state, tuple) \
-                else partial_trace(state, keep)
             tail_axis = {mq: 0, pq: 1, **{q: 2 + r for r, q in enumerate(group)}}
-            tail = [_remap(ins, tail_axis) for ins in post + bell + _cut(later, group)]
-            start = np.einsum("ia,jb,xy->ixjyab", eye, eye, marginal, order="C")
-            after = _density_walk(tail, n, circuit.num_clbits, noise,
-                                  start.reshape(1 << n, 1 << n, 2, 2), blocks)
-            maps.append(np.einsum("axay...->...xy", after.reshape(4, k, 4, k, 2, 2)))
+            gates = [_remap(ins, tail_axis) for ins in post + bell + _cut(later, group)]
+            maps.append(tail(gates, n, k, circuit.num_clbits, marginals[keep]))
         out.append(maps)
     return out
 
@@ -596,9 +639,7 @@ def _exact_states(circuit: Circuit, groups) -> list[np.ndarray]:
         raise SimulationError("circuit lacks the Bell-measurement structure")
     (traced,) = _traced([(circuit, groups)])
     if traced is not None:
-        mq = circuit.roles["message"]
-        pre = [_remap(ins, {mq: 0}) for ins in _protocol_parts(circuit)[0]]
-        rho = message_state(pre, NoiseModel(), {})
+        rho = message_state(_pre_gates(circuit), NoiseModel(), {})
         return [np.tensordot(rho, r) for r in traced]
     position = _compaction(circuit)
     walked, _ = _full_walk(circuit, position)
@@ -609,9 +650,7 @@ def _exact_states(circuit: Circuit, groups) -> list[np.ndarray]:
 def exact_clone_states(circuit: Circuit):
     """Deterministic per-clone density matrices of a protocol circuit,
     summed over the four Bell outcomes, each with its feed-forward
-    corrections (:func:`_exact_states`); noiseless semantics only. Requires
-    tomo_basis="none".
-    """
+    corrections (:func:`_exact_states`); noiseless, tomo_basis="none"."""
     return _exact_states(circuit, [(q,) for q in circuit.roles.get("clones", ())])
 
 
@@ -620,28 +659,40 @@ def exact_subsystem_state(circuit: Circuit, qubits) -> np.ndarray:
     return _exact_states(circuit, [tuple(qubits)])[0]
 
 
-def compile_response(circuits, noise: NoiseModel | None = None) -> np.ndarray:
+def _pre_gates(circuit: Circuit) -> list[Instruction]:
+    """The message's own gates before its Bell cx in a protocol circuit that
+    :func:`_protocol_parts` can trace first, moved to qubit 0."""
+    return [_remap(ins, {circuit.roles["message"]: 0}) for ins in _protocol_parts(circuit)[0]]
+
+
+def compile_response(circuits, noise: NoiseModel | None = None, seed: int = 0) -> np.ndarray:
     """The clone responses of a sequence of protocol circuits with one clone
     count M: a (len(circuits), M, 2, 2, 2, 2) array R, clone k of circuit c
     being in the state sum_ij rho[i, j] R[c, k, i, j] when the message's own
-    gates before the Bell cx leave it in the state rho
-    (:func:`message_state` of those gates). No other gate depends on the
-    message, so one response serves every message of the same (m, variant,
-    layout, dd, tomography basis).
+    gates before the Bell cx leave it in the state rho (:func:`message_state`
+    of those gates). No other gate depends on the message, so one response
+    serves every message of the same (m, variant, layout, dd, tomography
+    basis). R stacks each clone's :func:`_traced` map, the state before its
+    terminal measures; the circuits share one :func:`_traced` call, so the
+    tomography bases of one circuit run its prep once. Under gate noise past
+    the density cap, R is the mean of ``_TRAJECTORIES`` trajectories'
+    responses, keyed by ``seed`` (:func:`_compiled`)."""
+    return _compiled(circuits, noise, seed)[0]
 
-    R stacks each clone's :func:`_traced` map, its terminal measures
-    deferred: the state before them. The circuits share one :func:`_traced`
-    call, so the tomography bases of one circuit run its prep once. This
-    requires circuits that :func:`_protocol_parts` can trace first and, with
-    ``noise``, preps within the density cap.
-    """
-    traced = _traced([(c, [(q,) for q in c.roles.get("clones", ())]) for c in circuits], noise)
+
+def _compiled(circuits, noise: NoiseModel | None = None, seed: int = 0):
+    """The :func:`compile_response` R of ``circuits``, and each trajectory's
+    response when their prep ran as trajectories (a (len(circuits), K, M,
+    2, 2, 2, 2) array whose mean over its second axis is R), else None."""
+    traced = _traced([(c, [(q,) for q in c.roles.get("clones", ())]) for c in circuits],
+                     noise, seed)
     if any(maps is None for maps in traced):
         raise SimulationError("the clone states of this circuit cannot be traced "
                               "before its feed-forward")
     if len({len(maps) for maps in traced}) != 1:
         raise SimulationError("compile_response needs one or more circuits of one clone count")
-    return np.stack([np.stack(maps) for maps in traced])
+    response = np.stack([np.stack(maps, axis=-5) for maps in traced])
+    return (response, None) if response.ndim == 6 else (response.mean(axis=1), response)
 
 
 def apply_response(response: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -673,21 +724,40 @@ def _check_int(name: str, value, low: int, stop: float = math.inf) -> None:
         raise SimulationError(f"{name} must be an integer in [{low}, {stop}), got {value!r}")
 
 
-def _outcome_table(circuit: Circuit, position: dict[int, int]) -> dict[str, float]:
+def _outcome_table(circuit: Circuit, position: dict[int, int],
+                   noise: NoiseModel | None = None) -> dict[str, float]:
     """The probability of every string of recorded bits of a valid circuit
-    that can occur, with no noise: each :func:`_full_walk` branch's bits,
-    with the outcomes of its deferred measures summed off its support by one
-    ``np.bincount`` over their bits (the first deferred measure's the most
-    significant) and keyed as the rows of one array of digits. Only nonzero
-    outcomes are keyed, in branch, then outcome order."""
-    branches, deferred = _full_walk(circuit, position)
-    n, last, width = len(position), len(deferred) - 1, circuit.num_clbits
+    that can occur, each nonzero one keyed in branch, then outcome order:
+    each branch's bits, with the outcomes of its deferred measures summed
+    off its state by one ``np.bincount`` (the first deferred measure's bit
+    the most significant), each flipped with probability readout_flip. The
+    branches are the pure supports of its :func:`_full_walk` without gate
+    noise, which flips each bit it splits on too, so a flipped bit drives
+    the conds; under gate noise, its whole :func:`_density_branches`."""
+    noise = NoiseModel() if noise is None else noise
+    n, flip = len(position), noise.readout_flip
+    if noise.any_gate_noise():
+        _validated(circuit, _DENSITY_QUBIT_CAP, "a density matrix")
+        circuit = compact(circuit)
+        terminal = _terminal_measures(circuit.instructions)
+        deferred = [(i.qubits[0], i.clbit) for i in circuit.instructions if id(i) in terminal]
+        walked = _density_branches(circuit.instructions, n, circuit.num_clbits, noise,
+                                   _ground(2 * n).reshape(1 << n, 1 << n), {})
+        branches = [(bits, (np.arange(1 << n), rho.diagonal().real)) for bits, rho in walked]
+    else:
+        walked, deferred = _full_walk(circuit, position, flip)
+        deferred = [(position[q], c) for q, c in deferred]
+        branches = [(bits, (idx, amp.real ** 2 + amp.imag ** 2)) for bits, (idx, amp) in walked]
+    last, width = len(deferred) - 1, circuit.num_clbits
     table: dict[str, float] = {}
-    for bits, (idx, amp) in branches:
+    for bits, (idx, weight) in branches:
         outcomes = np.zeros_like(idx)
-        for q, _ in deferred:
-            outcomes = outcomes << 1 | idx >> (n - 1 - position[q]) & 1
-        probs = np.bincount(outcomes, amp.real ** 2 + amp.imag ** 2, 1 << len(deferred))
+        for a, _ in deferred:
+            outcomes = outcomes << 1 | idx >> (n - 1 - a) & 1
+        probs = np.bincount(outcomes, weight, 1 << len(deferred))
+        for k in range(len(deferred) if flip else 0):
+            pair = probs.reshape(1 << k, 2, -1)
+            probs = ((1 - flip) * pair + flip * pair[:, ::-1]).reshape(-1)
         kept = np.flatnonzero(probs)
         keys = np.tile(np.array(bits, dtype=np.uint8) + ord("0"), (kept.size, 1))
         for k, (_, c) in enumerate(deferred):
@@ -702,23 +772,16 @@ def _outcome_table(circuit: Circuit, position: dict[int, int]) -> dict[str, floa
 def run_shots(circuit: Circuit, shots: int, seed: int,
               noise: NoiseModel | None = None) -> dict[str, int]:
     """Sample measurement outcomes. Identical (circuit, shots, seed, noise)
-    inputs give identical counts; the total always equals ``shots``.
-
-    Without noise, the counts are one multinomial draw, from the Philox
-    stream keyed by ``seed``, over the circuit's exact outcome table
-    (:func:`_outcome_table`), which walks the whole circuit as the support
-    of a pure state and splits it at every measure that a later gate or
-    cond depends on.
-    Under noise every shot is a Monte Carlo wavefunction trajectory, run in
-    blocks of shots (see :func:`_trajectory_counts`).
-    """
+    inputs give identical counts; the total always equals ``shots``. The
+    counts are one multinomial draw, from the Philox stream keyed by
+    ``seed``, over the circuit's exact :func:`_outcome_table`: of its pure
+    walk without gate noise (a readout flip alone included), and under gate
+    noise of its density matrix, refused past ``_DENSITY_QUBIT_CAP`` qubits
+    with a SimulationError."""
     _check_int("shots", shots, 1)
     _check_int("seed", seed, 0, 1 << 64)
     position = _validated(circuit)
-    if noise is not None and noise.any_noise():
-        counts = _trajectory_counts(compact(circuit), noise, seed, 0, shots)
-        return dict(sorted(counts.items()))
-    table = _outcome_table(circuit, position)
+    table = _outcome_table(circuit, position, noise)
     probs = np.array(list(table.values()))
     drawn = np.random.Generator(np.random.Philox(key=np.uint64(seed))).multinomial(
         shots, probs / probs.sum())
@@ -726,7 +789,7 @@ def run_shots(circuit: Circuit, shots: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# noise: one placement rule, sampled per shot or evolved exactly
+# noise: one placement rule, evolved exactly or drawn per trajectory
 # ---------------------------------------------------------------------------
 
 def _channels(ins: Instruction, noise: NoiseModel) -> list[tuple]:
@@ -774,168 +837,24 @@ def _noisy_block(ins: Instruction, noise: NoiseModel, n: int) -> tuple:
     return _block(superop, [*ins.qubits, *(q + n for q in ins.qubits)])
 
 
-def _slot_schedule(instructions, noise: NoiseModel):
-    """Offset of every instruction's first uniform in a shot's row, keyed by
-    ``id`` (cond bodies included; :func:`compact` makes every instruction
-    its own object), and the row width. A measurement reads one uniform for
-    its outcome and one for its readout flip; a gate, one per channel of its
-    :func:`_channels`, in their order. A shot that skips a cond body leaves
-    the body's slots unread, so every shot reads the same slot for the same
-    instruction whatever its branch."""
-    slots, width = {}, 0
-    for ins in _ops(instructions):
-        slots[id(ins)] = width
-        if ins.gate == "measure":
-            width += 1 + (noise.readout_flip > 0)
-        elif ins.gate != "barrier":
-            width += len(_channels(ins, noise))
-    return slots, width
-
-
-def _shot_uniforms(seed: int, first: int, stop: int, width: int) -> np.ndarray:
-    """At least ``width`` uniforms for each shot first..stop-1, one row per
-    shot. Shot s reads the Philox counters from s*ceil(width/4) on of the
-    stream keyed by ``seed`` (a counter yields four doubles), so its row
-    depends only on (seed, s), never on how the shots are split into
-    blocks."""
-    counters = -(-width // 4)
-    bg = np.random.Philox(key=np.uint64(seed))
-    bg.advance(first * counters)
-    return np.random.Generator(bg).random((stop - first, 4 * counters))
-
-
-def _pauli_columns(psi: np.ndarray, which: np.ndarray, paulis):
-    """Apply Pauli ``which[c]`` (0 = I, then X, Y, Z) to the state in
-    column c of a block; ``paulis`` are the four blocks on one qubit."""
-    for k in (1, 2, 3):
-        cols = np.flatnonzero(which == k)
-        if cols.size:
-            psi[:, cols] = _apply_block(psi.take(cols, axis=1), paulis[k])
-
-
-def _weight_of_one(psi: np.ndarray, q: int):
-    """A (2^q, 2, -1, columns) view of a block whose axis 1 is qubit ``q``,
-    and each column's squared norm on q = 1."""
-    cols = psi.shape[1]
-    ones = psi.view(np.float64).reshape(1 << q, 2, -1, 2 * cols)[:, 1]
-    parts = np.einsum("atc,atc->c", ones, ones)  # real and imaginary, interleaved
-    return psi.reshape(1 << q, 2, -1, cols), parts[::2] + parts[1::2]
-
-
-def _damp_columns(psi: np.ndarray, q: int, gamma: float, draw: np.ndarray):
-    """Amplitude damping on qubit ``q`` of every normalized column: the jump
-    |1> -> |0> where ``draw`` < gamma P(1), else the renormalized no-jump."""
-    view, p1 = _weight_of_one(psi, q)
-    jump = np.flatnonzero(draw < gamma * p1)
-    fallen = view[:, 1][..., jump] / np.sqrt(p1[jump])
-    keep = 1 / np.sqrt(np.maximum(1 - gamma * p1, 1e-300))
-    view[:, 0] *= keep
-    view[:, 1] *= math.sqrt(1 - gamma) * keep
-    if jump.size:
-        view[:, 0][..., jump] = fallen
-        view[:, 1][..., jump] = 0.0
-
-
-def _trajectory_rules(noise: NoiseModel, slots: dict, gate, paulis, u: np.ndarray):
-    """``apply`` and ``measure`` of the trajectory walk of one block, whose
-    gates ``gate`` applies (a :func:`_block_rule`), with the four Pauli
-    blocks of each qubit in ``paulis``.
-
-    A branch's state is (block, shots): a (2^n, k) block holding the
-    normalized states of k shots, one per column (so a gate's inner loops
-    run along the shots), and those shots' positions in the block, which
-    index the columns of ``u`` (one row per slot). After the gate, channel j
-    of its :func:`_channels` draws from slot ``slots[id(ins)] + j``.
-    Depolarizing with probability p replaces the state by I/2 (I/4 jointly
-    on two qubits), so on one qubit a shot takes X, Y or Z with probability
-    p/4 each, and on two one of the 16 two-qubit Paulis with probability
-    p/16 each; damping is :func:`_damp_columns`.
-    """
-    flip = noise.readout_flip
-
-    def apply(state, ins):
-        psi, shots = state
-        gate(psi, ins)
-        for k, (kind, qubits, param) in enumerate(_channels(ins, noise), slots[id(ins)]):
-            draw = u[k][shots]
-            if kind == "damping":
-                _damp_columns(psi, qubits[0], param, draw)
-            elif len(qubits) == 2:
-                which = np.where(draw < param, np.minimum(draw * (16 / param), 15), 0).astype(int)
-                _pauli_columns(psi, which >> 2, paulis[qubits[0]])
-                _pauli_columns(psi, which & 3, paulis[qubits[1]])
-            else:
-                which = np.where(draw < 0.75 * param, np.minimum(draw * (4 / param), 2) + 1, 0)
-                _pauli_columns(psi, which.astype(int), paulis[qubits[0]])
-        return state
-
-    def measure(branches, ins):
-        """Sample each shot's outcome, project and renormalize its state,
-        flip the recorded bit with probability ``flip`` and split the
-        branch's shots by it."""
-        q, k = ins.qubits[0], slots[id(ins)]
-        out = []
-        for bits, (psi, shots) in branches:
-            view, p1 = _weight_of_one(psi, q)
-            one = u[k][shots] < p1
-            view[:, 0] *= ~one
-            view[:, 1] *= one
-            psi /= np.sqrt(np.maximum(np.where(one, p1, 1 - p1), 1e-300))
-            if flip > 0:
-                one ^= u[k + 1][shots] < flip
-            for recorded, cols in enumerate((np.flatnonzero(~one), np.flatnonzero(one))):
-                if cols.size == len(shots):
-                    out.append((_set_bit(bits, ins.clbit, recorded), (psi, shots)))
-                elif cols.size:
-                    out.append((_set_bit(bits, ins.clbit, recorded),
-                                (psi.take(cols, axis=1), shots[cols])))
-        return out
-
-    return apply, measure
-
-
-def _trajectory_counts(circuit: Circuit, noise: NoiseModel, seed: int,
-                       first: int, stop: int) -> Counter:
-    """Counts of the recorded bits of shots first..stop-1 of a compacted
-    circuit, each a Monte Carlo wavefunction trajectory.
-
-    The shots run through :func:`_walk` in blocks of at most
-    ``_BLOCK_AMPLITUDES`` amplitudes, one column per shot; each shot draws
-    from its own :func:`_shot_uniforms` row, so the counts do not depend on
-    how the shots are split into blocks.
-    """
-    n = circuit.num_qubits
-    slots, width = _slot_schedule(circuit.instructions, noise)
-    gate = _block_rule(circuit.instructions)
-    paulis = [[_block(P, (q,)) for P in _PAULIS_1Q] for q in range(n)]
-    per_block = max(1, _BLOCK_AMPLITUDES >> n)
-    counts: Counter = Counter()
-    for start in range(first, stop, per_block):
-        end = min(start + per_block, stop)
-        block = np.zeros((1 << n, end - start), dtype=complex)
-        block[0] = 1.0
-        u = _shot_uniforms(seed, start, end, width).T
-        branches = _walk(circuit.instructions,
-                         [((0,) * circuit.num_clbits, (block, np.arange(end - start)))],
-                         *_trajectory_rules(noise, slots, gate, paulis, u))
-        for bits, (_, shots) in branches:
-            counts["".join(map(str, bits))] += len(shots)
-    return counts
-
-
 def _density_walk(instructions, n: int, num_clbits: int, noise: NoiseModel,
                   rho: np.ndarray, blocks: dict) -> np.ndarray:
-    """The state after the density walk of ``instructions`` over ``n``
-    qubits from ``rho``, a (2^n, 2^n) array whose trailing axes are a batch,
-    summed over the recorded bits from the first branch on, so that one
-    branch is returned as walked, its signed zeros kept. Each gate runs with its noise as one
-    :func:`_noisy_block`, kept in ``blocks``, which maps a qubit count to the
-    blocks built for it under ``noise`` by this or an earlier walk (see
-    :func:`_block_rule`); a measure splits every branch on its outcome,
-    records it flipped with probability readout_flip and merges branches
-    with the same bits, and drops a branch only when its whole batch has
-    zero weight. Terminal measures are deferred: the state is the one
-    before them."""
+    """The :func:`_density_branches` of its arguments summed from the first
+    on, so that one branch is returned as walked, its signed zeros kept."""
+    branches = _density_branches(instructions, n, num_clbits, noise, rho, blocks)
+    return sum((state for _, state in branches[1:]), branches[0][1])
+
+
+def _density_branches(instructions, n: int, num_clbits: int, noise: NoiseModel,
+                      rho: np.ndarray, blocks: dict) -> list:
+    """The (recorded bits, state) branches of the density walk of
+    ``instructions`` over ``n`` qubits from ``rho``, a (2^n, 2^n) array
+    whose trailing axes are a batch. Each gate runs with its noise as one
+    :func:`_noisy_block`, kept in ``blocks`` by qubit count for later walks
+    under the same ``noise``; a measure splits every branch on its outcome,
+    records it flipped with probability readout_flip, merges branches with
+    the same bits and drops one only when its whole batch has zero weight.
+    Terminal measures are deferred: the state is the one before them."""
     flip = noise.readout_flip
     terminal = _terminal_measures(instructions)
 
@@ -957,18 +876,16 @@ def _density_walk(instructions, n: int, num_clbits: int, noise: NoiseModel,
                         else proj * scale
         return list(merged.items())
 
-    branches = _walk(instructions, [((0,) * num_clbits, rho)],
-                     _block_rule(instructions, lambda ins: _noisy_block(ins, noise, n),
-                                 blocks.setdefault(n, {})),
-                     measure)
-    return sum((state for _, state in branches[1:]), branches[0][1])
+    return _walk(instructions, [((0,) * num_clbits, rho)],
+                 _block_rule(instructions, lambda ins: _noisy_block(ins, noise, n),
+                             blocks.setdefault(n, {})),
+                 measure)
 
 
 def noisy_clone_states(circuit: Circuit, noise: NoiseModel):
     """Exact density-matrix counterpart of :func:`exact_clone_states` under a
-    static noise model, the whole circuit walked from |0...0>
-    (:func:`_density_walk`): the per-circuit oracle of noisy responses and
-    of stochastic shot-mode noise."""
+    static noise model, the whole circuit walked from |0...0>: the
+    per-circuit oracle of noisy responses."""
     _validated(circuit, _DENSITY_QUBIT_CAP, "a density matrix")
     circuit = compact(circuit)
     if any(i.gate == "measure" and i.qubits[0] in circuit.roles.get("clones", ())
@@ -981,12 +898,9 @@ def noisy_clone_states(circuit: Circuit, noise: NoiseModel):
 
 
 def message_state(gates, noise: NoiseModel, blocks: dict) -> np.ndarray:
-    """The 2 x 2 state of a protocol circuit's message after ``gates``, its
-    own one-qubit gates before its Bell cx (``pre`` of
-    :func:`_protocol_parts`) moved to qubit 0, from |0><0|, each gate
-    followed by its noise (:func:`_density_walk`, which keeps its blocks in
-    ``blocks``). Noise acts on a gate's own qubits only, so the rest of the
-    circuit is linear in this state (:func:`compile_response`)."""
+    """The 2 x 2 noisy state, from |0><0|, of a protocol circuit's message
+    after ``gates``, its own gates before its Bell cx moved to qubit 0 (the
+    ``pre`` of :func:`_protocol_parts`), the blocks kept in ``blocks``."""
     return _density_walk(gates, 1, 0, noise, _ground(2).reshape(2, 2), blocks)
 
 

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SimulationError
-from .simulator import _X, _Y, _Z, NoiseModel, _check_int, exact_clone_states, run_shots
+from .simulator import (_X, _Y, _Z, NoiseModel, _check_int, _pre_gates, apply_response,
+                        compile_response, exact_clone_states, message_state)
 from .telecloning import (MessageState, TelecloningVariant, build_protocol_circuit,
                           with_tomography)
 
@@ -131,13 +132,14 @@ def tomography_run(m: int, variant: TelecloningVariant, message: MessageState,
 
     ``transform`` optionally rewrites each basis circuit before execution
     (layout mapping, decoupling passes); it must preserve clone bit order.
-    Without noise (None or all zero) :func:`exact_clone_states` of the
-    transformed "none" circuit gives every clone's state, so the prep runs
-    once for the three bases, and :func:`sample_tomography` draws the counts
-    from them, as a noiseless sweep point does. Under noise each basis
-    circuit samples joint counts with :func:`run_shots` from its own child
-    of ``seed``: sweeps reach this only with gate noise past the density
-    cap.
+    This runs a sweep point's path. Without noise (None or all zero)
+    :func:`exact_clone_states` of the transformed "none" circuit gives every
+    clone's state, so the prep runs once for the three bases, and
+    :func:`sample_tomography` draws the counts from them. Under noise one
+    :func:`compile_response` call compiles the transformed x, y and z
+    circuits, past the density cap from trajectories keyed by ``seed``, and
+    :func:`sample_response` draws the counts from its contraction with the
+    message's noisy state (:func:`message_state`).
     """
     _check_int("shots_per_basis", shots_per_basis, 1)
     transform = transform or (lambda circuit: circuit)
@@ -145,14 +147,23 @@ def tomography_run(m: int, variant: TelecloningVariant, message: MessageState,
     if noise is None or not noise.any_noise():
         return sample_tomography([basis_p1(rho) for rho in exact_clone_states(transform(none))],
                                  shots_per_basis, seed)
-    per_clone: list[dict] = [dict() for _ in range(m)]
-    for bi, basis in enumerate(BASES):
-        counts = run_shots(transform(with_tomography(none, basis)), shots_per_basis,
-                           seed=_child_seed(seed, bi), noise=noise)
-        for k in range(m):
-            n1 = sum(c for key, c in counts.items() if key[2 + k] == "1")
-            per_clone[k][basis] = (shots_per_basis - n1, n1)
-    return _fitted(per_clone, shots_per_basis)
+    circuits = [transform(with_tomography(none, basis)) for basis in BASES]
+    response = compile_response(circuits, noise, seed)
+    rho = message_state(_pre_gates(circuits[0]), noise, {})
+    return sample_response(response, rho, noise, shots_per_basis, seed)
+
+
+def sample_response(response: np.ndarray, rho: np.ndarray, noise: NoiseModel,
+                    shots_per_basis: int, seed: int) -> list[TomographyRecord]:
+    """Tomography records drawn by :func:`sample_tomography` from the (3, M,
+    2, 2, 2, 2) :func:`compile_response` of a protocol circuit's x, y and z
+    circuits for the message state ``rho``: each clone's P(1) in each basis
+    read off its contracted state, with each outcome read flipped with
+    probability readout_flip."""
+    f = noise.readout_flip
+    p1 = [[(1 - f) * s[1, 1].real + f * s[0, 0].real for s in apply_response(per_basis, rho)]
+          for per_basis in response]
+    return sample_tomography(np.clip(np.transpose(p1), 0.0, 1.0), shots_per_basis, seed)
 
 
 def basis_p1(rho: np.ndarray) -> np.ndarray:
@@ -170,8 +181,8 @@ def sample_tomography(p1, shots_per_basis: int, seed: int) -> list[TomographyRec
     P(1)) draw, all clones of a basis from the Philox stream of that
     basis's child of ``seed`` (the seeds :func:`tomography_run` uses).
     Records read only per-clone marginals, so this is equal in law to
-    summing per clone the joint counts that :func:`run_shots` samples from
-    the basis circuits; the draws differ. A noiseless clone in the state rho
+    summing per clone the joint counts that ``simulator.run_shots`` samples
+    from the basis circuits; the draws differ. A noiseless clone in the state rho
     has the P(1) of :func:`basis_p1`.
     """
     _check_int("shots_per_basis", shots_per_basis, 1)

@@ -67,9 +67,7 @@ def _configs(draw):
                                        depolarizing_2q=_UNIT, readout_flip=_UNIT,
                                        amplitude_damping_idle=st.none() | _UNIT))
     mode = draw(st.sampled_from(["exact", "shots"]))
-    # gate noise in exact mode holds a density matrix: at most 8 qubits, M=3 with ancillas
-    small = variant is NOA or (mode == "exact" and noise is not None
-                               and noise.any_gate_noise())
+    small = variant is NOA
     return ExperimentConfig(
         m=draw(st.integers(2, 3) if small else st.integers(2, 10)),
         variant=variant, n_psi=draw(st.integers(1, 50)), n_phi=draw(st.integers(1, 50)),
@@ -78,8 +76,10 @@ def _configs(draw):
         dd=layout is not None and draw(st.booleans()),
         durations=draw(st.none() | st.builds(
             DurationTable, sx=_NS, x=_NS, cx=_NS, measure=_NS, feedforward_latency=_NS,
-            cx_overrides=st.dictionaries(st.tuples(st.integers(0, 26), st.integers(0, 26)),
-                                         _NS, max_size=3))),
+            # a pair of two qubits in either order, as a set: one key per pair
+            cx_overrides=st.dictionaries(
+                st.frozensets(st.integers(0, 26), min_size=2, max_size=2).map(tuple),
+                _NS, max_size=3))),
         noise=noise, mode=mode)
 
 
@@ -313,22 +313,54 @@ def test_partial_failure_markers_and_exit_code(tmp_path, monkeypatch):
     assert r.stdout.splitlines()[-1] == "2", r.stderr
 
 
-def test_noisy_shots_past_the_density_cap_run_trajectories():
-    """Noisy shots whose prep is past the density cap (M=5 with ancillas, 10
-    qubits without the message) share no response; each point runs
-    tomography_run's trajectories from its own seed."""
+@pytest.mark.parametrize("mode", ["exact", "shots"])
+def test_past_the_cap_records_do_not_depend_on_workers(mode, monkeypatch):
+    """Past the density cap (M=5 with ancillas at layout 0 with decoupling,
+    10 prep qubits) a noisy sweep's one response is the mean of prep
+    trajectories keyed by the config's seed: its record is byte-identical
+    under one and two workers and at a repeated seed, differs at another
+    seed, and carries K and each clone's standard error, which the points
+    do not. K is lowered to 8 to keep the test short."""
+    from dataclasses import replace
+
+    from teleclone import simulator
+    monkeypatch.setattr(simulator, "_TRAJECTORIES", 8)
+    cfg = ExperimentConfig(m=5, variant=OPT, n_psi=2, n_phi=2, mode=mode, shots_per_basis=40,
+                           seed=2, layout_index=0, dd=True, noise=_ALL_CHANNELS)
+    records = []
+    for workers, seed in (("1", 2), ("2", 2), ("1", 2), ("1", 3)):
+        monkeypatch.setenv("TELECLONE_WORKERS", workers)
+        records.append(run_experiment(replace(cfg, seed=seed)))
+    one, two, again, other = (rec.to_json() for rec in records)
+    assert one == two == again != other
+    agg = records[0].aggregate
+    assert agg["n_failed"] == 0 and agg["trajectories"] == 8
+    assert all(0 < row["mean_fidelity_se"] < 0.1 for row in agg["per_clone"])
+    assert all(set(point) == set(records[0].results[0]) for point in records[0].results)
+    assert "trajectory_fidelity" not in records[0].results[0]
+
+
+def test_noisy_tomography_run_is_a_sweep_point():
+    """Noisy tomography_run runs a shots sweep point's path: from the
+    point's own seed, at layout 0 with decoupling, its records are the
+    point's."""
     from teleclone import tomography_run
-    from teleclone.experiment import _response_for
+    from teleclone.experiment import _transform_for
     from teleclone.tomography import _child_seed
-    cfg = ExperimentConfig(m=5, variant=OPT, n_psi=1, n_phi=1, mode="shots",
-                           shots_per_basis=40, seed=2, noise=_ALL_CHANNELS)
-    assert _response_for(cfg) is None
-    fits = ExperimentConfig(m=4, variant=OPT, mode="shots", noise=_ALL_CHANNELS)
-    assert _response_for(fits).shape == (3, 4, 2, 2, 2, 2)
+    cfg = ExperimentConfig(m=2, variant=NOA, n_psi=1, n_phi=1, mode="shots", shots_per_basis=40,
+                           seed=2, layout_index=0, dd=True, noise=_ALL_CHANNELS)
     (point,) = run_experiment(cfg).results
-    records = tomography_run(5, OPT, MessageState(0.0, 0.0), 40, seed=_child_seed(2, 0),
-                             noise=_ALL_CHANNELS)
+    records = tomography_run(2, NOA, MessageState(0.0, 0.0), 40, seed=_child_seed(2, 0),
+                             noise=_ALL_CHANNELS, transform=_transform_for(cfg))
     assert [c["tomography"] for c in point["clones"]] == [r.to_json_dict() for r in records]
+
+
+def test_noisy_records_within_the_cap_carry_no_trajectory_keys():
+    """An exact response needs no standard error: a noisy M=4 record with
+    ancillas has neither K nor a per-clone standard error."""
+    agg = run_experiment(ExperimentConfig(m=4, variant=OPT, noise=_ALL_CHANNELS)).aggregate
+    assert "trajectories" not in agg
+    assert all(set(row) == {"mean_fidelity", "std_fidelity"} for row in agg["per_clone"])
 
 
 def test_zero_noise_exact_mode_runs_noiseless():
@@ -483,7 +515,8 @@ def test_config_record_circuit_and_qasm_load_no_numpy():
     config = {"m": 2, "variant": "no-ancilla", "layout_index": 0, "dd": True,
               "durations": {"x": 40.0}, "mode": "shots",
               "noise": {"depolarizing_1q": 0.01, "readout_flip": 0.02}}
-    record = {"config": config, "aggregate": {"n_points": 1, "n_failed": 1},
+    record = {"config": config,
+              "aggregate": {"n_points": 1, "n_failed": 1, "overall_mean_fidelity": None},
               "results": [{"index": 0, "psi_index": 0, "phi_index": 0, "psi": 0.0,
                            "phi": 0.0, "clones": [], "error": "failed"}]}
     code = f"""
@@ -511,21 +544,33 @@ assert teleclone.simulator.run_shots and teleclone.exceptions.ConfigError
         getattr(teleclone, "no_such_name")
 
 
-def test_density_cap_check_of_a_config_loads_no_numpy():
+def test_noisy_config_past_the_density_cap_loads_no_numpy():
     """An exact config past the density cap is accepted under readout-only
-    noise and refused under gate noise, and neither check loads numpy."""
+    noise and under gate noise, and neither check loads numpy."""
     code = """
 import sys
-from teleclone.exceptions import ConfigError
 from teleclone.experiment import ExperimentConfig
 base = {"m": 10, "variant": "with-ancilla-optimized", "mode": "exact"}
 ExperimentConfig.from_json_dict({**base, "noise": {"readout_flip": 0.02}})
-try:
-    ExperimentConfig.from_json_dict({**base, "noise": {"depolarizing_1q": 0.01}})
-    print("accepted")
-except ConfigError as e:
-    print("density matrix" in str(e))
+ExperimentConfig.from_json_dict({**base, "noise": {"depolarizing_1q": 0.01}})
 print("numpy" in sys.modules)
+"""
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       check=True)
+    assert r.stdout.split() == ["False"]
+
+
+def test_exact_sweeps_within_the_density_cap_load_no_numpy_random():
+    """No exact sweep draws a random number within the density cap, noisy
+    (M=4 with ancillas) or not, so none loads numpy.random."""
+    code = """
+import sys
+from teleclone.experiment import ExperimentConfig, run_experiment
+noise = {"depolarizing_1q": 0.01, "readout_flip": 0.02, "amplitude_damping_idle": 0.01}
+for m, extra in ((4, {"noise": noise, "layout_index": 0, "dd": True}), (3, {})):
+    run_experiment(ExperimentConfig.from_json_dict(
+        {"m": m, "variant": "with-ancilla-optimized", "n_psi": 2, "n_phi": 1, **extra}))
+print("numpy" in sys.modules, "numpy.random" in sys.modules)
 """
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        check=True)
@@ -594,6 +639,52 @@ def test_cli_run_and_analyze(tmp_path):
     r2 = _cli("analyze", str(run_dirs[0] / "record.json"))
     assert r2.returncode == 0
     assert "theory bound" in r2.stdout
+
+
+def _break_clone_magnitude(d):
+    d["results"][0]["clones"][1]["bloch_magnitude"] = "0.5"
+
+
+def _drop_n_points(d):
+    del d["aggregate"]["n_points"]
+
+
+def _drop_clone_mean(d):
+    del d["aggregate"]["per_clone"][0]["mean_fidelity"]
+
+
+def _point_not_an_object(d):
+    d["results"][1] = 3
+
+
+def _clones_not_a_list(d):
+    d["results"][0]["clones"] = {"0": {}}
+
+
+def _mean_a_bool(d):
+    d["aggregate"]["overall_mean_fidelity"] = True
+
+
+@pytest.mark.parametrize("spoil,field", [
+    (_break_clone_magnitude, "results[0]['clones'][1]['bloch_magnitude']"),
+    (_drop_n_points, "aggregate['n_points']"),
+    (_drop_clone_mean, "aggregate['per_clone'][0]['mean_fidelity']"),
+    (_point_not_an_object, "results[1]"),
+    (_clones_not_a_list, "results[0]['clones']"),
+    (_mean_a_bool, "aggregate['overall_mean_fidelity']"),
+], ids=["magnitude-string", "no-n_points", "no-clone-mean", "point-number", "clones-object",
+        "mean-bool"])
+def test_cli_analyze_names_a_bad_record_field(tmp_path, capsys, spoil, field):
+    """analyze refuses a record whose results or aggregate a summary cannot
+    read with a config error that names the field: exit 1, no traceback."""
+    from teleclone.cli import main
+    d = json.loads(run_experiment(ExperimentConfig(m=2, variant=NOA, n_psi=2,
+                                                   n_phi=1)).to_json())
+    spoil(d)
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(d))
+    assert main(["analyze", str(path)]) == 1
+    assert f"config error: record field {field}" in capsys.readouterr().err
 
 
 def test_cli_bad_config_exit_code(tmp_path):
@@ -727,13 +818,13 @@ def test_cli_rejects_bad_worker_count(tmp_path, monkeypatch, value):
     {"durations": {"cx_overrides": {"1-2": "fast"}}},
     {"m": 4},
     {"m": 11, "variant": "with-ancilla-optimized", "layout_index": 0},
-    {"m": 5, "variant": "with-ancilla-optimized", "mode": "exact",
-     "noise": {"depolarizing_1q": 0.1}},
+    {"durations": {"cx_overrides": {"3-3": 100.0}}},
+    {"durations": {"cx_overrides": {"1-0": 100.0, "0-1": 200.0}}},
     {"m": 12, "variant": "with-ancilla-optimized", "n_psi": 2, "n_phi": 2, "mode": "exact"},
 ], ids=["noise-string", "noise-out-of-range", "noise-unknown-key", "noise-list", "n_psi-string",
         "dd-string", "seed-negative", "seed-too-large", "seed-float",
         "durations-string", "durations-number", "cx-override-string",
-        "no-ancilla-m4", "layout-m11", "noisy-exact-past-density-cap",
+        "no-ancilla-m4", "layout-m11", "cx-override-one-qubit", "cx-override-pair-twice",
         "m12-past-statevector-cap"])
 def test_cli_rejects_bad_config_values(tmp_path, entry):
     cfg_path = tmp_path / "cfg.json"
@@ -857,7 +948,7 @@ def test_response_matches_each_point_circuit(m, variant, dd):
         cfg = ExperimentConfig(m=m, variant=variant, layout_index=layout,
                                dd=dd, mode="shots")
         transform = _transform_for(cfg)
-        response = _response_for(cfg)
+        response = _response_for(cfg)[0]
         template = transform(build_protocol_circuit(m, variant, _TEMPLATE))
         for msg in msgs:
             circuit = transform(build_protocol_circuit(m, variant, msg))
@@ -971,8 +1062,8 @@ def test_noisy_response_matches_each_point_circuit(m, variant, dd, monkeypatch):
                                  noise=_ALL_CHANNELS)
         shots = replace(exact, mode="shots")
         transform = _transform_for(exact)
-        response = _response_for(exact)
-        per_basis = _response_for(shots)
+        response = _response_for(exact)[0]
+        per_basis = _response_for(shots)[0]
         if m == 4:
             monkeypatch.setattr(simulator, "_DENSITY_QUBIT_CAP", 9)
         template = build_protocol_circuit(m, variant, _TEMPLATE)
@@ -1024,7 +1115,7 @@ def test_noisy_shots_walk_the_prep_once_for_all_bases(m, variant, monkeypatch):
     transform = _transform_for(cfg)
     prep = len(used_qubits(transform(build_protocol_circuit(m, variant, MessageState(0, 0))))) - 1
     walks = _prep_walks(monkeypatch)
-    assert _response_for(cfg).shape == (3, m, 2, 2, 2, 2)
+    assert _response_for(cfg)[0].shape == (3, m, 2, 2, 2, 2)
     assert walks == [prep]
 
 
@@ -1047,7 +1138,7 @@ def test_readout_only_response_walks_a_pure_prep(m, variant, monkeypatch):
                              noise=_READOUT_ONLY)
     shots = replace(exact, mode="shots")
     walks = _prep_walks(monkeypatch)
-    response, per_basis = _response_for(exact), _response_for(shots)
+    response, per_basis = _response_for(exact)[0], _response_for(shots)[0]
     assert walks == []
     msg = MessageState(1.1, 4.2)
     rho = message_state(_message_gates(exact, msg), _READOUT_ONLY, {})
@@ -1072,7 +1163,8 @@ def test_readout_only_noise_runs_past_the_density_cap():
     assert rec.aggregate["n_failed"] == 0
     assert 0.5 < rec.aggregate["overall_mean_fidelity"] < 0.7 - 1e-3
     shots = ExperimentConfig(m=5, variant=OPT, mode="shots", noise=_READOUT_ONLY)
-    assert _response_for(shots).shape == (3, 5, 2, 2, 2, 2)
+    response, samples = _response_for(shots)
+    assert response.shape == (3, 5, 2, 2, 2, 2) and samples is None
 
 
 def test_a_different_prep_is_walked_on_its_own(monkeypatch):

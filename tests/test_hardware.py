@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from teleclone import (Circuit, MessageState, NoiseModel, TelecloningVariant,
-                       build_protocol_circuit, exact_clone_states, h, ry, rz,
+                       build_protocol_circuit, cx, exact_clone_states, h, ry, rz,
                        stats, validate, x)
 from teleclone.exceptions import CapacityError, TranspileError
 from teleclone.hardware import (DurationTable, Layout, count_dd_pulses,
@@ -216,6 +216,38 @@ def test_duration_table_roundtrip_and_validation():
         DurationTable(rz=5.0)
     with pytest.raises(TranspileError):
         DurationTable(sx=-1.0)
+
+
+def test_cx_override_keys_name_a_pair_in_either_order():
+    """A cx_overrides key written high-low, in a JSON table or in the
+    constructor, is the pair's override: "b-a" and "a-b" give the same
+    decoupled circuit, which the override changes, and a config's table
+    round-trips through its JSON form."""
+    from teleclone.experiment import ExperimentConfig
+    native = transpile_to_native(build_protocol_circuit(2, OPT, MessageState(0.4, 1.1)),
+                                 enumerate_layouts(2, OPT)[0])
+    a, b = sorted((native.roles["port"], *native.roles["ancillas"]))
+    low, high = ({"cx_overrides": {key: 5000.0}} for key in (f"{a}-{b}", f"{b}-{a}"))
+    padded = insert_dd(native, DurationTable.from_json_dict(low))
+    assert insert_dd(native, DurationTable.from_json_dict(high)) == padded
+    assert insert_dd(native, DurationTable(cx_overrides={(b, a): 5000.0})) == padded
+    assert insert_dd(native) != padded
+    assert DurationTable.from_json_dict(high).gate(cx(a, b)) == 5000.0
+    cfg = ExperimentConfig(m=2, variant=OPT, layout_index=0, dd=True,
+                           durations=DurationTable(cx_overrides={(b, a): 5000.0, (3, 1): 7.5}))
+    assert ExperimentConfig.from_json_dict(cfg.to_json_dict()) == cfg
+
+
+@pytest.mark.parametrize("overrides", [{"3-3": 10.0}, {"1-0": 10.0, "0-1": 20.0},
+                                       {"01-2": 10.0, "1-2": 20.0}],
+                         ids=["one-qubit", "pair-twice", "pair-twice-written-apart"])
+def test_cx_override_keys_refuse_one_qubit_and_a_pair_twice(overrides):
+    with pytest.raises(TranspileError):
+        DurationTable.from_json_dict({"cx_overrides": overrides})
+    pairs = {tuple(map(int, key.split("-"))): v for key, v in overrides.items()}
+    if len(pairs) == len(overrides):
+        with pytest.raises(TranspileError):
+            DurationTable(cx_overrides=pairs)
 
 
 @pytest.mark.parametrize("kwargs,gate,any_", [

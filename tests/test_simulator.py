@@ -13,7 +13,7 @@ from teleclone import (Circuit, MessageState, NoiseModel, TelecloningVariant,
 from teleclone.exceptions import SimulationError
 from teleclone.simulator import _apply_block, _block, compact, gate_matrix
 
-from .oracles import (PAULIS, apply_1q, apply_unitary, embed, enumerate_branches,
+from .oracles import (apply_1q, apply_unitary, basis_state, embed, enumerate_branches,
                       ideal_clone_rho, noisy_gate, ptrace_pure, random_density_matrix)
 
 NOA = TelecloningVariant.NO_ANCILLA
@@ -701,58 +701,102 @@ def test_channels_follow_a_gate_in_order(ins, want):
     assert _channels(ins, _ONE_CHANNEL["depolarizing-p0"]) == []
 
 
-def test_trajectory_step_matches_oracle():
-    """A trajectory step applies the gate to every column of a block, then
-    each column's draw of every channel that follows it: none after the
-    virtual rz; after a 1q gate X, Y or Z with probability p/4 each, after a
-    cx one of the 16 two-qubit Paulis with p/16 each; then on each qubit of
-    the gate the damping jump |1> -> |0> where the draw is below gamma P(1),
-    else the renormalized no-jump. The oracle does the same column by
-    column, gate by gate, channel j reading slot ``slots[id(ins)] + j``, to
-    1e-12."""
-    from teleclone.simulator import (_PAULIS_1Q, _block, _block_rule, _channels,
-                                     _slot_schedule, _trajectory_rules)
-    n, cols, p, gamma = 3, 64, 0.9, 0.6
-    noise = NoiseModel(depolarizing_1q=p, depolarizing_2q=p, amplitude_damping_idle=gamma)
-    gates = _oracle_gates(n)
-    slots, width = _slot_schedule(gates, noise)
-    assert width == sum(len(_channels(ins, noise)) for ins in gates)
-    rng = np.random.default_rng(3)
-    u = rng.random((width, cols))
-    psi = rng.normal(size=(1 << n, cols)) + 1j * rng.normal(size=(1 << n, cols))
-    psi /= np.linalg.norm(psi, axis=0)
-    want = [psi[:, c].copy() for c in range(cols)]
-    apply, _ = _trajectory_rules(noise, slots, _block_rule(gates),
-                                 [[_block(P, (q,)) for P in _PAULIS_1Q] for q in range(n)], u)
-    state = (psi, np.arange(cols))
-    read, jumps = 0, []
-    for ins in gates:
-        state = apply(state, ins)
-        first = slots[id(ins)]
-        for c, col in enumerate(want):
-            apply_unitary(col, ins, n)
-            if ins.gate == "rz":
-                continue
-            draw = u[first, c]
-            if ins.gate == "cx":
-                pair = int(min(draw * (16 / p), 15)) if draw < p else 0
-                apply_1q(col, PAULIS[pair >> 2], ins.qubits[0], n)
-                apply_1q(col, PAULIS[pair & 3], ins.qubits[1], n)
-            elif draw < 0.75 * p:
-                apply_1q(col, PAULIS[int(min(draw * (4 / p), 2)) + 1], ins.qubits[0], n)
-            for j, q in enumerate(ins.qubits, 1):
-                one = col.reshape(1 << q, 2, -1)[:, 1]
-                p1 = np.vdot(one, one).real
-                jumps.append(u[first + j, c] < gamma * p1)
-                if jumps[-1]:
-                    apply_1q(col, np.array([[0, 1], [0, 0]]) / math.sqrt(p1), q, n)
-                else:
-                    no_jump = np.diag([1, math.sqrt(1 - gamma)]) / math.sqrt(1 - gamma * p1)
-                    apply_1q(col, no_jump, q, n)
-        read += 0 if ins.gate == "rz" else 1 + len(ins.qubits)
-    assert read == width and 0 < sum(jumps) < len(jumps)
-    assert state[0] is psi
-    np.testing.assert_allclose(psi, np.transpose(want), rtol=0, atol=1e-12)
+def test_trajectory_damping_jumps_by_the_norm_rule():
+    """A damping in a trajectory is the no-jump diag(1, sqrt(1 - gamma)),
+    the state walked unnormalized, until its squared norm falls below the
+    drawn r: there it jumps |1> -> |0> and draws again. After h the no-jump
+    norm^2 is 1 - gamma/2 = 0.8, and 0.68 after a second damping."""
+    from teleclone.circuit import Instruction
+    from teleclone.simulator import _prep_state
+    damp = Instruction("damping", (0,), angle=0.4)
+    for draws, gates, want in [
+        ([0.7], [h(0), damp], np.array([1, math.sqrt(0.6)]) / math.sqrt(1.6)),
+        ([0.9, 0.5], [h(0), damp], np.array([1.0, 0.0])),
+        ([0.75, 0.1], [h(0), damp, damp], np.array([1.0, 0.0])),
+        ([0.6], [h(0), damp, damp], np.array([1, 0.6]) / math.sqrt(1.36)),
+    ]:
+        idx, amp = _prep_state(gates, {0: 0}, draw=iter(draws).__next__)
+        psi = np.zeros(2)
+        psi[idx] = amp
+        np.testing.assert_allclose(psi, want, rtol=0, atol=1e-15)
+
+
+def _prep_of(m):
+    """(prep gates, axis map, port, clones) of the M-clone optimized
+    protocol circuit at layout 0 with decoupling."""
+    from teleclone.simulator import _protocol_parts, _validated
+    c = _layout_0_dd(build_protocol_circuit(m, OPT, MessageState(0.0, 0.0)), m)
+    mq = c.roles["message"]
+    axis = {q: k for k, q in enumerate(q for q in _validated(c) if q != mq)}
+    return _protocol_parts(c)[2], axis, c.roles["port"], c.roles["clones"]
+
+
+_DEPOLARIZING = NoiseModel(depolarizing_1q=0.004, depolarizing_2q=0.02)
+_DAMPED = NoiseModel(depolarizing_1q=0.004, depolarizing_2q=0.02,
+                     amplitude_damping_idle=0.01)
+
+
+@pytest.mark.parametrize("noise", [_DEPOLARIZING, _DAMPED], ids=["depolarizing", "damping"])
+@pytest.mark.parametrize("m", [3, 4])
+def test_trajectory_marginals_match_the_density_walk(m, noise):
+    """Within the density cap, the mean of 300 prep trajectories' (port,
+    clone) marginals matches the exact density walk's: every real and
+    imaginary part within 5 standard errors, and the mean's trace 1, while
+    the noiseless marginal lies outside that band somewhere."""
+    from teleclone.simulator import (_density_walk, _ground, _gram, _prep_state, _remap,
+                                     _trajectories)
+    prep, axis, port, clones = _prep_of(m)
+    p, runs = len(axis), 300
+    rho = _density_walk([_remap(ins, axis) for ins in prep], p, 0, noise,
+                        _ground(2 * p).reshape(1 << p, 1 << p), {})
+    states = list(_trajectories(prep, axis, noise, 7, runs))
+    pure, far = _prep_state(prep, axis), 0.0
+    for clone in clones:
+        keep = (axis[port], axis[clone])
+        samples = np.stack([_gram(state, keep, p) for state in states])
+        mean, exact = samples.mean(axis=0), partial_trace(rho, keep)
+        assert abs(np.trace(mean) - 1) <= 1e-12
+        for part in (np.real, np.imag):
+            se = part(samples).std(axis=0, ddof=1) / math.sqrt(runs)
+            assert np.all(np.abs(part(mean) - part(exact)) <= 5 * se + 1e-12), clone
+            far = max(far, np.max(np.abs(part(mean) - part(_gram(pure, keep, p)))
+                                  / (se + 1e-300)))
+    assert far > 5
+
+
+def test_trajectory_response_matches_the_exact_one(monkeypatch):
+    """Past a density cap lowered below its 6 prep qubits, an M=3 response
+    under all four channels, at layout 0 with decoupling, is the mean of its
+    trajectories' responses, tails included: each real and imaginary part
+    within 5 standard errors of the exact response, and the noiseless
+    response outside that band somewhere."""
+    from teleclone import simulator
+    from teleclone.simulator import _compiled, compile_response
+    c = _layout_0_dd(build_protocol_circuit(3, OPT, MessageState(0.0, 0.0)), 3)
+    exact, noiseless = compile_response([c], _ALL_CHANNELS), compile_response([c])
+    monkeypatch.setattr(simulator, "_DENSITY_QUBIT_CAP", 5)
+    mean, samples = _compiled([c], _ALL_CHANNELS, seed=4)
+    runs = simulator._TRAJECTORIES
+    assert samples.shape == (1, runs, 3, 2, 2, 2, 2)
+    np.testing.assert_array_equal(mean, samples.mean(axis=1))
+    far = 0.0
+    for part in (np.real, np.imag):
+        se = part(samples).std(axis=1, ddof=1) / math.sqrt(runs)
+        assert np.all(np.abs(part(mean - exact)) <= 5 * se + 1e-12)
+        far = max(far, np.max(np.abs(part(mean - noiseless)) / (se + 1e-300)))
+    assert far > 5
+
+
+@pytest.mark.parametrize("m", [5, 8])
+def test_noiseless_trajectory_is_the_support_walk(m):
+    """A trajectory with no channel after any gate, under no noise or a
+    readout flip alone, is the noiseless prep's support walk bitwise."""
+    from teleclone.simulator import _prep_state, _trajectories
+    prep, axis, _, _ = _prep_of(m)
+    idx, amp = _prep_state(prep, axis)
+    for noise in (NoiseModel(), NoiseModel(readout_flip=0.3)):
+        for got_idx, got_amp in _trajectories(prep, axis, noise, 0, 2):
+            assert np.array_equal(got_idx, idx) and np.array_equal(got_amp, amp)
 
 
 def _phased_preps(rng, count: int):
@@ -784,6 +828,42 @@ def _phased_preps(rng, count: int):
             if rng.random() < 0.5:
                 gates += [ry(angle, p), ry(-angle, p)]
         yield n, gates
+
+
+def test_damped_walk_matches_a_dense_jump_oracle():
+    """Preps built of phases (:func:`_phased_preps`), a damping of gamma
+    0.2 after about half of each gate's qubits, walk as a dense oracle of
+    the jump rule does draw for draw, to 1e-12: after each gate its
+    no-jump diag(1, sqrt(1 - gamma)), and where the squared norm falls below
+    r the jump |0><1|, renormalized, and a new r; the final state
+    normalized. The x pulses swap the damping factors held off the paired
+    bit, and some walks jump while others do not."""
+    from teleclone.circuit import Instruction
+    from teleclone.simulator import _prep_state
+    rng, jumps = np.random.default_rng(5), []
+    for n, prep in _phased_preps(np.random.default_rng(2), 100):
+        gates = []
+        for ins in prep:
+            gates += [ins] + [Instruction("damping", (q,), angle=0.2) for q in ins.qubits
+                              if rng.random() < 0.5]
+        draws = rng.random(len(gates) + 1)
+        idx, amp = _prep_state(gates, {q: q for q in range(n)}, draw=iter(draws).__next__)
+        got = np.zeros(1 << n, dtype=complex)
+        got[idx] = amp
+        psi, left, count = basis_state(n, [0] * n), iter(draws), 0
+        r = next(left)
+        for ins in gates:
+            if ins.gate != "damping":
+                apply_unitary(psi, ins, n)
+                continue
+            apply_1q(psi, np.diag([1.0, math.sqrt(1 - ins.angle)]), ins.qubits[0], n)
+            if np.vdot(psi, psi).real < r:
+                apply_1q(psi, np.array([[0.0, 1.0], [0.0, 0.0]]), ins.qubits[0], n)
+                psi /= np.linalg.norm(psi)
+                r, count = next(left), count + 1
+        np.testing.assert_allclose(got, psi / np.linalg.norm(psi), rtol=0, atol=1e-12)
+        jumps.append(count)
+    assert min(jumps) == 0 < max(jumps)
 
 
 def test_statevector_norm_preserved_random_circuits():
@@ -888,10 +968,15 @@ _MILD = NoiseModel(depolarizing_1q=0.002, depolarizing_2q=0.01, readout_flip=0.1
     (2, NOA, NoiseModel(depolarizing_1q=0.02, depolarizing_2q=0.05), False),
     (2, NOA, _MILD, True),
     (3, OPT, _MILD, True),
-], ids=["depolarizing", "all-channels-layout0-dd", "m3-opt-all-channels-layout0-dd"])
+    (2, NOA, NoiseModel(readout_flip=0.1), True),
+], ids=["depolarizing", "all-channels-layout0-dd", "m3-opt-all-channels-layout0-dd",
+        "readout-only-layout0-dd"])
 def test_shot_noise_matches_density_oracle(m, variant, noise, layout_dd):
-    """Stochastic Kraus unravelling agrees with the density-matrix path, on
-    clones whose P(1) is at least 0.05 from 1/2."""
+    """Noisy counts, one multinomial over the exact outcome table (of the
+    whole density walk under gate noise, of the pure walk with flipped bits
+    under a readout flip alone), agree with each clone's P(1) from
+    noisy_clone_states within 5 sigma, on clones whose P(1) is at least
+    0.05 from 1/2."""
     from teleclone.hardware import enumerate_layouts, insert_dd, transpile_to_native
     msg = MessageState(0.6, 0.9)
     shots = 4000
@@ -913,26 +998,23 @@ def test_shot_noise_matches_density_oracle(m, variant, noise, layout_dd):
         assert abs(n1 - shots * p1) <= 5 * sigma, clone
 
 
-def test_noisy_counts_do_not_depend_on_blocks(monkeypatch):
-    """Each shot draws from its own stream, so the counts are the same in one
-    block or in many, and with the shot range run whole or in two halves."""
+def test_noisy_run_shots_walks_a_density_only_under_gate_noise(monkeypatch):
+    """A readout flip alone leaves an M=5 basis circuit's state pure, so its
+    shots walk no density matrix; under gate noise the same 11-qubit circuit
+    needs one, past the 8-qubit cap, and is refused."""
     from teleclone import simulator
-    from teleclone.hardware import enumerate_layouts, insert_dd, transpile_to_native
-    noise = NoiseModel(depolarizing_1q=0.05, depolarizing_2q=0.1, readout_flip=0.1,
-                       amplitude_damping_idle=0.1)
-    c = build_protocol_circuit(2, NOA, MessageState(0.7, 0.3), tomo_basis="x")
-    c = compact(insert_dd(transpile_to_native(c, enumerate_layouts(2, NOA)[0])))
-    shots = 600
-    whole = run_shots(c, shots, seed=12, noise=noise)
-    assert len(whole) > 8
-    halves = (simulator._trajectory_counts(c, noise, 12, 0, 250)
-              + simulator._trajectory_counts(c, noise, 12, 250, shots))
-    assert dict(sorted(halves.items())) == whole
-    monkeypatch.setattr(simulator, "_BLOCK_AMPLITUDES", 7 << c.num_qubits)
-    assert run_shots(c, shots, seed=12, noise=noise) == whole
-    late = simulator._trajectory_counts(c, noise, 12, 250, shots)
-    early = simulator._trajectory_counts(c, noise, 12, 0, 250)
-    assert dict(sorted((early + late).items())) == whole
+    c = build_protocol_circuit(5, OPT, MessageState(0.6, 0.9), tomo_basis="x")
+
+    def refused(*args):
+        raise AssertionError("a density walk")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "_density_branches", refused)
+        counts = run_shots(c, 1000, seed=3, noise=NoiseModel(readout_flip=0.02))
+    assert sum(counts.values()) == 1000 and len(counts) > 4
+    with pytest.raises(SimulationError,
+                       match="a density matrix over 11 qubits exceeds the 8-qubit cap"):
+        run_shots(c, 10, seed=3, noise=NoiseModel(depolarizing_1q=0.01))
 
 
 def test_readout_flip_biases_counts():

@@ -1,7 +1,7 @@
 """Universal symmetric 1->M telecloning circuits: construction, dynamic
 circuit simulation with feed-forward, tomography, and hardware mapping.
-Each public name loads its module on first access (PEP 562), so numpy loads
-only with the numeric layers (``simulator``, ``tomography``, ``analysis``)."""
+Each public name loads its module on first access (PEP 562), so checking a
+config or a record loads neither numpy nor the circuit layers."""
 
 import importlib
 
@@ -10,9 +10,9 @@ _HOMES = {
                 "measure", "ry", "rz", "stats", "sx", "to_json", "from_json", "validate",
                 "x", "z"),
     "dicke": ("build_dsu", "build_scs"),
-    "telecloning": ("MessageState", "TelecloningVariant", "build_protocol_circuit",
-                    "build_telecloning_state"),
-    "hardware": ("NoiseModel",),
+    "config": ("MessageState", "NoiseModel", "TelecloningVariant"),
+    "telecloning": ("build_protocol_circuit", "build_telecloning_state"),
+    "hardware": (),  # no public name; ``teleclone.hardware`` still resolves
     "simulator": ("exact_clone_states", "exact_subsystem_state", "noisy_clone_states",
                   "partial_trace", "run_shots", "statevector"),
     "tomography": ("TomographyRecord", "linear_inversion", "mle_fit", "tomography_run"),

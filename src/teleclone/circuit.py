@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
+from .config import _is_int
 from .exceptions import CircuitError
 
 ONE_QUBIT_GATES = ("ry", "rz", "h", "x", "z", "sx")
@@ -105,12 +105,6 @@ class CircuitStats:
     two_qubit_gate_count: int
     total_gate_count: int
     depth: int
-
-
-def _is_int(value) -> bool:
-    """An integer that is not a bool (type() first: isinstance on the ABC is slow)."""
-    return type(value) is int or (isinstance(value, numbers.Integral)
-                                  and not isinstance(value, bool))
 
 
 def _check_instruction(ins, num_qubits, num_clbits, errors, in_body=False):

@@ -20,12 +20,12 @@ from .experiment import (ExperimentConfig, ExperimentRecord, _durations, _transf
 from .qasm import export_extensions, export_qasm
 from .telecloning import (BASIS_CHOICES, MessageState, TelecloningVariant,
                           build_protocol_circuit, with_tomography)
-# The numeric layers load here, not when a sweep needs them, because
+# The layers that a sweep imports load here, not when it needs them, because
 # bench/traced_cli.py lists the loaded modules before it wraps their
-# functions. They load last and simulator first: a source compiled (when no
-# bytecode is cached) after numpy loads raises the peak memory, by 1.8 MB
-# with analysis first and by 0.4 MB with this line above the others.
-from . import simulator, analysis, tomography  # noqa: F401
+# functions. With no bytecode cached, this order gave a bench workload's CLI
+# run the lowest peak memory: hardware first adds 0.3-0.4 MB, hardware last
+# up to 0.1 MB, and analysis first 1.8 MB.
+from . import simulator, hardware, analysis, tomography  # noqa: F401
 
 _VARIANTS = {v.value: v for v in TelecloningVariant}
 

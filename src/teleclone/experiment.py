@@ -22,9 +22,9 @@ state (``simulator.message_state``). A record whose response came from
 trajectories also carries, per clone, the standard error of its mean
 fidelity over the trajectories.
 
-Configs and records are built, checked and serialized without numpy; the
-functions that simulate and aggregate import ``simulator``, ``tomography``,
-``analysis`` and numpy when they run.
+Configs and records are built, checked and serialized without numpy or the
+circuit layers; the functions that build, simulate and aggregate import
+``telecloning``, ``hardware``, the numeric layers and numpy when they run.
 """
 
 from __future__ import annotations
@@ -35,12 +35,9 @@ import os
 from dataclasses import asdict, dataclass, field, fields
 from itertools import repeat
 
-from .circuit import Circuit, _is_int
+from .config import (DEFAULT_QUBIT_CAP, DurationTable, MessageState, NoiseModel,
+                     TelecloningVariant, _is_int, check_capacity, check_variant)
 from .exceptions import ConfigError, SimulationError, TelecloneError, TranspileError
-from .hardware import (DEFAULT_QUBIT_CAP, DurationTable, NoiseModel, _native_1q,
-                       check_capacity, enumerate_layouts, insert_dd, transpile_to_native)
-from .telecloning import (MessageState, TelecloningVariant, build_protocol_circuit,
-                          check_variant, message_prep, with_tomography)
 
 MODES = ("exact", "shots")
 
@@ -172,9 +169,10 @@ def angle_grid(n_psi: int, n_phi: int) -> list[MessageState]:
 def _transform_for(config: ExperimentConfig):
     if config.layout_index is None:
         return lambda circuit: circuit
+    from .hardware import enumerate_layouts, insert_dd, transpile_to_native
     layout = enumerate_layouts(config.m, config.variant)[config.layout_index]
 
-    def run(circuit: Circuit) -> Circuit:
+    def run(circuit):
         native = transpile_to_native(circuit, layout)
         if config.dd:
             native = insert_dd(native, config.durations)
@@ -187,9 +185,11 @@ def _message_gates(config: ExperimentConfig, msg: MessageState) -> list:
     """The message's gates before its Bell cx, on qubit 0: :func:`message_prep`,
     native on a layout. Decoupling adds none: the ALAP schedule and the barrier
     after the prep leave the message no idle window before its Bell cx."""
+    from .telecloning import message_prep
     gates = message_prep(msg)
     if config.layout_index is None:
         return gates
+    from .hardware import _native_1q
     return [out for ins in gates for out in _native_1q(ins, 0)]
 
 
@@ -206,6 +206,7 @@ def _response_for(config: ExperimentConfig):
     paired with its trajectories' responses when its prep ran as
     trajectories (keyed by the config's seed), else with None."""
     from .simulator import _compiled
+    from .telecloning import build_protocol_circuit, with_tomography
     from .tomography import BASES
     noise, transform = _noise(config), _transform_for(config)
     circuit = build_protocol_circuit(config.m, config.variant, _TEMPLATE)

@@ -1,7 +1,6 @@
 """Device model: 27-qubit heavy-hex coupling graph, the seven caterpillar
-layouts, gate durations and noise, the simulators' qubit caps,
-native-gateset transpilation and the X-X decoupling pass. Nothing here
-needs numpy, so a config is checked without loading the numeric layers.
+layouts, native-gateset transpilation and the X-X decoupling pass. Checking a
+config is not its job: durations, noise and capacity are in ``config``.
 
 A layout places the protocol's hardware line onto the lattice: the ancilla
 arm and clone arm are nearest-neighbour paths meeting at the port, with the
@@ -15,18 +14,15 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from functools import cache
-from importlib import resources
 
-from .circuit import Circuit, Instruction, _is_int, rz, sx, x
-from .exceptions import CapacityError, SimulationError, TranspileError
-from .telecloning import TelecloningVariant
+from .circuit import Circuit, Instruction, rz, sx, x
+from .config import (DEFAULT_QUBIT_CAP, DurationTable, NoiseModel,  # noqa: F401
+                     TelecloningVariant, check_capacity)
+from .exceptions import CapacityError, TranspileError
 
 _NATIVE_GATES = ("rz", "sx", "x", "cx")
-DEFAULT_QUBIT_CAP = 24
-_DENSITY_QUBIT_CAP = 8  # qubits of a walked density matrix: a noisy prep or an oracle
 
 
 @dataclass(frozen=True)
@@ -76,6 +72,7 @@ class Layout:
 def _load_data() -> tuple[CouplingGraph, tuple[Layout, ...]]:
     """The device file, parsed once: the lattice and the seven full-length
     layouts, all frozen."""
+    from importlib import resources  # only the device file needs it
     path = resources.files("teleclone.data").joinpath("heavy_hex_27.json")
     data = json.loads(path.read_text())
     graph = CouplingGraph(data["num_qubits"],
@@ -106,17 +103,6 @@ def validate_layout(layout: Layout, graph: CouplingGraph) -> list[str]:
     return errors
 
 
-def check_capacity(m: int, variant: TelecloningVariant) -> None:
-    """Raise :class:`CapacityError` unless the layouts hold M clones of
-    ``variant``. Reads no device file."""
-    if variant is TelecloningVariant.NO_ANCILLA:
-        if m not in (2, 3):
-            raise CapacityError(f"no-ancilla layouts exist only for M=2,3, got {m}")
-    elif not (2 <= m <= 10):
-        raise CapacityError(
-            f"M={m} exceeds the M=10 capacity of the 27-qubit lattice")
-
-
 def enumerate_layouts(m: int, variant: TelecloningVariant) -> list[Layout]:
     """The seven line embeddings, truncated to M clones (and M-1 ancillas
     for the ancilla variants; the ancilla line stays unused otherwise)."""
@@ -124,120 +110,6 @@ def enumerate_layouts(m: int, variant: TelecloningVariant) -> list[Layout]:
     n_anc = 0 if variant is TelecloningVariant.NO_ANCILLA else m - 1
     return [Layout(full.message, full.port, full.ancillas[:n_anc], full.clones[:m])
             for full in _load_data()[1]]
-
-
-def _check_duration(name: str, value) -> None:
-    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-            or not math.isfinite(value) or value < 0):
-        raise TranspileError(f"{name} duration must be a finite number >= 0, "
-                             f"got {value!r}")
-
-
-def _cx_pair(pair, seen) -> tuple[int, int]:
-    """A cx_overrides key as the (min, max) pair that :meth:`DurationTable.gate`
-    looks up: a cx keys its two qubits in either order. Refused when it is not
-    two distinct qubits or when ``seen`` already holds its pair."""
-    if not (isinstance(pair, tuple) and len(pair) == 2 and all(map(_is_int, pair))
-            and pair[0] != pair[1]):
-        raise TranspileError(f"cx_overrides key {pair!r} is not a pair of two qubits")
-    key = (min(pair), max(pair))
-    if key in seen:
-        raise TranspileError(f"two cx_overrides keys name the qubit pair {key}")
-    return key
-
-
-@dataclass(frozen=True)
-class DurationTable:
-    """Gate durations in nanoseconds. rz is virtual and must stay at 0."""
-
-    rz: float = 0.0
-    sx: float = 35.0
-    x: float = 35.0
-    cx: float = 300.0
-    measure: float = 700.0
-    feedforward_latency: float = 500.0
-    cx_overrides: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.rz != 0.0:
-            raise TranspileError("rz is virtual; its duration must be 0")
-        for name in ("sx", "x", "cx", "measure", "feedforward_latency"):
-            _check_duration(name, getattr(self, name))
-        pairs = {}
-        for pair, value in self.cx_overrides.items():
-            _check_duration(f"cx_overrides {pair}", value)
-            pairs[_cx_pair(pair, pairs)] = value
-        object.__setattr__(self, "cx_overrides", pairs)
-
-    def gate(self, ins: Instruction) -> float:
-        if ins.gate == "cx":
-            key = (min(ins.qubits), max(ins.qubits))
-            return float(self.cx_overrides.get(key, self.cx))
-        try:
-            return float(getattr(self, ins.gate))
-        except AttributeError:
-            raise TranspileError(f"missing duration entry for '{ins.gate}'")
-
-    def to_json_dict(self) -> dict:
-        return {"rz": self.rz, "sx": self.sx, "x": self.x, "cx": self.cx,
-                "measure": self.measure,
-                "feedforward_latency": self.feedforward_latency,
-                "cx_overrides": {f"{a}-{b}": v for (a, b), v in
-                                 self.cx_overrides.items()}}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "DurationTable":
-        if not isinstance(d, dict):
-            raise TranspileError(f"durations must be an object, got {d!r}")
-        raw = d.get("cx_overrides", {})
-        if not isinstance(raw, dict):
-            raise TranspileError(f"cx_overrides must be an object, got {raw!r}")
-        overrides = {}
-        for key, v in raw.items():
-            pair = key.split("-")
-            if len(pair) != 2 or not all(p.isdecimal() for p in pair):
-                raise TranspileError(f"cx_overrides key {key!r} is not 'a-b'")
-            _check_duration(f"cx_overrides {key}", v)
-            overrides[_cx_pair((int(pair[0]), int(pair[1])), overrides)] = float(v)
-        kwargs = {k: d[k] for k in
-                  ("rz", "sx", "x", "cx", "measure", "feedforward_latency")
-                  if k in d}
-        return cls(cx_overrides=overrides, **kwargs)
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Static gate-level noise. Probabilities are per instruction; rz is
-    treated as virtual (error-free) and barriers carry no noise. Every other
-    gate is followed by depolarizing (``depolarizing_2q`` jointly after a
-    cx, ``depolarizing_1q`` otherwise) and then by amplitude damping with
-    gamma ``amplitude_damping_idle`` on each of its qubits: despite its name,
-    damping acts after gates, not in idle windows. ``readout_flip`` flips
-    each recorded measurement outcome."""
-
-    depolarizing_1q: float = 0.0
-    depolarizing_2q: float = 0.0
-    readout_flip: float = 0.0
-    amplitude_damping_idle: float | None = None
-
-    def __post_init__(self):
-        for f in fields(self):
-            p = getattr(self, f.name)
-            if p is None and f.default is None:  # a channel that may be left unset
-                continue
-            if not isinstance(p, numbers.Real) or isinstance(p, bool):
-                raise SimulationError(f"{f.name}={p!r} is not a number")
-            if not (0.0 <= p <= 1.0):
-                raise SimulationError(f"{f.name}={p} outside [0, 1]")
-
-    def any_gate_noise(self) -> bool:
-        """Whether a channel follows some gate: without one, a state before
-        the first measurement stays pure."""
-        return (self.depolarizing_1q > 0 or self.depolarizing_2q > 0
-                or bool(self.amplitude_damping_idle))
-
-    def any_noise(self) -> bool:
-        return self.any_gate_noise() or self.readout_flip > 0
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +292,3 @@ def insert_dd(circuit: Circuit, durations: DurationTable | None = None) -> Circu
     return Circuit(circuit.num_qubits, circuit.num_clbits, tuple(out),
                    roles=dict(circuit.roles))
 
-
-def count_dd_pulses(before: Circuit, after: Circuit) -> int:
-    def xs(c):
-        return sum(1 for i in c.instructions if i.gate == "x")
-    return xs(after) - xs(before)

@@ -39,9 +39,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import Circuit, Instruction, _is_int, check, cond
+from .circuit import Circuit, Instruction, check, cond
+from .config import _DENSITY_QUBIT_CAP, DEFAULT_QUBIT_CAP, NoiseModel, _is_int
 from .exceptions import SimulationError
-from .hardware import _DENSITY_QUBIT_CAP, DEFAULT_QUBIT_CAP, NoiseModel
 
 _BRANCH_CAP = 4096
 _TRAJECTORIES = 200  # of a noisy prep past the density cap, whose marginals are their mean

@@ -14,51 +14,12 @@ after it. Classical bits: c0 = port, c1 = message, then one bit per clone.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
 from .circuit import Circuit, Instruction, barrier, cond, cx, h, measure, ry, rz, x, z
+from .config import MessageState, TelecloningVariant, check_variant
 from .dicke import cry_instructions, dsu_instructions, scs_instructions
 from .exceptions import CircuitError
-
-
-class TelecloningVariant(enum.Enum):
-    WITH_ANCILLA_OPTIMIZED = "with-ancilla-optimized"
-    WITH_ANCILLA_FULL = "with-ancilla-full"
-    NO_ANCILLA = "no-ancilla"
-
-
-@dataclass(frozen=True)
-class MessageState:
-    """Pure message qubit cos(psi/2)|0> + e^{i phi} sin(psi/2)|1>."""
-
-    psi: float
-    phi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.psi) and math.isfinite(self.phi)):
-            raise CircuitError("message angles must be finite")
-
-    def amplitudes(self):
-        return (math.cos(self.psi / 2),
-                complex(math.cos(self.phi), math.sin(self.phi)) * math.sin(self.psi / 2))
-
-    def bloch(self):
-        a, b = self.amplitudes()
-        return (2 * (a * b.conjugate()).real,
-                2 * (a * b.conjugate()).imag * -1.0,
-                abs(a) ** 2 - abs(b) ** 2)
-
-
-def check_variant(m: int, variant: TelecloningVariant):
-    """Raise :class:`CircuitError` unless a circuit for M clones of
-    ``variant`` is known."""
-    if m < 2:
-        raise CircuitError(f"clone count must be >= 2, got {m}")
-    if variant is TelecloningVariant.NO_ANCILLA and m not in (2, 3):
-        raise CircuitError(
-            f"no telecloning circuit without ancillas is known for M={m}")
 
 
 def long_range_cx(path) -> list[Instruction]:

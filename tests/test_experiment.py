@@ -544,6 +544,67 @@ assert teleclone.simulator.run_shots and teleclone.exceptions.ConfigError
         getattr(teleclone, "no_such_name")
 
 
+def test_config_check_loads_only_the_config_modules():
+    """Checking a noisy layout + DD config with durations, reading a record
+    and importing the config's value types load no circuit layer and no
+    numpy: only the package, ``config``, ``exceptions`` and ``experiment``."""
+    config = {"m": 3, "variant": "with-ancilla-optimized", "layout_index": 2, "dd": True,
+              "durations": {"x": 40.0, "cx_overrides": {"3-2": 410.0}}, "mode": "shots",
+              "noise": {"depolarizing_1q": 0.01, "depolarizing_2q": 0.02,
+                        "readout_flip": 0.02, "amplitude_damping_idle": 0.001}}
+    record = {"config": config,
+              "aggregate": {"n_points": 1, "n_failed": 1, "overall_mean_fidelity": None},
+              "results": [{"index": 0, "psi_index": 0, "phi_index": 0, "psi": 0.0,
+                           "phi": 0.0, "clones": [], "error": "failed"}]}
+    code = f"""
+import sys
+import teleclone
+from teleclone.experiment import ExperimentConfig, ExperimentRecord
+ExperimentConfig.from_json_dict({config!r})
+ExperimentRecord.from_json({json.dumps(record)!r})
+from teleclone import NoiseModel, TelecloningVariant, MessageState
+print(sorted(m for m in sys.modules if m == "teleclone" or m.startswith("teleclone.")))
+print("numpy" in sys.modules)
+"""
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       check=True)
+    assert r.stdout.split("\n")[:2] == [
+        "['teleclone', 'teleclone.config', 'teleclone.exceptions', 'teleclone.experiment']",
+        "False"]
+
+
+def test_benchmark_imports_resolve_to_the_config_objects():
+    """Each name that bench/ imports resolves, every LAYERS entry of
+    bench/traced_cli.py names an attribute, and each name that moved to
+    ``teleclone.config`` is its object at every old home."""
+    import importlib
+    import importlib.util
+
+    from teleclone import circuit, config, hardware, simulator, telecloning
+    assert circuit.Circuit and hardware.DurationTable and simulator.NoiseModel
+    assert telecloning.MessageState and telecloning.TelecloningVariant
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "traced_cli.py")
+    spec = importlib.util.spec_from_file_location("traced_cli", path)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    for _, module_name, attr in traced.LAYERS:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module_name, attr)
+    homes = {circuit: ["_is_int"],
+             hardware: ["DEFAULT_QUBIT_CAP", "DurationTable", "NoiseModel",
+                        "TelecloningVariant", "check_capacity"],
+             telecloning: ["MessageState", "TelecloningVariant", "check_variant"],
+             simulator: ["DEFAULT_QUBIT_CAP", "_DENSITY_QUBIT_CAP", "NoiseModel", "_is_int"]}
+    for module, names in homes.items():
+        for name in names:
+            assert getattr(module, name) is getattr(config, name), (module.__name__, name)
+    import teleclone
+    for name in ("MessageState", "NoiseModel", "TelecloningVariant"):
+        assert getattr(teleclone, name) is getattr(config, name)
+
+
 def test_noisy_config_past_the_density_cap_loads_no_numpy():
     """An exact config past the density cap is accepted under readout-only
     noise and under gate noise, and neither check loads numpy."""
@@ -581,7 +642,8 @@ def test_traced_benchmark_cli_runs_a_noisy_sweep(tmp_path):
     """bench/traced_cli.py wraps every layer it names, which fails on a name
     the package no longer has, and runs a small noisy shots sweep (M=2
     without ancillas, layout 0 with decoupling) to a trace that holds the
-    spans of the layers it passes through."""
+    spans of the layers it passes through, those of the hardware functions
+    that ``experiment`` imports when it runs included."""
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"m": 2, "variant": "no-ancilla", "n_psi": 2, "n_phi": 1,
@@ -596,7 +658,8 @@ def test_traced_benchmark_cli_runs_a_noisy_sweep(tmp_path):
     assert r.returncode == 0, r.stderr
     names = {span[0] for span in json.loads(trace.read_text())["spans"]}
     assert {"experiment.run_experiment", "telecloning.build_protocol_circuit",
-            "hardware.insert_dd", "tomography.mle_fit"} <= names
+            "hardware.transpile_to_native", "hardware.insert_dd", "circuit.validate",
+            "tomography.mle_fit"} <= names
 
 
 def test_cli_build_and_export(tmp_path):

@@ -9,14 +9,20 @@ from teleclone import (Circuit, MessageState, NoiseModel, TelecloningVariant,
                        build_protocol_circuit, cx, exact_clone_states, h, ry, rz,
                        stats, validate, x)
 from teleclone.exceptions import CapacityError, TranspileError
-from teleclone.hardware import (DurationTable, Layout, count_dd_pulses,
-                                enumerate_layouts, heavy_hex_27, insert_dd,
-                                transpile_to_native, validate_layout)
+from teleclone.hardware import (DurationTable, Layout, enumerate_layouts, heavy_hex_27,
+                                insert_dd, transpile_to_native, validate_layout)
 from teleclone.simulator import gate_matrix
 
 NOA = TelecloningVariant.NO_ANCILLA
 OPT = TelecloningVariant.WITH_ANCILLA_OPTIMIZED
 FULL = TelecloningVariant.WITH_ANCILLA_FULL
+
+
+def count_dd_pulses(before: Circuit, after: Circuit) -> int:
+    """The X pulses that decoupling added to ``before`` to give ``after``."""
+    def xs(c):
+        return sum(1 for i in c.instructions if i.gate == "x")
+    return xs(after) - xs(before)
 
 
 def test_heavy_hex_shape():

@@ -15,6 +15,7 @@ from .exceptions import CapacityError, CircuitError, SimulationError, TranspileE
 
 DEFAULT_QUBIT_CAP = 24
 _DENSITY_QUBIT_CAP = 8  # qubits of a walked density matrix: a noisy prep or an oracle
+_SHOTS_STOP = 1 << 63  # numpy's binomial and multinomial draws take shot counts below this
 
 
 def _is_int(value) -> bool:

@@ -8,19 +8,20 @@ statistical procedure.
 The grid runs in chunks, one per worker process (a serial run is one
 chunk). Every clone state is linear in the message's one-qubit state, so
 each chunk compiles one clone response (``simulator.compile_response``)
-from a template message, and a point contracts it with its message state:
-exact mode records the contracted states, and shots mode draws each
-clone's counts from them (``tomography.sample_tomography``). No point
-builds a circuit. Under gate noise the response holds the prep as a
-density matrix within the density cap without the message (M <= 4 with
-ancillas), and past it as the mean of ``simulator._TRAJECTORIES`` prep
-trajectories keyed by the config's seed; a readout flip alone acts on
-measures only and leaves the prep pure at every M. Shots mode compiles the
-x, y and z responses in one call, which walks their common prep once, and
-each point walks its message's own gates (``_message_gates``) to its noisy
-state (``simulator.message_state``). A record whose response came from
-trajectories also carries, per clone, the standard error of its mean
-fidelity over the trajectories.
+from the "none" circuit of a template message, and a point contracts it
+with its message state: exact mode records the contracted states, and
+shots mode draws each clone's counts (``tomography.sample_tomography``)
+from their P(1) in each basis, read through one-qubit observables
+(``tomography.basis_observables``). No point builds a circuit. Under gate
+noise the response holds the prep as a density matrix within the density
+cap without the message (M <= 4 with ancillas), and past it as the mean
+of ``simulator._TRAJECTORIES`` prep trajectories keyed by the config's
+seed; a readout flip alone acts on measures only and leaves the prep pure
+at every M. Under noise each point walks its message's own gates
+(``_message_gates``) to its noisy state (``simulator.message_state``), and
+the observables come from the template's transformed x, y and z circuits.
+A record whose response came from trajectories also carries, per clone,
+the standard error of its mean fidelity over the trajectories.
 
 Configs and records are built, checked and serialized without numpy or the
 circuit layers; the functions that build, simulate and aggregate import
@@ -35,7 +36,7 @@ import os
 from dataclasses import asdict, dataclass, field, fields
 from itertools import repeat
 
-from .config import (DEFAULT_QUBIT_CAP, DurationTable, MessageState, NoiseModel,
+from .config import (_SHOTS_STOP, DEFAULT_QUBIT_CAP, DurationTable, MessageState, NoiseModel,
                      TelecloningVariant, _is_int, check_capacity, check_variant)
 from .exceptions import ConfigError, SimulationError, TelecloneError, TranspileError
 
@@ -70,8 +71,8 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.n_psi < 1 or self.n_phi < 1:
             raise ConfigError("grid counts must be >= 1")
-        if self.shots_per_basis < 1:
-            raise ConfigError("shots_per_basis must be >= 1")
+        if not 1 <= self.shots_per_basis < _SHOTS_STOP:
+            raise ConfigError(f"shots_per_basis must be in [1, 2^63), got {self.shots_per_basis}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
         if self.layout_index is not None and not (0 <= self.layout_index <= 6):
@@ -199,54 +200,47 @@ _TEMPLATE = MessageState(0.0, 0.0)
 
 
 def _response_for(config: ExperimentConfig):
-    """The clone response that every point of a sweep chunk shares, from one
-    ``simulator._compiled`` call on the config's transformed circuits: of
-    the "none" circuit in exact mode and without noise, and in noisy shots
-    mode of the x, y and z circuits, stacked, whose one prep is walked once;
-    paired with its trajectories' responses when its prep ran as
-    trajectories (keyed by the config's seed), else with None."""
+    """What every point of a sweep chunk shares: the clone response of one
+    ``simulator._compiled`` call on the config's transformed "none"
+    circuit, its trajectories' responses when its prep ran as trajectories
+    (keyed by the config's seed), else None, and the clones' observables
+    (``tomography.basis_observables``): None in exact mode, the Paulis in
+    noiseless shots mode, and under noise those of the template's
+    transformed x, y and z circuits."""
     from .simulator import _compiled
     from .telecloning import build_protocol_circuit, with_tomography
-    from .tomography import BASES
+    from .tomography import BASES, basis_observables
     noise, transform = _noise(config), _transform_for(config)
-    circuit = build_protocol_circuit(config.m, config.variant, _TEMPLATE)
-    if noise is None or config.mode == "exact":
-        response, samples = _compiled([transform(circuit)], noise, config.seed)
-        return response[0], None if samples is None else samples[0]
-    return _compiled([transform(with_tomography(circuit, basis)) for basis in BASES],
-                     noise, config.seed)
+    template = build_protocol_circuit(config.m, config.variant, _TEMPLATE)
+    circuit = transform(template)
+    response, samples = _compiled(circuit, noise, config.seed)
+    observables = None if config.mode == "exact" else basis_observables(
+        circuit, (transform(with_tomography(template, basis)) for basis in BASES), noise)
+    return response, samples, observables
 
 
-def _run_point(config: ExperimentConfig, response, blocks: dict, index: int,
+def _run_point(config: ExperimentConfig, shared, blocks: dict, index: int,
                msg: MessageState) -> dict:
-    """Point ``index``'s outcome: the :func:`_response_for` pair's response
-    contracted with its message's state (under noise, from its
-    :func:`_message_gates` with ``blocks``), and, with trajectories, each
-    clone's fidelity under each trajectory's response, an (M, trajectories)
-    array: the exact state's in exact mode, and the linear inversion of the
-    exact P(1)s in shots mode."""
+    """Point ``index``'s outcome: the response of the :func:`_response_for`
+    triple ``shared`` contracted with its message's state (under noise,
+    from its :func:`_message_gates` with ``blocks``), and, with
+    trajectories, each clone's fidelity under each trajectory's response,
+    an (M, trajectories) array: the exact state's in exact mode, and in
+    shots mode the linear inversion of the exact P(1)s of its observables."""
     import numpy as np
     from .analysis import clone_metrics
     from .simulator import apply_response, message_state
-    from .tomography import _child_seed, basis_p1, sample_response, sample_tomography
-    noise, records, (response, samples) = _noise(config), None, response
-    # exact mode draws no seed: that would import numpy.random
-    seed = _child_seed(config.seed, index) if config.mode == "shots" else None
-    if noise is None:
-        # transpiling changes the message's gates only by a global phase,
-        # and decoupling pulses multiply to the identity
-        a = np.array(msg.amplitudes())
-        rhos = apply_response(response, np.outer(a, a.conj()))
-        if config.mode == "shots":
-            records = sample_tomography([basis_p1(rho) for rho in rhos],
-                                        config.shots_per_basis, seed)
-    else:
-        rho = message_state(_message_gates(config, msg), noise, blocks)
-        if config.mode == "exact":
-            rhos = apply_response(response, rho)
-        else:
-            records = sample_response(response, rho, noise, config.shots_per_basis, seed)
-    if records is not None:
+    from .tomography import _child_seed, basis_p1, sample_tomography
+    noise, records, (response, samples, observables) = _noise(config), None, shared
+    a = np.array(msg.amplitudes())
+    # transpiling changes the message's gates only by a global phase, and
+    # decoupling pulses multiply to the identity
+    rho = np.outer(a, a.conj()) if noise is None else \
+        message_state(_message_gates(config, msg), noise, blocks)
+    rhos = apply_response(response, rho)
+    if config.mode == "shots":  # exact mode draws no seed: that would import numpy.random
+        records = sample_tomography([basis_p1(s, o) for s, o in zip(rhos, observables)],
+                                    config.shots_per_basis, _child_seed(config.seed, index))
         rhos = [rec.reconstructed for rec in records]
     clones = []
     for k, state in enumerate(rhos):
@@ -263,13 +257,10 @@ def _run_point(config: ExperimentConfig, response, blocks: dict, index: int,
     if samples is None:
         return {"clones": clones, "error": None}
     if config.mode == "exact":
-        a = np.array(msg.amplitudes())
         fid = np.einsum("ij,tkijxy,x,y->kt", rho, samples, a.conj(), a).real
     else:
-        f = noise.readout_flip
-        d = np.einsum("ij,btkijxx->btkx", rho, samples).real
-        bloch = 1 - 2 * ((1 - f) * d[..., 1] + f * d[..., 0])
-        fid = 0.5 * (1 + np.einsum("btk,b->kt", bloch, msg.bloch()))
+        bloch = np.einsum("ij,tkijxy,kbyx->tkb", rho, samples, observables).real
+        fid = 0.5 * (1 + np.einsum("tkb,b->kt", bloch, msg.bloch()))
     return {"clones": clones, "error": None, "trajectory_fidelity": fid}
 
 

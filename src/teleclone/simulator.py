@@ -23,8 +23,10 @@ each clone's marginal with the port and runs a small density tail over
 (message, port, clone) for the four message inputs |i><j| at once. Noise
 acts on a gate's own qubits only, so the result is linear in the message's
 state after its own gates (:func:`message_state`), and one
-:func:`compile_response` serves every message of a sweep and every
-tomography basis (:func:`apply_response`). Under gate noise past the cap
+:func:`compile_response` of the "none" circuit serves every message of a
+sweep (:func:`apply_response`); a tomography basis only turns each clone
+before its measure, so it reads the clone through a one-qubit observable
+(``tomography.basis_observables``). Under gate noise past the cap
 the prep runs as Monte Carlo wavefunction trajectories on its support
 (:func:`_trajectories`): each Pauli and each amplitude-damping Kraus
 operator maps a basis state to at most one basis state. :func:`run_shots`
@@ -40,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import Circuit, Instruction, check, cond
-from .config import _DENSITY_QUBIT_CAP, DEFAULT_QUBIT_CAP, NoiseModel, _is_int
+from .config import _DENSITY_QUBIT_CAP, _SHOTS_STOP, DEFAULT_QUBIT_CAP, NoiseModel, _is_int
 from .exceptions import SimulationError
 
 _BRANCH_CAP = 4096
@@ -404,7 +406,9 @@ def _prep_state(gates, axis: dict[int, int], start=None, draw=None,
     bit until a gate changes what its bit reads. By the jump rule the walk
     draws r from ``draw`` and, at the damping where the squared norm falls
     below r, applies |0><1| there, renormalizes and draws again; the norm is
-    summed only where its bound, a factor 1 - gamma per damping, is below r."""
+    summed only where its bound, a factor 1 - gamma per damping, is below r.
+    At gamma = 1, whose no-jump factor clears bit 1, it jumps from the
+    state before that factor."""
     bit = {q: len(axis) - 1 - a for q, a in axis.items()}
     kinds = {(ins.gate, ins.angle): ins for ins in gates if ins.gate != "cx"}
     real = not any(gate in ("rz", "sx") for gate, _ in kinds) and (
@@ -440,6 +444,9 @@ def _prep_state(gates, axis: dict[int, int], start=None, draw=None,
             settle((t,))
         if s >= 0 and (gate == "cx" and c == s or gate in ("ry", "h", "sx") and t != s):
             (keys, rows), s, mat, scale = unpair(), -1, None, None
+        if gate == "damping" and ins.angle == 1:  # its no-jump factor clears bit t
+            settle(list(lazy))
+            before = unpair() if s >= 0 else (keys, rows)
         if gate == "cx" and t == s:
             rows, mat = rows if mat is None else mat.astype(dtype) @ rows, None
             rows = np.where((keys & 1 << c) != (flip & 1 << c), rows[::-1], rows)
@@ -475,6 +482,7 @@ def _prep_state(gates, axis: dict[int, int], start=None, draw=None,
             if bound < r:
                 if s >= 0:
                     (keys, rows), s, mat, scale = unpair(), -1, None, None
+                keys, rows = before if ins.angle == 1 else (keys, rows)
                 one = np.flatnonzero((keys ^ flip) >> t & 1)
                 keys, rows = keys[one] ^ 1 << t, rows[:, one]
                 rows, bound, r = rows / math.sqrt(np.vdot(rows, rows).real), 1.0, draw()
@@ -545,89 +553,64 @@ def _trajectories(prep, axis: dict[int, int], noise: NoiseModel, seed: int, coun
         yield _prep_state(walked + gates[done:], axis, draw=rng.random, floor=_TRAJECTORY_FLOOR)
 
 
-def _traced(jobs, noise: NoiseModel | None = None, seed: int = 0) -> list:
-    """For each (protocol circuit, groups) pair of ``jobs``, each ordered
-    qubit tuple in its ``groups`` as a linear map of its message: a (2, 2,
-    2^k, 2^k) array R, the group being in the state sum_ij rho[i, j] R[i, j]
-    when the message's gates before its Bell cx leave it in rho, with a
-    leading trajectory axis when its prep ran as trajectories; None when
-    :func:`_protocol_parts` finds that they cannot be traced first.
+def _traced(circuit: Circuit, groups, noise: NoiseModel | None = None, seed: int = 0):
+    """Each ordered qubit tuple in ``groups`` of a protocol circuit as a
+    linear map of its message: a (2, 2, 2^k, 2^k) array R, the group being
+    in the state sum_ij rho[i, j] R[i, j] when the message's gates before
+    its Bell cx leave it in rho, with a leading trajectory axis when the
+    prep ran as trajectories; None when :func:`_protocol_parts` finds that
+    they cannot be traced first.
 
-    A group sees the prep only through its marginal with the port. A prep
-    runs once over every qubit but the message, for all the circuits whose
-    prep is equal on the same axes (the tomography bases of one circuit): as
-    a pure support (:func:`_prep_state`) when no :func:`_channels` entry
-    follows its gates, as a density matrix within ``_DENSITY_QUBIT_CAP``
-    qubits, and past it as trajectories keyed by ``seed``
-    (:func:`_trajectories`). Each group's tail (the message's instructions
-    from its Bell cx on, the Bell measures and the group's own later ones,
-    :func:`_cut`) runs over (message, port, group) from |i><j| (x) the
-    marginal, the four inputs and the trajectories a batch, through
-    :func:`_density_walk`, whose blocks the call's walks share."""
+    A group sees the prep, run once over every qubit but the message, only
+    through its marginal with the port: a pure support (:func:`_prep_state`)
+    when no :func:`_channels` entry follows its gates, a density matrix
+    within ``_DENSITY_QUBIT_CAP`` qubits, and past it trajectories keyed by
+    ``seed``. Each group's tail (the message's instructions from its Bell cx
+    on, the Bell measures and the group's own later ones, :func:`_cut`) runs
+    over (message, port, group) from |i><j| (x) the marginal, the inputs and
+    the trajectories a batch, through :func:`_density_walk`."""
     eye = np.eye(2, dtype=complex)
     noise = NoiseModel() if noise is None else noise
-    preps, blocks, parsed = [], {}, []
-    for circuit, groups in jobs:
-        position = _validated(circuit)
-        if "clones" not in circuit.roles:
-            raise SimulationError("circuit lacks role metadata for the protocol")
-        parts = _protocol_parts(circuit)
-        mq, pq = circuit.roles["message"], circuit.roles["port"]
-        gone = sorted({q for group in groups for q in group} - (position.keys() - {mq, pq}))
-        if gone:
-            raise SimulationError(f"no state for qubits {gone}: the circuit does "
-                                  "not use them or measures them")
-        repeated = sorted({q for group in groups for q in group if group.count(q) > 1})
-        if repeated:
-            raise SimulationError(f"qubits {repeated} are repeated in a group")
-        if parts is None:
-            parsed.append(None)
-            continue
-        axis = {q: k for k, q in enumerate(q for q in position if q != mq)}
-        keeps = [tuple(axis[q] for q in (pq, *group)) for group in groups]
-        shared = next((run for run in preps if run[0] == axis and run[1] == parts[2]), None)
-        if shared is None:
-            shared = (axis, parts[2], {})
-            preps.append(shared)
-        shared[2].update(dict.fromkeys(keeps))
-        parsed.append((circuit, parts, groups, keeps, shared[2]))
-    for axis, prep, marginals in preps:  # each prep's marginal on every axis tuple it is asked for
-        p = len(axis)
-        if not noise.any_gate_noise() or not any(_channels(ins, noise) for ins in prep):
-            state = _prep_state(prep, axis)
-            marginals.update({keep: _gram(state, keep, p) for keep in marginals})
-        elif p <= _DENSITY_QUBIT_CAP:
-            rho = _density_walk([_remap(ins, axis) for ins in prep], p, 0, noise,
-                                _ground(2 * p).reshape(1 << p, 1 << p), blocks)
-            marginals.update({keep: partial_trace(rho, keep) for keep in marginals})
-        else:
-            per = [[_gram(state, keep, p) for keep in marginals]
-                   for state in _trajectories(prep, axis, noise, seed, _TRAJECTORIES)]
-            marginals.update(zip(list(marginals), map(np.stack, zip(*per))))
-
-    def tail(instructions, n, k, num_clbits, marginal):  # marginal: ([trajectory,] x, y)
-        batch = marginal.shape[:-2]
+    position = _validated(circuit)
+    if "clones" not in circuit.roles:
+        raise SimulationError("circuit lacks role metadata for the protocol")
+    parts = _protocol_parts(circuit)
+    mq, pq = circuit.roles["message"], circuit.roles["port"]
+    gone = sorted({q for group in groups for q in group} - (position.keys() - {mq, pq}))
+    if gone:
+        raise SimulationError(f"no state for qubits {gone}: the circuit does "
+                              "not use them or measures them")
+    repeated = sorted({q for group in groups for q in group if group.count(q) > 1})
+    if repeated:
+        raise SimulationError(f"qubits {repeated} are repeated in a group")
+    if parts is None:
+        return None
+    _, post, prep, bell, later = parts
+    axis = {q: k for k, q in enumerate(q for q in position if q != mq)}
+    keeps = [tuple(axis[q] for q in (pq, *group)) for group in groups]
+    p, blocks = len(axis), {}
+    if not noise.any_gate_noise() or not any(_channels(ins, noise) for ins in prep):
+        state = _prep_state(prep, axis)
+        marginals = [_gram(state, keep, p) for keep in keeps]
+    elif p <= _DENSITY_QUBIT_CAP:
+        rho = _density_walk([_remap(ins, axis) for ins in prep], p, 0, noise,
+                            _ground(2 * p).reshape(1 << p, 1 << p), blocks)
+        marginals = [partial_trace(rho, keep) for keep in keeps]
+    else:
+        per = [[_gram(state, keep, p) for keep in keeps]
+               for state in _trajectories(prep, axis, noise, seed, _TRAJECTORIES)]
+        marginals = list(map(np.stack, zip(*per)))
+    maps = []
+    for group, marginal in zip(groups, marginals):  # marginal: ([trajectory,] x, y)
+        n, k, batch = 2 + len(group), 1 << len(group), marginal.shape[:-2]
+        tail_axis = {mq: 0, pq: 1, **{q: 2 + r for r, q in enumerate(group)}}
+        gates = [_remap(ins, tail_axis) for ins in post + bell + _cut(later, group)]
         start = np.einsum("ia,jb,...xy->ixjyab...", eye, eye, marginal, order="C")
-        after = _density_walk(instructions, n, num_clbits, noise,
+        after = _density_walk(gates, n, circuit.num_clbits, noise,
                               start.reshape(1 << n, 1 << n, 2, 2, *batch), blocks)
-        maps = np.einsum("axay...->...xy", after.reshape(4, k, 4, k, 2, 2, *batch))
-        return np.moveaxis(maps, (0, 1), (-4, -3))
-
-    out = []
-    for job in parsed:
-        if job is None:
-            out.append(None)
-            continue
-        circuit, (_, post, _, bell, later), groups, keeps, marginals = job
-        mq, pq = circuit.roles["message"], circuit.roles["port"]
-        maps = []
-        for group, keep in zip(groups, keeps):
-            n, k = 2 + len(group), 1 << len(group)
-            tail_axis = {mq: 0, pq: 1, **{q: 2 + r for r, q in enumerate(group)}}
-            gates = [_remap(ins, tail_axis) for ins in post + bell + _cut(later, group)]
-            maps.append(tail(gates, n, k, circuit.num_clbits, marginals[keep]))
-        out.append(maps)
-    return out
+        out = np.einsum("axay...->...xy", after.reshape(4, k, 4, k, 2, 2, *batch))
+        maps.append(np.moveaxis(out, (0, 1), (-4, -3)))
+    return maps
 
 
 def _exact_states(circuit: Circuit, groups) -> list[np.ndarray]:
@@ -637,7 +620,7 @@ def _exact_states(circuit: Circuit, groups) -> list[np.ndarray]:
     traces of its :func:`_full_walk` branch supports."""
     if sum(ins.gate == "measure" for ins in circuit.instructions) > 2:
         raise SimulationError("circuit lacks the Bell-measurement structure")
-    (traced,) = _traced([(circuit, groups)])
+    traced = _traced(circuit, groups)
     if traced is not None:
         rho = message_state(_pre_gates(circuit), NoiseModel(), {})
         return [np.tensordot(rho, r) for r in traced]
@@ -665,34 +648,30 @@ def _pre_gates(circuit: Circuit) -> list[Instruction]:
     return [_remap(ins, {circuit.roles["message"]: 0}) for ins in _protocol_parts(circuit)[0]]
 
 
-def compile_response(circuits, noise: NoiseModel | None = None, seed: int = 0) -> np.ndarray:
-    """The clone responses of a sequence of protocol circuits with one clone
-    count M: a (len(circuits), M, 2, 2, 2, 2) array R, clone k of circuit c
-    being in the state sum_ij rho[i, j] R[c, k, i, j] when the message's own
-    gates before the Bell cx leave it in the state rho (:func:`message_state`
-    of those gates). No other gate depends on the message, so one response
-    serves every message of the same (m, variant, layout, dd, tomography
-    basis). R stacks each clone's :func:`_traced` map, the state before its
-    terminal measures; the circuits share one :func:`_traced` call, so the
-    tomography bases of one circuit run its prep once. Under gate noise past
-    the density cap, R is the mean of ``_TRAJECTORIES`` trajectories'
-    responses, keyed by ``seed`` (:func:`_compiled`)."""
-    return _compiled(circuits, noise, seed)[0]
+def compile_response(circuit: Circuit, noise: NoiseModel | None = None,
+                     seed: int = 0) -> np.ndarray:
+    """The clone response of a protocol circuit with M clones: an (M, 2, 2,
+    2, 2) array R, clone k being in the state sum_ij rho[i, j] R[k, i, j]
+    when the message's own gates before the Bell cx leave it in the state
+    rho (:func:`message_state` of those gates). No other gate depends on the
+    message, so one response serves every message of the same (m, variant,
+    layout, dd). R stacks each clone's :func:`_traced` map, the state before
+    its terminal measures. Under gate noise past the density cap, R is the
+    mean of ``_TRAJECTORIES`` trajectories' responses, keyed by ``seed``
+    (:func:`_compiled`)."""
+    return _compiled(circuit, noise, seed)[0]
 
 
-def _compiled(circuits, noise: NoiseModel | None = None, seed: int = 0):
-    """The :func:`compile_response` R of ``circuits``, and each trajectory's
-    response when their prep ran as trajectories (a (len(circuits), K, M,
-    2, 2, 2, 2) array whose mean over its second axis is R), else None."""
-    traced = _traced([(c, [(q,) for q in c.roles.get("clones", ())]) for c in circuits],
-                     noise, seed)
-    if any(maps is None for maps in traced):
+def _compiled(circuit: Circuit, noise: NoiseModel | None = None, seed: int = 0):
+    """The :func:`compile_response` R of ``circuit``, and each trajectory's
+    response when its prep ran as trajectories (a (K, M, 2, 2, 2, 2) array
+    whose mean over its first axis is R), else None."""
+    maps = _traced(circuit, [(q,) for q in circuit.roles.get("clones", ())], noise, seed)
+    if maps is None:
         raise SimulationError("the clone states of this circuit cannot be traced "
                               "before its feed-forward")
-    if len({len(maps) for maps in traced}) != 1:
-        raise SimulationError("compile_response needs one or more circuits of one clone count")
-    response = np.stack([np.stack(maps, axis=-5) for maps in traced])
-    return (response, None) if response.ndim == 6 else (response.mean(axis=1), response)
+    response = np.stack(maps, axis=-5)
+    return (response, None) if response.ndim == 5 else (response.mean(axis=0), response)
 
 
 def apply_response(response: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -778,7 +757,7 @@ def run_shots(circuit: Circuit, shots: int, seed: int,
     walk without gate noise (a readout flip alone included), and under gate
     noise of its density matrix, refused past ``_DENSITY_QUBIT_CAP`` qubits
     with a SimulationError."""
-    _check_int("shots", shots, 1)
+    _check_int("shots", shots, 1, _SHOTS_STOP)
     _check_int("seed", seed, 0, 1 << 64)
     position = _validated(circuit)
     table = _outcome_table(circuit, position, noise)

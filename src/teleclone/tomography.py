@@ -1,5 +1,9 @@
 """Parallel single-qubit Pauli tomography of clone qubits with maximum
-likelihood density-matrix reconstruction on the Bloch ball."""
+likelihood density-matrix reconstruction on the Bloch ball.
+
+A basis circuit only adds a basis change and a measure to each clone of
+its "none" circuit, so a clone's counts come from its "none" state read
+through a one-qubit observable per basis (:func:`basis_observables`)."""
 
 from __future__ import annotations
 
@@ -8,13 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuit import Circuit
+from .config import _SHOTS_STOP
 from .exceptions import SimulationError
-from .simulator import (_X, _Y, _Z, NoiseModel, _check_int, _pre_gates, apply_response,
-                        compile_response, exact_clone_states, message_state)
+from .simulator import (_X, _Y, _Z, NoiseModel, _check_int, _density_walk, _pre_gates, _remap,
+                        _touched, apply_response, compile_response, message_state)
 from .telecloning import (MessageState, TelecloningVariant, build_protocol_circuit,
                           with_tomography)
 
 BASES = ("x", "y", "z")
+_PAULIS = (_X, _Y, _Z)  # the noiseless observables of BASES
 
 
 @dataclass
@@ -113,16 +120,6 @@ def _child_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
 
 
-def _fitted(counts: list[dict], shots_per_basis: int) -> list[TomographyRecord]:
-    """One record per clone's counts, each with its MLE state."""
-    records = []
-    for per_basis in counts:
-        rec = TomographyRecord(per_basis, shots_per_basis)
-        rec.reconstructed = mle_fit(rec.counts, shots_per_basis)
-        records.append(rec)
-    return records
-
-
 def tomography_run(m: int, variant: TelecloningVariant, message: MessageState,
                    shots_per_basis: int, seed: int,
                    noise: NoiseModel | None = None,
@@ -132,44 +129,65 @@ def tomography_run(m: int, variant: TelecloningVariant, message: MessageState,
 
     ``transform`` optionally rewrites each basis circuit before execution
     (layout mapping, decoupling passes); it must preserve clone bit order.
-    This runs a sweep point's path. Without noise (None or all zero)
-    :func:`exact_clone_states` of the transformed "none" circuit gives every
-    clone's state, so the prep runs once for the three bases, and
-    :func:`sample_tomography` draws the counts from them. Under noise one
-    :func:`compile_response` call compiles the transformed x, y and z
-    circuits, past the density cap from trajectories keyed by ``seed``, and
-    :func:`sample_response` draws the counts from its contraction with the
-    message's noisy state (:func:`message_state`).
+    This runs a sweep point's path: one :func:`compile_response` of the
+    transformed "none" circuit (past the density cap from trajectories keyed
+    by ``seed``) contracted with the message's state (:func:`message_state`),
+    and counts drawn (:func:`sample_tomography`) from each clone's P(1) in
+    each basis, read through the :func:`basis_observables` of the
+    transformed x, y and z circuits, which only noise makes it build.
     """
-    _check_int("shots_per_basis", shots_per_basis, 1)
+    _check_int("shots_per_basis", shots_per_basis, 1, _SHOTS_STOP)
     transform = transform or (lambda circuit: circuit)
     none = build_protocol_circuit(m, variant, message)
+    circuit = transform(none)
+    rho = message_state(_pre_gates(circuit), NoiseModel() if noise is None else noise, {})
+    observables = basis_observables(
+        circuit, (transform(with_tomography(none, basis)) for basis in BASES), noise)
+    rhos = apply_response(compile_response(circuit, noise, seed), rho)
+    return sample_tomography([basis_p1(s, o) for s, o in zip(rhos, observables)],
+                             shots_per_basis, seed)
+
+
+def basis_observables(circuit: Circuit, tomography_circuits,
+                      noise: NoiseModel | None) -> np.ndarray:
+    """Each clone's observable in each basis of :data:`BASES`, an (M, 3, 2,
+    2) array O: clone k of ``circuit``, a protocol circuit, in the state rho
+    reads 1 in basis b with probability (1 - Tr(rho O[k, b]))/2. Without
+    noise O[k] is X, Y and Z themselves and ``tomography_circuits`` is not
+    read. Under noise those are the x, y and z circuits, each ``circuit``'s
+    instructions and then one-qubit gates and a measure on each clone;
+    O[k, b] is (1 - 2 readout_flip) E^dagger(Z) for the noisy channel E of
+    the gates b adds to clone k, from one density walk of the inputs |i><j|."""
+    clones = circuit.roles["clones"]
     if noise is None or not noise.any_noise():
-        return sample_tomography([basis_p1(rho) for rho in exact_clone_states(transform(none))],
-                                 shots_per_basis, seed)
-    circuits = [transform(with_tomography(none, basis)) for basis in BASES]
-    response = compile_response(circuits, noise, seed)
-    rho = message_state(_pre_gates(circuits[0]), noise, {})
-    return sample_response(response, rho, noise, shots_per_basis, seed)
+        return np.array([_PAULIS] * len(clones))
+    head, blocks, out = circuit.instructions, {}, []
+    for tomo in tomography_circuits:
+        if tomo.instructions[:len(head)] != head:
+            raise SimulationError("a tomography circuit does not start with the "
+                                  "instructions of its 'none' circuit")
+        per_clone = []
+        for q in clones:
+            ops = [ins for ins in tomo.instructions[len(head):]
+                   if ins.gate != "barrier" and q in _touched(ins)]
+            if not ops or ops[-1].gate != "measure" or any(
+                    ins.gate in ("measure", "cond") or len(ins.qubits) > 1 for ins in ops[:-1]):
+                raise SimulationError(f"clone {q} is not measured after one-qubit "
+                                      "gates of its own")
+            inputs = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)  # |i><j| at [:, :, i, j]
+            e = _density_walk([_remap(ins, {q: 0}) for ins in ops[:-1]], 1, 0, noise,
+                              inputs, blocks)
+            per_clone.append((1 - 2 * noise.readout_flip) * (e[0, 0] - e[1, 1]).T)
+        out.append(per_clone)
+    return np.stack(out, axis=1)
 
 
-def sample_response(response: np.ndarray, rho: np.ndarray, noise: NoiseModel,
-                    shots_per_basis: int, seed: int) -> list[TomographyRecord]:
-    """Tomography records drawn by :func:`sample_tomography` from the (3, M,
-    2, 2, 2, 2) :func:`compile_response` of a protocol circuit's x, y and z
-    circuits for the message state ``rho``: each clone's P(1) in each basis
-    read off its contracted state, with each outcome read flipped with
-    probability readout_flip."""
-    f = noise.readout_flip
-    p1 = [[(1 - f) * s[1, 1].real + f * s[0, 0].real for s in apply_response(per_basis, rho)]
-          for per_basis in response]
-    return sample_tomography(np.clip(np.transpose(p1), 0.0, 1.0), shots_per_basis, seed)
-
-
-def basis_p1(rho: np.ndarray) -> np.ndarray:
-    """P(1) of a one-qubit state measured in X, Y and Z: (1 - r_B)/2 for
-    each Bloch component r_B, clipped to [0, 1] against rounding."""
-    r = np.array([np.trace(rho @ pauli).real for pauli in (_X, _Y, _Z)])
+def basis_p1(rho: np.ndarray, observables=_PAULIS) -> np.ndarray:
+    """P(1) of a one-qubit state measured in X, Y and Z: (1 - Tr(rho O_b))/2
+    for each basis's observable O_b of :func:`basis_observables`, by default
+    the Paulis, whose traces are the Bloch components; clipped to [0, 1]
+    against rounding."""
+    r = np.array([np.trace(rho @ o).real for o in observables])
     return np.clip((1.0 - r) / 2, 0.0, 1.0)
 
 
@@ -182,14 +200,17 @@ def sample_tomography(p1, shots_per_basis: int, seed: int) -> list[TomographyRec
     basis's child of ``seed`` (the seeds :func:`tomography_run` uses).
     Records read only per-clone marginals, so this is equal in law to
     summing per clone the joint counts that ``simulator.run_shots`` samples
-    from the basis circuits; the draws differ. A noiseless clone in the state rho
-    has the P(1) of :func:`basis_p1`.
+    from the basis circuits; the draws differ. A clone in the state rho has
+    the P(1) of :func:`basis_p1` of its :func:`basis_observables`.
     """
-    _check_int("shots_per_basis", shots_per_basis, 1)
+    _check_int("shots_per_basis", shots_per_basis, 1, _SHOTS_STOP)
     p1 = np.asarray(p1, dtype=float)
     per_clone: list[dict] = [dict() for _ in p1]
     for bi, basis in enumerate(BASES):
         rng = np.random.Generator(np.random.Philox(key=np.uint64(_child_seed(seed, bi))))
         for k, n1 in enumerate(rng.binomial(shots_per_basis, p1[:, bi])):
             per_clone[k][basis] = (shots_per_basis - int(n1), int(n1))
-    return _fitted(per_clone, shots_per_basis)
+    records = [TomographyRecord(counts, shots_per_basis) for counts in per_clone]
+    for rec in records:
+        rec.reconstructed = mle_fit(rec.counts, shots_per_basis)
+    return records

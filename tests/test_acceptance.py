@@ -100,7 +100,7 @@ def test_criterion_1_universal_over_the_bloch_ball():
             native = insert_dd(transpile_to_native(
                 logical, enumerate_layouts(m, variant)[0]))
             for circuit in (logical, native):
-                T, t = _bloch_map(compile_response([circuit])[0])
+                T, t = _bloch_map(compile_response(circuit))
                 err = max(float(np.abs(T - eta * np.eye(3)).max()),
                           float(np.abs(t).max()))
                 worst = max(worst, err)

@@ -340,6 +340,21 @@ def test_past_the_cap_records_do_not_depend_on_workers(mode, monkeypatch):
     assert "trajectory_fidelity" not in records[0].results[0]
 
 
+def test_full_damping_past_the_cap_fails_no_point():
+    """Damping with gamma 1 takes every qubit to |0> after each gate, so a
+    trajectory's no-jump factor clears bit 1 and its jump must read the
+    state before it: an M=5 exact sweep with ancillas past the density cap,
+    1x2, fails no point, and every clone is |0><0|."""
+    cfg = ExperimentConfig(m=5, variant=OPT, n_psi=1, n_phi=2,
+                           noise=NoiseModel(amplitude_damping_idle=1.0))
+    rec = run_experiment(cfg)
+    assert rec.aggregate["n_failed"] == 0 and rec.aggregate["trajectories"] > 0
+    for point in rec.results:
+        for clone in point["clones"]:
+            rho = np.array(clone["rho"]) @ [1, 1j]
+            np.testing.assert_allclose(rho, [[1, 0], [0, 0]], rtol=0, atol=1e-12)
+
+
 def test_noisy_tomography_run_is_a_sweep_point():
     """Noisy tomography_run runs a shots sweep point's path: from the
     point's own seed, at layout 0 with decoupling, its records are the
@@ -884,11 +899,12 @@ def test_cli_rejects_bad_worker_count(tmp_path, monkeypatch, value):
     {"durations": {"cx_overrides": {"3-3": 100.0}}},
     {"durations": {"cx_overrides": {"1-0": 100.0, "0-1": 200.0}}},
     {"m": 12, "variant": "with-ancilla-optimized", "n_psi": 2, "n_phi": 2, "mode": "exact"},
+    {"shots_per_basis": 2 ** 63},
 ], ids=["noise-string", "noise-out-of-range", "noise-unknown-key", "noise-list", "n_psi-string",
         "dd-string", "seed-negative", "seed-too-large", "seed-float",
         "durations-string", "durations-number", "cx-override-string",
         "no-ancilla-m4", "layout-m11", "cx-override-one-qubit", "cx-override-pair-twice",
-        "m12-past-statevector-cap"])
+        "m12-past-statevector-cap", "shots-past-the-binomial-range"])
 def test_cli_rejects_bad_config_values(tmp_path, entry):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"m": 2, "variant": "no-ancilla", "n_psi": 1,
@@ -1027,6 +1043,20 @@ def test_response_matches_each_point_circuit(m, variant, dd):
                 np.testing.assert_allclose(p1[:, bi], _clone_p1(c, m), rtol=0, atol=1e-12)
 
 
+def _transform_cases() -> list:
+    """(m, variant, layout, dd, durations, grid side) of the transforms a
+    point's circuit is checked under: M=2 without ancillas on layout 0 with
+    decoupling on a 20x20 grid, every variant logical and on layouts 0-6
+    with and without decoupling, and a durations table that sets cx
+    overrides and a zero sx duration."""
+    overrides = DurationTable(sx=0.0, cx_overrides={(0, 1): 250.0, (1, 4): 900.0})
+    cases = [(2, NOA, 0, True, None, 20), (3, FULL, 1, True, overrides, 3)]
+    for m, variant in [(2, NOA), (3, NOA), (2, OPT), (3, FULL), (5, OPT)]:
+        cases += [(m, variant, None, False, None, 3)]
+        cases += [(m, variant, layout, dd, None, 3) for layout in range(7) for dd in (False, True)]
+    return cases
+
+
 def test_message_gates_are_each_point_circuits_own():
     """A point's message gates, from which its noisy message state is
     walked, are its own circuit's gates before its Bell cx, moved to qubit
@@ -1037,12 +1067,7 @@ def test_message_gates_are_each_point_circuits_own():
     from teleclone import build_protocol_circuit
     from teleclone.experiment import _message_gates, _transform_for
     from teleclone.simulator import _protocol_parts, _remap
-    overrides = DurationTable(sx=0.0, cx_overrides={(0, 1): 250.0, (1, 4): 900.0})
-    cases = [(2, NOA, 0, True, None, 20), (3, FULL, 1, True, overrides, 3)]
-    for m, variant in [(2, NOA), (3, NOA), (2, OPT), (3, FULL), (5, OPT)]:
-        cases += [(m, variant, None, False, None, 3)]
-        cases += [(m, variant, layout, dd, None, 3) for layout in range(7) for dd in (False, True)]
-    for m, variant, layout, dd, durations, side in cases:
+    for m, variant, layout, dd, durations, side in _transform_cases():
         cfg = ExperimentConfig(m=m, variant=variant, layout_index=layout, dd=dd,
                                durations=durations)
         transform = _transform_for(cfg)
@@ -1050,6 +1075,30 @@ def test_message_gates_are_each_point_circuits_own():
             c = transform(build_protocol_circuit(m, variant, msg))
             pre = [_remap(ins, {c.roles["message"]: 0}) for ins in _protocol_parts(c)[0]]
             assert _message_gates(cfg, msg) == pre, (m, variant, layout, dd, msg)
+
+
+def test_basis_circuits_extend_the_none_circuit():
+    """basis_observables reads a clone's counts exactly only when each
+    transformed x, y and z circuit is the transformed "none" circuit's
+    instructions and then, on each clone, one-qubit gates and its measure:
+    so they are, under every transform of :func:`_transform_cases`, for
+    the template and one other message."""
+    from teleclone import build_protocol_circuit
+    from teleclone.experiment import _TEMPLATE, _transform_for
+    from teleclone.telecloning import with_tomography
+    from teleclone.tomography import BASES, basis_observables
+    for m, variant, layout, dd, durations, _ in _transform_cases():
+        cfg = ExperimentConfig(m=m, variant=variant, layout_index=layout, dd=dd,
+                               durations=durations)
+        transform = _transform_for(cfg)
+        for msg in (_TEMPLATE, MessageState(1.1, 4.2)):
+            none = build_protocol_circuit(m, variant, msg)
+            head = transform(none)
+            bases = [transform(with_tomography(none, basis)) for basis in BASES]
+            for c in bases:
+                assert c.instructions[:len(head.instructions)] == head.instructions, \
+                    (m, variant, layout, dd, msg)
+            assert basis_observables(head, bases, _ALL_CHANNELS).shape == (m, 3, 2, 2)
 
 
 @pytest.mark.parametrize("mode", ["exact", "shots"])
@@ -1091,26 +1140,26 @@ def test_no_grid_point_builds_a_circuit(mode, monkeypatch):
 @pytest.mark.parametrize("m,variant", [(2, NOA), (2, OPT), (2, FULL), (3, NOA),
                                        (3, OPT), (3, FULL), (4, OPT)])
 def test_noisy_response_matches_each_point_circuit(m, variant, dd, monkeypatch):
-    """Under all four noise channels, the responses a noisy sweep compiles
-    from its template stand for every point's own circuit, logical and on
+    """Under all four noise channels, the response a noisy sweep compiles
+    from its template stands for every point's own circuit, logical and on
     layouts (all 7 at M=2, two at M=3, layout 0 with decoupling at M=4):
     the circuits differ only in the message's own gates before its Bell cx,
     exact mode's contraction gives the point circuit's noisy_clone_states,
-    and shots mode's P(1) of each clone and basis is the density oracle's.
-    At M=4 the responses are compiled within the density cap, whose 8
-    qubits hold the prep without the message; only the whole-circuit oracle
-    is given a 9-qubit cap, and one message."""
+    and shots mode's P(1) of each clone and basis, read through its basis
+    observables, is the density oracle's of that basis circuit. At M=4 the
+    response is compiled within the density cap, whose 8 qubits hold the
+    prep without the message; only the whole-circuit oracle is given a
+    9-qubit cap, and one message."""
     from dataclasses import replace
 
     from teleclone import build_protocol_circuit, noisy_clone_states, simulator
     from teleclone.experiment import _TEMPLATE, _response_for, _transform_for
     from teleclone.simulator import _protocol_parts, _remap, apply_response, message_state
     from teleclone.telecloning import with_tomography
-    from teleclone.tomography import BASES
+    from teleclone.tomography import BASES, basis_p1
     rng = np.random.default_rng(20 * m + dd)
     msgs = [MessageState(float(rng.uniform(0, math.pi)),
                          float(rng.uniform(0, 2 * math.pi))) for _ in range(1 if m == 4 else 2)]
-    f = _ALL_CHANNELS.readout_flip
 
     def pre(c):
         return _protocol_parts(c)[0]
@@ -1126,7 +1175,7 @@ def test_noisy_response_matches_each_point_circuit(m, variant, dd, monkeypatch):
         shots = replace(exact, mode="shots")
         transform = _transform_for(exact)
         response = _response_for(exact)[0]
-        per_basis = _response_for(shots)[0]
+        _, _, observables = _response_for(shots)
         if m == 4:
             monkeypatch.setattr(simulator, "_DENSITY_QUBIT_CAP", 9)
         template = build_protocol_circuit(m, variant, _TEMPLATE)
@@ -1143,33 +1192,33 @@ def test_noisy_response_matches_each_point_circuit(m, variant, dd, monkeypatch):
                                  noisy_clone_states(transform(none), _ALL_CHANNELS),
                                  strict=True):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-            p1 = [[(1 - f) * s[1, 1].real + f * s[0, 0].real
-                   for s in apply_response(r, rho)] for r in per_basis]
-            np.testing.assert_allclose(np.transpose(p1), _density_p1(shots, msg),
-                                       rtol=0, atol=1e-12)
+            p1 = [basis_p1(s, o) for s, o in zip(apply_response(response, rho), observables)]
+            np.testing.assert_allclose(p1, _density_p1(shots, msg), rtol=0, atol=1e-12)
 
 
-def _prep_walks(monkeypatch) -> list:
-    """The qubit count of every density walk from a prep's |0><0|, which,
-    unlike a tail's, carries no batch of message inputs, recorded as
-    compile_response runs it."""
-    from teleclone import simulator
+def _density_walks(monkeypatch) -> list:
+    """(qubit count, whether it starts from a prep's |0><0|) of every
+    density walk, as compile_response and basis_observables run them: a
+    prep's walk, unlike a tail's or a basis channel's, carries no batch of
+    inputs."""
+    from teleclone import simulator, tomography
     walks, walk = [], simulator._density_walk
 
     def counted(instructions, n, num_clbits, noise, rho, blocks):
-        if rho.ndim == 2:
-            walks.append(n)
+        walks.append((n, rho.ndim == 2))
         return walk(instructions, n, num_clbits, noise, rho, blocks)
 
-    monkeypatch.setattr(simulator, "_density_walk", counted)
+    for module in (simulator, tomography):
+        monkeypatch.setattr(module, "_density_walk", counted)
     return walks
 
 
 @pytest.mark.parametrize("m,variant", [(2, NOA), (4, OPT)])
-def test_noisy_shots_walk_the_prep_once_for_all_bases(m, variant, monkeypatch):
-    """The x, y and z circuits of a noisy shots sweep, at layout 0 with
-    decoupling, share one prep, walked once over every qubit but the
-    message."""
+def test_noisy_shots_walk_one_prep_and_m_tails(m, variant, monkeypatch):
+    """A noisy shots sweep, at layout 0 with decoupling, compiles one
+    circuit: it walks one prep over every qubit but the message, one tail
+    over (message, port, clone) per clone, and, for the observables, one
+    one-qubit channel per clone and basis."""
     from teleclone import build_protocol_circuit
     from teleclone.experiment import _response_for, _transform_for
     from teleclone.simulator import used_qubits
@@ -1177,9 +1226,10 @@ def test_noisy_shots_walk_the_prep_once_for_all_bases(m, variant, monkeypatch):
                            noise=_ALL_CHANNELS)
     transform = _transform_for(cfg)
     prep = len(used_qubits(transform(build_protocol_circuit(m, variant, MessageState(0, 0))))) - 1
-    walks = _prep_walks(monkeypatch)
-    assert _response_for(cfg)[0].shape == (3, m, 2, 2, 2, 2)
-    assert walks == [prep]
+    walks = _density_walks(monkeypatch)
+    response, _, observables = _response_for(cfg)
+    assert response.shape == (m, 2, 2, 2, 2) and observables.shape == (m, 3, 2, 2)
+    assert sorted(walks) == sorted([(prep, True)] + [(3, False)] * m + [(1, False)] * 3 * m)
 
 
 _READOUT_ONLY = NoiseModel(readout_flip=0.1)
@@ -1189,30 +1239,29 @@ _READOUT_ONLY = NoiseModel(readout_flip=0.1)
 def test_readout_only_response_walks_a_pure_prep(m, variant, monkeypatch):
     """A readout flip acts on measures only, so the prep of a readout-only
     sweep is walked as a pure support, with no density walk, and its
-    responses, at layout 0 with decoupling, still give the point circuit's
-    noisy_clone_states in exact mode and the density oracle's P(1) of each
-    clone and basis in shots mode."""
+    response, at layout 0 with decoupling, still gives the point circuit's
+    noisy_clone_states in exact mode and, read through its observables, the
+    density oracle's P(1) of each clone and basis in shots mode."""
     from dataclasses import replace
 
     from teleclone import build_protocol_circuit, noisy_clone_states
     from teleclone.experiment import _message_gates, _response_for, _transform_for
     from teleclone.simulator import apply_response, message_state
+    from teleclone.tomography import basis_p1
     exact = ExperimentConfig(m=m, variant=variant, layout_index=0, dd=True,
                              noise=_READOUT_ONLY)
     shots = replace(exact, mode="shots")
-    walks = _prep_walks(monkeypatch)
-    response, per_basis = _response_for(exact)[0], _response_for(shots)[0]
-    assert walks == []
+    walks = _density_walks(monkeypatch)
+    response, (_, _, observables) = _response_for(exact)[0], _response_for(shots)
+    assert not any(prep for _, prep in walks)
     msg = MessageState(1.1, 4.2)
     rho = message_state(_message_gates(exact, msg), _READOUT_ONLY, {})
     want = noisy_clone_states(_transform_for(exact)(build_protocol_circuit(m, variant, msg)),
                               _READOUT_ONLY)
     for got, clone in zip(apply_response(response, rho), want, strict=True):
         np.testing.assert_allclose(got, clone, rtol=0, atol=1e-12)
-    f = _READOUT_ONLY.readout_flip
-    p1 = [[(1 - f) * s[1, 1].real + f * s[0, 0].real
-           for s in apply_response(r, rho)] for r in per_basis]
-    np.testing.assert_allclose(np.transpose(p1), _density_p1(shots, msg), rtol=0, atol=1e-12)
+    p1 = [basis_p1(s, o) for s, o in zip(apply_response(response, rho), observables)]
+    np.testing.assert_allclose(p1, _density_p1(shots, msg), rtol=0, atol=1e-12)
 
 
 def test_readout_only_noise_runs_past_the_density_cap():
@@ -1226,27 +1275,8 @@ def test_readout_only_noise_runs_past_the_density_cap():
     assert rec.aggregate["n_failed"] == 0
     assert 0.5 < rec.aggregate["overall_mean_fidelity"] < 0.7 - 1e-3
     shots = ExperimentConfig(m=5, variant=OPT, mode="shots", noise=_READOUT_ONLY)
-    response, samples = _response_for(shots)
-    assert response.shape == (3, 5, 2, 2, 2, 2) and samples is None
-
-
-def test_a_different_prep_is_walked_on_its_own(monkeypatch):
-    """A basis circuit whose prep has an extra gate gets its own prep walk,
-    and every circuit's response is the one it compiles alone."""
-    from teleclone import Circuit, build_protocol_circuit, ry
-    from teleclone.simulator import compile_response
-    from teleclone.telecloning import with_tomography
-    from teleclone.tomography import BASES
-    none = build_protocol_circuit(2, NOA, MessageState(0.0, 0.0))
-    x, y, z = [with_tomography(none, basis) for basis in BASES]
-    odd = Circuit(y.num_qubits, y.num_clbits, (ry(0.3, y.roles["clones"][0]),) + y.instructions,
-                  roles=y.roles)
-    walks = _prep_walks(monkeypatch)
-    shared = compile_response([x, odd, z], _ALL_CHANNELS)
-    assert len(walks) == 2
-    alone = np.stack([compile_response([c], _ALL_CHANNELS)[0] for c in (x, odd, z)])
-    np.testing.assert_allclose(shared, alone, rtol=0, atol=1e-12)
-    assert np.abs(shared[1] - compile_response([y], _ALL_CHANNELS)[0]).max() > 1e-3
+    response, samples, _ = _response_for(shots)
+    assert response.shape == (5, 2, 2, 2, 2) and samples is None
 
 
 def test_noise_sweep_script_runs():

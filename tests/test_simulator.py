@@ -47,19 +47,35 @@ def test_identical_inputs_identical_counts(noise, shots):
     assert a != run_shots(c, shots, seed=43, noise=noise)
 
 
-@pytest.mark.parametrize("shots,seed", [(0, 1), (2.5, 1), (True, 1), (10, -1),
+@pytest.mark.parametrize("shots,seed", [(0, 1), (2.5, 1), (True, 1), (2 ** 63, 1), (10, -1),
                                         (10, 2 ** 64), (10, 1.5)],
-                         ids=["shots-zero", "shots-float", "shots-bool", "seed-negative",
-                              "seed-too-large", "seed-float"])
+                         ids=["shots-zero", "shots-float", "shots-bool", "shots-too-large",
+                              "seed-negative", "seed-too-large", "seed-float"])
 def test_run_shots_rejects_bad_shots_or_seed(shots, seed):
     from teleclone import tomography_run
+    from teleclone.tomography import sample_tomography
     c = Circuit(1, 1, (h(0), measure(0, 0)))
     for noise in (None, NoiseModel(readout_flip=0.1)):
         with pytest.raises(SimulationError):
             run_shots(c, shots, seed=seed, noise=noise)
-    if seed == 1:  # a bad shot count, which tomography_run refuses too
+    if seed == 1:  # a bad shot count, which tomography_run and sample_tomography refuse too
         with pytest.raises(SimulationError):
             tomography_run(2, NOA, MessageState(0.3, 0.2), shots_per_basis=shots, seed=seed)
+        with pytest.raises(SimulationError):
+            sample_tomography([[0.5, 0.5, 0.5]], shots, seed)
+
+
+def test_shot_counts_run_up_to_the_binomial_range():
+    """numpy draws binomial and multinomial counts below 2^63: 2^63 - 1
+    shots run in run_shots, sample_tomography and tomography_run, and the
+    counts sum to them."""
+    from teleclone import tomography_run
+    from teleclone.tomography import sample_tomography
+    shots = 2 ** 63 - 1
+    assert sum(run_shots(Circuit(1, 1, (h(0), measure(0, 0))), shots, seed=1).values()) == shots
+    for rec in sample_tomography([[0.5, 0.2, 0.9]], shots, 0) + \
+            tomography_run(2, NOA, MessageState(0.3, 0.2), shots, seed=1):
+        assert all(sum(rec.counts[b]) == shots for b in ("x", "y", "z"))
 
 
 def test_qubit_cap():
@@ -266,7 +282,7 @@ def test_zero_noise_response_is_the_noiseless_one(m):
     is the noiseless one bitwise, past the density cap too (M=5, 8)."""
     from teleclone.simulator import compile_response
     c = build_protocol_circuit(m, OPT, MessageState(1.1, 0.4))
-    assert np.array_equal(compile_response([c], NoiseModel()), compile_response([c]))
+    assert np.array_equal(compile_response(c, NoiseModel()), compile_response(c))
 
 
 def test_density_cap_names_a_density_matrix():
@@ -324,7 +340,7 @@ def test_exact_requires_bell_structure():
         exact_clone_states(tomo)
     with pytest.raises(SimulationError, match="Bell-measurement structure"):
         exact_subsystem_state(tomo, tomo.roles["clones"][:1])
-    assert compile_response([tomo]).shape == (1, 2, 2, 2, 2, 2)
+    assert compile_response(tomo).shape == (2, 2, 2, 2, 2)
 
 
 def test_exact_fast_path_matches_generic():
@@ -377,7 +393,7 @@ def _assert_traced_first(c, msg):
     got = exact_clone_states(c) + [exact_subsystem_state(c, clones),
                                    exact_subsystem_state(c, pair)]
     a = np.array(msg.amplitudes())
-    got += list(apply_response(compile_response([c])[0], np.outer(a, a.conj())))
+    got += list(apply_response(compile_response(c), np.outer(a, a.conj())))
     want += want[:len(clones)]
     for g, w in zip(got, want, strict=True):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
@@ -430,7 +446,7 @@ def test_trace_first_turns_by_non_hermitian_feed_forward():
                 cond(1, 1, [sx(b)])] + [ry(0.5, q) for q in c.roles["ancillas"]]
         odd = _with_suffix(c, mid, tail)
         _assert_traced_first(odd, msg)
-        got = apply_response(compile_response([odd], _ALL_CHANNELS)[0],
+        got = apply_response(compile_response(odd, _ALL_CHANNELS),
                              message_state(message_prep(msg), _ALL_CHANNELS, {}))
         for g, w in zip(got, noisy_clone_states(odd, _ALL_CHANNELS), strict=True):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
@@ -441,7 +457,7 @@ def test_apply_response_ignores_memory_layout():
     layout compile_response stacks it in, in C order and in Fortran order."""
     from teleclone.simulator import apply_response, compile_response
     c = build_protocol_circuit(4, OPT, MessageState(0.3, 0.2))
-    response = compile_response([c], _ALL_CHANNELS)[0]
+    response = compile_response(c, _ALL_CHANNELS)
     rng = np.random.default_rng(4)
     for _ in range(50):
         a = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -465,7 +481,7 @@ def test_two_qubit_feed_forward_walks_in_full():
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
     assert np.abs(got[1] - exact_clone_states(c)[1]).max() > 0.05
     with pytest.raises(SimulationError, match="cannot be traced"):
-        compile_response([odd])
+        compile_response(odd)
 
 
 def test_full_walk_reads_its_circuit_in_place(monkeypatch):
@@ -559,14 +575,6 @@ def test_protocol_parts_split_a_protocol_circuit():
     odd = Circuit(c.num_qubits, c.num_clbits,
                   c.instructions[:at] + (h(pq),) + c.instructions[at:], roles=c.roles)
     assert _protocol_parts(odd) is None
-
-
-def test_compile_response_needs_circuits_of_one_clone_count():
-    from teleclone.simulator import compile_response
-    two, three = (build_protocol_circuit(m, OPT, MessageState(0.8, 2.5)) for m in (2, 3))
-    for circuits in ([], [two, three]):
-        with pytest.raises(SimulationError, match="one clone count"):
-            compile_response(circuits)
 
 
 def test_subsystem_state_takes_original_qubits():
@@ -773,15 +781,15 @@ def test_trajectory_response_matches_the_exact_one(monkeypatch):
     from teleclone import simulator
     from teleclone.simulator import _compiled, compile_response
     c = _layout_0_dd(build_protocol_circuit(3, OPT, MessageState(0.0, 0.0)), 3)
-    exact, noiseless = compile_response([c], _ALL_CHANNELS), compile_response([c])
+    exact, noiseless = compile_response(c, _ALL_CHANNELS), compile_response(c)
     monkeypatch.setattr(simulator, "_DENSITY_QUBIT_CAP", 5)
-    mean, samples = _compiled([c], _ALL_CHANNELS, seed=4)
+    mean, samples = _compiled(c, _ALL_CHANNELS, seed=4)
     runs = simulator._TRAJECTORIES
-    assert samples.shape == (1, runs, 3, 2, 2, 2, 2)
-    np.testing.assert_array_equal(mean, samples.mean(axis=1))
+    assert samples.shape == (runs, 3, 2, 2, 2, 2)
+    np.testing.assert_array_equal(mean, samples.mean(axis=0))
     far = 0.0
     for part in (np.real, np.imag):
-        se = part(samples).std(axis=1, ddof=1) / math.sqrt(runs)
+        se = part(samples).std(axis=0, ddof=1) / math.sqrt(runs)
         assert np.all(np.abs(part(mean - exact)) <= 5 * se + 1e-12)
         far = max(far, np.max(np.abs(part(mean - noiseless)) / (se + 1e-300)))
     assert far > 5
@@ -830,22 +838,25 @@ def _phased_preps(rng, count: int):
         yield n, gates
 
 
-def test_damped_walk_matches_a_dense_jump_oracle():
+@pytest.mark.parametrize("gamma", [0.2, 1.0])
+def test_damped_walk_matches_a_dense_jump_oracle(gamma):
     """Preps built of phases (:func:`_phased_preps`), a damping of gamma
-    0.2 after about half of each gate's qubits, walk as a dense oracle of
-    the jump rule does draw for draw, to 1e-12: after each gate its
-    no-jump diag(1, sqrt(1 - gamma)), and where the squared norm falls below
-    r the jump |0><1|, renormalized, and a new r; the final state
-    normalized. The x pulses swap the damping factors held off the paired
-    bit, and some walks jump while others do not."""
+    after about half of each gate's qubits (gamma 0.2, or 1 in about one
+    damping in ten and 0.2 in the others), walk as a dense oracle of the
+    jump rule does draw for draw, to 1e-12: after each gate its no-jump
+    diag(1, sqrt(1 - gamma)), and where the squared norm falls below r the
+    jump sqrt(gamma) |0><1| of the state before that step, renormalized,
+    and a new r; the final state normalized. The x pulses swap the damping
+    factors held off the paired bit, and some walks jump, at gamma 1 too,
+    while others do not."""
     from teleclone.circuit import Instruction
     from teleclone.simulator import _prep_state
-    rng, jumps = np.random.default_rng(5), []
+    rng, jumps, full = np.random.default_rng(5), [], 0
     for n, prep in _phased_preps(np.random.default_rng(2), 100):
         gates = []
         for ins in prep:
-            gates += [ins] + [Instruction("damping", (q,), angle=0.2) for q in ins.qubits
-                              if rng.random() < 0.5]
+            gates += [ins] + [Instruction("damping", (q,), angle=gamma if rng.random() < 0.1
+                                          else 0.2) for q in ins.qubits if rng.random() < 0.5]
         draws = rng.random(len(gates) + 1)
         idx, amp = _prep_state(gates, {q: q for q in range(n)}, draw=iter(draws).__next__)
         got = np.zeros(1 << n, dtype=complex)
@@ -856,14 +867,19 @@ def test_damped_walk_matches_a_dense_jump_oracle():
             if ins.gate != "damping":
                 apply_unitary(psi, ins, n)
                 continue
+            pre = psi.copy()
             apply_1q(psi, np.diag([1.0, math.sqrt(1 - ins.angle)]), ins.qubits[0], n)
             if np.vdot(psi, psi).real < r:
-                apply_1q(psi, np.array([[0.0, 1.0], [0.0, 0.0]]), ins.qubits[0], n)
+                psi = pre
+                apply_1q(psi, np.array([[0.0, math.sqrt(ins.angle)], [0.0, 0.0]]),
+                         ins.qubits[0], n)
                 psi /= np.linalg.norm(psi)
                 r, count = next(left), count + 1
+                full += ins.angle == 1
         np.testing.assert_allclose(got, psi / np.linalg.norm(psi), rtol=0, atol=1e-12)
         jumps.append(count)
     assert min(jumps) == 0 < max(jumps)
+    assert (full > 0) == (gamma == 1)
 
 
 def test_statevector_norm_preserved_random_circuits():

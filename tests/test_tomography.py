@@ -229,6 +229,63 @@ def test_noiseless_tomography_walks_the_prep_once(monkeypatch):
     assert len(calls) == 1
 
 
+_NOISY = NoiseModel(depolarizing_1q=0.01, depolarizing_2q=0.02, readout_flip=0.1,
+                    amplitude_damping_idle=0.05)
+
+
+def test_basis_observables_are_the_paulis_without_noise():
+    """Without noise, or under a model whose channels are all zero, every
+    clone's observables are X, Y and Z themselves, bitwise, and the basis
+    circuits are not read; under a readout flip alone they are the Paulis
+    scaled by 1 - 2f, to rounding."""
+    from teleclone.simulator import _X, _Y, _Z
+    from teleclone.telecloning import with_tomography
+    from teleclone.tomography import BASES, basis_observables
+
+    def unread():
+        raise AssertionError("the basis circuits were read")
+        yield
+
+    c = build_protocol_circuit(3, OPT, MessageState(0.3, 0.2))
+    for noise in (None, NoiseModel()):
+        got = basis_observables(c, unread(), noise)
+        assert got.shape == (3, 3, 2, 2)
+        assert all(np.array_equal(clone, [_X, _Y, _Z]) for clone in got)
+    flipped = basis_observables(c, [with_tomography(c, basis) for basis in BASES],
+                                NoiseModel(readout_flip=0.1))
+    np.testing.assert_allclose(flipped, 0.8 * np.array([[_X, _Y, _Z]] * 3), rtol=0, atol=1e-15)
+
+
+def test_basis_observables_refuse_a_basis_circuit_that_does_not_extend_its_none_circuit():
+    """The observables are exact only for basis circuits that are the
+    "none" circuit's instructions and then one-qubit gates and a measure on
+    each clone: a transform that appends a gate to every circuit breaks
+    that, and so does a cx between two clones after the basis change; noisy
+    tomography_run refuses the first too, while without noise it does not
+    read the basis circuits."""
+    from teleclone import Circuit, cx, rz
+    from teleclone.telecloning import with_tomography
+    from teleclone.tomography import BASES, basis_observables
+    msg = MessageState(0.3, 0.2)
+    none = build_protocol_circuit(2, NOA, msg)
+    a, b = none.roles["clones"]
+
+    def appended(c):
+        return Circuit(c.num_qubits, c.num_clbits, c.instructions + (rz(0.3, a),), roles=c.roles)
+
+    bases = [appended(with_tomography(none, basis)) for basis in BASES]
+    with pytest.raises(SimulationError, match="does not start with"):
+        basis_observables(appended(none), bases, _NOISY)
+    with pytest.raises(SimulationError, match="does not start with"):
+        tomography_run(2, NOA, msg, 100, seed=1, noise=_NOISY, transform=appended)
+    assert len(tomography_run(2, NOA, msg, 100, seed=1, transform=appended)) == 2
+    x = with_tomography(none, "x")
+    entangled = Circuit(x.num_qubits, x.num_clbits, x.instructions[:-3] + (cx(a, b),)
+                        + x.instructions[-3:], roles=x.roles)
+    with pytest.raises(SimulationError, match="one-qubit gates of its own"):
+        basis_observables(none, [entangled], _NOISY)
+
+
 def test_marginals_independent_of_other_clone_measures():
     """Measuring clone 1 alongside clone 0 must not change clone 0's counts
     distribution (noiseless): compare against a single-clone circuit."""
